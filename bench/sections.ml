@@ -319,9 +319,9 @@ type par_width = {
 
 let add_stats (a : Fp_cache.stats) (b : Fp_cache.stats) =
   {
+    a with
     Fp_cache.l1_hits = a.Fp_cache.l1_hits + b.Fp_cache.l1_hits;
     hits = a.Fp_cache.hits + b.Fp_cache.hits;
-    sub_hits = a.Fp_cache.sub_hits + b.Fp_cache.sub_hits;
     misses = a.Fp_cache.misses + b.Fp_cache.misses;
     inserts = a.Fp_cache.inserts + b.Fp_cache.inserts;
   }
@@ -331,7 +331,6 @@ let cache_stats_json (st : Fp_cache.stats) =
     [
       ("l1_hits", Json.Int st.Fp_cache.l1_hits);
       ("hits", Json.Int st.Fp_cache.hits);
-      ("sub_hits", Json.Int st.Fp_cache.sub_hits);
       ("misses", Json.Int st.Fp_cache.misses);
       ("inserts", Json.Int st.Fp_cache.inserts);
       ("hit_rate", Json.float (Fp_cache.hit_rate st));
@@ -539,10 +538,9 @@ let parallel_comparison () =
   List.iter
     (fun pw ->
       Printf.printf
-        "  j%d cache: %d L1 + %d exact + %d subsumption hits / %d lookups \
-         (%.1f%%), %d L2 read retries\n"
+        "  j%d cache: %d L1 + %d L2 hits / %d lookups (%.1f%%), %d L2 read \
+         retries\n"
         pw.pw_effective pw.pw_cache.Fp_cache.l1_hits pw.pw_cache.Fp_cache.hits
-        pw.pw_cache.Fp_cache.sub_hits
         (Fp_cache.lookups pw.pw_cache)
         (100. *. Fp_cache.hit_rate pw.pw_cache)
         pw.pw_read_retries)
@@ -707,12 +705,16 @@ type iter_row = {
   ir_ms_new : int;
   ir_ms_old : int;
   ir_identical : bool;
-  ir_hits : int;
-  ir_sub_hits : int;
+  ir_hits : int;  (* L1 + L2 *)
   ir_misses : int;
   ir_mw_new : float;  (* minor words / iteration, SoA kernel *)
   ir_mw_old : float;  (* minor words / iteration, boxed oracle *)
 }
+
+let cache_hits (st : Fp_cache.stats) = st.Fp_cache.l1_hits + st.Fp_cache.hits
+
+let hit_rate hits misses =
+  float_of_int hits /. float_of_int (Stdlib.max 1 (hits + misses))
 
 let words_per_iter (o : Pa_random.outcome) =
   o.Pa_random.minor_words /. float_of_int (Stdlib.max 1 o.Pa_random.iterations)
@@ -791,8 +793,7 @@ let iteration_comparison () =
               ir_ms_new = ms_new;
               ir_ms_old = ms_old;
               ir_identical = identical;
-              ir_hits = st.Fp_cache.hits;
-              ir_sub_hits = st.Fp_cache.sub_hits;
+              ir_hits = cache_hits st;
               ir_misses = st.Fp_cache.misses;
               ir_mw_new = words_per_iter new_o;
               ir_mw_old = words_per_iter old_o;
@@ -823,13 +824,11 @@ let iteration_comparison () =
   Table.print t;
   (* The timed groups above run on the zedboard fabric, which fits every
      improving candidate at full scale: the shrink lattice never engages
-     and the only cache reuse is the second engine's exact-key replay of
-     the first. On a half-size fabric (microzed, impl areas refitted to
-     it) the device saturates, the lattice oscillates, and the
-     subsumption index answers the re-probes: scaled-down candidates
-     embed into stored feasible sets and scale-up probes dominate stored
-     infeasible ones. Same two-run shared-cache structure, untimed —
-     this batch only measures cache behaviour. *)
+     and the only cache reuse is the second engine's replay of the
+     first. On a half-size fabric (microzed, impl areas refitted to it)
+     the device saturates and the lattice oscillates, revisiting demand
+     sets. Same two-run shared-cache structure, untimed — this batch
+     only measures cache behaviour. *)
   let sat_params =
     { Suite.default_params with Suite.clb_min = 1000; clb_max = 2500 }
   in
@@ -854,44 +853,31 @@ let iteration_comparison () =
       groups
   in
   let timed_hits = List.fold_left (fun a r -> a + r.ir_hits) 0 rows
-  and timed_sub = List.fold_left (fun a r -> a + r.ir_sub_hits) 0 rows
   and timed_misses = List.fold_left (fun a r -> a + r.ir_misses) 0 rows in
-  let sat_hits =
-    List.fold_left (fun a (_, st) -> a + st.Fp_cache.hits) 0 sat_rows
-  and sat_sub =
-    List.fold_left (fun a (_, st) -> a + st.Fp_cache.sub_hits) 0 sat_rows
+  let sat_hits = List.fold_left (fun a (_, st) -> a + cache_hits st) 0 sat_rows
   and sat_misses =
     List.fold_left (fun a (_, st) -> a + st.Fp_cache.misses) 0 sat_rows
   in
   let total_hits = timed_hits + sat_hits
-  and total_sub = timed_sub + sat_sub
   and total_misses = timed_misses + sat_misses in
-  let total_lookups = total_hits + total_sub + total_misses in
-  let pct h s m =
-    100. *. float_of_int (h + s) /. float_of_int (Stdlib.max 1 (h + s + m))
-  in
   Printf.printf
     "  floorplan cache, timed groups (shared per group across both \
-     engines): %d exact + %d subsumption / %d lookups (%.1f%%)\n"
-    timed_hits timed_sub
-    (timed_hits + timed_sub + timed_misses)
-    (pct timed_hits timed_sub timed_misses);
+     engines): %d hits / %d lookups (%.1f%%)\n"
+    timed_hits (timed_hits + timed_misses)
+    (100. *. hit_rate timed_hits timed_misses);
   Printf.printf
-    "  floorplan cache, saturated fabric (xc7z010): %d exact + %d \
-     subsumption / %d lookups (%.1f%%)\n"
-    sat_hits sat_sub
-    (sat_hits + sat_sub + sat_misses)
-    (pct sat_hits sat_sub sat_misses);
-  Printf.printf
-    "  floorplan cache combined: %d exact + %d subsumption / %d lookups \
-     (%.1f%% combined)\n"
-    total_hits total_sub total_lookups
-    (pct total_hits total_sub total_misses);
+    "  floorplan cache, saturated fabric (xc7z010): %d hits / %d lookups \
+     (%.1f%%)\n"
+    sat_hits (sat_hits + sat_misses)
+    (100. *. hit_rate sat_hits sat_misses);
+  Printf.printf "  floorplan cache combined: %d hits / %d lookups (%.1f%%)\n"
+    total_hits (total_hits + total_misses)
+    (100. *. hit_rate total_hits total_misses);
   write_csv "iteration.csv"
     ([ "tasks"; "iterations"; "seconds_new"; "seconds_old"; "speedup";
        "minor_words_per_iter_new"; "minor_words_per_iter_old"; "alloc_ratio";
        "makespan_new"; "makespan_old"; "identical"; "cache_hits";
-       "cache_sub_hits"; "cache_misses" ]
+       "cache_misses" ]
     :: List.map
          (fun r ->
            [
@@ -907,7 +893,6 @@ let iteration_comparison () =
              string_of_int r.ir_ms_old;
              string_of_bool r.ir_identical;
              string_of_int r.ir_hits;
-             string_of_int r.ir_sub_hits;
              string_of_int r.ir_misses;
            ])
          rows);
@@ -919,11 +904,6 @@ let iteration_comparison () =
   Buffer.add_string buf "  \"groups\": [\n";
   List.iteri
     (fun i r ->
-      let hit_rate =
-        float_of_int (r.ir_hits + r.ir_sub_hits)
-        /. float_of_int
-             (Stdlib.max 1 (r.ir_hits + r.ir_sub_hits + r.ir_misses))
-      in
       Printf.bprintf buf
         "    {\"tasks\": %d, \"iterations\": %d, \"seconds_new\": %.4f, \
          \"seconds_old\": %.4f, \"iters_per_s_new\": %.1f, \
@@ -931,16 +911,15 @@ let iteration_comparison () =
          \"minor_words_per_iter_new\": %.0f, \
          \"minor_words_per_iter_old\": %.0f, \"alloc_ratio\": %.2f, \
          \"makespan_new\": %d, \"makespan_old\": %d, \"identical\": %b, \
-         \"cache\": {\"hits\": %d, \"sub_hits\": %d, \"misses\": %d, \
-         \"hit_rate\": %.3f}}%s\n"
+         \"cache\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f}}%s\n"
         r.ir_tasks r.ir_iters r.ir_s_new r.ir_s_old
         (float_of_int r.ir_iters /. Float.max r.ir_s_new 1e-9)
         (float_of_int r.ir_iters /. Float.max r.ir_s_old 1e-9)
         (r.ir_s_old /. Float.max r.ir_s_new 1e-9)
         r.ir_mw_new r.ir_mw_old
         (r.ir_mw_old /. Float.max r.ir_mw_new 1e-9)
-        r.ir_ms_new r.ir_ms_old r.ir_identical r.ir_hits r.ir_sub_hits
-        r.ir_misses hit_rate
+        r.ir_ms_new r.ir_ms_old r.ir_identical r.ir_hits r.ir_misses
+        (hit_rate r.ir_hits r.ir_misses)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Buffer.add_string buf "  ],\n";
@@ -976,23 +955,20 @@ let iteration_comparison () =
   List.iteri
     (fun i (tasks, (st : Fp_cache.stats)) ->
       Printf.bprintf buf
-        "    {\"tasks\": %d, \"cache\": {\"hits\": %d, \"sub_hits\": %d, \
-         \"misses\": %d, \"hit_rate\": %.3f}}%s\n"
-        tasks st.Fp_cache.hits st.Fp_cache.sub_hits st.Fp_cache.misses
-        (pct st.Fp_cache.hits st.Fp_cache.sub_hits st.Fp_cache.misses
-        /. 100.)
+        "    {\"tasks\": %d, \"cache\": {\"hits\": %d, \"misses\": %d, \
+         \"hit_rate\": %.3f}}%s\n"
+        tasks (cache_hits st) st.Fp_cache.misses
+        (hit_rate (cache_hits st) st.Fp_cache.misses)
         (if i = List.length sat_rows - 1 then "" else ","))
     sat_rows;
   Buffer.add_string buf "  ],\n";
   Printf.bprintf buf
-    "  \"cache\": {\"hits\": %d, \"sub_hits\": %d, \"misses\": %d, \
-     \"hit_rate\": %.3f, \"timed\": {\"hits\": %d, \"sub_hits\": %d, \
-     \"misses\": %d}, \"saturated\": {\"hits\": %d, \"sub_hits\": %d, \
-     \"misses\": %d}}\n"
-    total_hits total_sub total_misses
-    (float_of_int (total_hits + total_sub)
-    /. float_of_int (Stdlib.max 1 total_lookups))
-    timed_hits timed_sub timed_misses sat_hits sat_sub sat_misses;
+    "  \"cache\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f, \
+     \"timed\": {\"hits\": %d, \"misses\": %d}, \"saturated\": {\"hits\": \
+     %d, \"misses\": %d}}\n"
+    total_hits total_misses
+    (hit_rate total_hits total_misses)
+    timed_hits timed_misses sat_hits sat_misses;
   Buffer.add_string buf "}\n";
   Run_store.write_section ~section:"iteration" (Buffer.contents buf)
 
@@ -1069,18 +1045,18 @@ let moves_comparison () =
           let sched, _ = Pa.run inst in
           must_validate "PA seed" sched;
           let state () =
-            (* verdict-transparent cache, fresh per arm: both arms pay
-               identical cold misses for identical demand multisets *)
+            (* fresh cache per arm: both arms pay identical cold misses
+               for identical demand multisets *)
             let config =
               { Delta.default_config with
-                Delta.cache = Some (Fp_cache.create ~subsumption:false ()) }
+                Delta.cache = Some (Fp_cache.create ()) }
             in
             Delta.of_schedule ~config sched
           in
           let d_inc = state () and d_orc = state () and d_pipe = state () in
           let config_pipe =
             { Delta.default_config with
-              Delta.cache = Some (Fp_cache.create ~subsumption:false ()) }
+              Delta.cache = Some (Fp_cache.create ()) }
           in
           (* Warm-up with the FULL stream: apply-then-rollback returns to
              the base state, so the timed pass replays the identical
@@ -1148,10 +1124,8 @@ let moves_comparison () =
           in
           (* Same total wall budget as the PA-R arm, split 70/30: most
              of it on the restart search that annealing cannot imitate,
-             the rest on move-level polish of the incumbent. The cache
-             is shared across both phases and keeps subsumption on, the
-             same configuration the PA-R arm runs with — this arm makes
-             a quality claim, not a bit-identity audit. *)
+             the rest on move-level polish of the incumbent. One cache
+             is shared across both phases. *)
           let lns_cache = Fp_cache.create () in
           let seed_budget = 0.7 *. lns_budget in
           let lns_seed_outcome =
@@ -1342,30 +1316,28 @@ let batch_comparison () =
       requests
   in
   ignore
-    (Batch.run ~cache:(Fp_cache.create ~subsumption:false ()) ~pool
+    (Batch.run ~cache:(Fp_cache.create ()) ~pool
        warm_requests);
   Array.iter
     (fun (r : Batch.request) ->
       ignore
         (Pa_random.run ~seed:r.Batch.seed
            ~min_iterations:(Stdlib.min 10 iters)
-           ~cache:(Fp_cache.create ~subsumption:false ())
+           ~cache:(Fp_cache.create ())
            ~budget_seconds:0. r.Batch.instance))
     requests;
   (* Batch first, on a cold floorplan cache of its own: it pays the cold
      misses, the sequential baseline gets equally-cold ones — separate
-     caches per engine keep the timing comparison honest. Both are
-     verdict-transparent (no subsumption), the mode the batch identity
-     contract requires. *)
+     caches per engine keep the timing comparison honest. *)
   let (batch_outcomes, bstats), s_batch =
     timed (fun () ->
-        Batch.run ~cache:(Fp_cache.create ~subsumption:false ()) ~pool
+        Batch.run ~cache:(Fp_cache.create ()) ~pool
           requests)
   in
   Domain_pool.Pool.shutdown pool;
   let seq_outcomes, s_seq =
     timed (fun () ->
-        let cache = Fp_cache.create ~subsumption:false () in
+        let cache = Fp_cache.create () in
         Array.map
           (fun (r : Batch.request) ->
             Pa_random.run ~seed:r.Batch.seed
@@ -1546,7 +1518,7 @@ let serve_comparison () =
     "== Serve: %d requests per load at 1x/2x/4x offered load, %d worker(s) \
      (%d serving), capacity %d, %d restarts/request ==\n"
     n jobs serving_width capacity iters;
-  let fresh_cache () = Fp_cache.create ~subsumption:false () in
+  let fresh_cache () = Fp_cache.create () in
   (* Calibrate the nominal per-request service time on this host (warm
      run first: arena growth and code paging stay out of the estimate). *)
   let offline i =
@@ -1926,7 +1898,7 @@ let serve_concurrency () =
     "== Serve concurrency: %d requests/client at 1/2/4/8 clients, %d \
      worker(s) (%d serving), %d restarts/request ==\n%!"
     n jobs serving_width iters;
-  let fresh_cache () = Fp_cache.create ~subsumption:false () in
+  let fresh_cache () = Fp_cache.create () in
   let req_line ~client ~i ~emit =
     String.trim
     @@ Json.to_string ~indent:0
@@ -2285,8 +2257,7 @@ type fp_row = {
   fr_s_v2 : float;
   fr_identical : bool;
   fr_refined : int;
-  fr_hits : int;
-  fr_sub_hits : int;
+  fr_hits : int;  (* L1 + L2 *)
   fr_misses : int;
   fr_ms_v1 : int;
   fr_ms_v2 : int;
@@ -2324,7 +2295,7 @@ let floorplan_oracle_comparison () =
   print_endline "";
   Printf.printf
     "== Floorplan oracle: column-interval packer vs backtracking v1 (%d \
-     checks/group) + subsumption cache ==\n"
+     checks/group) + cache replay ==\n"
     fp_checks_per_group;
   let t =
     Table.create
@@ -2390,7 +2361,7 @@ let floorplan_oracle_comparison () =
                        tasks msg))
               | _ -> ())
             stream reports_v2;
-          (* Replay the same stream through a fresh subsumption cache. *)
+          (* Replay the same stream through a fresh cache. *)
           let cache = Fp_cache.create () in
           List.iter
             (fun needs -> ignore (Fp_cache.check cache device needs))
@@ -2420,8 +2391,7 @@ let floorplan_oracle_comparison () =
               fr_s_v2 = s_v2;
               fr_identical = identical;
               fr_refined = refinements;
-              fr_hits = st.Fp_cache.hits;
-              fr_sub_hits = st.Fp_cache.sub_hits;
+              fr_hits = cache_hits st;
               fr_misses = st.Fp_cache.misses;
               fr_ms_v1 = ms_v1;
               fr_ms_v2 = ms_v2;
@@ -2447,8 +2417,8 @@ let floorplan_oracle_comparison () =
   Table.print t;
   write_csv "floorplan.csv"
     ([ "tasks"; "checks"; "seconds_v1"; "seconds_v2"; "speedup";
-       "identical"; "refined"; "cache_hits"; "cache_sub_hits";
-       "cache_misses"; "makespan_v1"; "makespan_v2" ]
+       "identical"; "refined"; "cache_hits"; "cache_misses"; "makespan_v1";
+       "makespan_v2" ]
     :: List.map
          (fun r ->
            [
@@ -2460,7 +2430,6 @@ let floorplan_oracle_comparison () =
              string_of_bool r.fr_identical;
              string_of_int r.fr_refined;
              string_of_int r.fr_hits;
-             string_of_int r.fr_sub_hits;
              string_of_int r.fr_misses;
              string_of_int r.fr_ms_v1;
              string_of_int r.fr_ms_v2;
@@ -2485,20 +2454,16 @@ let floorplan_oracle_comparison () =
       rows
   in
   let total_hits = List.fold_left (fun a r -> a + r.fr_hits) 0 rows
-  and total_sub = List.fold_left (fun a r -> a + r.fr_sub_hits) 0 rows
   and total_misses = List.fold_left (fun a r -> a + r.fr_misses) 0 rows in
-  let combined_rate =
-    float_of_int (total_hits + total_sub)
-    /. float_of_int (Stdlib.max 1 (total_hits + total_sub + total_misses))
-  in
+  let combined_rate = hit_rate total_hits total_misses in
   let total_refined = List.fold_left (fun a r -> a + r.fr_refined) 0 rows in
   Printf.printf
     "  oracle speedup on %s groups: x%.2f; verdicts identical: %b (%d \
      refined from v1 Unknown); PA-R makespans never worse: %b; cache %d \
-     exact + %d subsumption / %d misses (%.1f%% combined)\n"
+     hits / %d misses (%.1f%%)\n"
     (if big = [] then "all" else ">=60-task")
     speedup_large all_identical total_refined makespans_never_worse total_hits
-    total_sub total_misses (100. *. combined_rate);
+    total_misses (100. *. combined_rate);
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"seed\": %d,\n" seed;
@@ -2511,17 +2476,14 @@ let floorplan_oracle_comparison () =
         "    {\"tasks\": %d, \"checks\": %d, \"seconds_v1\": %.4f, \
          \"seconds_v2\": %.4f, \"checks_per_s_v1\": %.1f, \
          \"checks_per_s_v2\": %.1f, \"speedup\": %.3f, \"identical\": %b, \
-         \"refined\": %d, \"cache\": {\"hits\": %d, \"sub_hits\": %d, \
-         \"misses\": %d, \"hit_rate\": %.3f}, \"makespan_v1\": %d, \
-         \"makespan_v2\": %d}%s\n"
+         \"refined\": %d, \"cache\": {\"hits\": %d, \"misses\": %d, \
+         \"hit_rate\": %.3f}, \"makespan_v1\": %d, \"makespan_v2\": %d}%s\n"
         r.fr_tasks r.fr_checks r.fr_s_v1 r.fr_s_v2
         (float_of_int r.fr_checks /. Float.max r.fr_s_v1 1e-9)
         (float_of_int r.fr_checks /. Float.max r.fr_s_v2 1e-9)
         (r.fr_s_v1 /. Float.max r.fr_s_v2 1e-9)
-        r.fr_identical r.fr_refined r.fr_hits r.fr_sub_hits r.fr_misses
-        (float_of_int (r.fr_hits + r.fr_sub_hits)
-        /. float_of_int
-             (Stdlib.max 1 (r.fr_hits + r.fr_sub_hits + r.fr_misses)))
+        r.fr_identical r.fr_refined r.fr_hits r.fr_misses
+        (hit_rate r.fr_hits r.fr_misses)
         r.fr_ms_v1 r.fr_ms_v2
         (if i = List.length rows - 1 then "" else ","))
     rows;
@@ -2532,9 +2494,9 @@ let floorplan_oracle_comparison () =
     makespans_never_worse;
   Printf.bprintf buf "  \"speedup_large_groups\": %.3f,\n" speedup_large;
   Printf.bprintf buf
-    "  \"cache\": {\"hits\": %d, \"sub_hits\": %d, \"misses\": %d, \
-     \"combined_hit_rate\": %.3f}\n"
-    total_hits total_sub total_misses combined_rate;
+    "  \"cache\": {\"hits\": %d, \"misses\": %d, \"combined_hit_rate\": \
+     %.3f}\n"
+    total_hits total_misses combined_rate;
   Buffer.add_string buf "}\n";
   Run_store.write_section ~section:"floorplan" (Buffer.contents buf)
 

@@ -4,8 +4,12 @@
      generate   write a pseudo-random problem instance to a file
      show       print an instance summary (optionally DOT)
      schedule   schedule an instance with a chosen algorithm
+     optimize   seed with PA-R, then polish with neighborhood search
+     replay     replay a saved schedule under jitter or injected faults
      compare    run every algorithm on an instance and tabulate
      suite      materialize the paper's benchmark suite into a directory
+     batch      schedule a manifest of instances over one worker fleet
+     serve      run the scheduler as a resident jsonl service
 *)
 
 module Rng = Resched_util.Rng
@@ -73,8 +77,9 @@ let seed_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for pa-r and for the is1/is5 MILP floorplanner (1 = \
-     sequential; defaults to the available cores)."
+    "Worker domains (1 = sequential; defaults to the available cores): \
+     PA-R restarts in schedule, compare and optimize, the batch engine, \
+     serve's solver workers, and replay --faults campaigns."
   in
   let positive =
     let parse s =
@@ -201,11 +206,10 @@ let run_algo ?cache algo ~budget_s ~reuse ~seed ~jobs inst =
     in
     Logs.info (fun m ->
         m "PA-R: %d iterations on %d worker(s); floorplan cache %d L1 + %d \
-           exact + %d subsumption hits / %d misses"
+           L2 hits / %d misses"
           outcome.Pa_random.iterations jobs
           st.Resched_floorplan.Fp_cache.l1_hits
           st.Resched_floorplan.Fp_cache.hits
-          st.Resched_floorplan.Fp_cache.sub_hits
           st.Resched_floorplan.Fp_cache.misses);
     match outcome.Pa_random.schedule with
     | Some sched -> sched
@@ -222,7 +226,6 @@ let run_algo ?cache algo ~budget_s ~reuse ~seed ~jobs inst =
            {
              (Isk.config ~k:1) with
              Isk.module_reuse = reuse;
-             Isk.floorplan_jobs = jobs;
              Isk.floorplan_cache = cache;
            }
          inst)
@@ -233,7 +236,6 @@ let run_algo ?cache algo ~budget_s ~reuse ~seed ~jobs inst =
            {
              (Isk.config ~k:5) with
              Isk.module_reuse = reuse;
-             Isk.floorplan_jobs = jobs;
              Isk.floorplan_cache = cache;
            }
          inst)
@@ -326,9 +328,9 @@ let schedule_cmd =
 
 let optimize path seed_budget_ms polish_budget_ms reuse seed jobs gantt save =
   let inst = load_instance path in
-  (* one verdict-transparent cache spans seeding and polishing, so the
-     move kernel's re-queries hit the PA-R run's stored verdicts *)
-  let cache = Resched_floorplan.Fp_cache.create ~subsumption:false () in
+  (* one cache spans seeding and polishing, so the move kernel's
+     re-queries hit the PA-R run's stored verdicts *)
+  let cache = Resched_floorplan.Fp_cache.create () in
   let t0 = Unix.gettimeofday () in
   let seed_sched =
     run_algo A_par ~cache
@@ -533,8 +535,7 @@ let compare_ path budget_ms seed jobs =
   in
   (* One oracle for the whole comparison: every algorithm probes the same
      region multisets near the feasibility frontier, so verdicts cross
-     over between algorithms (and the subsumption index answers the
-     shrunken variants). *)
+     over between algorithms. *)
   let cache = Resched_floorplan.Fp_cache.create () in
   List.iter
     (fun (name, algo) ->
@@ -567,9 +568,9 @@ let compare_ path budget_ms seed jobs =
   let lookups = F.lookups st in
   if lookups > 0 then
     Printf.printf
-      "shared floorplan cache: %d lookups, %d L1 + %d exact + %d subsumption \
-       hits (%.0f%%), %d misses\n"
-      lookups st.F.l1_hits st.F.hits st.F.sub_hits
+      "shared floorplan cache: %d lookups, %d L1 + %d L2 hits (%.0f%%), %d \
+       misses\n"
+      lookups st.F.l1_hits st.F.hits
       (100. *. F.hit_rate st)
       st.F.misses;
   0
@@ -674,19 +675,15 @@ let parse_manifest path ~seed ~min_iterations ~budget_ms =
     lines;
   Array.of_list (List.rev !entries)
 
-let batch manifest seed min_iterations budget_ms jobs slice kernel out_dir
+let batch manifest seed min_iterations budget_ms jobs slice out_dir
     stats_out =
   let module Batch = Resched_core.Batch in
   let module Json = Resched_util.Json in
   let entries = parse_manifest manifest ~seed ~min_iterations ~budget_ms in
   if Array.length entries = 0 then die exit_io "%s: empty manifest" manifest;
   let requests = Array.map snd entries in
-  (* Verdict-transparent cache: per-instance results stay independent of
-     how the batch's slices happened to interleave. *)
-  let cache = Resched_floorplan.Fp_cache.create ~subsumption:false () in
-  let outcomes, stats =
-    Batch.run ~cache ~kernel ~jobs ?slice requests
-  in
+  let cache = Resched_floorplan.Fp_cache.create () in
+  let outcomes, stats = Batch.run ~cache ~jobs ?slice requests in
   (match out_dir with
   | Some dir ->
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
@@ -800,25 +797,6 @@ let batch_cmd =
     in
     Arg.(value & opt (some int) None & info [ "slice" ] ~docv:"N" ~doc)
   in
-  let kernel =
-    let kernel_conv =
-      let parse = function
-        | "soa" -> Ok `Soa
-        | "boxed" -> Ok `Boxed
-        | s -> Error (`Msg (Printf.sprintf "unknown kernel %S" s))
-      in
-      Arg.conv
-        ( parse,
-          fun ppf k ->
-            Format.pp_print_string ppf
-              (match k with `Soa -> "soa" | `Boxed -> "boxed") )
-    in
-    let doc =
-      "Restart kernel: soa (struct-of-arrays arenas) or boxed (the \
-       allocation-heavy oracle; bit-identical results)."
-    in
-    Arg.(value & opt kernel_conv `Soa & info [ "kernel" ] ~docv:"KERNEL" ~doc)
-  in
   let out_dir =
     let doc = "Write each instance's best schedule under DIR." in
     Arg.(value & opt (some string) None & info [ "out-dir" ] ~docv:"DIR" ~doc)
@@ -835,7 +813,7 @@ let batch_cmd =
     Term.(
       const (fun () -> batch)
       $ verbose_arg $ manifest $ seed_arg $ min_iterations $ budget
-      $ jobs_arg $ slice $ kernel $ out_dir $ stats_out)
+      $ jobs_arg $ slice $ out_dir $ stats_out)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)

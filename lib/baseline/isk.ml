@@ -10,9 +10,6 @@ type config = {
   k : int;
   chunk_node_limit : int;
   module_reuse : bool;
-  floorplan_engine : Floorplanner.engine;
-  floorplan_node_limit : int option;
-  floorplan_jobs : int;
   floorplan_cache : Fp_cache.t option;
   max_attempts : int;
   shrink_factor : float;
@@ -24,9 +21,6 @@ let config ~k =
     k;
     chunk_node_limit = 200_000;
     module_reuse = true;
-    floorplan_engine = Floorplanner.Backtracking;
-    floorplan_node_limit = None;
-    floorplan_jobs = 1;
     floorplan_cache = None;
     max_attempts = 8;
     shrink_factor = 0.9;
@@ -111,16 +105,8 @@ let run ?(config = config ~k:1) inst =
       else begin
         let report =
           match config.floorplan_cache with
-          | Some cache ->
-            (* Note: the cache path cannot thread [floorplan_jobs] to the
-               MILP engine; IS-k only uses jobs > 1 with [Milp], which is
-               not the cached configuration. *)
-            Fp_cache.check cache ~engine:config.floorplan_engine
-              ?node_limit:config.floorplan_node_limit device needs
-          | None ->
-            Floorplanner.check ~engine:config.floorplan_engine
-              ?node_limit:config.floorplan_node_limit
-              ~jobs:config.floorplan_jobs device needs
+          | Some cache -> Fp_cache.check cache device needs
+          | None -> Floorplanner.check device needs
         in
         plan_time := !plan_time +. report.Floorplanner.elapsed;
         match report.Floorplanner.verdict with

@@ -13,21 +13,16 @@ type config = {
   k : int;
   chunk_node_limit : int;  (** branch-and-bound budget per chunk *)
   module_reuse : bool;  (** default true: [6] supports module reuse *)
-  floorplan_engine : Resched_floorplan.Floorplanner.engine;
-  floorplan_node_limit : int option;
-  floorplan_jobs : int;
-      (** worker domains for the MILP floorplanner's branch-and-bound *)
   floorplan_cache : Resched_floorplan.Fp_cache.t option;
       (** when set, the shrink-retry loop consults this shared cache
-          instead of calling the floorplanner directly (note:
-          [floorplan_jobs] is ignored on the cached path) *)
+          instead of calling the backtracking floorplanner directly *)
   max_attempts : int;
   shrink_factor : float;
 }
 
 val config : k:int -> config
-(** Defaults: 200_000 nodes per chunk, module reuse on, backtracking
-    floorplanner, 1 floorplan job, no cache, 8 attempts, shrink 0.9. *)
+(** Defaults: 200_000 nodes per chunk, module reuse on, no cache,
+    8 attempts, shrink 0.9. *)
 
 type stats = {
   chunks : int;

@@ -89,7 +89,7 @@ let default_slice ~jobs requests =
   in
   Stdlib.max 1 (Stdlib.min 32 (total / (4 * jobs) + 1))
 
-let run ?config ?cache ?incremental ?kernel ?jobs ?pool ?slice requests =
+let run ?config ?cache ?jobs ?pool ?slice requests =
   let jobs =
     match (pool, jobs) with
     | Some p, Some j ->
@@ -120,7 +120,7 @@ let run ?config ?cache ?incremental ?kernel ?jobs ?pool ?slice requests =
   let courses =
     Array.map
       (fun r ->
-        Pa_random.Course.create ?config ?cache ?incremental ?kernel ~start
+        Pa_random.Course.create ?config ?cache ~start
           ?cancel:r.cancel ~seed:r.seed ~min_iterations:r.min_iterations
           ~budget_seconds:r.budget_seconds r.instance)
       requests

@@ -14,21 +14,12 @@
 
     Determinism: each course owns its RNG and its incumbent, so the
     slice interleaving (which varies with load) never leaks between
-    instances. With a verdict-transparent shared [cache]
-    ([Fp_cache.create ~subsumption:false ()]) — or no cache at all —
-    per-instance outcomes are bit-identical to running
+    instances. Per-instance outcomes are bit-identical to running
     [Pa_random.run ~seed ~min_iterations ~budget_seconds:0.] for each
-    request in isolation under the same cache mode, whatever [jobs] and
-    [slice] are (property-tested): such a cache's verdicts are a pure
-    function of the query, so sharing it across instances changes
-    wall-clock only. Two cache caveats, both inherited from
-    {!Resched_floorplan.Fp_cache}: the exact layer canonicalizes needs
-    before consulting the engine, so cached and cache-less runs can
-    disagree where the engine's node budget bites; and a cache with the
-    dominance index enabled ([subsumption:true], the default) can
-    decide verdicts the bare engine would call [Unknown], making
-    results depend on what other instances happened to insert first —
-    don't pass one here if reproducibility matters. *)
+    request in isolation with a cache (or, in both, with none), whatever
+    [jobs] and [slice] are (property-tested): a cache's verdicts are a
+    pure function of the query, so sharing one across instances changes
+    wall-clock only. *)
 
 type request = {
   instance : Resched_platform.Instance.t;
@@ -61,15 +52,13 @@ type stats = {
 }
 
 val run : ?config:Pa.config -> ?cache:Resched_floorplan.Fp_cache.t ->
-  ?incremental:bool -> ?kernel:Pa_random.kernel -> ?jobs:int ->
-  ?pool:Resched_util.Domain_pool.Pool.t -> ?slice:int ->
+  ?jobs:int -> ?pool:Resched_util.Domain_pool.Pool.t -> ?slice:int ->
   request array -> Pa_random.outcome array * stats
-(** Schedule every request; outcomes are in request order. [config],
-    [cache], [incremental] and [kernel] apply to all courses (see
-    {!Pa_random.run}). [jobs] defaults to the pool's width when [pool]
-    is given (both with different values is an error), else to
-    {!Resched_util.Domain_pool.available_cores}. [slice] (default:
-    derived from the total requested iterations, at most 32) bounds how
-    many restarts a worker runs on a course before requeuing it —
-    results never depend on it, only load balance does. Worker 0 runs
-    on the calling domain. *)
+(** Schedule every request; outcomes are in request order. [config] and
+    [cache] apply to all courses (see {!Pa_random.run}). [jobs] defaults
+    to the pool's width when [pool] is given (both with different values
+    is an error), else to {!Resched_util.Domain_pool.available_cores}.
+    [slice] (default: derived from the total requested iterations, at
+    most 32) bounds how many restarts a worker runs on a course before
+    requeuing it — results never depend on it, only load balance does.
+    Worker 0 runs on the calling domain. *)

@@ -10,12 +10,10 @@ module Placement = Resched_floorplan.Placement
 
 type config = {
   engine : Floorplanner.engine;
-  node_limit : int option;
   cache : Fp_cache.t option;
 }
 
-let default_config =
-  { engine = Floorplanner.Backtracking; node_limit = None; cache = None }
+let default_config = { engine = Floorplanner.Backtracking; cache = None }
 
 type move =
   | Reassign of { task : int; region : int }
@@ -798,11 +796,8 @@ let requery_fp d =
       let report =
         match d.cfg.cache with
         | Some cache ->
-          Fp_cache.check cache ~engine:d.cfg.engine
-            ?node_limit:d.cfg.node_limit d.device needs
-        | None ->
-          Floorplanner.check ~engine:d.cfg.engine ?node_limit:d.cfg.node_limit
-            d.device needs
+          Fp_cache.check cache ~engine:d.cfg.engine d.device needs
+        | None -> Floorplanner.check ~engine:d.cfg.engine d.device needs
       in
       let ok, places =
         match report.Floorplanner.verdict with

@@ -37,11 +37,9 @@ type t
 
 type config = {
   engine : Resched_floorplan.Floorplanner.engine;
-  node_limit : int option;
   cache : Resched_floorplan.Fp_cache.t option;
       (** demand-vector feasibility queries go through this cache when
-          present; pass a [~subsumption:false] cache on any path whose
-          verdicts are compared across runs (see PR 7's fence) *)
+          present *)
 }
 
 val default_config : config

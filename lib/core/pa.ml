@@ -85,7 +85,6 @@ type config = {
   ordering : Regions_define.ordering;
   module_reuse : bool;
   floorplan_engine : Floorplanner.engine;
-  floorplan_node_limit : int option;
   floorplan_cache : Resched_floorplan.Fp_cache.t option;
   max_attempts : int;
   shrink_factor : float;
@@ -96,7 +95,6 @@ let default_config =
     ordering = Regions_define.By_efficiency;
     module_reuse = false;
     floorplan_engine = Floorplanner.Backtracking;
-    floorplan_node_limit = None;
     floorplan_cache = None;
     max_attempts = 8;
     shrink_factor = 0.9;
@@ -328,11 +326,9 @@ let run ?(config = default_config) ?ctx inst =
           match config.floorplan_cache with
           | Some cache ->
             Resched_floorplan.Fp_cache.check cache
-              ~engine:config.floorplan_engine
-              ?node_limit:config.floorplan_node_limit device needs
+              ~engine:config.floorplan_engine device needs
           | None ->
-            Floorplanner.check ~engine:config.floorplan_engine
-              ?node_limit:config.floorplan_node_limit device needs
+            Floorplanner.check ~engine:config.floorplan_engine device needs
         in
         plan_time := !plan_time +. report.Floorplanner.elapsed;
         match report.Floorplanner.verdict with

@@ -14,7 +14,6 @@ type config = {
       (** allow consecutive same-module tasks in a region to skip the
           reconfiguration (paper's future work; default false) *)
   floorplan_engine : Resched_floorplan.Floorplanner.engine;
-  floorplan_node_limit : int option;
   floorplan_cache : Resched_floorplan.Fp_cache.t option;
       (** when set, step H consults this shared {!Resched_floorplan.Fp_cache}
           instead of calling the floorplanner directly, so shrink-retry

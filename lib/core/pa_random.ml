@@ -61,11 +61,9 @@ let check_feasible ~config ~cache device needs =
     let report =
       match cache with
       | Some cache ->
-        Fp_cache.check cache ~engine:config.Pa.floorplan_engine
-          ?node_limit:config.Pa.floorplan_node_limit device needs
+        Fp_cache.check cache ~engine:config.Pa.floorplan_engine device needs
       | None ->
-        Floorplanner.check ~engine:config.Pa.floorplan_engine
-          ?node_limit:config.Pa.floorplan_node_limit device needs
+        Floorplanner.check ~engine:config.Pa.floorplan_engine device needs
     in
     match report.Floorplanner.verdict with
     | Floorplanner.Feasible placements -> Some placements
@@ -178,12 +176,12 @@ module Course = struct
       crs_done = false;
     }
 
-  let create ?config ?cache ?incremental ?kernel ?start ?cancel ~seed
-      ~min_iterations ~budget_seconds inst =
+  let create ?config ?cache ?start ?cancel ~seed ~min_iterations
+      ~budget_seconds inst =
     let start =
       match start with Some s -> s | None -> Unix.gettimeofday ()
     in
-    make ?config ?cache ?incremental ?kernel ?cancel ~shared:(make_shared ())
+    make ?config ?cache ?cancel ~shared:(make_shared ())
       ~rng:(Rng.create seed) ~start ~min_iterations ~budget_seconds inst
 
   (* Does this course run the struct-of-arrays kernel over a context

@@ -61,8 +61,7 @@ module Course : sig
   type t
 
   val create : ?config:Pa.config -> ?cache:Resched_floorplan.Fp_cache.t ->
-    ?incremental:bool -> ?kernel:kernel -> ?start:float ->
-    ?cancel:(unit -> bool) -> seed:int ->
+    ?start:float -> ?cancel:(unit -> bool) -> seed:int ->
     min_iterations:int -> budget_seconds:float ->
     Resched_platform.Instance.t -> t
   (** A fresh stream with its own incumbent, replaying exactly what
@@ -110,16 +109,13 @@ val run : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
     tiny budget still returns a schedule whenever one is floorplannable.
     The [config]'s [ordering] field is ignored (PA-R always randomizes
     non-critical tasks). When [cache] is given, floorplan verdicts are
-    memoized through it. With [~subsumption:false] the cache's verdicts
-    are a pure function of the query — the engine's answer for the
-    canonically sorted needs — so any two runs through such caches
-    (fresh, shared, or reused) produce identical results for a fixed
-    iteration count. They can still differ from a {e cache-less} run
-    where the engine's node budget bites (the canonical order may
-    explore the search space differently), and a cache with the
-    dominance index enabled ([subsumption:true], the default) may
-    additionally decide candidates the bare engine would call
-    [Unknown] — both effects steer the adaptive resource scale onto a
+    memoized through it. The cache's verdicts are a pure function of
+    the query — the engine's answer for the canonically sorted needs —
+    so any two runs through caches (fresh, shared, or reused) produce
+    identical results for a fixed iteration count. They can still
+    differ from a {e cache-less} run where the engine's node budget
+    bites (the canonical order may explore the search space
+    differently), which steers the adaptive resource scale onto a
     different (still valid) trajectory.
 
     The adaptive virtual resource scale moves on the integer

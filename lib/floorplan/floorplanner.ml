@@ -1,7 +1,7 @@
 module Device = Resched_fabric.Device
 module Resource = Resched_fabric.Resource
 
-type engine = Backtracking | Backtracking_v1 | Milp | Hybrid
+type engine = Backtracking | Backtracking_v1 | Milp
 
 type verdict =
   | Feasible of Placement.rect array
@@ -10,7 +10,6 @@ type verdict =
 
 type report = {
   verdict : verdict;
-  engine_used : engine;
   elapsed : float;
 }
 
@@ -24,27 +23,17 @@ let of_milp = function
   | Milp_model.Infeasible -> Infeasible
   | Milp_model.Unknown -> Unknown
 
-let check ?(engine = Backtracking) ?node_limit ?jobs device needs =
+let check ?(engine = Backtracking) device needs =
   let t0 = Unix.gettimeofday () in
-  let verdict, engine_used =
+  let verdict =
     match engine with
     | Backtracking ->
-      ( of_packer
-          (Packer.pack ~engine:Packer.Column_interval ?node_limit device needs),
-        Backtracking )
+      of_packer (Packer.pack ~engine:Packer.Column_interval device needs)
     | Backtracking_v1 ->
-      ( of_packer
-          (Packer.pack ~engine:Packer.Backtracking_v1 ?node_limit device needs),
-        Backtracking_v1 )
-    | Milp -> (of_milp (Milp_model.pack ?node_limit ?jobs device needs), Milp)
-    | Hybrid -> (
-      match Packer.pack ~engine:Packer.Column_interval ?node_limit device needs with
-      | Packer.Placed p -> (Feasible p, Backtracking)
-      | Packer.Infeasible -> (Infeasible, Backtracking)
-      | Packer.Unknown ->
-        (of_milp (Milp_model.pack ?node_limit ?jobs device needs), Milp))
+      of_packer (Packer.pack ~engine:Packer.Backtracking_v1 device needs)
+    | Milp -> of_milp (Milp_model.pack device needs)
   in
-  { verdict; engine_used; elapsed = Unix.gettimeofday () -. t0 }
+  { verdict; elapsed = Unix.gettimeofday () -. t0 }
 
 let validate device ~needs placements =
   let n = Array.length needs in

@@ -13,7 +13,6 @@ type engine =
       (** the original backtracking packer, kept as the equivalence
           oracle for [Backtracking] *)
   | Milp
-  | Hybrid  (** backtracking first; on [Unknown], fall back to MILP *)
 
 type verdict =
   | Feasible of Placement.rect array
@@ -22,16 +21,15 @@ type verdict =
 
 type report = {
   verdict : verdict;
-  engine_used : engine;
   elapsed : float;  (** wall-clock seconds spent in the check *)
 }
 
-val check : ?engine:engine -> ?node_limit:int -> ?jobs:int ->
-  Resched_fabric.Device.t -> Resched_fabric.Resource.t array -> report
+val check : ?engine:engine -> Resched_fabric.Device.t ->
+  Resched_fabric.Resource.t array -> report
 (** [check device needs] runs the requested [engine] (default
-    [Backtracking]). [jobs] parallelizes the MILP engine's
-    branch-and-bound (ignored by [Backtracking]). Requirements must all
-    be non-zero. *)
+    [Backtracking]) under that engine's fixed search budget (see
+    {!Packer.pack} and {!Milp_model.pack}). Requirements must all be
+    non-zero. *)
 
 val validate : Resched_fabric.Device.t ->
   needs:Resched_fabric.Resource.t array -> Placement.rect array ->

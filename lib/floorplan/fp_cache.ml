@@ -4,11 +4,6 @@ module Domain_pool = Resched_util.Domain_pool
 module Seqlock = Resched_util.Seqlock
 module Smap = Map.Make (String)
 
-type entry = {
-  verdict : Floorplanner.verdict;  (** placements in sorted-needs order *)
-  engine_used : Floorplanner.engine;
-}
-
 type stats = {
   l1_hits : int;
   hits : int;
@@ -23,56 +18,27 @@ let diff a b =
   {
     l1_hits = a.l1_hits - b.l1_hits;
     hits = a.hits - b.hits;
-    sub_hits = a.sub_hits - b.sub_hits;
+    sub_hits = 0;
     misses = a.misses - b.misses;
     inserts = a.inserts - b.inserts;
   }
 
-let lookups s = s.l1_hits + s.hits + s.sub_hits + s.misses
+let lookups s = s.l1_hits + s.hits + s.misses
 
 let hit_rate s =
   let n = lookups s in
-  if n = 0 then 0.
-  else float_of_int (s.l1_hits + s.hits + s.sub_hits) /. float_of_int n
+  if n = 0 then 0. else float_of_int (s.l1_hits + s.hits) /. float_of_int n
 
-(* Exact stripes: the permutation-invariant exact-key table, sharded by
-   fused-key hash. The entry map is an immutable snapshot published
-   through a seqlock — lookups never block, writers replace the snapshot
-   under the seqlock's mutex. All L2 counters live here (a subsumption
-   hit is counted on the stripe its exact key hashes to, so
-   [stripe_stats] sums to [stats] minus L1 hits). *)
-type exact_stripe = {
-  e_map : entry Smap.t Seqlock.t;  (* fused device^\x01^needs key *)
+(* The L2 table, sharded by fused-key hash. Each stripe's map is an
+   immutable snapshot published through a seqlock — lookups never block,
+   writers replace the snapshot under the seqlock's mutex. Verdicts are
+   stored as computed on the sorted needs (placements in sorted order). *)
+type stripe = {
+  e_map : Floorplanner.verdict Smap.t Seqlock.t;
+      (* fused device^\x01^needs key *)
   e_hits : int Atomic.t;
-  e_sub_hits : int Atomic.t;
   e_misses : int Atomic.t;
   e_inserts : int Atomic.t;
-}
-
-(* Subsumption groups: decisive verdicts for one (device, engine,
-   node-limit) class, kept as capped antichains under injective
-   dominance embedding of canonically sorted needs. Feasibility is
-   antimonotone in demands, so a feasible verdict at [s] answers any
-   query that embeds into [s] — each query need charged to a distinct
-   stored need that covers it; the matched subset of the stored rects
-   (disjoint, each big enough) is a valid placement for the query. An
-   infeasible verdict at [s] answers any query [s] embeds into (a
-   packing of the query would contain one of [s]). [Unknown] never
-   enters. *)
-type feas_entry = {
-  f_needs : Resource.t array;  (* canonically sorted *)
-  f_placements : Placement.rect array;  (* in sorted-needs order *)
-  f_engine : Floorplanner.engine;
-}
-
-type group = {
-  mutable g_feas : feas_entry list;
-  mutable g_infeas : Resource.t array list;
-}
-
-type sub_stripe = {
-  s_lock : Mutex.t;
-  s_groups : (string, group) Hashtbl.t;  (* group key -> antichains *)
 }
 
 (* Each domain's private memo in front of the shared stripes. Owned
@@ -82,19 +48,12 @@ type sub_stripe = {
    atomic is never contended. *)
 type l1 = {
   mutable l1_epoch : int;  (* cache epoch this memo is valid for *)
-  l1_tbl : (string, entry) Hashtbl.t;
+  l1_tbl : (string, Floorplanner.verdict) Hashtbl.t;
   l1_hits_n : int Atomic.t;
 }
 
 type t = {
-  exact : exact_stripe array;
-  sub : sub_stripe array;
-  subsumption : bool;
-      (* when false the dominance index is never consulted or fed:
-         every verdict handed out is one the engine computed for that
-         exact key, so the cache is verdict-transparent (pure
-         memoization) whatever its contents *)
-  debug : bool;  (** revalidate subsumption-derived placements *)
+  exact : stripe array;
   l1_capacity : int;  (* 0 disables the L1 *)
   epoch : int Atomic.t;
   l1_key : l1 Domain.DLS.key;
@@ -107,24 +66,16 @@ type t = {
          values for equal devices) *)
 }
 
-let antichain_cap = 64
-
 let default_stripes = 16
 
 let default_l1_capacity = 4096
 
 let create ?(stripes = default_stripes) ?(l1_capacity = default_l1_capacity)
-    ?(subsumption = true) ?debug () =
+    ?(subsumption = false) () =
+  if subsumption then
+    invalid_arg "Fp_cache.create: the subsumption index no longer exists";
   let stripes = Stdlib.max 1 stripes in
   let l1_capacity = Stdlib.max 0 l1_capacity in
-  let debug =
-    match debug with
-    | Some d -> d
-    | None -> (
-      match Sys.getenv_opt "RESCHED_FP_DEBUG" with
-      | Some ("1" | "true" | "yes") -> true
-      | _ -> false)
-  in
   let epoch = Atomic.make 0 in
   let l1s = ref [] in
   let l1s_lock = Mutex.create () in
@@ -148,15 +99,9 @@ let create ?(stripes = default_stripes) ?(l1_capacity = default_l1_capacity)
           {
             e_map = Seqlock.create Smap.empty;
             e_hits = Atomic.make 0;
-            e_sub_hits = Atomic.make 0;
             e_misses = Atomic.make 0;
             e_inserts = Atomic.make 0;
           });
-    sub =
-      Array.init stripes (fun _ ->
-          { s_lock = Mutex.create (); s_groups = Hashtbl.create 32 });
-    subsumption;
-    debug;
     l1_capacity;
     epoch;
     l1_key;
@@ -171,9 +116,8 @@ let stripe_stats t =
   Array.map
     (fun s ->
       {
-        l1_hits = 0;
+        zero_stats with
         hits = Atomic.get s.e_hits;
-        sub_hits = Atomic.get s.e_sub_hits;
         misses = Atomic.get s.e_misses;
         inserts = Atomic.get s.e_inserts;
       })
@@ -188,7 +132,6 @@ let stats t =
         {
           acc with
           hits = acc.hits + s.hits;
-          sub_hits = acc.sub_hits + s.sub_hits;
           misses = acc.misses + s.misses;
           inserts = acc.inserts + s.inserts;
         })
@@ -207,14 +150,9 @@ let clear t =
     (fun s ->
       Seqlock.set s.e_map Smap.empty;
       Atomic.set s.e_hits 0;
-      Atomic.set s.e_sub_hits 0;
       Atomic.set s.e_misses 0;
       Atomic.set s.e_inserts 0)
     t.exact;
-  Array.iter
-    (fun s ->
-      Domain_pool.with_lock s.s_lock (fun () -> Hashtbl.reset s.s_groups))
-    t.sub;
   Domain_pool.with_lock t.l1s_lock (fun () ->
       List.iter (fun m -> Atomic.set m.l1_hits_n 0) !(t.l1s));
   (* Every domain flushes its L1 table itself on next use: resetting a
@@ -227,35 +165,24 @@ let device_key device =
   Printf.sprintf "%s#%x" device.Device.name
     (Hashtbl.hash (device.Device.columns, device.Device.rows))
 
-(* Exact keys fuse the device and needs keys into one string so the L2
+(* Keys fuse the device and needs keys into one string so the L2
    snapshot can be a plain [Map.Make(String)]; '\x01' cannot start a
    needs key (those begin with an engine tag letter). *)
 let fused_key dk nk = dk ^ "\x01" ^ nk
 
 let invalidate_device t device =
-  let dk = device_key device in
-  let eprefix = dk ^ "\x01" in
+  let prefix = device_key device ^ "\x01" in
   Array.iter
     (fun s ->
       Seqlock.update s.e_map (fun m ->
-          Smap.filter (fun k _ -> not (String.starts_with ~prefix:eprefix k)) m))
+          Smap.filter (fun k _ -> not (String.starts_with ~prefix k)) m))
     t.exact;
-  let prefix = dk ^ "\x00" in
-  Array.iter
-    (fun s ->
-      Domain_pool.with_lock s.s_lock (fun () ->
-          Hashtbl.filter_map_inplace
-            (fun gk group ->
-              if String.starts_with ~prefix gk then None else Some group)
-            s.s_groups))
-    t.sub;
   bump_epoch t
 
 let engine_tag = function
   | Floorplanner.Backtracking -> 'b'
   | Floorplanner.Backtracking_v1 -> 'o'
   | Floorplanner.Milp -> 'm'
-  | Floorplanner.Hybrid -> 'h'
 
 (* [order.(k)] is the original index of the k-th need in canonical order;
    sorting by [Resource.compare] (ties by index, for stability) makes any
@@ -284,12 +211,9 @@ let rec buf_int buf n =
     Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
   end
 
-let needs_key ~engine ~node_limit sorted =
+let needs_key ~engine sorted =
   let buf = Buffer.create 64 in
   Buffer.add_char buf (engine_tag engine);
-  (match node_limit with
-  | None -> Buffer.add_char buf '*'
-  | Some l -> buf_int buf l);
   Array.iter
     (fun (r : Resource.t) ->
       Buffer.add_char buf '|';
@@ -301,14 +225,7 @@ let needs_key ~engine ~node_limit sorted =
     sorted;
   Buffer.contents buf
 
-let group_key ~dk ~engine ~node_limit =
-  Printf.sprintf "%s\x00%c%s" dk (engine_tag engine)
-    (match node_limit with None -> "*" | Some l -> string_of_int l)
-
-let exact_stripe_of t key =
-  t.exact.(Hashtbl.hash key mod Array.length t.exact)
-
-let sub_stripe_of t gk = t.sub.(Hashtbl.hash gk mod Array.length t.sub)
+let stripe_of t key = t.exact.(Hashtbl.hash key mod Array.length t.exact)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-local L1                                                     *)
@@ -324,158 +241,9 @@ let get_l1 t =
 
 (* Wholesale drop at capacity: simpler than LRU and the table refills
    from L2 hits at memo speed, so the cost is transient. *)
-let l1_store t m key entry =
+let l1_store t m key verdict =
   if Hashtbl.length m.l1_tbl >= t.l1_capacity then Hashtbl.reset m.l1_tbl;
-  Hashtbl.replace m.l1_tbl key entry
-
-(* ------------------------------------------------------------------ *)
-(* Subsumption index                                                   *)
-
-(* Injective dominance embedding: match every need of [small] to a
-   *distinct* need of [big] that covers it component-wise, returning the
-   assignment ([assign.(i)] = index in [big] charged for [small.(i)]).
-   Greedy (largest small needs claim the first unused covering big need,
-   with [big] canonically sorted ascending), so it can miss a matching a
-   full bipartite search would find — that only costs cache hits, never
-   soundness: any embedding returned is a valid witness. The relation is
-   transitive (compose the injections), which the antichain maintenance
-   below relies on. *)
-let embeds small big =
-  let n = Array.length small and m = Array.length big in
-  if n > m then None
-  else begin
-    let order = Array.init n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        compare (Resource.total_units small.(b))
-          (Resource.total_units small.(a)))
-      order;
-    let used = Array.make m false in
-    let assign = Array.make n (-1) in
-    let ok = ref true in
-    Array.iter
-      (fun i ->
-        if !ok then begin
-          let j = ref 0 in
-          while
-            !j < m
-            && (used.(!j) || not (Resource.fits small.(i) ~within:big.(!j)))
-          do
-            incr j
-          done;
-          if !j = m then ok := false
-          else begin
-            used.(!j) <- true;
-            assign.(i) <- !j
-          end
-        end)
-      order;
-    if !ok then Some assign else None
-  end
-
-let embeds_le a b = embeds a b <> None
-
-(* Antichain insertion. Feasible entries: keep only maximal need-sets
-   (a dominated set is already answered by its dominator). Infeasible
-   entries: keep only minimal ones. The cap bounds memory; eviction drops
-   the oldest survivors, which only costs future hits. *)
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
-let add_feas group entry =
-  if
-    not
-      (List.exists
-         (fun f -> embeds_le entry.f_needs f.f_needs)
-         group.g_feas)
-  then begin
-    let kept =
-      List.filter
-        (fun f -> not (embeds_le f.f_needs entry.f_needs))
-        group.g_feas
-    in
-    group.g_feas <- take antichain_cap (entry :: kept)
-  end
-
-let add_infeas group needs =
-  if not (List.exists (fun s -> embeds_le s needs) group.g_infeas) then begin
-    let kept =
-      List.filter (fun s -> not (embeds_le needs s)) group.g_infeas
-    in
-    group.g_infeas <- take antichain_cap (needs :: kept)
-  end
-
-let sub_insert t ~gk ~sorted (report : Floorplanner.report) =
-  match report.verdict with
-  | Floorplanner.Unknown -> ()
-  | Floorplanner.Feasible placements ->
-    let stripe = sub_stripe_of t gk in
-    Domain_pool.with_lock stripe.s_lock (fun () ->
-        let group =
-          match Hashtbl.find_opt stripe.s_groups gk with
-          | Some g -> g
-          | None ->
-            let g = { g_feas = []; g_infeas = [] } in
-            Hashtbl.replace stripe.s_groups gk g;
-            g
-        in
-        add_feas group
-          {
-            f_needs = sorted;
-            f_placements = placements;
-            f_engine = report.engine_used;
-          })
-  | Floorplanner.Infeasible ->
-    let stripe = sub_stripe_of t gk in
-    Domain_pool.with_lock stripe.s_lock (fun () ->
-        let group =
-          match Hashtbl.find_opt stripe.s_groups gk with
-          | Some g -> g
-          | None ->
-            let g = { g_feas = []; g_infeas = [] } in
-            Hashtbl.replace stripe.s_groups gk g;
-            g
-        in
-        add_infeas group sorted)
-
-(* Probe the subsumption index for a derived verdict on [sorted]. *)
-let sub_lookup t ~gk ~sorted =
-  let stripe = sub_stripe_of t gk in
-  Domain_pool.with_lock stripe.s_lock (fun () ->
-      match Hashtbl.find_opt stripe.s_groups gk with
-      | None -> None
-      | Some group -> (
-        let feas =
-          List.find_map
-            (fun f ->
-              match embeds sorted f.f_needs with
-              | Some assign -> Some (f, assign)
-              | None -> None)
-            group.g_feas
-        in
-        match feas with
-        | Some (f, assign) ->
-          (* Hand back only the matched subset of the stored rects, in
-             the query's sorted order. *)
-          let placements =
-            Array.init (Array.length sorted) (fun i ->
-                f.f_placements.(assign.(i)))
-          in
-          Some
-            {
-              verdict = Floorplanner.Feasible placements;
-              engine_used = f.f_engine;
-            }
-        | None ->
-          if List.exists (fun s -> embeds_le s sorted) group.g_infeas then
-            Some
-              {
-                verdict = Floorplanner.Infeasible;
-                engine_used = Floorplanner.Backtracking;
-              }
-          else None))
+  Hashtbl.replace m.l1_tbl key verdict
 
 (* Cached placements follow the sorted order; hand them back in the
    caller's order ([sorted.(k) = needs.(order.(k))], so the rectangle
@@ -488,9 +256,15 @@ let unpermute order = function
     Floorplanner.Feasible out
   | (Floorplanner.Infeasible | Floorplanner.Unknown) as v -> v
 
-let check t ?(engine = Floorplanner.Backtracking) ?node_limit device needs =
-  if Array.length needs = 0 then
-    Floorplanner.check ~engine ?node_limit device needs
+(* A report for a verdict served from L1 or L2. *)
+let served ~t0 order verdict =
+  {
+    Floorplanner.verdict = unpermute order verdict;
+    elapsed = Unix.gettimeofday () -. t0;
+  }
+
+let check t ?(engine = Floorplanner.Backtracking) device needs =
+  if Array.length needs = 0 then Floorplanner.check ~engine device needs
   else begin
     let t0 = Unix.gettimeofday () in
     let dk =
@@ -502,84 +276,44 @@ let check t ?(engine = Floorplanner.Backtracking) ?node_limit device needs =
         k
     in
     let sorted, order = canonicalize needs in
-    let key = fused_key dk (needs_key ~engine ~node_limit sorted) in
+    let key = fused_key dk (needs_key ~engine sorted) in
     let l1 = if t.l1_capacity > 0 then Some (get_l1 t) else None in
     let l1_cached =
       match l1 with
       | None -> None
       | Some m -> (
         match Hashtbl.find_opt m.l1_tbl key with
-        | Some e ->
+        | Some v ->
           Atomic.incr m.l1_hits_n;
-          Some e
+          Some v
         | None -> None)
     in
     match l1_cached with
-    | Some e ->
-      {
-        Floorplanner.verdict = unpermute order e.verdict;
-        engine_used = e.engine_used;
-        elapsed = Unix.gettimeofday () -. t0;
-      }
+    | Some v -> served ~t0 order v
     | None -> (
-      let stripe = exact_stripe_of t key in
-      (* Optimistic versioned read of the published snapshot: the only
-         place parallel workers used to serialize on a stripe mutex. *)
+      let stripe = stripe_of t key in
+      (* Optimistic versioned read of the published snapshot: parallel
+         workers never serialize on a stripe to look up. *)
       match Smap.find_opt key (Seqlock.get stripe.e_map) with
-      | Some e ->
+      | Some v ->
         Atomic.incr stripe.e_hits;
-        (match l1 with Some m -> l1_store t m key e | None -> ());
-        {
-          Floorplanner.verdict = unpermute order e.verdict;
-          engine_used = e.engine_used;
-          elapsed = Unix.gettimeofday () -. t0;
-        }
-      | None -> (
-        let gk = group_key ~dk ~engine ~node_limit in
-        match (if t.subsumption then sub_lookup t ~gk ~sorted else None) with
-        | Some derived ->
-          (match derived.verdict with
-          | Floorplanner.Feasible placements when t.debug ->
-            (* Debug builds re-verify reused placements against the weaker
-               query before trusting the subsumption argument. *)
-            (match Floorplanner.validate device ~needs:sorted placements with
-            | Ok () -> ()
-            | Error msg ->
-              invalid_arg ("Fp_cache: invalid subsumed placement: " ^ msg))
-          | _ -> ());
-          (* Promote the derived verdict to an exact entry so the next
-             identical query is an O(1) exact hit; promotions are not
-             counted as [inserts] (no fresh check ran). *)
-          Atomic.incr stripe.e_sub_hits;
-          Seqlock.update stripe.e_map (fun m ->
-              if Smap.mem key m then m else Smap.add key derived m);
-          (match l1 with Some m -> l1_store t m key derived | None -> ());
-          {
-            Floorplanner.verdict = unpermute order derived.verdict;
-            engine_used = derived.engine_used;
-            elapsed = Unix.gettimeofday () -. t0;
-          }
-        | None ->
-          (* Run outside every lock: feasibility is expensive and other
-             workers must not stall behind it. A racing duplicate check is
-             harmless (both compute the same deterministic verdict). *)
-          let report = Floorplanner.check ~engine ?node_limit device sorted in
-          let e =
-            {
-              verdict = report.Floorplanner.verdict;
-              engine_used = report.Floorplanner.engine_used;
-            }
-          in
-          Atomic.incr stripe.e_misses;
-          let inserted = ref false in
-          Seqlock.update stripe.e_map (fun m ->
-              if Smap.mem key m then m
-              else begin
-                inserted := true;
-                Smap.add key e m
-              end);
-          if !inserted then Atomic.incr stripe.e_inserts;
-          if t.subsumption then sub_insert t ~gk ~sorted report;
-          (match l1 with Some m -> l1_store t m key e | None -> ());
-          { report with Floorplanner.verdict = unpermute order report.verdict }))
+        (match l1 with Some m -> l1_store t m key v | None -> ());
+        served ~t0 order v
+      | None ->
+        (* Run outside every lock: feasibility is expensive and other
+           workers must not stall behind it. A racing duplicate check is
+           harmless (both compute the same deterministic verdict). *)
+        let report = Floorplanner.check ~engine device sorted in
+        let v = report.Floorplanner.verdict in
+        Atomic.incr stripe.e_misses;
+        let inserted = ref false in
+        Seqlock.update stripe.e_map (fun m ->
+            if Smap.mem key m then m
+            else begin
+              inserted := true;
+              Smap.add key v m
+            end);
+        if !inserted then Atomic.incr stripe.e_inserts;
+        (match l1 with Some m -> l1_store t m key v | None -> ());
+        { report with Floorplanner.verdict = unpermute order v })
   end

@@ -2,37 +2,30 @@
 
     PA-R consults the floorplanner once per improving candidate, and
     candidates drawn from different random orderings frequently produce
-    the same multiset of region resource requirements. The cache keys a
-    {!Floorplanner.check} verdict on the device, the engine/node-limit
-    configuration and the *sorted* needs array, so any permutation of an
-    already-checked region set is an exact hit: cached placements are
-    permuted back to the query's region order before being returned.
+    the same multiset of region resource requirements. The cache is a
+    plain memo: it keys a {!Floorplanner.check} verdict on the device,
+    the engine and the {e canonically sorted} needs array, so any
+    permutation of an already-checked region set is a hit. Cached
+    placements are permuted back to the query's region order before
+    being returned.
+
+    Every verdict handed out is the engine's answer for the sorted
+    needs, whatever the cache held before: a warm and a cold cache give
+    the same verdicts, and so does no cache at all when the caller's
+    needs are already sorted. (Where the engine's node budget bites, a
+    cache-less check on an unsorted order can differ, since the search
+    then explores the regions in a different order.)
 
     {b Two-level read path.} Each domain owns a private, bounded L1 memo
     (domain-local storage, no locks or shared cache lines at all) in
     front of the shared L2. L1 entries are flushed lazily whenever the
     cache's {e invalidation epoch} moves ({!clear},
     {!invalidate_device}), so a stale verdict never outlives an
-    invalidation. The shared L2's exact table is sharded into stripes
-    whose read path is an {e optimistic versioned read}
-    ({!Resched_util.Seqlock}) over an immutable snapshot — parallel
-    workers take a stripe mutex only to insert, never to look up.
-    Counters are [Atomic.t] everywhere, so {!stats} and {!stripe_stats}
-    never block a worker.
-
-    On top of the exact table sits a *monotone subsumption index*:
-    floorplan feasibility is antimonotone in region demands, so a
-    feasible verdict at needs [R] answers any query [R'] that
-    *dominance-embeds* into [R] — every query need charged to a distinct
-    stored need that covers it component-wise, including queries with
-    fewer regions than [R]. The matched subset of the stored placements
-    is reused directly: the rectangles are disjoint and each still
-    covers its (smaller) matched need. Dually, an infeasible verdict at
-    [R] answers any query that [R] embeds into (a packing of the query
-    would contain a packing of [R]). [Unknown] verdicts are never
-    subsumed. Subsumption-derived verdicts can be *more* decisive than a
-    budget-limited direct check (which might return [Unknown] where the
-    index holds a proof); they are never wrong. *)
+    invalidation. The shared L2 table is sharded into stripes whose read
+    path is an {e optimistic versioned read} ({!Resched_util.Seqlock})
+    over an immutable snapshot — parallel workers take a stripe mutex
+    only to insert, never to look up. Counters are [Atomic.t]
+    everywhere, so {!stats} and {!stripe_stats} never block a worker. *)
 
 type t
 
@@ -40,8 +33,11 @@ type stats = {
   l1_hits : int;
       (** hits served by a domain-local L1 memo (no shared state
           touched) *)
-  hits : int;  (** exact-key hits in the shared L2 *)
-  sub_hits : int;  (** hits derived from the subsumption index *)
+  hits : int;  (** hits in the shared L2 *)
+  sub_hits : int;
+      (** always [0]. The subsumption index that fed this counter was
+          removed; the field stays because the benchmark harness
+          ([perfbench/harness.ml]) still reads it. *)
   misses : int;  (** full misses: a fresh check ran *)
   inserts : int;  (** misses whose fresh verdict was stored *)
 }
@@ -53,41 +49,26 @@ val diff : stats -> stats -> stats
     between two snapshots of the same cache. *)
 
 val lookups : stats -> int
-(** [l1_hits + hits + sub_hits + misses]. *)
+(** [l1_hits + hits + misses]. *)
 
 val hit_rate : stats -> float
-(** Combined (L1 + exact + subsumption) hit rate over {!lookups};
-    [0.] when there were none. *)
+(** Combined (L1 + L2) hit rate over {!lookups}; [0.] when there were
+    none. *)
 
 val create : ?stripes:int -> ?l1_capacity:int -> ?subsumption:bool ->
-  ?debug:bool -> unit -> t
+  unit -> t
 (** An empty cache with zeroed counters, sharded into [stripes]
     (default 16, clamped to >= 1) L2 stripes. [l1_capacity] (default
-    512) bounds each domain's L1 memo — when full it is dropped
+    4096) bounds each domain's L1 memo — when full it is dropped
     wholesale, which only costs future hits; [0] disables the L1
     entirely (every read goes to the shared L2 — used by tests that
     probe L2 behaviour directly).
 
-    [subsumption] (default [true]) enables the dominance index. It is
-    sound but {e more decisive} than the engine: a stored decisive
-    verdict can answer a query the engine alone would call
-    {!Floorplanner.Unknown} under its node budget, so verdicts then
-    depend on what the cache happens to contain. Pass
-    [~subsumption:false] for a {e verdict-transparent} cache — every
-    verdict handed out is the engine's answer for that exact
-    (device, engine, node-limit, canonically-sorted needs) key,
-    independent of insertion history, so every run through such a cache
-    sees the same verdicts whether entries were warm or cold. (Verdicts
-    are computed on the {e canonically sorted} needs; where the node
-    budget bites they can differ from a cache-less check on the
-    caller's order.) The batch engine ({!Resched_core.Batch}) relies on
-    this mode for its per-instance bit-identity guarantee under
-    arbitrary slice interleavings.
-
-    With [~debug:true] (default: set when the [RESCHED_FP_DEBUG]
-    environment variable is 1/true/yes), placements reused through the
-    subsumption index are revalidated with {!Floorplanner.validate}
-    before being returned. *)
+    [subsumption] defaults to [false], the only accepted value: [true]
+    raises [Invalid_argument]. The dominance index it once enabled was
+    removed because it made verdicts depend on insertion history and
+    did not pay for itself; the parameter stays because the benchmark
+    harness ([perfbench/harness.ml]) still passes it. *)
 
 val stats : t -> stats
 (** L2 counters summed over all stripes, plus the L1 counters of every
@@ -103,8 +84,8 @@ val stripe_stats : t -> stats array
 
 val stripe_read_retries : t -> int array
 (** Per-stripe optimistic-read retries ({!Resched_util.Seqlock.retries})
-    — the residual read/write contention on the L2 exact table. All
-    zeros means no lookup ever collided with an insert. *)
+    — the residual read/write contention on the L2 table. All zeros
+    means no lookup ever collided with an insert. *)
 
 val epoch : t -> int
 (** Current invalidation epoch; moves on {!clear} and
@@ -112,8 +93,8 @@ val epoch : t -> int
     against this and flush when behind. *)
 
 val clear : t -> unit
-(** Drop every entry (exact and subsumption), reset the counters and
-    advance the epoch so every domain's L1 flushes on its next use. *)
+(** Drop every entry, reset the counters and advance the epoch so every
+    domain's L1 flushes on its next use. *)
 
 val invalidate_device : t -> Resched_fabric.Device.t -> unit
 (** Drop the L2 entries for one device (e.g. after re-targeting an
@@ -122,17 +103,12 @@ val invalidate_device : t -> Resched_fabric.Device.t -> unit
     is not indexed by device; dropping it entirely is the conservative,
     correct choice). *)
 
-val check : t -> ?engine:Floorplanner.engine -> ?node_limit:int ->
-  Resched_fabric.Device.t -> Resched_fabric.Resource.t array ->
-  Floorplanner.report
-(** Drop-in replacement for {!Floorplanner.check}. Lookup order: the
-    calling domain's L1 memo, then the L2 exact stripe (optimistic
-    versioned read), then the subsumption index (a derived verdict is
-    promoted to an exact entry so repeats become exact hits; promotions
-    do not count as [inserts]), then a fresh check whose decisive
-    verdict feeds both L2 structures; every L2 answer is also copied
-    into the caller's L1. Feasible placements are always reported in the
-    caller's region order and satisfy {!Floorplanner.validate} against
-    the queried [needs]. Verdicts are only reused for the same [engine]
-    and [node_limit] configuration, and [Unknown] is never derived by
-    subsumption. *)
+val check : t -> ?engine:Floorplanner.engine -> Resched_fabric.Device.t ->
+  Resched_fabric.Resource.t array -> Floorplanner.report
+(** Drop-in replacement for {!Floorplanner.check}: the verdict of
+    [Floorplanner.check ~engine device sorted], where [sorted] is
+    [needs] in canonical order. Lookup order: the calling domain's L1
+    memo, then the L2 stripe (optimistic versioned read), then a fresh
+    check whose verdict is stored in both; every L2 answer is also
+    copied into the caller's L1. Feasible placements are reported in the
+    caller's region order. Empty [needs] bypass the cache. *)

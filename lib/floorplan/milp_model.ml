@@ -10,12 +10,15 @@ type outcome =
 
 let candidates_per_region = 12
 
+(* Branch-and-bound nodes per query; each node is one warm-started LP. *)
+let node_limit = 2_000
+
 let rec take n = function
   | [] -> []
   | _ when n = 0 -> []
   | x :: tl -> x :: take (n - 1) tl
 
-let pack ?(node_limit = 2_000) ?jobs device needs =
+let pack device needs =
   let n = Array.length needs in
   if n = 0 then Placed [||]
   else begin
@@ -79,7 +82,7 @@ let pack ?(node_limit = 2_000) ?jobs device needs =
           | terms -> Lp.add_constraint m terms Lp.Le 1.
         done
       done;
-      match Branch_bound.solve ~node_limit ?jobs m with
+      match Branch_bound.solve ~node_limit m with
       | Branch_bound.Optimal { values; _ }
       | Branch_bound.Feasible { values; _ } ->
         let placements =

@@ -18,8 +18,8 @@ val candidates_per_region : int
     [Unknown] rather than [Infeasible], since the dropped placements
     might still admit a packing. *)
 
-val pack : ?node_limit:int -> ?jobs:int -> Resched_fabric.Device.t ->
-  Resched_fabric.Resource.t array -> outcome
-(** Build and solve the packing MILP ([node_limit] defaults to 2_000
+val pack : Resched_fabric.Device.t -> Resched_fabric.Resource.t array ->
+  outcome
+(** Build and solve the packing MILP sequentially within 2_000
     branch-and-bound nodes — each node is one LP solve, warm-started
-    from its parent's basis; [jobs] parallelizes the search). *)
+    from its parent's basis. *)

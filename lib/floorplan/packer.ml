@@ -11,6 +11,9 @@ type outcome =
 exception Done of Placement.rect array
 exception Budget
 
+(* Search nodes either engine may spend on one query. *)
+let node_limit = 200_000
+
 (* ------------------------------------------------------------------ *)
 (* Capacity lower bounds: cheap necessary conditions, proven before any
    search. All three are counting arguments over disjoint rectangles of
@@ -123,7 +126,7 @@ let greedy needs_order cands =
    identical lists it already built via [Placement.grid_candidates]
    (same rects, same order — pinned by a qcheck property), skipping the
    re-enumeration. *)
-let pack_v1_on ~node_limit needs cands =
+let pack_v1_on needs cands =
   let n = Array.length needs in
   if n = 0 then Placed [||]
   else begin
@@ -194,8 +197,8 @@ let pack_v1_on ~node_limit needs cands =
     end
   end
 
-let pack_v1 ~node_limit device needs =
-  pack_v1_on ~node_limit needs (Array.map (Placement.candidates device) needs)
+let pack_v1 device needs =
+  pack_v1_on needs (Array.map (Placement.candidates device) needs)
 
 (* ------------------------------------------------------------------ *)
 (* v2: column-interval packer.
@@ -280,7 +283,7 @@ let device_memo_for device =
   Mutex.unlock memo_mutex;
   dm
 
-let pack_v2 ~node_limit device needs =
+let pack_v2 device needs =
   let n = Array.length needs in
   if n = 0 then Placed [||]
   else if not (capacity_bounds_ok device needs) then Infeasible
@@ -625,8 +628,7 @@ let pack_v2 ~node_limit device needs =
              the engine never less decisive than v1 by construction.
              Runs on the raw candidate lists already in hand — the
              same lists v1 would rebuild. *)
-          pack_v1_on ~node_limit needs
-            (Array.map (fun e -> e.ne_raw) entries)
+          pack_v1_on needs (Array.map (fun e -> e.ne_raw) entries)
         | (region_order, budget) :: rest -> (
           match attempt region_order budget with
           | Unknown -> portfolio rest
@@ -643,7 +645,7 @@ let pack_v2 ~node_limit device needs =
     end
   end
 
-let pack ?(engine = Column_interval) ?(node_limit = 200_000) device needs =
+let pack ?(engine = Column_interval) device needs =
   match engine with
-  | Backtracking_v1 -> pack_v1 ~node_limit device needs
-  | Column_interval -> pack_v2 ~node_limit device needs
+  | Backtracking_v1 -> pack_v1 device needs
+  | Column_interval -> pack_v2 device needs

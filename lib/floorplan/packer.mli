@@ -30,9 +30,9 @@ val capacity_bounds_ok :
     [true] promises nothing. Used by [Column_interval] as an early exit
     and by {!Floorplanner.quick_capacity_check}. *)
 
-val pack : ?engine:engine -> ?node_limit:int -> Resched_fabric.Device.t ->
+val pack : ?engine:engine -> Resched_fabric.Device.t ->
   Resched_fabric.Resource.t array -> outcome
 (** [pack device needs] searches for placements of all regions
-    (default engine [Column_interval]). [node_limit] (default 200_000)
-    bounds search nodes. Raises [Invalid_argument] if any requirement is
+    (default engine [Column_interval]) within a budget of 200_000
+    search nodes. Raises [Invalid_argument] if any requirement is
     zero. *)

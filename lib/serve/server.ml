@@ -150,14 +150,7 @@ type t = {
 
 let create ?clock ?cache ~respond cfg =
   let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
-  (* Verdict-transparent cache by default: the serve layer promises
-     accepted requests are bit-identical to offline runs, which needs
-     verdicts that are a pure function of the query (see Batch). *)
-  let cache =
-    match cache with
-    | Some c -> c
-    | None -> Fp_cache.create ~subsumption:false ()
-  in
+  let cache = match cache with Some c -> c | None -> Fp_cache.create () in
   {
     cfg;
     clock;
@@ -332,7 +325,6 @@ let cache_json c =
     Json.Obj
       [
         ("hits", Json.Int st.Fp_cache.hits);
-        ("sub_hits", Json.Int st.Fp_cache.sub_hits);
         ("misses", Json.Int st.Fp_cache.misses);
         ("hit_rate", Json.float (Fp_cache.hit_rate st));
       ]
@@ -341,7 +333,6 @@ let cache_json c =
     [
       ("l1_hits", Json.Int s.Fp_cache.l1_hits);
       ("hits", Json.Int s.Fp_cache.hits);
-      ("sub_hits", Json.Int s.Fp_cache.sub_hits);
       ("misses", Json.Int s.Fp_cache.misses);
       ("inserts", Json.Int s.Fp_cache.inserts);
       ("hit_rate", Json.float (Fp_cache.hit_rate s));

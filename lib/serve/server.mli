@@ -34,7 +34,7 @@
       deficit-round-robin, so a source flooding the admission queue
       delays its own requests, not everyone else's.
 
-    {b Determinism.} The engine shares one verdict-transparent
+    {b Determinism.} The engine shares one
     {!Resched_floorplan.Fp_cache} across requests, so a completed
     request at degradation rung 0 or 1 is bit-identical to an offline
     [Pa_random.run ~seed ~min_iterations:effective ~budget_seconds:0.]
@@ -100,13 +100,11 @@ val create :
   t
 (** [clock] (default [Unix.gettimeofday]) is the only time source the
     engine consults — deadlines, backoffs and latency stamps all read
-    it, so tests drive a virtual clock. [cache] (default a fresh
-    [Fp_cache.create ~subsumption:false ()]) must be
-    verdict-transparent for the offline bit-identity contract to hold.
-    [respond] is invoked exactly once per request, serialized under an
-    internal lock, from whichever domain finished the request; it must
-    not call back into this module, and exceptions it raises are
-    swallowed. *)
+    it, so tests drive a virtual clock. [cache] defaults to a fresh
+    {!Resched_floorplan.Fp_cache}. [respond] is invoked exactly once
+    per request, serialized under an internal lock, from whichever
+    domain finished the request; it must not call back into this
+    module, and exceptions it raises are swallowed. *)
 
 val cache : t -> Resched_floorplan.Fp_cache.t
 

@@ -50,21 +50,16 @@ let prop_batch_equals_sequential =
               inst)
       in
       let slice = if seed land 1 = 0 then Some 1 else Some 3 in
-      (* Verdict-transparent cache: the mode the identity contract
-         requires (see Batch's interface). *)
       let outcomes, stats =
-        Batch.run
-          ~cache:(Fp_cache.create ~subsumption:false ())
-          ~jobs ?slice requests
+        Batch.run ~cache:(Fp_cache.create ()) ~jobs ?slice requests
       in
       let sequential =
-        (* Same cache mode as the batch: a verdict-transparent cache
-           answers as a pure function of the query, so a fresh one per
-           instance sees the same verdicts the shared one did. *)
+        (* A cache answers as a pure function of the query, so a fresh
+           one per instance sees the same verdicts the shared one did. *)
         Array.map
           (fun (r : Batch.request) ->
             Pa_random.run
-              ~cache:(Fp_cache.create ~subsumption:false ())
+              ~cache:(Fp_cache.create ())
               ~seed:r.Batch.seed ~min_iterations:r.Batch.min_iterations
               ~budget_seconds:0. r.Batch.instance)
           requests
@@ -185,7 +180,7 @@ let test_batch_cancelled_request () =
   in
   let outcomes, _ =
     Batch.run
-      ~cache:(Fp_cache.create ~subsumption:false ())
+      ~cache:(Fp_cache.create ())
       ~jobs:2 ~slice:2 requests
   in
   Alcotest.(check int) "cancelled request ran no iterations" 0
@@ -194,7 +189,7 @@ let test_batch_cancelled_request () =
     (fun (i, seed) ->
       let offline =
         Pa_random.run
-          ~cache:(Fp_cache.create ~subsumption:false ())
+          ~cache:(Fp_cache.create ())
           ~seed ~min_iterations:10 ~budget_seconds:0. insts.(i)
       in
       Alcotest.(check bool)
@@ -217,7 +212,7 @@ let test_words_per_iteration () =
        misses both kernels pay identically. *)
     let o =
       Pa_random.run ~seed:5 ~min_iterations:150 ~kernel
-        ~cache:(Fp_cache.create ~subsumption:false ())
+        ~cache:(Fp_cache.create ())
         ~budget_seconds:0. inst
     in
     o.Pa_random.minor_words /. float_of_int (max 1 o.Pa_random.iterations)

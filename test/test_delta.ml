@@ -17,7 +17,7 @@ module Lns = Resched_core.Lns
 let config () =
   {
     Delta.default_config with
-    Delta.cache = Some (Fp_cache.create ~subsumption:false ());
+    Delta.cache = Some (Fp_cache.create ());
   }
 
 let seed_schedule ?(tasks = 20) seed =

@@ -251,76 +251,10 @@ let test_cache_invalidate_device () =
   Alcotest.(check int) "clear resets counters" 0
     (st.Fp_cache.hits + st.Fp_cache.misses + st.Fp_cache.inserts)
 
-(* Subsumption-index behaviour. *)
-
-let test_cache_subsumption_feasible () =
-  let d = Device.minifab in
-  (* L1 disabled so the promotion-to-exact-entry behaviour of the shared
-     L2 is observable (with an L1 the repeat would be absorbed there). *)
-  let cache = Fp_cache.create ~l1_capacity:0 () in
-  let big = [| v ~clb:300 ~bram:4 ~dsp:8; v ~clb:100 ~bram:2 ~dsp:0 |] in
-  (match (Fp_cache.check cache d big).Floorplanner.verdict with
-  | Floorplanner.Feasible _ -> ()
-  | _ -> Alcotest.fail "base set must be feasible on minifab");
-  (* A smaller query — fewer regions, each dominated by a distinct
-     stored need — must be answered from the index without a fresh
-     check, and the reused placements must cover the smaller needs. *)
-  let small = [| v ~clb:90 ~bram:1 ~dsp:0 |] in
-  (match (Fp_cache.check cache d small).Floorplanner.verdict with
-  | Floorplanner.Feasible p ->
-    Alcotest.(check (result unit string))
-      "reused placements validate" (Ok ())
-      (Floorplanner.validate d ~needs:small p)
-  | _ -> Alcotest.fail "embedded query must derive Feasible");
-  let st = Fp_cache.stats cache in
-  Alcotest.(check int) "one subsumption hit" 1 st.Fp_cache.sub_hits;
-  Alcotest.(check int) "one miss" 1 st.Fp_cache.misses;
-  (* Derived verdicts are promoted: the same query again is an exact
-     hit, not a second subsumption probe. *)
-  ignore (Fp_cache.check cache d small);
-  let st = Fp_cache.stats cache in
-  Alcotest.(check int) "promotion gives exact hit" 1 st.Fp_cache.hits;
-  Alcotest.(check int) "no extra subsumption hit" 1 st.Fp_cache.sub_hits
-
-let test_cache_subsumption_infeasible () =
-  let d = Device.minifab in
-  let cache = Fp_cache.create () in
-  (* Two full-column BRAM regions are provably infeasible (one BRAM
-     column, two rows, 10 BRAM per tile). *)
-  let small = [| v ~clb:0 ~bram:11 ~dsp:0; v ~clb:0 ~bram:11 ~dsp:0 |] in
-  (match (Fp_cache.check cache d small).Floorplanner.verdict with
-  | Floorplanner.Infeasible -> ()
-  | _ -> Alcotest.fail "base set must be infeasible");
-  (* Any superset that the stored set embeds into inherits the proof. *)
-  let bigger =
-    [| v ~clb:50 ~bram:0 ~dsp:0; v ~clb:0 ~bram:11 ~dsp:0;
-       v ~clb:10 ~bram:11 ~dsp:0 |]
-  in
-  (match (Fp_cache.check cache d bigger).Floorplanner.verdict with
-  | Floorplanner.Infeasible -> ()
-  | _ -> Alcotest.fail "dominating query must derive Infeasible");
-  let st = Fp_cache.stats cache in
-  Alcotest.(check int) "one subsumption hit" 1 st.Fp_cache.sub_hits;
-  Alcotest.(check int) "one miss" 1 st.Fp_cache.misses
-
-let test_cache_unknown_never_subsumed () =
-  let d = Device.minifab in
-  let cache = Fp_cache.create () in
-  (* With a zero node budget the greedy pre-pass fails on this set and
-     the search returns Unknown (found by enumeration; re-verified
-     here). Unknown must reach the exact table only — a smaller embedded
-     query must run its own check rather than inherit the non-verdict. *)
-  let vague = [| v ~clb:215 ~bram:10 ~dsp:5; v ~clb:285 ~bram:1 ~dsp:0 |] in
-  (match
-     (Fp_cache.check cache ~node_limit:0 d vague).Floorplanner.verdict
-   with
-  | Floorplanner.Unknown -> ()
-  | _ -> Alcotest.fail "expected Unknown under a zero node budget");
-  let smaller = [| v ~clb:250 ~bram:1 ~dsp:0; v ~clb:100 ~bram:8 ~dsp:3 |] in
-  ignore (Fp_cache.check cache ~node_limit:0 d smaller);
-  let st = Fp_cache.stats cache in
-  Alcotest.(check int) "no subsumption hits" 0 st.Fp_cache.sub_hits;
-  Alcotest.(check int) "both queries miss" 2 st.Fp_cache.misses
+let test_cache_rejects_subsumption () =
+  match Fp_cache.create ~subsumption:true () with
+  | _ -> Alcotest.fail "~subsumption:true must raise Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 let test_cache_stripe_stats_sum () =
   let d = Device.minifab in
@@ -331,21 +265,16 @@ let test_cache_stripe_stats_sum () =
   ignore (Fp_cache.check cache d [| v ~clb:50 ~bram:0 ~dsp:0 |]);
   let sum =
     Array.fold_left
-      (fun (h, s, m, i) (st : Fp_cache.stats) ->
-        ( h + st.Fp_cache.hits,
-          s + st.Fp_cache.sub_hits,
-          m + st.Fp_cache.misses,
-          i + st.Fp_cache.inserts ))
-      (0, 0, 0, 0)
+      (fun (h, m, i) (st : Fp_cache.stats) ->
+        (h + st.Fp_cache.hits, m + st.Fp_cache.misses, i + st.Fp_cache.inserts))
+      (0, 0, 0)
       (Fp_cache.stripe_stats cache)
   in
   let st = Fp_cache.stats cache in
-  Alcotest.(check (pair (pair int int) (pair int int)))
+  Alcotest.(check (triple int int int))
     "stripes sum to totals"
-    ( (st.Fp_cache.hits, st.Fp_cache.sub_hits),
-      (st.Fp_cache.misses, st.Fp_cache.inserts) )
-    (let h, s, m, i = sum in
-     ((h, s), (m, i)))
+    (st.Fp_cache.hits, st.Fp_cache.misses, st.Fp_cache.inserts)
+    sum
 
 let test_cache_l1_epoch_flush () =
   let d = Device.minifab in
@@ -370,10 +299,24 @@ let test_cache_l1_epoch_flush () =
   Alcotest.(check int) "L1 re-filled after the flush" 2 st.Fp_cache.l1_hits;
   Alcotest.(check int) "no extra L2 traffic" 1 st.Fp_cache.hits
 
+(* What [Fp_cache.check] promises: the engine's verdict for the needs in
+   canonical order (stable [Resource.compare] sort), placements handed
+   back in the caller's order. *)
+let check_sorted d needs =
+  let order = Array.init (Array.length needs) Fun.id in
+  Array.stable_sort (fun i j -> Resource.compare needs.(i) needs.(j)) order;
+  let sorted = Array.map (fun i -> needs.(i)) order in
+  match (Floorplanner.check d sorted).Floorplanner.verdict with
+  | Floorplanner.Feasible rects ->
+    let out = Array.copy rects in
+    Array.iteri (fun k r -> out.(order.(k)) <- r) rects;
+    Floorplanner.Feasible out
+  | (Floorplanner.Infeasible | Floorplanner.Unknown) as verdict -> verdict
+
 (* Multi-domain stress: several workers hammer one shared cache (with a
    writer interleaving device invalidations) and every verdict must
-   agree with the uncached sequential oracle — [Floorplanner.check] is a
-   pure function of (device, needs), so no interleaving may change an
+   equal the uncached sequential check of the sorted needs — a pure
+   function of (device, needs), so no interleaving may change an
    answer. Afterwards the cache is quiescent, so the lock-free counters
    must account for every lookup exactly once and the per-stripe rows
    must sum to the totals. *)
@@ -393,11 +336,6 @@ let prop_cache_concurrent_matches_oracle =
       [| v ~clb:600 ~bram:0 ~dsp:0 |];
     |]
   in
-  let kind = function
-    | Floorplanner.Feasible _ -> `Feasible
-    | Floorplanner.Infeasible -> `Infeasible
-    | Floorplanner.Unknown -> `Unknown
-  in
   QCheck.Test.make ~count:4
     ~name:"concurrent fp_cache agrees with the sequential oracle"
     QCheck.(
@@ -409,10 +347,7 @@ let prop_cache_concurrent_matches_oracle =
     (fun ops ->
       let ops = Array.of_list ops in
       let oracle =
-        Array.map
-          (fun (di, ni) ->
-            kind (Floorplanner.check devices.(di) pool.(ni)).Floorplanner.verdict)
-          ops
+        Array.map (fun (di, ni) -> check_sorted devices.(di) pool.(ni)) ops
       in
       let cache = Fp_cache.create ~stripes:4 () in
       let jobs = 4 in
@@ -424,19 +359,8 @@ let prop_cache_concurrent_matches_oracle =
                  if w = 0 && i mod 11 = 10 then
                    Fp_cache.invalidate_device cache devices.(0);
                  let r = Fp_cache.check cache devices.(di) pool.(ni) in
-                 let ok =
-                   (* a decisive oracle verdict must be reproduced; the
-                      cache may only refine an [Unknown] *)
-                   (oracle.(i) = `Unknown
-                   || kind r.Floorplanner.verdict = oracle.(i))
-                   &&
-                   match r.Floorplanner.verdict with
-                   | Floorplanner.Feasible rects ->
-                     Floorplanner.validate devices.(di) ~needs:pool.(ni) rects
-                     = Ok ()
-                   | _ -> true
-                 in
-                 if not ok then Atomic.incr failures)
+                 if r.Floorplanner.verdict <> oracle.(i) then
+                   Atomic.incr failures)
                ops));
       let st = Fp_cache.stats cache in
       let rows = Fp_cache.stripe_stats cache in
@@ -444,7 +368,6 @@ let prop_cache_concurrent_matches_oracle =
       Atomic.get failures = 0
       && Fp_cache.lookups st = jobs * Array.length ops
       && sum (fun r -> r.Fp_cache.hits) = st.Fp_cache.hits
-      && sum (fun r -> r.Fp_cache.sub_hits) = st.Fp_cache.sub_hits
       && sum (fun r -> r.Fp_cache.misses) = st.Fp_cache.misses
       && sum (fun r -> r.Fp_cache.inserts) = st.Fp_cache.inserts
       && Array.for_all (fun r -> r.Fp_cache.l1_hits = 0) rows)
@@ -525,15 +448,17 @@ let prop_packer_v2_agrees_v1 =
         false (* v2 lost decisiveness *)
       | _ -> true)
 
-(* Cached/derived verdicts against a direct check: the subsumption index
-   must never contradict the engine it fronts, and every placement it
-   hands back must validate against the actual query. Sequences of
-   related queries (scaled/truncated variants of a base set) exercise
-   the embedding paths. *)
-let prop_cache_consistent_with_direct =
-  QCheck.Test.make ~count:60 ~name:"subsumption cache vs direct check"
+(* The cache is a plain memo: whatever it already holds, and whatever
+   order related queries (scaled and truncated variants of one need set)
+   arrive in, every verdict — placements included — equals the engine's
+   check of the sorted needs. *)
+let prop_cache_is_plain_memo =
+  QCheck.Test.make ~count:60 ~name:"fp_cache = check of sorted needs"
     QCheck.(pair int (int_range 1 4))
     (fun (seed, count) ->
+      (* Re-clamp: QCheck's int_range shrinker can step outside the
+         range while minimizing a counterexample. *)
+      let count = Stdlib.max 1 (Stdlib.min 4 count) in
       let rng = Rng.create seed in
       let d = Device.minifab in
       let base =
@@ -543,36 +468,32 @@ let prop_cache_consistent_with_direct =
               ~bram:(Rng.int rng 11)
               ~dsp:(Rng.int rng 21))
       in
+      let scaled f = Array.map (fun r -> Resource.scale r f) base in
       let variants =
-        [
-          base;
-          Array.map (fun r -> Resource.scale r 0.9) base;
-          Array.map (fun r -> Resource.scale r 0.81) base;
-          Array.sub base 0 (Stdlib.max 1 (count - 1));
-          Array.map (fun r -> Resource.scale r 1.1) base;
-          base;
-        ]
+        List.map
+          (Array.map (fun r ->
+               Resource.max_components r (v ~clb:1 ~bram:0 ~dsp:0)))
+          [
+            base; scaled 0.9; scaled 0.81;
+            Array.sub base 0 (Stdlib.max 1 (count - 1));
+            scaled 1.1; base;
+          ]
       in
-      let cache = Fp_cache.create ~debug:true () in
-      List.for_all
-        (fun needs ->
-          let needs =
-            Array.map (fun (r : Resource.t) -> Resource.max_components r
-              (v ~clb:1 ~bram:0 ~dsp:0)) needs
-          in
-          let cached = (Fp_cache.check cache d needs).Floorplanner.verdict in
-          let direct = (Floorplanner.check d needs).Floorplanner.verdict in
-          (match cached with
-          | Floorplanner.Feasible pl ->
-            Floorplanner.validate d ~needs pl = Ok ()
-          | _ -> true)
-          &&
-          match (cached, direct) with
-          | Floorplanner.Feasible _, Floorplanner.Infeasible
-          | Floorplanner.Infeasible, Floorplanner.Feasible _ ->
-            false
-          | _ -> true)
-        variants)
+      let expected = List.map (check_sorted d) variants in
+      let valid needs = function
+        | Floorplanner.Feasible rects ->
+          Floorplanner.validate d ~needs rects = Ok ()
+        | Floorplanner.Infeasible | Floorplanner.Unknown -> true
+      in
+      let through queries =
+        let cache = Fp_cache.create () in
+        List.map
+          (fun needs -> (Fp_cache.check cache d needs).Floorplanner.verdict)
+          queries
+      in
+      List.for_all2 valid variants expected
+      && through variants = expected
+      && List.rev (through (List.rev variants)) = expected)
 
 let () =
   Alcotest.run "floorplan"
@@ -622,12 +543,8 @@ let () =
             test_cache_counters_and_permutation;
           Alcotest.test_case "invalidate by device" `Quick
             test_cache_invalidate_device;
-          Alcotest.test_case "subsumption feasible" `Quick
-            test_cache_subsumption_feasible;
-          Alcotest.test_case "subsumption infeasible" `Quick
-            test_cache_subsumption_infeasible;
-          Alcotest.test_case "unknown never subsumed" `Quick
-            test_cache_unknown_never_subsumed;
+          Alcotest.test_case "subsumption rejected" `Quick
+            test_cache_rejects_subsumption;
           Alcotest.test_case "stripe stats sum" `Quick
             test_cache_stripe_stats_sum;
           Alcotest.test_case "L1 epoch flush" `Quick test_cache_l1_epoch_flush;
@@ -638,6 +555,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_engines_consistent;
           QCheck_alcotest.to_alcotest prop_grid_candidates_identical;
           QCheck_alcotest.to_alcotest prop_packer_v2_agrees_v1;
-          QCheck_alcotest.to_alcotest prop_cache_consistent_with_direct;
+          QCheck_alcotest.to_alcotest prop_cache_is_plain_memo;
         ] );
     ]

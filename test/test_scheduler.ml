@@ -258,9 +258,9 @@ let trace_makespans (o : Pa_random.outcome) =
 
 let test_run_parallel_jobs1_matches_sequential () =
   (* With a zero budget and a fixed min_iterations both runs execute the
-     exact same finite stream, so the outcomes must be identical; a
-     subsumption-free cache only memoizes the deterministic check so it
-     cannot change the result either. *)
+     exact same finite stream, so the outcomes must be identical; the
+     cache only memoizes the deterministic check so it cannot change the
+     result either. *)
   let rng = Rng.create 8 in
   let inst = Suite.instance rng ~tasks:15 in
   let seq = Pa_random.run ~seed:9 ~min_iterations:12 ~budget_seconds:0. inst in
@@ -270,7 +270,7 @@ let test_run_parallel_jobs1_matches_sequential () =
   in
   let cached =
     Pa_random.run ~seed:9 ~min_iterations:12
-      ~cache:(Fp_cache.create ~subsumption:false ())
+      ~cache:(Fp_cache.create ())
       ~budget_seconds:0. inst
   in
   Alcotest.(check int) "same iteration count" seq.Pa_random.iterations

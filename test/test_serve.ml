@@ -118,18 +118,15 @@ let rejection sim id =
 
 (* The offline oracle at the effective budget the server reports: same
    seed, effective_min_iterations restarts, no wall-clock budget, a
-   fresh verdict-transparent cache (bit-identical to the server's
-   shared one by the Batch/Fp_cache contract). *)
+   fresh cache (bit-identical to the server's shared one by the
+   Batch/Fp_cache contract). *)
 let offline inst ~seed ~min_iterations =
-  Pa_random.run
-    ~cache:(Fp_cache.create ~subsumption:false ())
-    ~seed ~min_iterations ~budget_seconds:0. inst
+  Pa_random.run ~cache:(Fp_cache.create ()) ~seed ~min_iterations
+    ~budget_seconds:0. inst
 
 let check_identity ~what inst ~seed (c : Protocol.completion) =
   if c.Protocol.c_degrade = 2 then begin
-    let s =
-      List_sched.run ~cache:(Fp_cache.create ~subsumption:false ()) inst
-    in
+    let s = List_sched.run ~cache:(Fp_cache.create ()) inst in
     Alcotest.(check (option int))
       (what ^ ": heuristic-rung makespan = offline List_sched")
       (Some (Schedule.makespan s))
