@@ -81,6 +81,46 @@ let env_int_list name default =
     in
     if vs = [] then default else vs
 
+(* Provenance for a committed artifact: the RESCHED_* variables set when
+   it was recorded (an empty object means every default) and the host
+   that recorded it, as two JSON members. *)
+let bprint_provenance buf =
+  let module Json = Resched_util.Json in
+  (* [line] as a trimmed (key, value) split at its first [sep], when it
+     starts with [prefix]. *)
+  let field ~prefix ~sep line =
+    match String.index_opt line sep with
+    | Some i when String.starts_with ~prefix line ->
+      let part p l = String.trim (String.sub line p l) in
+      Some (part 0 i, part (i + 1) (String.length line - i - 1))
+    | _ -> None
+  in
+  let settings =
+    Array.to_list (Unix.environment ())
+    |> List.filter_map (field ~prefix:"RESCHED_" ~sep:'=')
+    |> List.sort compare
+    |> List.map (fun (k, v) -> (k, Json.String v))
+  in
+  let cpu =
+    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_lines with
+    | lines ->
+      List.find_map (field ~prefix:"model name" ~sep:':') lines
+      |> Option.fold ~none:"unknown" ~some:snd
+    | exception Sys_error _ -> "unknown"
+  in
+  let host =
+    Json.Obj
+      [
+        ("cpu", Json.String cpu);
+        ("cores", Json.Int (Domain.recommended_domain_count ()));
+        ("os", Json.String Sys.os_type);
+        ("ocaml", Json.String Sys.ocaml_version);
+      ]
+  in
+  Printf.bprintf buf "  \"settings\": %s,\n  \"host\": %s,\n"
+    (Json.to_string ~indent:0 (Json.Obj settings))
+    (Json.to_string ~indent:0 host)
+
 let seed = env_int "RESCHED_SEED" 42
 
 let par_jobs_requested = Stdlib.max 2 (env_int "RESCHED_JOBS" 4)

@@ -900,6 +900,7 @@ let iteration_comparison () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"seed\": %d,\n" seed;
+  bprint_provenance buf;
   Printf.bprintf buf "  \"min_iterations\": %d,\n" iter_min;
   Buffer.add_string buf "  \"groups\": [\n";
   List.iteri
@@ -2467,6 +2468,7 @@ let floorplan_oracle_comparison () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"seed\": %d,\n" seed;
+  bprint_provenance buf;
   Printf.bprintf buf "  \"checks_per_group\": %d,\n" fp_checks_per_group;
   Printf.bprintf buf "  \"e2e_iterations\": %d,\n" fp_e2e_iters;
   Buffer.add_string buf "  \"groups\": [\n";
@@ -3147,6 +3149,7 @@ let fault_campaign () =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"seed\": %d,\n" seed;
+  bprint_provenance buf;
   Printf.bprintf buf "  \"trials\": %d,\n" fault_trials;
   Printf.bprintf buf "  \"jobs\": %d,\n" par_jobs;
   Buffer.add_string buf "  \"campaigns\": [\n";

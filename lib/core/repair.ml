@@ -52,6 +52,27 @@ let pp_fault ppf = function
     Format.fprintf ppf "task %d overran to end at %d" task end_at
   | Region_dead { region } -> Format.fprintf ppf "region %d died" region
 
+(* A failed load holds the single controller for each failed attempt,
+   load plus backoff. A load that never succeeds is given up after
+   [max_attempts] of them. *)
+let held_until ?(max_attempts = 3) ?(backoff = 0) ~at fault
+    (sched : Schedule.t) =
+  match fault with
+  | Reconf_failed { region; t_in; t_out; failures } -> (
+    match
+      List.find_opt
+        (fun (rc : Schedule.reconfiguration) ->
+          rc.Schedule.region = region && rc.Schedule.t_in = t_in
+          && rc.Schedule.t_out = t_out)
+        sched.Schedule.reconfigurations
+    with
+    | Some rc ->
+      at
+      + (Stdlib.min failures max_attempts
+        * (rc.Schedule.r_end - rc.Schedule.r_start + backoff))
+    | None -> at)
+  | Task_overrun _ | Region_dead _ -> at
+
 (* Internal early-exit carrier; every [raise] below is caught by [repair]
    and surfaced as [Error]. *)
 exception Bail of string
@@ -111,8 +132,12 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
       drop (Schedule.region_tasks_in_order sched ridx)
     in
     (* [to_migrate] is always a suffix of its region's execution order,
-       so the kept prefix's reconfigurations stay pairwise intact. *)
-    let to_migrate, retried, overrun, base_actions =
+       so the kept prefix's reconfigurations stay pairwise intact.
+       [settled] is the instant the repair takes effect: the fault
+       instant, except for a load that never succeeds. Only its last
+       failed attempt shows the failure is permanent, so the migrated
+       suffix and every later reconfiguration wait for it. *)
+    let to_migrate, retried, overrun, settled, base_actions =
       match fault with
       | Task_overrun { task; end_at } ->
         if task < 0 || task >= n then bail "overrun: unknown task %d" task;
@@ -128,19 +153,20 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
         ( [],
           None,
           Some (task, end_at),
+          at,
           [ Retimed { compacted = policy = Resched_tail } ] )
       | Reconf_failed { region; t_in; t_out; failures } -> (
         match find_rc region t_in t_out with
         | None ->
           bail "reconf-failure: no reconfiguration (region %d, %d->%d)" region
             t_in t_out
-        | Some (k, rc) ->
+        | Some (k, _) ->
+          let held = held_until ~max_attempts ~backoff ~at fault sched in
           if failures < max_attempts then begin
-            let dur = rc.Schedule.r_end - rc.Schedule.r_start in
-            let delay = failures * (dur + backoff) in
             ( [],
-              Some (k, delay),
+              Some (k, held - at),
               None,
+              at,
               [ Retried { region; t_out; attempts = failures + 1 } ] )
           end
           else begin
@@ -151,7 +177,11 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
                  after %d attempts (Retry gives up)"
                 region t_out max_attempts
             | Sw_fallback | Resched_tail ->
-              (region_suffix region ~from_task:t_out, None, None, [])
+              ( region_suffix region ~from_task:t_out,
+                None,
+                None,
+                held,
+                [] )
           end)
       | Region_dead { region } -> (
         if region < 0 || region >= Array.length sched.Schedule.regions then
@@ -167,8 +197,8 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
             "region-death: region %d is dead with %d task(s) unfinished and \
              Retry cannot migrate"
             region (List.length remaining)
-        | Retry -> ([], None, None, [])
-        | Sw_fallback | Resched_tail -> (remaining, None, None, []))
+        | Retry -> ([], None, None, at, [])
+        | Sw_fallback | Resched_tail -> (remaining, None, None, at, []))
     in
     (* Software fallback: fastest SW implementation, least-loaded
        processor first (load = committed completion horizon of the
@@ -194,7 +224,7 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
             if load.(p) < load.(!best) then best := p
           done;
           let p = !best in
-          load.(p) <- Stdlib.max load.(p) at + time;
+          load.(p) <- Stdlib.max load.(p) settled + time;
           (u, idx, p, time))
         to_migrate
     in
@@ -252,8 +282,8 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
                   | Some (k', delay) when k = k' -> rc.Schedule.r_start + delay
                   | _ ->
                     if rc.Schedule.r_start < at then rc.Schedule.r_start
-                    else if policy = Resched_tail then at
-                    else rc.Schedule.r_start
+                    else if policy = Resched_tail then settled
+                    else Stdlib.max rc.Schedule.r_start settled
                 in
                 specs :=
                   ( k,
@@ -282,7 +312,7 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
     List.iteri (fun i (_, _, r) -> release.(n + i) <- r) specs;
     for u = 0 to n - 1 do
       release.(u) <-
-        (if migrated.(u) then at
+        (if migrated.(u) then settled
          else
            match overrun with
            | Some (t, end_at) when t = u -> end_at - durations.(u)

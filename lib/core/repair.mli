@@ -56,6 +56,15 @@ val repair : ?max_attempts:int -> ?backoff:int -> policy:policy -> at:int ->
     [max_attempts] (default 3) bounds reconfiguration retries;
     [backoff] (default 0) is the idle gap after each failed attempt. *)
 
+val held_until : ?max_attempts:int -> ?backoff:int -> at:int -> fault ->
+  Schedule.t -> int
+(** When the reconfiguration controller is free again after [fault]
+    strikes at [at]: a failed load holds it for each failed attempt (at
+    most [max_attempts], default 3) for the load plus [backoff] (default
+    0); other faults do not hold it. Schedules do not record failed
+    attempts, so a caller replaying several faults keeps this instant to
+    know when a later fault falls inside the window. *)
+
 val policy_name : policy -> string
 val policy_of_string : string -> (policy, string) result
 val action_key : action -> string

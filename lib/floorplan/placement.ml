@@ -20,108 +20,6 @@ let pp ppf r =
 
 let candidate_count_cap = 512
 
-(* ------------------------------------------------------------------ *)
-(* Prefix-sum grid: O(1) resource vectors for any rectangle.
-
-   [cum_k.(c)] holds the kind-[k] units contributed by columns [0..c-1]
-   of a single clock-region row, so a rect spanning [c0..c1] x h rows
-   encloses [h * (cum_k.(c1+1) - cum_k.(c0))] units of kind [k]. *)
-
-type grid = {
-  g_device : Device.t;
-  g_ncols : int;
-  g_rows : int;
-  g_clb : int array;  (* length ncols+1 *)
-  g_bram : int array;
-  g_dsp : int array;
-  g_tot : int array;  (* all kinds together; rect area in resource units *)
-}
-
-let grid device =
-  let ncols = Array.length device.Device.columns in
-  let g_clb = Array.make (ncols + 1) 0
-  and g_bram = Array.make (ncols + 1) 0
-  and g_dsp = Array.make (ncols + 1) 0
-  and g_tot = Array.make (ncols + 1) 0 in
-  for c = 0 to ncols - 1 do
-    let u = Device.column_units device ~col:c in
-    g_clb.(c + 1) <- g_clb.(c) + u.Resource.clb;
-    g_bram.(c + 1) <- g_bram.(c) + u.Resource.bram;
-    g_dsp.(c + 1) <- g_dsp.(c) + u.Resource.dsp;
-    g_tot.(c + 1) <- g_tot.(c) + Resource.total_units u
-  done;
-  { g_device = device; g_ncols = ncols; g_rows = device.Device.rows;
-    g_clb; g_bram; g_dsp; g_tot }
-
-let grid_resources g r =
-  let h = r.r1 - r.r0 + 1 in
-  Resource.make
-    ~clb:(h * (g.g_clb.(r.c1 + 1) - g.g_clb.(r.c0)))
-    ~bram:(h * (g.g_bram.(r.c1 + 1) - g.g_bram.(r.c0)))
-    ~dsp:(h * (g.g_dsp.(r.c1 + 1) - g.g_dsp.(r.c0)))
-
-let grid_area g r =
-  (r.r1 - r.r0 + 1) * (g.g_tot.(r.c1 + 1) - g.g_tot.(r.c0))
-
-(* Same enumeration as [candidates] below (same sliding window, same
-   sort, same cap — property-tested to return the identical list), but
-   on unboxed int prefix sums instead of allocated [Resource.t] values,
-   and with the sort key precomputed instead of re-deriving each rect's
-   resource vector inside the comparator. *)
-let grid_candidates g need =
-  if Resource.is_zero need then
-    invalid_arg "Placement.candidates: zero requirement";
-  let ncols = g.g_ncols and rows = g.g_rows in
-  let n_clb = need.Resource.clb
-  and n_bram = need.Resource.bram
-  and n_dsp = need.Resource.dsp in
-  let acc = ref [] in
-  for r0 = 0 to rows - 1 do
-    for r1 = r0 to rows - 1 do
-      let h = r1 - r0 + 1 in
-      (* span [c0..c1] covers the need, in h-row units *)
-      let covers c0 c1 =
-        h * (g.g_clb.(c1 + 1) - g.g_clb.(c0)) >= n_clb
-        && h * (g.g_bram.(c1 + 1) - g.g_bram.(c0)) >= n_bram
-        && h * (g.g_dsp.(c1 + 1) - g.g_dsp.(c0)) >= n_dsp
-      in
-      let c0 = ref 0 and c1 = ref (-1) in
-      let have_fits () = !c1 >= 0 && !c0 <= !c1 && covers !c0 !c1 in
-      let continue_ = ref true in
-      while !continue_ do
-        while (not (have_fits ())) && !c1 < ncols - 1 do
-          incr c1
-        done;
-        if not (have_fits ()) then continue_ := false
-        else begin
-          while !c0 <= !c1 && !c0 + 1 <= !c1 && covers (!c0 + 1) !c1 do
-            incr c0
-          done;
-          acc := { c0 = !c0; c1 = !c1; r0; r1 } :: !acc;
-          incr c0;
-          if !c0 > !c1 && !c1 = ncols - 1 then continue_ := false
-        end
-      done
-    done
-  done;
-  let keyed =
-    List.map (fun r -> (grid_area g r, r)) !acc
-  in
-  let sorted =
-    List.sort
-      (fun (aa, a) (ab, b) ->
-        let c = compare aa ab in
-        if c <> 0 then c
-        else compare (a.r0, a.c0, a.r1, a.c1) (b.r0, b.c0, b.r1, b.c1))
-      keyed
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | (_, x) :: tl -> x :: take (n - 1) tl
-  in
-  take candidate_count_cap sorted
-
 let candidates device need =
   if Resource.is_zero need then
     invalid_arg "Placement.candidates: zero requirement";

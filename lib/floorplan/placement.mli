@@ -23,26 +23,9 @@ val candidates : Resched_fabric.Device.t -> Resched_fabric.Resource.t ->
 (** All minimal placements for a region requiring the given resources,
     sorted by enclosed-area (total resource units) ascending, i.e.
     snuggest first. Empty when the region cannot fit anywhere (even on an
-    empty device). Raises [Invalid_argument] on the zero requirement. *)
-
-type grid
-(** Per-column-type prefix sums over a device's fabric: any rectangle's
-    resource vector and area become O(1) lookups instead of a column
-    scan. Built once per device by the column-interval packer. *)
-
-val grid : Resched_fabric.Device.t -> grid
-
-val grid_resources : grid -> rect -> Resched_fabric.Resource.t
-(** O(1); equals {!resources} on the grid's device. *)
-
-val grid_area : grid -> rect -> int
-(** O(1); equals [Resource.total_units (resources device rect)]. *)
-
-val grid_candidates : grid -> Resched_fabric.Resource.t -> rect list
-(** Exactly the list {!candidates} returns (same rects, same snuggest-
-    first order, same {!candidate_count_cap}), computed on the prefix
-    sums — the v1/v2 packers therefore search the same candidate
-    universe. Raises [Invalid_argument] on the zero requirement. *)
+    empty device). Raises [Invalid_argument] on the zero requirement.
+    The column-interval packer builds the same list on prefix sums (see
+    {!Packer.candidates}). *)
 
 val candidate_count_cap : int
 (** Safety cap on the number of candidates returned per region (the

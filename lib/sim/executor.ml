@@ -233,12 +233,21 @@ let replay_faults ~policy ~(plan : Fault.plan) (sched0 : Schedule.t) =
       failure;
     }
   in
+  (* Failed load attempts hold the reconfiguration controller, but a
+     schedule does not record them: a retried load starts after its
+     failed attempts, and after a load that never succeeds the migrated
+     suffix and later loads wait for the last one. [held] is the end of
+     the latest such window. [Resched_tail] releases pending activities
+     at its own fault instant, which would let them into an open window,
+     so a repair inside one right-shifts as [Sw_fallback] does. *)
+  let max_attempts = plan.Fault.spec.Fault.max_attempts in
+  let backoff = plan.Fault.spec.Fault.backoff in
   (* Event-driven loop: at each step, fire the pending event with the
      earliest strike time in the current schedule (plan order breaks
      ties), repair, and continue on the repaired schedule. Strike times
      are re-read every step because each repair can shift, drop or
      compact the activities later events reference. *)
-  let rec loop sched pending ~fired ~moot ~actions =
+  let rec loop sched pending ~held ~fired ~moot ~actions =
     let live, newly_moot =
       List.partition (fun (_, ev) -> trigger_time sched ev <> None) pending
     in
@@ -259,16 +268,21 @@ let replay_faults ~policy ~(plan : Fault.plan) (sched0 : Schedule.t) =
     | Some (at, idx, ev) -> (
       let pending = List.filter (fun (i, _) -> i <> idx) live in
       let fault = fault_of_event sched ev in
-      match
-        Repair.repair ~max_attempts:plan.Fault.spec.Fault.max_attempts
-          ~backoff:plan.Fault.spec.Fault.backoff ~policy ~at ~fault sched
-      with
+      let policy =
+        if policy = Repair.Resched_tail && at < held then Repair.Sw_fallback
+        else policy
+      in
+      match Repair.repair ~max_attempts ~backoff ~policy ~at ~fault sched with
       | Ok (repaired, acts) ->
-        loop repaired pending ~fired:(ev :: fired) ~moot
+        loop repaired pending
+          ~held:
+            (Stdlib.max held
+               (Repair.held_until ~max_attempts ~backoff ~at fault sched))
+          ~fired:(ev :: fired) ~moot
           ~actions:(List.rev_append acts actions)
       | Error msg ->
         finish sched ~fired:(ev :: fired) ~moot ~actions ~failure:(Some msg))
   in
   loop sched0
     (List.mapi (fun i ev -> (i, ev)) plan.Fault.events)
-    ~fired:[] ~moot:0 ~actions:[]
+    ~held:min_int ~fired:[] ~moot:0 ~actions:[]
