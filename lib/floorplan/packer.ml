@@ -470,34 +470,52 @@ let free f occ k =
   done;
   !ok
 
-(* The exact search tests each candidate far more often than it places
-   one, so it first lays the test out flat, three ints per candidate:
-   the rect's occupancy index in its first and last row and, when its
-   columns fall in one word of a row (most do), their mask; 0 sends a
-   wider rect to [free]. *)
+(* Row-span masks. The exact search tests each candidate far more often
+   than it places one, and nearly every test clashes, so each DFS node
+   first ORs the occupancy over every row span [r0..r1] into
+   [f_words] words: rows * (rows + 1) / 2 spans, in [span_index] order
+   (12 words on XC7Z020). A candidate is free iff its columns miss its
+   own span's mask, which for a rect over at most two words of a row
+   is two [land]s and no loop over rows. *)
+let span_index f r0 r1 = (r0 * f.f_rows) - (r0 * (r0 - 1) / 2) + (r1 - r0)
+
+let span_words f = f.f_rows * (f.f_rows + 1) / 2 * f.f_words
+
+let fill_spans f occ spans base =
+  let words = f.f_words and j = ref base in
+  for r0 = 0 to f.f_rows - 1 do
+    for w = 0 to words - 1 do
+      spans.(!j + w) <- occ.((r0 * words) + w)
+    done;
+    j := !j + words;
+    for r1 = r0 + 1 to f.f_rows - 1 do
+      for w = 0 to words - 1 do
+        spans.(!j + w) <- spans.(!j - words + w) lor occ.((r1 * words) + w)
+      done;
+      j := !j + words
+    done
+  done
+
+(* Each candidate's test against the span masks, laid out flat before
+   the search, three ints per candidate: the offset of its first word's
+   mask among a node's span masks, its columns' mask in that word, and
+   their mask in the next word (0 when they fall in one word). A rect
+   over more than two words of a row (only on a fabric wider than 126
+   columns) gets offset -1, which sends it to [free]. *)
 let probes f codes =
   let p = Array.make (3 * Array.length codes) 0 in
   Array.iteri
     (fun i k ->
       let c0 = c0_of f k and c1 = c1_of f k in
-      let w0 = f.f_word.(c0) in
-      p.(3 * i) <- (r0_of f k * f.f_words) + w0;
-      p.((3 * i) + 1) <- (r1_of f k * f.f_words) + w0;
-      if f.f_word.(c1) = w0 then
-        p.((3 * i) + 2) <- f.f_from.(c0) land f.f_upto.(c1))
+      let w0 = f.f_word.(c0) and w1 = f.f_word.(c1) in
+      if w1 > w0 + 1 then p.(3 * i) <- -1
+      else begin
+        p.(3 * i) <- (span_index f (r0_of f k) (r1_of f k) * f.f_words) + w0;
+        p.((3 * i) + 1) <- word_mask f ~c0 ~c1 w0;
+        if w1 > w0 then p.((3 * i) + 2) <- word_mask f ~c0 ~c1 w1
+      end)
     codes;
   p
-
-let free_probed f occ codes probe i =
-  let mask = probe.((3 * i) + 2) in
-  if mask = 0 then free f occ codes.(i)
-  else begin
-    let j = ref probe.(3 * i) and last = probe.((3 * i) + 1) in
-    while !j <= last && occ.(!j) land mask = 0 do
-      j := !j + f.f_words
-    done;
-    !j > last
-  end
 
 let toggle f occ k =
   let c0 = c0_of f k and c1 = c1_of f k in
@@ -579,8 +597,9 @@ end)
 
 let pack_v2 device needs =
   let n = Array.length needs in
-  if n = 0 then (Greedy, Placed [||])
-  else if not (capacity_bounds_ok device needs) then (Capacity_bound, Infeasible)
+  if n = 0 then (Greedy, 0, Placed [||])
+  else if not (capacity_bounds_ok device needs) then
+    (Capacity_bound, 0, Infeasible)
   else begin
     let f = fabric_for device in
     let total i = Resource.total_units needs.(i) in
@@ -612,7 +631,7 @@ let pack_v2 device needs =
       Array.exists2 (fun d c -> d > c) demand f.f_capacity
     in
     if Array.exists (fun c -> Array.length c = 0) pruned || oversubscribed ()
-    then (Root_tile_bound, Infeasible)
+    then (Root_tile_bound, 0, Infeasible)
     else begin
       let occ = Array.make (f.f_rows * f.f_words) 0 in
       (* Greedy pre-pass: first-fit over the pruned tables, hardest-first
@@ -641,8 +660,15 @@ let pack_v2 device needs =
         | Some p -> Some p
         | None -> greedy_codes f ~occ pruned order
       with
-      | Some placements -> (Greedy, Placed placements)
+      | Some placements -> (Greedy, 0, Placed placements)
       | None ->
+        (* Search nodes spent, summed over the restarts and the fallback. *)
+        let spent = ref 0 in
+        (* Per-depth row-span masks, with one word of slack: a one-word
+           rect's probe also reads the word after its own, under a zero
+           mask. *)
+        let stride = span_words f in
+        let spans = Array.make ((n * stride) + 1) 0 in
         (* The exact search: a DFS over [cands] in [region_order] that
            counts every candidate it tries, clashing ones included, and
            gives up past [budget]. With [prune] it is the restart search:
@@ -690,11 +716,41 @@ let pack_v2 device needs =
               if not (prune && States.mem failed key) then begin
                 let region = region_order.(k) in
                 let cands = cands.(region) and probe = probe.(region) in
-                for i = min_idx to Array.length cands - 1 do
-                  incr nodes;
+                let m = Array.length cands and base = k * stride in
+                fill_spans f occ spans base;
+                let i = ref min_idx in
+                while !i < m do
+                  (* Skip the run of clashing candidates from [!i] to the
+                     next free one [!j] (or the end) in one step. The
+                     per-candidate count would pass [budget] inside the
+                     run or at [!j] exactly when the run's total does, and
+                     nothing is placed in between, so counting it in bulk
+                     spends the same nodes and gives up at the same
+                     point. The reads are unchecked: [probe] holds three
+                     ints per candidate, and an offset is below [stride],
+                     so [base + o + 1] is at most [n * stride]. *)
+                  let j = ref !i in
+                  while
+                    !j < m
+                    &&
+                    let p = 3 * !j in
+                    let o = Array.unsafe_get probe p in
+                    if o < 0 then not (free f occ cands.(!j))
+                    else
+                      Array.unsafe_get spans (base + o)
+                      land Array.unsafe_get probe (p + 1)
+                      <> 0
+                      || Array.unsafe_get spans (base + o + 1)
+                         land Array.unsafe_get probe (p + 2)
+                         <> 0
+                  do
+                    incr j
+                  done;
+                  let stop = Int.min (!j + 1) m in
+                  nodes := !nodes + (stop - !i);
                   if !nodes > budget then raise Budget;
-                  let c = cands.(i) in
-                  if free_probed f occ cands probe i then begin
+                  if !j < m then begin
+                    let c = cands.(!j) in
                     place f occ c;
                     for s = 0 to nslots - 1 do
                       free_tiles.(s) <- free_tiles.(s) - tiles f c s
@@ -705,7 +761,7 @@ let pack_v2 device needs =
                         prune && k + 1 < n
                         && Resource.equal needs.(region_order.(k + 1))
                              needs.(region)
-                      then i + 1
+                      then !j + 1
                       else 0
                     in
                     go (k + 1) next_min;
@@ -713,16 +769,21 @@ let pack_v2 device needs =
                       free_tiles.(s) <- free_tiles.(s) + tiles f c s
                     done;
                     unplace f occ c
-                  end
+                  end;
+                  i := stop
                 done;
                 if prune then States.add failed key ()
               end
             end
           in
-          match go 0 0 with
-          | () -> Infeasible
-          | exception Done placements -> Placed placements
-          | exception Budget -> Unknown
+          let outcome =
+            match go 0 0 with
+            | () -> Infeasible
+            | exception Done placements -> Placed placements
+            | exception Budget -> Unknown
+          in
+          spent := !spent + Int.min !nodes budget;
+          outcome
         in
         (* v1's search, replayed on the raw tables: its stable region
            orders, first-fit passes and unpruned DFS against [node_limit],
@@ -793,7 +854,8 @@ let pack_v2 device needs =
                different ordering occasionally reaches a packing the
                restarts miss. It makes the engine never less decisive
                than v1 by construction. *)
-            (Fallback, fallback ())
+            let outcome = fallback () in
+            (Fallback, !spent, outcome)
           | (region_order, budget) :: rest -> (
             (* A restart: a slice of the node budget, its own failed-state
                memo (depth is order-relative) and its own region order. A
@@ -802,7 +864,7 @@ let pack_v2 device needs =
                exhaustion, so only a completed restart reports it. *)
             match search ~prune:true pruned pruned_probe region_order budget with
             | Unknown -> portfolio rest
-            | decisive -> (Portfolio, decisive))
+            | decisive -> (Portfolio, !spent, decisive))
         in
         portfolio
           [
@@ -823,16 +885,18 @@ let observe f thunk =
   Fun.protect ~finally:(fun () -> Atomic.set observer None) thunk
 
 let pack_path device needs =
-  let ((path, outcome) as r) = pack_v2 device needs in
+  let ((path, nodes, outcome) as r) = pack_v2 device needs in
   (match Atomic.get observer with
-  | Some f -> f device needs path outcome
+  | Some f -> f device needs path ~nodes outcome
   | None -> ());
   r
 
 let pack ?(engine = Column_interval) device needs =
   match engine with
   | Backtracking_v1 -> pack_v1 device needs
-  | Column_interval -> snd (pack_path device needs)
+  | Column_interval ->
+    let _, _, outcome = pack_path device needs in
+    outcome
 
 let candidates device need =
   let f = fabric_for device in

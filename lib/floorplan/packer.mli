@@ -14,6 +14,11 @@ type engine =
           tile-demand lower bounds, symmetry breaking over identical
           demands, bitset occupancy, an infeasible-suffix memo and a
           deterministic restart portfolio over several region orders.
+          Each search node ORs the occupancy over every row span once,
+          so a candidate's overlap test is at most two [land]s against
+          its span's mask, and a run of clashing candidates is skipped
+          and counted in one step: the same node count, and the same
+          budget exits, as testing them one by one.
           When every restart runs out of budget it replays v1's search
           (same region orders, candidate order and node count) on the
           same tables and occupancy, so its verdicts never contradict
@@ -58,12 +63,15 @@ type path =
   | Fallback  (** every restart ran out of budget; v1's search answered *)
 
 val pack_path : Resched_fabric.Device.t -> Resched_fabric.Resource.t array ->
-  path * outcome
-(** [pack device needs] with the exit that decided it. *)
+  path * int * outcome
+(** [pack device needs] with the exit that decided it and the search
+    nodes it spent: every candidate the exact search tried, clashing ones
+    included, summed over the restarts and the fallback (0 when no search
+    ran). A search that ran out of budget counts its whole budget. *)
 
 val observe :
   (Resched_fabric.Device.t -> Resched_fabric.Resource.t array -> path ->
-   outcome -> unit) -> (unit -> 'a) -> 'a
+   nodes:int -> outcome -> unit) -> (unit -> 'a) -> 'a
 (** [observe f thunk] runs [thunk], calling [f] on every
     [Column_interval] query any domain makes meanwhile. Not reentrant:
     one observer at a time. *)

@@ -10,7 +10,8 @@ type t = {
 let make ~processors ~device ?(bits_per_tick = Device.icap_default_bits_per_us)
     () =
   if processors <= 0 then invalid_arg "Arch.make: processors must be positive";
-  if bits_per_tick <= 0. then invalid_arg "Arch.make: bits_per_tick";
+  if not (Float.is_finite bits_per_tick && bits_per_tick > 0.) then
+    invalid_arg "Arch.make: bits_per_tick must be positive and finite";
   { processors; device; bits_per_tick }
 
 let zedboard = make ~processors:2 ~device:Device.xc7z020 ()

@@ -14,7 +14,8 @@ val make : processors:int -> device:Resched_fabric.Device.t ->
   ?bits_per_tick:float -> unit -> t
 (** [bits_per_tick] defaults to
     {!Resched_fabric.Device.icap_default_bits_per_us}. Raises
-    [Invalid_argument] if [processors <= 0] or [bits_per_tick <= 0.]. *)
+    [Invalid_argument] if [processors <= 0], or if [bits_per_tick] is
+    not positive and finite. *)
 
 val zedboard : t
 (** The paper's target: ZedBoard (dual-core ARM Cortex-A9 + XC7Z020). *)

@@ -15,6 +15,8 @@ let sw ~time =
 
 let hw ?module_id ~time ~res () =
   if time <= 0 then invalid_arg "Impl.hw: time must be positive";
+  if res.Resource.clb < 0 || res.Resource.bram < 0 || res.Resource.dsp < 0
+  then invalid_arg "Impl.hw: negative resources";
   if Resource.is_zero res then invalid_arg "Impl.hw: empty resources";
   { kind = Hw; time; res; module_id }
 

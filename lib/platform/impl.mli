@@ -21,10 +21,12 @@ type t = {
 }
 
 val sw : time:int -> t
-(** A software implementation. *)
+(** A software implementation. Raises [Invalid_argument] if
+    [time <= 0]. *)
 
 val hw : ?module_id:int -> time:int -> res:Resched_fabric.Resource.t -> unit -> t
-(** A hardware implementation; [res] must be non-zero. *)
+(** A hardware implementation. Raises [Invalid_argument] if
+    [time <= 0], or if [res] has a negative component or is zero. *)
 
 val is_hw : t -> bool
 val is_sw : t -> bool

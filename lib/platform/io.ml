@@ -39,7 +39,7 @@ type parse_state = {
   mutable names : string array;
   mutable impls : Impl.t list array;  (* reversed *)
   mutable current : int;
-  mutable edges : (int * int) list;
+  mutable edges : (int * int * int) list;  (* (line, u, v), reversed *)
 }
 
 let of_string text =
@@ -56,6 +56,12 @@ let of_string text =
     match int_of_string_opt s with
     | Some v -> k v
     | None -> error lineno (Printf.sprintf "expected integer, got %S" s)
+  in
+  (* The constructors reject out-of-range values; say on which line. *)
+  let build lineno make k =
+    match make () with
+    | v -> k v
+    | exception Invalid_argument msg -> error lineno msg
   in
   let lines = String.split_on_char '\n' text in
   let rec go lineno = function
@@ -74,9 +80,10 @@ let of_string text =
             | None, _ -> error lineno (Printf.sprintf "bad recfreq %S" f)
             | _, None -> error lineno (Printf.sprintf "unknown device %S" d)
             | Some bits_per_tick, Some device ->
-              state.arch <-
-                Some (Arch.make ~processors ~device ~bits_per_tick ());
-              go (lineno + 1) rest)
+              build lineno (Arch.make ~processors ~device ~bits_per_tick)
+                (fun arch ->
+                  state.arch <- Some arch;
+                  go (lineno + 1) rest))
       | [ "tasks"; n ] ->
         parse_int lineno n (fun n ->
             if n < 0 then error lineno "negative task count"
@@ -102,9 +109,10 @@ let of_string text =
         if state.current < 0 then error lineno "impl before any task"
         else
           parse_int lineno t (fun time ->
-              state.impls.(state.current) <-
-                Impl.sw ~time :: state.impls.(state.current);
-              go (lineno + 1) rest)
+              build lineno (fun () -> Impl.sw ~time) (fun impl ->
+                  state.impls.(state.current) <-
+                    impl :: state.impls.(state.current);
+                  go (lineno + 1) rest))
       | "impl" :: "hw" :: "time" :: t :: "clb" :: c :: "bram" :: b :: "dsp"
         :: d :: tail ->
         if state.current < 0 then error lineno "impl before any task"
@@ -115,10 +123,11 @@ let of_string text =
                       parse_int lineno d (fun dsp ->
                           let res = Resource.make ~clb ~bram ~dsp in
                           let finishing module_id =
-                            state.impls.(state.current) <-
-                              Impl.hw ?module_id ~time ~res ()
-                              :: state.impls.(state.current);
-                            go (lineno + 1) rest
+                            build lineno (Impl.hw ?module_id ~time ~res)
+                              (fun impl ->
+                                state.impls.(state.current) <-
+                                  impl :: state.impls.(state.current);
+                                go (lineno + 1) rest)
                           in
                           match tail with
                           | [] -> finishing None
@@ -128,7 +137,7 @@ let of_string text =
       | [ "edge"; u; v ] ->
         parse_int lineno u (fun u ->
             parse_int lineno v (fun v ->
-                state.edges <- (u, v) :: state.edges;
+                state.edges <- (lineno, u, v) :: state.edges;
                 go (lineno + 1) rest))
       | tok :: _ -> error lineno (Printf.sprintf "unknown directive %S" tok))
   and finish () =
@@ -138,24 +147,28 @@ let of_string text =
       if state.tasks < 0 then Error "missing 'tasks' line"
       else begin
         let graph = Graph.create state.tasks in
-        match
-          List.iter
-            (fun (u, v) ->
-              if u < 0 || u >= state.tasks || v < 0 || v >= state.tasks then
-                failwith (Printf.sprintf "edge (%d, %d) out of range" u v);
-              Graph.add_edge graph u v)
-            (List.rev state.edges)
-        with
-        | () -> (
-          let impls =
-            Array.map (fun l -> Array.of_list (List.rev l)) state.impls
-          in
-          match
-            Instance.make ~arch ~graph ~names:state.names ~impls ()
-          with
-          | inst -> Ok inst
-          | exception Invalid_argument msg -> Error msg)
-        | exception (Failure msg | Invalid_argument msg) -> Error msg
+        let rec add_edges = function
+          | [] -> Ok ()
+          | (lineno, u, v) :: rest ->
+            if u < 0 || u >= state.tasks || v < 0 || v >= state.tasks then
+              error lineno (Printf.sprintf "edge (%d, %d) out of range" u v)
+            else
+              build lineno (fun () -> Graph.add_edge graph u v) (fun () ->
+                  add_edges rest)
+        in
+        match add_edges (List.rev state.edges) with
+        | Error _ as e -> e
+        | Ok () -> (
+          match state.edges with
+          | (lineno, _, _) :: _ when not (Graph.is_acyclic graph) ->
+            error lineno "the edges up to here form a cycle"
+          | _ -> (
+            let impls =
+              Array.map (fun l -> Array.of_list (List.rev l)) state.impls
+            in
+            match Instance.make ~arch ~graph ~names:state.names ~impls () with
+            | inst -> Ok inst
+            | exception Invalid_argument msg -> Error msg))
       end
   in
   go 1 lines

@@ -17,7 +17,12 @@ val to_string : Instance.t -> string
     for non-preset devices). *)
 
 val of_string : string -> (Instance.t, string) result
-(** Parse; the error message carries the offending line number. *)
+(** Parse. Every malformed input is an [Error], never an exception:
+    unknown directives, bad numbers, values the {!Arch}, {!Impl} and
+    graph constructors reject, and a cyclic edge set (reported at the
+    last [edge] line). The message carries the offending line number,
+    except for whole-instance checks such as a task with no software
+    implementation. *)
 
 val save : string -> Instance.t -> unit
 (** Write to a file path. *)

@@ -1,6 +1,7 @@
 (* Records the golden packer corpus: every column-interval [Packer.pack]
    query that seeded runs of the three benchmark workload shapes make,
-   with the path that decided it and its outcome, placements included.
+   with the path that decided it, the search nodes it spent and its
+   outcome, placements included.
 
      dune exec test/corpus/gen_packer_corpus.exe > test/corpus/packer_golden.txt
 
@@ -14,7 +15,7 @@
 
    Queries are deduplicated on (device, needs); the first shape to issue
    one keeps it. The packer is deterministic, so a replay of the corpus
-   must reproduce every path and outcome exactly. *)
+   must reproduce every path, node count and outcome exactly. *)
 
 module Rng = Resched_util.Rng
 module Arch = Resched_platform.Arch
@@ -74,7 +75,7 @@ let lns () =
 let () =
   let seen = Hashtbl.create 4096 in
   let queries = ref [] in
-  let record shape device needs path outcome =
+  let record shape device needs path ~nodes outcome =
     let key = (Packer_corpus.device_name device, needs) in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
@@ -83,6 +84,7 @@ let () =
           Packer_corpus.shape;
           device = fst key;
           path;
+          nodes;
           needs = Array.copy needs;
           outcome;
         }

@@ -1,11 +1,12 @@
 (* Line format of the golden packer corpus ([packer_golden.txt]), shared
    by its generator and the replay test.
 
-     <shape> <device> <path> <clb>.<bram>.<dsp> ... = <outcome>
+     <shape> <device> <path> <nodes> <clb>.<bram>.<dsp> ... = <outcome>
 
    <shape> names the workload that first issued the query, <device> is a
-   [Device.presets] name, <path> is the packer's [Packer.path] and the
-   needs are in the order [Packer.pack] received them. <outcome> is
+   [Device.presets] name, <path> is the packer's [Packer.path], <nodes>
+   the search nodes it spent (see [Packer.pack_path]) and the needs are
+   in the order [Packer.pack] received them. <outcome> is
    [infeasible], [unknown] or [placed c0-c1:r0-r1 ...] (one rect per
    region, in region order). Lines starting with '#' are comments. *)
 
@@ -18,6 +19,7 @@ type query = {
   shape : string;
   device : string;
   path : Packer.path;
+  nodes : int;
   needs : Resource.t array;
   outcome : Packer.outcome;
 }
@@ -63,7 +65,7 @@ let string_of_outcome = function
 
 let to_line q =
   String.concat " "
-    ([ q.shape; q.device; path_name q.path ]
+    ([ q.shape; q.device; path_name q.path; string_of_int q.nodes ]
     @ Array.to_list
         (Array.map
            (fun (r : Resource.t) ->
@@ -92,11 +94,15 @@ let of_line line =
     | [] -> failwith "packer corpus: missing '='"
   in
   match split [] words with
-  | shape :: device :: path :: needs, outcome ->
+  | shape :: device :: path :: nodes :: needs, outcome ->
     {
       shape;
       device;
       path = path_of_name path;
+      nodes =
+        (match int_of_string_opt nodes with
+        | Some n -> n
+        | None -> failwith ("packer corpus: bad node count " ^ nodes));
       needs =
         Array.of_list
           (List.map

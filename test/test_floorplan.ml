@@ -464,9 +464,7 @@ let prop_grid_candidates_identical =
    contradiction, never less decisive, and placements always validate.
    (v2 may *refine* a v1 [Unknown] to a decisive verdict — its pruning
    reaches deeper into the same search space within the node budget.) *)
-let agrees_with_v1 d needs =
-  let v1 = Packer.pack ~engine:Packer.Backtracking_v1 d needs in
-  let v2 = Packer.pack ~engine:Packer.Column_interval d needs in
+let compatible d needs ~v1 ~v2 =
   (match v2 with
   | Packer.Placed pl -> Floorplanner.validate d ~needs pl = Ok ()
   | _ -> true)
@@ -478,6 +476,11 @@ let agrees_with_v1 d needs =
   | (Packer.Placed _ | Packer.Infeasible), Packer.Unknown ->
     false (* v2 lost decisiveness *)
   | _ -> true
+
+let agrees_with_v1 d needs =
+  compatible d needs
+    ~v1:(Packer.pack ~engine:Packer.Backtracking_v1 d needs)
+    ~v2:(Packer.pack ~engine:Packer.Column_interval d needs)
 
 let prop_packer_v2_agrees_v1 =
   QCheck.Test.make ~count:100 ~name:"packer v2 vs v1 oracle"
@@ -494,35 +497,52 @@ let prop_packer_v2_agrees_v1 =
       in
       agrees_with_v1 d needs)
 
-(* The same relation on tight 6..12-region XC7Z010/XC7Z020 sets, where
-   the restart portfolio runs out of budget and v2 falls back to v1's
-   search on its own tables: 70..94% of the device's CLBs, split by
+(* A tight 6..12-region set: 70..94% of the device's CLBs, split by
    random weights, with BRAM/DSP demands on about half the regions. *)
+let tight_needs rng d =
+  let count = 6 + Rng.int rng 7 in
+  let fill = 0.7 +. (float_of_int (Rng.int rng 25) /. 100.) in
+  let total = d.Device.total in
+  let weights = Array.init count (fun _ -> 1 + Rng.int rng 10) in
+  let sum = Array.fold_left ( + ) 0 weights in
+  let some cap =
+    if Rng.int rng 2 = 0 then Rng.int rng (1 + (2 * cap / count)) else 0
+  in
+  Array.map
+    (fun w ->
+      let share = fill *. float_of_int w /. float_of_int sum in
+      v
+        ~clb:(Stdlib.max 1 (int_of_float (share *. float_of_int total.Resource.clb)))
+        ~bram:(some total.Resource.bram)
+        ~dsp:(some total.Resource.dsp))
+    weights
+
+(* The same relation on tight XC7Z010/XC7Z020 sets, where the restart
+   portfolio runs out of budget and v2 falls back to v1's search on its
+   own tables. *)
 let prop_packer_v2_agrees_v1_tight =
   QCheck.Test.make ~count:100 ~name:"packer v2 vs v1 oracle on tight sets"
     QCheck.(pair int bool)
     (fun (seed, big) ->
       let rng = Rng.create seed in
       let d = if big then Device.xc7z020 else Device.xc7z010 in
-      let count = 6 + Rng.int rng 7 in
-      let fill = 0.7 +. (float_of_int (Rng.int rng 25) /. 100.) in
-      let total = d.Device.total in
-      let weights = Array.init count (fun _ -> 1 + Rng.int rng 10) in
-      let sum = Array.fold_left ( + ) 0 weights in
-      let some cap =
-        if Rng.int rng 2 = 0 then Rng.int rng (1 + (2 * cap / count)) else 0
-      in
-      let needs =
-        Array.map
-          (fun w ->
-            let share = fill *. float_of_int w /. float_of_int sum in
-            v
-              ~clb:(Stdlib.max 1 (int_of_float (share *. float_of_int total.Resource.clb)))
-              ~bram:(some total.Resource.bram)
-              ~dsp:(some total.Resource.dsp))
-          weights
-      in
-      agrees_with_v1 d needs)
+      agrees_with_v1 d (tight_needs rng d))
+
+(* The same relation on tight XC7Z045 sets. Its 172 columns take three
+   occupancy words per row, so only there can a rect span three words
+   (about an eighth of these sets' candidates do) and take the exact
+   search's generic overlap test. About half the sets reach the
+   fallback, whose outcome must also equal v1's exactly. v1 takes about
+   a quarter second per set here, hence the small count. *)
+let prop_packer_v2_agrees_v1_xc7z045 =
+  QCheck.Test.make ~count:10
+    ~name:"packer v2 vs v1 oracle on tight XC7Z045 sets" QCheck.int
+    (fun seed ->
+      let d = Device.xc7z045 in
+      let needs = tight_needs (Rng.create seed) d in
+      let v1 = Packer.pack ~engine:Packer.Backtracking_v1 d needs in
+      let path, _, v2 = Packer.pack_path d needs in
+      compatible d needs ~v1 ~v2 && (path <> Packer.Fallback || v2 = v1))
 
 (* The cache is a plain memo: whatever it already holds, and whatever
    order related queries (scaled and truncated variants of one need set)
@@ -632,6 +652,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_grid_candidates_identical;
           QCheck_alcotest.to_alcotest prop_packer_v2_agrees_v1;
           QCheck_alcotest.to_alcotest prop_packer_v2_agrees_v1_tight;
+          QCheck_alcotest.to_alcotest prop_packer_v2_agrees_v1_xc7z045;
           QCheck_alcotest.to_alcotest prop_cache_is_plain_memo;
         ] );
     ]

@@ -1,8 +1,9 @@
 (* Replays the golden packer corpus (test/corpus/packer_golden.txt): the
    column-interval packer queries that seeded runs of the three
    benchmark workload shapes made, each recorded with the path that
-   decided it and its outcome. Every query must take the same path and
-   return the same outcome, placements included. *)
+   decided it, the search nodes it spent and its outcome. Every query
+   must take the same path, spend the same nodes and return the same
+   outcome, placements included. *)
 
 module Packer = Resched_floorplan.Packer
 module Corpus = Packer_corpus
@@ -43,8 +44,8 @@ let test_replay_identical () =
     List.filter_map
       (fun (q : Corpus.query) ->
         let device = Corpus.device_of_name q.device in
-        let path, outcome = Packer.pack_path device q.needs in
-        let got = { q with path; outcome } in
+        let path, nodes, outcome = Packer.pack_path device q.needs in
+        let got = { q with path; nodes; outcome } in
         if Corpus.to_line got = Corpus.to_line q then None
         else Some (Corpus.to_line q, Corpus.to_line got))
       (Lazy.force corpus)

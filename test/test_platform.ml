@@ -164,8 +164,36 @@ let test_io_errors () =
   (* impl before task *)
   check_err
     "arch processors 1 recfreq 3200 device minifab\ntasks 1\ntask 0\nimpl sw \
-     time 5\nedge 0 7"
+     time 5\nedge 0 7";
   (* edge out of range *)
+  (* Values the constructors reject and a cyclic edge set are errors on
+     their line, never exceptions. *)
+  let check_line want text =
+    match Io.of_string text with
+    | Ok _ -> Alcotest.failf "expected parse error for %S" text
+    | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names line %d (got %S)" text want msg)
+        true
+        (String.starts_with ~prefix:(Printf.sprintf "line %d: " want) msg)
+  in
+  let arch = Printf.sprintf "arch processors %s recfreq %s device minifab\n" in
+  let task = "tasks 2\ntask 0\nimpl sw time 5\ntask 1\nimpl sw time 4\n" in
+  List.iter
+    (fun (p, f) -> check_line 1 (arch p f ^ task))
+    [ ("0", "3200"); ("1", "0"); ("1", "-5"); ("1", "nan"); ("1", "inf") ];
+  List.iter
+    (fun impl -> check_line 7 (arch "1" "3200" ^ task ^ impl))
+    [
+      "impl sw time 0";
+      "impl sw time -2";
+      "impl hw time 0 clb 10 bram 0 dsp 0";
+      "impl hw time 3 clb 0 bram 0 dsp 0";
+      "impl hw time 3 clb -10 bram 1 dsp 0";
+      "impl hw time 3 clb 10 bram -1 dsp 0";
+    ];
+  check_line 8 (arch "1" "3200" ^ task ^ "edge 0 1\nedge 1 0\n");
+  check_line 7 (arch "1" "3200" ^ task ^ "edge 1 1\n")
 
 let test_io_comments_and_blank_lines () =
   let text =

@@ -616,6 +616,48 @@ let test_metrics_and_parse_errors () =
       (Some 1) (Json.get_int v)
   | None -> Alcotest.fail "metrics missing latency histogram"
 
+(* Malformed input ends in one structured response and the next
+   request is served: a bad [\u] escape is a JSON parse error, and an
+   inline instance the parser rejects (a zero software time, a cyclic
+   edge set) fails at once, with no attempt run. *)
+let test_malformed_input_keeps_serving () =
+  let inst = instance 21 ~tasks:8 in
+  let sim = make_sim (Server.config ~capacity:4 ()) in
+  Server.submit_line sim.srv
+    {|{"op": "schedule", "id": "u1", "path": "/x\uzzzz"}|};
+  (match find_response sim "" with
+  | Protocol.Rejected { reason = Protocol.Parse_error; _ } -> ()
+  | r ->
+    Alcotest.failf "expected parse_error rejection, got %s"
+      (Protocol.response_to_line r));
+  let header =
+    "arch processors 1 recfreq 3200 device minifab\ntasks 2\ntask 0\n\
+     impl sw time 3\ntask 1\n"
+  in
+  List.iter
+    (fun (id, body) ->
+      Server.submit sim.srv
+        {
+          Protocol.id;
+          op =
+            Protocol.Schedule
+              ( Protocol.Inline (header ^ body),
+                params ~seed:1 ~min_iterations:3 () );
+        };
+      match find_response sim id with
+      | Protocol.Failed { attempts; _ } ->
+        Alcotest.(check int) (id ^ ": no attempt run") 0 attempts
+      | r ->
+        Alcotest.failf "%s: expected error, got %s" id
+          (Protocol.response_to_line r))
+    [
+      ("sw-time-0", "impl sw time 0\n");
+      ("cycle", "impl sw time 4\nedge 0 1\nedge 1 0\n");
+    ];
+  submit_inst sim ~id:"ok" inst (params ~seed:9 ~min_iterations:5 ());
+  drain_sim sim;
+  check_identity ~what:"ok" inst ~seed:9 (completion sim "ok")
+
 (* ------------------------------------------------------------------ *)
 (* Multiplexing transport: concurrent clients over socketpairs         *)
 
@@ -982,6 +1024,8 @@ let () =
         [
           Alcotest.test_case "counters and parse errors" `Quick
             test_metrics_and_parse_errors;
+          Alcotest.test_case "malformed input keeps serving" `Quick
+            test_malformed_input_keeps_serving;
         ] );
       ( "transport",
         [

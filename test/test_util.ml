@@ -384,9 +384,21 @@ let test_json_errors_and_nonfinite () =
   (match Json.parse "{\"a\":" with
   | Ok _ -> Alcotest.fail "accepted a truncated object"
   | Error _ -> ());
-  match Json.parse "[1, 2] trailing" with
+  (match Json.parse "[1, 2] trailing" with
   | Ok _ -> Alcotest.fail "accepted trailing garbage"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* A \u escape takes exactly four hex digits, in either case. *)
+  List.iter
+    (fun bad ->
+      match Json.parse bad with
+      | Ok _ -> Alcotest.failf "accepted %s" bad
+      | Error _ -> ())
+    [ {|"/x\uzzzz"|}; {|"\u12_4"|} ];
+  match Json.parse {|"\u00e9\u00C9"|} with
+  | Ok v ->
+    Alcotest.(check (option string)) "hex digits of both cases"
+      (Some "\xc3\xa9\xc3\x89") (Json.get_string v)
+  | Error e -> Alcotest.fail e
 
 let test_json_accessors () =
   match
