@@ -76,7 +76,8 @@ let check_iteration ?max_minor_words_per_iter v j =
         "iteration: no alloc.max_minor_words_per_iter recorded but a cap \
          was required"));
   (match get_float [ "alloc"; "min_alloc_ratio" ] j with
-  | Some r -> note v "iteration: boxed/SoA allocation reduction >= x%.1f" r
+  | Some r ->
+    note v "iteration: reference/SoA allocation reduction >= x%.1f" r
   | None -> ());
   each_group j ~list_field:"groups" (fun g ->
       let tasks = Option.value ~default:(-1) (get_int [ "tasks" ] g) in
@@ -87,8 +88,8 @@ let check_iteration ?max_minor_words_per_iter v j =
       | _ -> ());
       if get_bool [ "identical" ] g = Some false then
         fail v
-          "iteration: %d-task group incremental engine differs from the \
-           from-scratch oracle"
+          "iteration: %d-task group restart kernel differs from the \
+           from-scratch reference loop"
           tasks);
   if get_bool [ "all_identical" ] j <> Some true then
     fail v "iteration: all_identical is not true";
@@ -220,7 +221,7 @@ let check_batch v j =
 
 (* The move kernel's contract mirrors the iteration section's: zero
    divergence from the from-scratch oracle (bit-identity is the whole
-   point of keeping the boxed pipeline around), the LNS driver never
+   point of keeping the oracle around), the LNS driver never
    worse than PA-R at equal wall budget, and optionally a floor on the
    move-evaluation speedup against the full re-evaluation pipeline. *)
 let check_moves ?min_move_speedup v j =

@@ -17,8 +17,8 @@
      RESCHED_PIN                 [unset] set to 1 to pin pool workers to
                                          cores (Linux only)
      RESCHED_FIG6_BUDGET_MS      [4000]  PA-R budget for the Fig. 6 traces
-     RESCHED_ITER_MIN            [1000]  iterations per engine for the
-                                         incremental-vs-from-scratch
+     RESCHED_ITER_MIN            [1000]  iterations per loop for the
+                                         kernel-vs-reference-loop
                                          throughput comparison (also used
                                          by its saturated-fabric cache
                                          batch)

@@ -695,7 +695,7 @@ let parallel_comparison () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Iteration throughput: incremental engine vs from-scratch oracle     *)
+(* Iteration throughput: restart kernel vs from-scratch reference loop *)
 
 type iter_row = {
   ir_tasks : int;
@@ -708,7 +708,7 @@ type iter_row = {
   ir_hits : int;  (* L1 + L2 *)
   ir_misses : int;
   ir_mw_new : float;  (* minor words / iteration, SoA kernel *)
-  ir_mw_old : float;  (* minor words / iteration, boxed oracle *)
+  ir_mw_old : float;  (* minor words / iteration, reference loop *)
 }
 
 let cache_hits (st : Fp_cache.stats) = st.Fp_cache.l1_hits + st.Fp_cache.hits
@@ -719,7 +719,7 @@ let hit_rate hits misses =
 let words_per_iter (o : Pa_random.outcome) =
   o.Pa_random.minor_words /. float_of_int (Stdlib.max 1 o.Pa_random.iterations)
 
-(* Everything that must coincide between the two engines for a fixed
+(* Everything that must coincide between the two loops for a fixed
    (seed, min_iterations, budget = 0) run — elapsed times excluded. *)
 let iter_fingerprint (o : Pa_random.outcome) =
   ( o.Pa_random.iterations,
@@ -731,11 +731,18 @@ let iter_fingerprint (o : Pa_random.outcome) =
         (p.Pa_random.iteration, p.Pa_random.makespan))
       o.Pa_random.trace )
 
+(* One PA-R stream at budget 0: [`New] the production restart kernel,
+   [`Old] the from-scratch reference loop of test/oracle. *)
+let iteration_run ~seed ~min_iterations ~cache inst = function
+  | `New ->
+    Pa_random.run ~seed ~min_iterations ~cache ~budget_seconds:0. inst
+  | `Old -> Pa_oracle.restart_loop ~seed ~min_iterations ~cache inst
+
 let iteration_comparison () =
   print_endline "";
   Printf.printf
-    "== Restart iteration throughput: incremental solver + context arena \
-     vs from-scratch (jobs=1, %d iterations each, budget 0) ==\n"
+    "== Restart iteration throughput: restart kernel vs from-scratch \
+     reference loop (jobs=1, %d iterations each, budget 0) ==\n"
     iter_min;
   let t =
     Table.create
@@ -750,29 +757,26 @@ let iteration_comparison () =
         | [ inst ] ->
           let s = seed + (13 * tasks) in
           (* One floorplan cache per group, shared between the two runs:
-             both engines emit bit-identical candidate streams, so the
+             both loops emit bit-identical candidate streams, so the
              second run's floorplan checks replay the first run's keys.
-             The incremental engine runs FIRST so it is the one paying
-             the cold misses — the measured speedup is conservative. *)
+             The restart kernel runs FIRST so it is the one paying the
+             cold misses — the measured speedup is conservative. *)
           let cache = Fp_cache.create () in
-          let run incremental =
+          let run arm =
             timed (fun () ->
-                Pa_random.run ~seed:s ~min_iterations:iter_min ~cache
-                  ~incremental ~budget_seconds:0. inst)
+                iteration_run ~seed:s ~min_iterations:iter_min ~cache inst arm)
           in
-          (* Untimed warm-up (throwaway cache) so neither engine pays the
+          (* Untimed warm-up (throwaway cache) so neither loop pays the
              allocator's first-touch growth inside its timed window. *)
           let warm = Stdlib.min 10 iter_min in
-          ignore
-            (Pa_random.run ~seed:s ~min_iterations:warm
-               ~cache:(Fp_cache.create ()) ~incremental:true
-               ~budget_seconds:0. inst);
-          ignore
-            (Pa_random.run ~seed:s ~min_iterations:warm
-               ~cache:(Fp_cache.create ()) ~incremental:false
-               ~budget_seconds:0. inst);
-          let new_o, s_new = run true in
-          let old_o, s_old = run false in
+          List.iter
+            (fun arm ->
+              ignore
+                (iteration_run ~seed:s ~min_iterations:warm
+                   ~cache:(Fp_cache.create ()) inst arm))
+            [ `New; `Old ];
+          let new_o, s_new = run `New in
+          let old_o, s_old = run `Old in
           let makespan_of label (o : Pa_random.outcome) =
             match o.Pa_random.schedule with
             | Some sched ->
@@ -780,8 +784,8 @@ let iteration_comparison () =
               Schedule.makespan sched
             | None -> -1
           in
-          let ms_new = makespan_of "PA-R incremental" new_o in
-          let ms_old = makespan_of "PA-R from-scratch" old_o in
+          let ms_new = makespan_of "PA-R restart kernel" new_o in
+          let ms_old = makespan_of "PA-R reference loop" old_o in
           let identical = iter_fingerprint new_o = iter_fingerprint old_o in
           let st = Fp_cache.stats cache in
           let row =
@@ -843,11 +847,11 @@ let iteration_comparison () =
           let cache = Fp_cache.create () in
           let s = seed + (13 * tasks) in
           List.iter
-            (fun incremental ->
+            (fun arm ->
               ignore
-                (Pa_random.run ~seed:s ~min_iterations:iter_min ~cache
-                   ~incremental ~budget_seconds:0. inst))
-            [ true; false ];
+                (iteration_run ~seed:s ~min_iterations:iter_min ~cache inst
+                   arm))
+            [ `New; `Old ];
           (tasks, Fp_cache.stats cache)
         | _ -> assert false)
       groups
@@ -862,7 +866,7 @@ let iteration_comparison () =
   and total_misses = timed_misses + sat_misses in
   Printf.printf
     "  floorplan cache, timed groups (shared per group across both \
-     engines): %d hits / %d lookups (%.1f%%)\n"
+     loops): %d hits / %d lookups (%.1f%%)\n"
     timed_hits (timed_hits + timed_misses)
     (100. *. hit_rate timed_hits timed_misses);
   Printf.printf
@@ -938,7 +942,7 @@ let iteration_comparison () =
     (largest.ir_s_old /. Float.max largest.ir_s_new 1e-9);
   (* Allocation-regression gate inputs (`bench check
      --max-minor-words-per-iter`): worst SoA-kernel words/iteration over
-     the groups, and the smallest boxed/SoA reduction. *)
+     the groups, and the smallest reference/SoA reduction. *)
   let max_mw =
     List.fold_left (fun acc r -> Float.max acc r.ir_mw_new) 0. rows
   in
@@ -1009,8 +1013,8 @@ let drive_moves d ~incremental ~seed ~n =
 (* The honest "no delta state" baseline: what a neighborhood search
    pays per candidate without the kernel — materialize the neighbor and
    re-ingest it through the whole from-scratch pipeline (full re-time +
-   unconditional floorplan verification), exactly the boxed restart
-   path the iteration section oracles against. *)
+   unconditional floorplan verification), as the reference restart
+   loop the iteration section compares against does. *)
 let drive_moves_pipeline d ~config ~seed ~n =
   let rng = Rng.create seed in
   let applied = ref 0 in
@@ -3197,7 +3201,7 @@ let bechamel_suite () =
     Array.init (Instance.size inst100) (fun u -> Instance.min_time inst100 u)
   in
   (* A state shaped by the real pipeline, frozen after step 7's input is
-     ready: the from-scratch [Timing.resolve] and the incremental
+     ready: the reference's from-scratch resolve and the incremental
      [Timing.Solver] replay the same augmented graph and sequence. *)
   let timing_state =
     let impl_of =
@@ -3209,8 +3213,11 @@ let bechamel_suite () =
     Sw_map.run st;
     st
   in
-  let specs, sequence = Reconf_sched.run timing_state in
-  let solver = Timing.Solver.create timing_state ~reconfigs:specs in
+  let specs, sequence = Pa_oracle.reconf_sched timing_state in
+  let solver =
+    Timing.Solver.of_plan ~graph:timing_state.State.dep
+      ~durations:(State.durations timing_state) ~reconfigs:specs
+  in
   let ctx100 = Pa.Context.create inst100 in
   let tests =
     [
@@ -3237,13 +3244,13 @@ let bechamel_suite () =
       Test.make ~name:"iteration/timing_resolve_scratch_100"
         (Staged.stage (fun () ->
              ignore
-               (Timing.resolve timing_state ~reconfigs:specs ~sequence)));
+               (Pa_oracle.resolve timing_state ~reconfigs:specs ~sequence)));
       Test.make ~name:"iteration/timing_solver_resolve_100"
         (Staged.stage (fun () ->
              ignore (Timing.Solver.resolve solver ~sequence)));
       Test.make ~name:"iteration/schedule_once_scratch_100"
         (Staged.stage (fun () ->
-             ignore (Pa.schedule_once ~incremental:false inst100)));
+             ignore (Pa_oracle.schedule_once inst100)));
       Test.make ~name:"iteration/schedule_once_ctx_100"
         (Staged.stage (fun () -> ignore (Pa.schedule_once ~ctx:ctx100 inst100)));
       Test.make ~name:"substrate/simplex_textbook"

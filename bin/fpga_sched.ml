@@ -183,10 +183,8 @@ let run_algo ?cache algo ~budget_s ~reuse ~seed ~jobs inst =
      verdicts. *)
   match algo with
   | A_pa ->
-    let config =
-      { Pa.default_config with Pa.module_reuse = reuse; floorplan_cache = cache }
-    in
-    fst (Pa.run ~config inst)
+    let config = { Pa.default_config with Pa.module_reuse = reuse } in
+    fst (Pa.run ~config ?cache inst)
   | A_par -> (
     let config = { Pa.default_config with Pa.module_reuse = reuse } in
     let cache =

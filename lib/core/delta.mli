@@ -31,7 +31,7 @@
     consecutive tasks of a processor chain are linked directly, and the
     controller totally orders the reconfiguration nodes. Earliest starts
     are the longest-path potential of that DAG — the same quantity
-    {!Timing.resolve} computes for the PA pipeline. *)
+    {!Timing.Solver} computes for the PA pipeline. *)
 
 type t
 

@@ -75,7 +75,7 @@ module Context = struct
     | None ->
       let s =
         State.create ctx.c_inst ~resource_scale ~cost:e.e_cost
-          ~base_cpm:e.e_base_cpm ~scratch:true ~impl_of:e.e_impl_of ()
+          ~base_cpm:e.e_base_cpm ~impl_of:e.e_impl_of ()
       in
       e.e_state <- Some s;
       s
@@ -85,7 +85,6 @@ type config = {
   ordering : Regions_define.ordering;
   module_reuse : bool;
   floorplan_engine : Floorplanner.engine;
-  floorplan_cache : Resched_floorplan.Fp_cache.t option;
   max_attempts : int;
   shrink_factor : float;
 }
@@ -95,7 +94,6 @@ let default_config =
     ordering = Regions_define.By_efficiency;
     module_reuse = false;
     floorplan_engine = Floorplanner.Backtracking;
-    floorplan_cache = None;
     max_attempts = 8;
     shrink_factor = 0.9;
   }
@@ -107,18 +105,12 @@ type stats = {
 }
 
 (* Region tasks ordered by resolved start: a stable insertion sort
-   ({!Resched_util.Sort}) over a borrowed (or, for plain states, local)
-   scratch array replaces the old per-region [List.sort] — same order
-   (the stdlib's [List.sort] is the stable merge sort), no per-call sort
-   allocations beyond the result list the [Schedule.region] needs
-   anyway. *)
+   ({!Resched_util.Sort}) over the borrowed task workspace, free once the
+   pipeline is done — no per-call sort allocations beyond the result list
+   the [Schedule.region] needs anyway. *)
 let ordered_tasks state (task_start : int array) (r : State.region) =
   let k = List.length r.State.tasks in
-  let arr =
-    match State.scratch_of state with
-    | Some s when k > 0 -> State.sc_tasks s (* free: the pipeline is done *)
-    | _ -> Array.make (Stdlib.max 1 k) 0
-  in
+  let arr = State.sc_tasks state.State.scratch in
   let i = ref 0 in
   List.iter
     (fun u ->
@@ -132,11 +124,8 @@ let ordered_tasks state (task_start : int array) (r : State.region) =
   in
   build (k - 1) []
 
-(* Schedule construction shared by the from-scratch path and the arena
-   path: everything comes from the state plus already-resolved times and
-   an explicit reconfiguration order. *)
 let build_schedule ~module_reuse ~resource_scale state specs
-    (times : Timing.resolved) ~seq_iter =
+    (times : Timing.resolved) ~sequence =
   let n = Instance.size state.State.inst in
   let slots =
     Array.init n (fun u ->
@@ -163,7 +152,8 @@ let build_schedule ~module_reuse ~resource_scale state specs
       (State.region_list state)
   in
   let reconfigurations =
-    seq_iter (fun k ->
+    List.map
+      (fun k ->
         let spec : Timing.reconf_spec = specs.(k) in
         {
           Schedule.region = spec.Timing.region_id;
@@ -172,6 +162,7 @@ let build_schedule ~module_reuse ~resource_scale state specs
           r_start = times.Timing.rec_start.(k);
           r_end = times.Timing.rec_end.(k);
         })
+      sequence
   in
   {
     Schedule.instance = state.State.inst;
@@ -183,20 +174,6 @@ let build_schedule ~module_reuse ~resource_scale state specs
     module_reuse;
     resource_scale;
   }
-
-let schedule_of_state ?(module_reuse = false) ?(resource_scale = 1.0) state
-    specs sequence =
-  let resolved = Timing.resolve state ~reconfigs:specs ~sequence in
-  build_schedule ~module_reuse ~resource_scale state specs resolved
-    ~seq_iter:(fun f -> List.map f sequence)
-
-let count_hw state =
-  let n = Instance.size state.State.inst in
-  let acc = ref 0 in
-  for u = 0 to n - 1 do
-    if State.is_hw state u then incr acc
-  done;
-  !acc
 
 type candidate = {
   cd_state : State.t;
@@ -213,7 +190,7 @@ let schedule_candidate ?(config = default_config) ?(resource_scale = 1.0)
   Regions_define.run ~module_reuse:config.module_reuse
     ~ordering:config.ordering state;
   Sw_balance.run state;
-  Sw_map.run ~incremental:true state;
+  Sw_map.run state;
   let plan =
     Reconf_sched.run_hot ~module_reuse:config.module_reuse
       ctx.Context.c_arena state
@@ -235,58 +212,18 @@ let candidate_needs c =
 
 let materialize c =
   let plan = c.cd_plan in
-  let specs = plan.Reconf_sched.p_specs in
-  let seq = plan.Reconf_sched.p_seq and len = plan.Reconf_sched.p_len in
+  let seq = plan.Reconf_sched.p_seq in
+  let rec sequence i acc =
+    if i < 0 then acc else sequence (i - 1) (seq.(i) :: acc)
+  in
   build_schedule ~module_reuse:c.cd_module_reuse
-    ~resource_scale:c.cd_resource_scale c.cd_state specs
-    plan.Reconf_sched.p_times ~seq_iter:(fun f ->
-      let rec build i acc =
-        if i < 0 then acc else build (i - 1) (f seq.(i) :: acc)
-      in
-      build (len - 1) [])
+    ~resource_scale:c.cd_resource_scale c.cd_state plan.Reconf_sched.p_specs
+    plan.Reconf_sched.p_times
+    ~sequence:(sequence (plan.Reconf_sched.p_len - 1) [])
 
-let schedule_once ?(config = default_config) ?(resource_scale = 1.0) ?ctx
-    ?(incremental = true) inst =
-  match ctx with
-  | Some ctx when incremental ->
-    (* The struct-of-arrays restart kernel: candidate + materialize.
-       Bit-identical to the boxed path below (property-tested). *)
-    materialize (schedule_candidate ~config ~resource_scale ~ctx inst)
-  | _ ->
-    let state =
-      match ctx with
-      | Some ctx -> Context.state ctx ~resource_scale
-      | None ->
-        let max_res =
-          Resched_fabric.Resource.scale (Arch.max_res inst.Instance.arch)
-            resource_scale
-        in
-        let cost = Cost.make inst ~max_res in
-        let impl_of = Impl_select.run ~cost inst ~max_res in
-        State.create inst ~resource_scale ~cost ~impl_of ()
-    in
-    Log.debug (fun m ->
-        m "step 1-2: %d/%d tasks start on hardware, unconstrained makespan %d"
-          (count_hw state) (Instance.size inst)
-          state.State.cpm.Resched_taskgraph.Cpm.makespan);
-    Regions_define.run ~module_reuse:config.module_reuse
-      ~ordering:config.ordering state;
-    Log.debug (fun m ->
-        m "step 3: %d regions defined, %d tasks still on hardware"
-          (State.region_count state)
-          (count_hw state));
-    Sw_balance.run state;
-    Log.debug (fun m ->
-        m "step 4: %d hardware tasks after balancing" (count_hw state));
-    Sw_map.run ~incremental state;
-    let specs, sequence =
-      Reconf_sched.run ~module_reuse:config.module_reuse ~incremental state
-    in
-    Log.debug (fun m ->
-        m "step 7: %d reconfigurations sequenced on the controller"
-          (Array.length specs));
-    schedule_of_state ~module_reuse:config.module_reuse ~resource_scale state
-      specs sequence
+let schedule_once ?config ?resource_scale ?ctx inst =
+  let ctx = match ctx with Some c -> c | None -> Context.create inst in
+  materialize (schedule_candidate ?config ?resource_scale ~ctx inst)
 
 let all_software_schedule inst =
   let impl_of =
@@ -294,14 +231,23 @@ let all_software_schedule inst =
   in
   let state = State.create inst ~impl_of () in
   Sw_map.run state;
-  let sched = schedule_of_state state [||] [] in
+  let sched =
+    materialize
+      {
+        cd_state = state;
+        cd_plan = Reconf_sched.run_hot (Reconf_sched.make_arena ()) state;
+        cd_module_reuse = false;
+        cd_resource_scale = 1.0;
+      }
+  in
   { sched with Schedule.floorplan = Some [||] }
 
 let region_needs (sched : Schedule.t) =
   Array.map (fun (r : Schedule.region) -> r.Schedule.res) sched.Schedule.regions
 
-let run ?(config = default_config) ?ctx inst =
+let run ?(config = default_config) ?cache inst =
   let device = inst.Instance.arch.Arch.device in
+  let ctx = Context.create inst in
   let sched_time = ref 0. and plan_time = ref 0. in
   let rec attempt k scale =
     if k > config.max_attempts then begin
@@ -316,14 +262,14 @@ let run ?(config = default_config) ?ctx inst =
     end
     else begin
       let t0 = Unix.gettimeofday () in
-      let sched = schedule_once ~config ~resource_scale:scale ?ctx inst in
+      let sched = schedule_once ~config ~resource_scale:scale ~ctx inst in
       sched_time := !sched_time +. (Unix.gettimeofday () -. t0);
       let needs = region_needs sched in
       if Array.length needs = 0 then
         ({ sched with Schedule.floorplan = Some [||] }, k)
       else begin
         let report =
-          match config.floorplan_cache with
+          match cache with
           | Some cache ->
             Resched_floorplan.Fp_cache.check cache
               ~engine:config.floorplan_engine device needs

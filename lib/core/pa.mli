@@ -14,11 +14,6 @@ type config = {
       (** allow consecutive same-module tasks in a region to skip the
           reconfiguration (paper's future work; default false) *)
   floorplan_engine : Resched_floorplan.Floorplanner.engine;
-  floorplan_cache : Resched_floorplan.Fp_cache.t option;
-      (** when set, step H consults this shared {!Resched_floorplan.Fp_cache}
-          instead of calling the floorplanner directly, so shrink-retry
-          attempts (and other schedulers sharing the cache) reuse
-          verdicts (default [None]) *)
   max_attempts : int;
       (** floorplan retries before falling back to all-software *)
   shrink_factor : float;
@@ -77,30 +72,36 @@ val candidate_needs : candidate -> Resched_fabric.Resource.t array
     floorplan feasibility check consumes. *)
 
 val materialize : candidate -> Schedule.t
-(** The owning {!Schedule.t} — bit-identical to what {!schedule_once}
-    with the same configuration returns (property-tested). *)
+(** The owning {!Schedule.t}: what {!schedule_once} with the same
+    configuration returns. *)
+
+val build_schedule : module_reuse:bool -> resource_scale:float -> State.t ->
+  Timing.reconf_spec array -> Timing.resolved -> sequence:int list ->
+  Schedule.t
+(** The schedule a finished pipeline state describes: placements from
+    the state, times from the resolved timing, and the reconfigurations
+    in controller [sequence] order (indices into the spec array). The
+    result's [floorplan] is [None]. {!materialize} is this over a
+    candidate's plan. *)
 
 val schedule_once : ?config:config -> ?resource_scale:float ->
-  ?ctx:Context.t -> ?incremental:bool -> Resched_platform.Instance.t ->
-  Schedule.t
+  ?ctx:Context.t -> Resched_platform.Instance.t -> Schedule.t
 (** Steps 1-7 only (no floorplan check); [resource_scale] (default 1.0)
     virtually scales the FPGA resources. The result's [floorplan] is
-    [None]. Used by the randomized variant's inner loop and by tests.
-
-    [ctx] reuses the restart arena's memoized invariants and recycled
-    state (the returned schedule never aliases the arena, so it survives
-    later iterations); [incremental] (default [true]) selects the
-    incremental timing solver in step 7 ({!Reconf_sched.run}). Both
-    switches change wall-clock only — the produced schedule is
-    bit-identical to the from-scratch path (property-tested). *)
+    [None]. [ctx] reuses a restart arena's memoized invariants and
+    recycled state (the returned schedule never aliases the arena, so
+    it survives later iterations); without it a fresh context is built
+    for the call. *)
 
 val all_software_schedule : Resched_platform.Instance.t -> Schedule.t
 (** Every task on its fastest software implementation, mapped on the
     processors; trivially floorplan-feasible. The terminal fallback. *)
 
-val run : ?config:config -> ?ctx:Context.t ->
+val run : ?config:config -> ?cache:Resched_floorplan.Fp_cache.t ->
   Resched_platform.Instance.t -> Schedule.t * stats
-(** The full PA algorithm. The returned schedule always validates
-    ({!Validate.check}) and carries a floorplan when it uses regions.
-    [ctx] shares a restart arena across the shrink attempts (and across
-    calls, when the caller keeps one). *)
+(** The full PA algorithm: steps 1-7 on one restart arena shared by the
+    shrink attempts, then the floorplan check. The returned schedule
+    always validates ({!Validate.check}) and carries a floorplan when it
+    uses regions. When [cache] is given, the check consults it instead
+    of calling the floorplanner directly, so shrink attempts (and other
+    schedulers sharing the cache) reuse verdicts. *)

@@ -14,8 +14,6 @@ type outcome = {
   minor_words : float;
 }
 
-type kernel = [ `Soa | `Boxed ]
-
 (* ------------------------------------------------------------------ *)
 (* Shared search state                                                 *)
 
@@ -50,20 +48,13 @@ let rec claim shared ms =
 (* ------------------------------------------------------------------ *)
 (* One restart stream (Algorithm 1's loop body)                        *)
 
-let check_feasible ~config ~cache device needs =
+let check_feasible ~engine ~cache device needs =
   if Array.length needs = 0 then Some [||]
   else begin
-    (* An explicit [?cache] argument wins; otherwise fall back to the one
-       embedded in the PA config (if any). *)
-    let cache =
-      match cache with Some _ -> cache | None -> config.Pa.floorplan_cache
-    in
     let report =
       match cache with
-      | Some cache ->
-        Fp_cache.check cache ~engine:config.Pa.floorplan_engine device needs
-      | None ->
-        Floorplanner.check ~engine:config.Pa.floorplan_engine device needs
+      | Some cache -> Fp_cache.check cache ~engine device needs
+      | None -> Floorplanner.check ~engine device needs
     in
     match report.Floorplanner.verdict with
     | Floorplanner.Feasible placements -> Some placements
@@ -129,8 +120,6 @@ module Course = struct
     crs_inst : Instance.t;
     crs_config : Pa.config;
     crs_cache : Fp_cache.t option;
-    crs_incremental : bool;
-    crs_kernel : kernel;
     crs_rng : Rng.t;
     crs_shared : shared;
     crs_start : float;
@@ -145,15 +134,12 @@ module Course = struct
     mutable crs_done : bool;
   }
 
-  let make ?(config = Pa.default_config) ?cache ?(incremental = true)
-      ?(kernel = `Soa) ?cancel ~shared ~rng ~start ~min_iterations
-      ~budget_seconds inst =
+  let make ?(config = Pa.default_config) ?cache ?cancel ~shared ~rng ~start
+      ~min_iterations ~budget_seconds inst =
     {
       crs_inst = inst;
       crs_config = config;
       crs_cache = cache;
-      crs_incremental = incremental;
-      crs_kernel = kernel;
       crs_rng = rng;
       crs_shared = shared;
       crs_start = start;
@@ -184,11 +170,6 @@ module Course = struct
     make ?config ?cache ?cancel ~shared:(make_shared ())
       ~rng:(Rng.create seed) ~start ~min_iterations ~budget_seconds inst
 
-  (* Does this course run the struct-of-arrays kernel over a context
-     arena? [`Boxed] (and [incremental:false]) run the boxed oracle:
-     a fresh scratch-less state and a boxed schedule every iteration. *)
-  let uses_arena c = c.crs_incremental && c.crs_kernel = `Soa
-
   let iterate c ~ctx ~now =
     let config =
       {
@@ -199,15 +180,22 @@ module Course = struct
     let scale = c.crs_lattice.(c.crs_shrink_exp) in
     let device = c.crs_inst.Instance.arch.Arch.device in
     let shared = c.crs_shared in
-    let improve ms ~needs ~materialize =
-      match check_feasible ~config ~cache:c.crs_cache device needs with
+    let cand =
+      Pa.schedule_candidate ~config ~resource_scale:scale ~ctx c.crs_inst
+    in
+    let ms = Pa.candidate_makespan cand in
+    if ms < Atomic.get shared.best_makespan then
+      match
+        check_feasible ~engine:config.Pa.floorplan_engine ~cache:c.crs_cache
+          device (Pa.candidate_needs cand)
+      with
       | None ->
         c.crs_shrink_exp <- Stdlib.min max_shrink_exp (c.crs_shrink_exp + 1)
       | Some placements ->
         c.crs_shrink_exp <- Stdlib.max 0 (c.crs_shrink_exp - 1);
         if claim shared ms then begin
           publish shared
-            { (materialize ()) with Schedule.floorplan = Some placements };
+            { (Pa.materialize cand) with Schedule.floorplan = Some placements };
           c.crs_trace <-
             {
               elapsed = now -. c.crs_start;
@@ -216,29 +204,6 @@ module Course = struct
             }
             :: c.crs_trace
         end
-    in
-    match ctx with
-    | Some ctx ->
-      let cand =
-        Pa.schedule_candidate ~config ~resource_scale:scale ~ctx c.crs_inst
-      in
-      let ms = Pa.candidate_makespan cand in
-      if ms < Atomic.get shared.best_makespan then
-        improve ms ~needs:(Pa.candidate_needs cand) ~materialize:(fun () ->
-            Pa.materialize cand)
-    | None ->
-      let candidate =
-        Pa.schedule_once ~config ~resource_scale:scale
-          ~incremental:c.crs_incremental c.crs_inst
-      in
-      let ms = candidate.Schedule.makespan in
-      if ms < Atomic.get shared.best_makespan then
-        improve ms
-          ~needs:
-            (Array.map
-               (fun (r : Schedule.region) -> r.Schedule.res)
-               candidate.Schedule.regions)
-          ~materialize:(fun () -> candidate)
 
   let run_slice c ~max_iterations =
     (* Cooperative cancellation: polled once per slice, never inside the
@@ -261,7 +226,7 @@ module Course = struct
          per slice through the domain-local cache, so the stream can
          migrate between domains while each domain reuses warm
          arenas. *)
-      let ctx = if uses_arena c then Some (get_context c.crs_inst) else None in
+      let ctx = get_context c.crs_inst in
       let words0 = Gc.minor_words () in
       let executed = ref 0 in
       let running = ref true in
@@ -315,12 +280,12 @@ let exhaust (c : Course.t) =
 (* Entry points                                                        *)
 
 let run ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1) ?cache
-    ?(incremental = true) ?kernel ~budget_seconds inst =
+    ~budget_seconds inst =
   let start = Unix.gettimeofday () in
   let shared = make_shared () in
   let course =
-    Course.make ~config ?cache ~incremental ?kernel ~shared
-      ~rng:(Rng.create seed) ~start ~min_iterations ~budget_seconds inst
+    Course.make ~config ?cache ~shared ~rng:(Rng.create seed) ~start
+      ~min_iterations ~budget_seconds inst
   in
   let r = exhaust course in
   {
@@ -348,7 +313,7 @@ let merge_traces results =
   List.rev rev
 
 let run_parallel ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1)
-    ?jobs ?pool ?cache ?(incremental = true) ?kernel ~budget_seconds inst =
+    ?jobs ?pool ?cache ~budget_seconds inst =
   let jobs =
     match (pool, jobs) with
     | Some p, Some j ->
@@ -365,8 +330,7 @@ let run_parallel ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1)
     | None, None -> Domain_pool.available_cores ()
   in
   if jobs = 1 then
-    run ~config ~seed ~min_iterations ?cache ~incremental ?kernel
-      ~budget_seconds inst
+    run ~config ~seed ~min_iterations ?cache ~budget_seconds inst
   else begin
     let start = Unix.gettimeofday () in
     let shared = make_shared () in
@@ -381,9 +345,8 @@ let run_parallel ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1)
     let min_per_worker = (min_iterations + jobs - 1) / jobs in
     let job i =
       exhaust
-        (Course.make ~config ?cache ~incremental ?kernel ~shared
-           ~rng:rngs.(i) ~start ~min_iterations:min_per_worker
-           ~budget_seconds inst)
+        (Course.make ~config ?cache ~shared ~rng:rngs.(i) ~start
+           ~min_iterations:min_per_worker ~budget_seconds inst)
     in
     let results =
       match pool with

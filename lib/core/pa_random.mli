@@ -37,17 +37,6 @@ type outcome = {
           divide by [iterations] for the words/iteration telemetry *)
 }
 
-type kernel = [ `Soa | `Boxed ]
-(** Which restart kernel the iterations run. [`Soa] (the default) runs
-    steps 3-7 over the context arena's flat struct-of-arrays scratch
-    buffers ({!Pa.schedule_candidate}) and only materializes a boxed
-    {!Schedule.t} for claimed improvements. [`Boxed] is the bit-identity
-    oracle: every iteration builds a fresh state and a boxed schedule
-    through the legacy list-based pipeline ({!Pa.schedule_once} without
-    a context). Both produce bit-identical outcomes for a fixed seed
-    and iteration count (property-tested); they differ in allocation
-    rate and wall-clock only. *)
-
 (** A resumable restart stream: the loop body of {!run}, reified so the
     same stream can run to completion on one domain or be advanced in
     bounded slices — possibly from different domains over its lifetime —
@@ -101,8 +90,7 @@ module Course : sig
 end
 
 val run : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
-  ?cache:Resched_floorplan.Fp_cache.t -> ?incremental:bool ->
-  ?kernel:kernel -> budget_seconds:float ->
+  ?cache:Resched_floorplan.Fp_cache.t -> budget_seconds:float ->
   Resched_platform.Instance.t -> outcome
 (** Algorithm 1 with a wall-clock budget. [min_iterations] (default 1)
     iterations are executed even if the budget is already exhausted, so a
@@ -122,16 +110,13 @@ val run : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
     [shrink_factor^k] lattice (k in [0..6]) so the per-scale restart
     memo and the floorplan cache see repeated keys.
 
-    [incremental] (default [true]) runs each iteration through a
-    per-worker {!Pa.Context} restart arena; [incremental:false] — like
-    [kernel:`Boxed] — is the from-scratch oracle path. All combinations
-    produce bit-identical candidate streams for a fixed
-    [(seed, min_iterations, budget_seconds = 0.)] configuration. *)
+    Each iteration runs steps 3-7 over the domain's {!Pa.Context}
+    restart arena ({!Pa.schedule_candidate}) and materializes a
+    {!Schedule.t} only for claimed improvements. *)
 
 val run_parallel : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
   ?jobs:int -> ?pool:Resched_util.Domain_pool.Pool.t ->
-  ?cache:Resched_floorplan.Fp_cache.t -> ?incremental:bool ->
-  ?kernel:kernel -> budget_seconds:float ->
+  ?cache:Resched_floorplan.Fp_cache.t -> budget_seconds:float ->
   Resched_platform.Instance.t -> outcome
 (** [run] fanned out over [jobs] worker domains (default
     {!Resched_util.Domain_pool.available_cores}) sharing one atomic

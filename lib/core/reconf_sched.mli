@@ -9,30 +9,16 @@
     the augmented graph, which is exactly the paper's delay
     propagation). *)
 
-val run : ?module_reuse:bool -> ?incremental:bool -> State.t ->
-  Timing.reconf_spec array * int list
-(** Returns the reconfiguration specs and the chosen controller sequence
-    (indices into the spec array, execution order).
-
-    [incremental] (default [true]) re-times the partial sequence through
-    a {!Timing.Solver} built once per call and answers dependency-order
-    queries from a one-shot {!Resched_taskgraph.Graph.closure}; with
-    [incremental:false] every insertion rebuilds the augmented graph
-    from scratch ({!Timing.resolve}) and runs a fresh traversal per
-    {!Timing.must_precede} query. Both paths produce the identical
-    sequence (property-tested); the legacy path is the oracle. *)
-
-(* ------------------------------------------------------------------ *)
-
 type arena
 (** Reusable buffers for {!run_hot}: a {!Timing.Solver.scratch} solver,
     a closure buffer and the sequencing arrays — one per restart arena
-    ({!Pa.Context}), refilled every iteration. *)
+    ({!Pa.Context}), refilled every call. *)
 
 val make_arena : unit -> arena
 
 type plan = {
-  p_specs : Timing.reconf_spec array;  (** as {!run}'s first component *)
+  p_specs : Timing.reconf_spec array;
+      (** the reconfigurations, from {!Timing.reconf_specs} *)
   p_seq : int array;
       (** controller sequence: the first [p_len] entries, {e borrowed}
           from the arena *)
@@ -43,8 +29,10 @@ type plan = {
 }
 
 val run_hot : ?module_reuse:bool -> arena -> State.t -> plan
-(** The [incremental:true] algorithm of {!run} executed over [arena]'s
-    flat buffers: same specs, bit-identical sequence, plus one final
-    resolve so callers can read every start/end time without re-timing.
+(** Sequence the state's reconfigurations ({!Timing.reconf_specs}) on
+    the controller and resolve the final times, so callers can read
+    every start/end time without re-timing. Each insertion re-times the
+    partial sequence through the arena's {!Timing.Solver} and answers
+    dependency-order queries from one {!Resched_taskgraph.Graph.closure}.
     The returned plan aliases the arena — valid only until the next
     [run_hot] on the same arena; copy what must survive. *)

@@ -30,3 +30,13 @@ val region_compatible_non_critical : State.t -> task:int -> State.region ->
   bool
 (** Exposed for testing: the weaker condition used for non-critical
     tasks (no reconfiguration-window requirement). *)
+
+val place_critical : ?module_reuse:bool -> State.t -> task:int -> unit
+(** Place one critical hardware task by the three-way rule of Sec. V-C:
+    the compatible region with the smallest bitstream, else a new region
+    if it fits, else software. {!run} applies it to every critical task
+    in efficiency order. *)
+
+val place_non_critical : State.t -> task:int -> unit
+(** Place one non-critical hardware task: a new region if it fits, else
+    the compatible region with the smallest bitstream, else software. *)

@@ -46,34 +46,26 @@ type t = {
   region_of : int array;
   processor_of : int array;
   mutable cpm : Cpm.t;
-  scratch : scratch option;
+  scratch : scratch;
 }
-
-let scratch_of t = t.scratch
 
 let impl t u = Instance.impl t.inst ~task:u ~idx:t.impl_of.(u)
 let duration t u = (impl t u).Impl.time
 let durations t = Array.init (Instance.size t.inst) (duration t)
 let is_hw t u = Impl.is_hw (impl t u)
 
-let hw_impls t u =
-  match t.scratch with
-  | Some s -> s.sc_hw_impls.(u)
-  | None -> Instance.hw_impls t.inst u
+let hw_impls t u = t.scratch.sc_hw_impls.(u)
 
+(* One set of CPM arrays is recycled: no per-refresh allocation. Safe
+   because no pipeline step keeps a [Cpm.t] alive across a refresh
+   (Regions_define copies the critical flags it needs), and a shared
+   [base_cpm] owns separate arrays. *)
 let refresh_windows t =
-  match t.scratch with
-  | None -> t.cpm <- Cpm.compute t.dep ~durations:(durations t)
-  | Some s ->
-    (* Arena states recycle one set of CPM arrays: bit-identical windows,
-       no per-refresh allocation. Safe because no pipeline step keeps a
-       [Cpm.t] alive across a refresh (Regions_define copies the critical
-       flags it needs), and a shared [base_cpm] owns separate arrays. *)
-    let n = Instance.size t.inst in
-    for u = 0 to n - 1 do
-      s.sc_durations.(u) <- duration t u
-    done;
-    t.cpm <- Cpm.compute_with s.sc_buffers t.dep ~durations:s.sc_durations
+  let s = t.scratch in
+  for u = 0 to Instance.size t.inst - 1 do
+    s.sc_durations.(u) <- duration t u
+  done;
+  t.cpm <- Cpm.compute_with s.sc_buffers t.dep ~durations:s.sc_durations
 
 let initial_cpm inst ~impl_of =
   let durations =
@@ -82,8 +74,7 @@ let initial_cpm inst ~impl_of =
   in
   Cpm.compute inst.Instance.graph ~durations
 
-let create inst ?(resource_scale = 1.0) ?cost ?base_cpm ?(scratch = false)
-    ~impl_of () =
+let create inst ?(resource_scale = 1.0) ?cost ?base_cpm ~impl_of () =
   let n = Instance.size inst in
   if Array.length impl_of <> n then
     invalid_arg "State.create: impl_of length mismatch";
@@ -93,19 +84,16 @@ let create inst ?(resource_scale = 1.0) ?cost ?base_cpm ?(scratch = false)
     match base_cpm with Some c -> c | None -> initial_cpm inst ~impl_of
   in
   let scratch =
-    if scratch then
-      Some
-        {
-          sc_buffers = Cpm.make_buffers n;
-          sc_durations = Array.make n 0;
-          sc_sort = Array.make n 0;
-          sc_keys = Array.make n 0.;
-          sc_mark = Array.make n false;
-          sc_tasks = Array.make n 0;
-          sc_flags = Array.make n false;
-          sc_hw_impls = Array.init n (fun u -> Instance.hw_impls inst u);
-        }
-    else None
+    {
+      sc_buffers = Cpm.make_buffers n;
+      sc_durations = Array.make n 0;
+      sc_sort = Array.make n 0;
+      sc_keys = Array.make n 0.;
+      sc_mark = Array.make n false;
+      sc_tasks = Array.make n 0;
+      sc_flags = Array.make n false;
+      sc_hw_impls = Array.init n (fun u -> Instance.hw_impls inst u);
+    }
   in
   {
     inst;
@@ -181,15 +169,12 @@ let new_region t need =
   region
 
 (* Would adding edge u -> v close a cycle, i.e. is u reachable from v?
-   Arena states answer with a recycled mark array; plain states keep the
-   original allocating query. *)
+   Answered with the recycled mark array. *)
 let edge_would_cycle t u v =
-  match t.scratch with
-  | Some s ->
-    Array.fill s.sc_mark 0 (Array.length s.sc_mark) false;
-    Graph.mark_reachable t.dep v s.sc_mark;
-    s.sc_mark.(u)
-  | None -> (Graph.reachable t.dep v).(u)
+  let mark = t.scratch.sc_mark in
+  Array.fill mark 0 (Array.length mark) false;
+  Graph.mark_reachable t.dep v mark;
+  mark.(u)
 
 let insert_region_edges t ~task region =
   (* The region is exclusive: order its tasks by their window starts and
@@ -200,11 +185,7 @@ let insert_region_edges t ~task region =
      merge sort, and insertion sort preserves ties the same way) without
      the per-call sort allocations. *)
   let k = List.length region.tasks in
-  let arr =
-    match t.scratch with
-    | Some s when Array.length s.sc_sort >= k + 1 -> s.sc_sort
-    | _ -> Array.make (k + 1) 0
-  in
+  let arr = t.scratch.sc_sort in
   arr.(0) <- task;
   let i = ref 1 in
   List.iter

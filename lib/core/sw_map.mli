@@ -7,13 +7,15 @@
     typo, see DESIGN.md), and an ordering edge from the processor's last
     task propagates any delay through the task graph (eq. 9 / step 4). *)
 
-val run : ?incremental:bool -> State.t -> unit
-(** Mutates [processor_of], the dependency graph and the windows.
-    [incremental] (default [true]) resolves the already-ordered test for
-    each (task, assigned) pair from incrementally maintained descendant
-    and ancestor marks instead of two reachability DFS per pair — the
-    decisions, inserted edges and resulting schedule are bit-identical
-    (property-tested); [false] keeps the pairwise-DFS oracle. *)
+val run : State.t -> unit
+(** Mutates [processor_of], the dependency graph and the windows. The
+    already-ordered test for each (task, assigned) pair is answered from
+    incrementally maintained descendant and ancestor marks, not from two
+    reachability DFS per pair. *)
 
 val delay : State.t -> task:int -> last_end:int -> int
 (** λ_p for a processor whose currently-last task ends at [last_end]. *)
+
+val choose_processor : State.t -> task:int -> int list array -> int
+(** The processor with the smallest λ_p for [task], given the tasks
+    already on each processor; ties go to the lowest index. *)

@@ -64,6 +64,7 @@ let of_string text =
     | exception Invalid_argument msg -> error lineno msg
   in
   let lines = String.split_on_char '\n' text in
+  let line_count = List.length lines in
   let rec go lineno = function
     | [] -> finish ()
     | line :: rest ->
@@ -86,7 +87,14 @@ let of_string text =
                   go (lineno + 1) rest))
       | [ "tasks"; n ] ->
         parse_int lineno n (fun n ->
-            if n < 0 then error lineno "negative task count"
+            if state.tasks >= 0 then error lineno "second 'tasks' line"
+            else if n < 0 then error lineno "negative task count"
+            else if n > line_count then
+              (* Every task needs its own 'impl' line, so a larger count
+                 cannot be valid; reject it before allocating for it. *)
+              error lineno
+                (Printf.sprintf "task count %d exceeds the %d lines of the \
+                                 text" n line_count)
             else begin
               state.tasks <- n;
               state.names <- Array.init n (Printf.sprintf "t%d");

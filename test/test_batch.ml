@@ -1,6 +1,6 @@
 (* Tests for the batch engine ([Batch.run]), the resumable course
    abstraction it interleaves, and the allocation contract of the SoA
-   restart kernel against its boxed oracle. *)
+   restart kernel against the from-scratch reference loop. *)
 
 module Rng = Resched_util.Rng
 module Fp_cache = Resched_floorplan.Fp_cache
@@ -73,21 +73,32 @@ let prop_batch_equals_sequential =
            (fun a b -> outcome_fingerprint a = outcome_fingerprint b)
            outcomes sequential)
 
-(* Property: the flat struct-of-arrays kernel and the boxed legacy
-   pipeline produce bit-identical outcomes (S2's reused-scratch sorts
-   included); they may only differ in allocation. *)
+(* Property: the flat struct-of-arrays kernel and the from-scratch
+   reference restart loop produce bit-identical outcomes, with and
+   without module reuse, on the XC7Z020 suite and on a saturated
+   XC7Z010; they may only differ in allocation. *)
 let prop_soa_kernel_equals_boxed_oracle =
   QCheck.Test.make ~count:12
     ~name:"SoA kernel = boxed oracle (bit-identical outcomes)"
-    QCheck.(pair int (int_range 6 28))
-    (fun (seed, tasks) ->
+    QCheck.(quad int (int_range 6 28) bool bool)
+    (fun (seed, tasks, saturated, module_reuse) ->
       let rng = Rng.create (seed lxor 0x50abc) in
-      let inst = Suite.instance rng ~tasks in
-      let run kernel =
-        Pa_random.run ~seed ~min_iterations:10 ~kernel ~budget_seconds:0. inst
+      let inst =
+        if saturated then
+          let params =
+            { Suite.default_params with Suite.clb_min = 1000; clb_max = 2500 }
+          in
+          Suite.instance ~params ~arch:Arch.microzed rng ~tasks
+        else Suite.instance rng ~tasks
       in
-      let soa = run `Soa and boxed = run `Boxed in
-      outcome_fingerprint soa = outcome_fingerprint boxed
+      let config = { Pa.default_config with Pa.module_reuse } in
+      let soa =
+        Pa_random.run ~config ~seed ~min_iterations:10 ~budget_seconds:0. inst
+      in
+      let reference =
+        Pa_oracle.restart_loop ~config ~seed ~min_iterations:10 inst
+      in
+      outcome_fingerprint soa = outcome_fingerprint reference
       &&
       match soa.Pa_random.schedule with
       | Some s -> Validate.check s = Ok ()
@@ -199,64 +210,66 @@ let test_batch_cancelled_request () =
     [ (0, 3); (2, 5) ]
 
 (* Allocation regression guard: the SoA kernel must allocate far less
-   than the boxed oracle per restart, and stay under an absolute
-   ceiling that a reintroduced per-iteration List.sort/List.map rebuild
-   (the bug S2 fixed) would immediately blow through. *)
+   than the from-scratch reference loop per restart, and stay under an
+   absolute ceiling that a reintroduced per-iteration List.sort/List.map
+   rebuild (the bug S2 fixed) would immediately blow through. *)
 let test_words_per_iteration () =
   let rng = Rng.create 33 in
   let inst = Suite.instance rng ~tasks:60 in
-  let words kernel =
-    (* A cache keeps repeated floorplan probes (whose allocation belongs
-       to the packer, not the restart kernel) from dominating the
-       per-iteration average; enough iterations amortize the cold
-       misses both kernels pay identically. *)
-    let o =
-      Pa_random.run ~seed:5 ~min_iterations:150 ~kernel
-        ~cache:(Fp_cache.create ())
-        ~budget_seconds:0. inst
-    in
+  (* A cache keeps repeated floorplan probes (whose allocation belongs to
+     the packer, not the restart kernel) from dominating the
+     per-iteration average; enough iterations amortize the cold misses
+     both loops pay identically. *)
+  let words (o : Pa_random.outcome) =
     o.Pa_random.minor_words /. float_of_int (max 1 o.Pa_random.iterations)
   in
-  let soa = words `Soa and boxed = words `Boxed in
+  let soa =
+    words
+      (Pa_random.run ~seed:5 ~min_iterations:150 ~cache:(Fp_cache.create ())
+         ~budget_seconds:0. inst)
+  in
+  let reference =
+    words
+      (Pa_oracle.restart_loop ~seed:5 ~min_iterations:150
+         ~cache:(Fp_cache.create ()) inst)
+  in
   Alcotest.(check bool)
     (Printf.sprintf "SoA kernel under 100k words/iteration (got %.0f)" soa)
     true (soa < 100_000.);
   Alcotest.(check bool)
-    (Printf.sprintf "boxed/SoA allocation ratio >= 5 (got x%.1f)"
-       (boxed /. soa))
+    (Printf.sprintf "reference/SoA allocation ratio >= 5 (got x%.1f)"
+       (reference /. soa))
     true
-    (boxed >= 5. *. soa)
+    (reference >= 5. *. soa)
 
-(* The per-task hw_impls cache in arena scratch answers exactly what
+(* The per-task hw_impls cache in a state's scratch answers exactly what
    [Instance.hw_impls] computes. *)
 let test_state_hw_impls_cache () =
   let rng = Rng.create 45 in
   let inst = Suite.instance rng ~tasks:25 in
   let impl_of = Impl_select.run inst ~max_res:(Arch.max_res inst.Instance.arch) in
-  let plain = State.create inst ~impl_of () in
-  let arena = State.create inst ~impl_of ~scratch:true () in
+  let state = State.create inst ~impl_of () in
   for u = 0 to Instance.size inst - 1 do
     Alcotest.(check bool)
       (Printf.sprintf "task %d cached hw_impls = computed" u)
       true
-      (State.hw_impls arena u = State.hw_impls plain u
-      && State.hw_impls plain u = Instance.hw_impls inst u)
+      (State.hw_impls state u = Instance.hw_impls inst u)
   done
 
-(* S2, isolated: software balancing over a scratch-equipped state (the
-   in-place insertion sort over a borrowed array) must leave the state
-   in exactly the configuration the legacy List.sort path produces. *)
+(* S2, isolated: software balancing (the in-place insertion sort over a
+   borrowed array) must leave the state in exactly the configuration the
+   reference's List.sort ordering produces. *)
 let test_sw_balance_scratch_matches_legacy () =
   let rng = Rng.create 57 in
   let inst = Suite.instance rng ~tasks:30 in
   let impl_of = Impl_select.run inst ~max_res:(Arch.max_res inst.Instance.arch) in
-  let build scratch =
-    let state = State.create inst ~impl_of:(Array.copy impl_of) ~scratch () in
+  let build balance =
+    let state = State.create inst ~impl_of:(Array.copy impl_of) () in
     Regions_define.run ~ordering:Regions_define.By_efficiency state;
-    Sw_balance.run state;
+    balance state;
     state
   in
-  let fast = build true and legacy = build false in
+  let fast = build Sw_balance.run and legacy = build Pa_oracle.sw_balance in
   Alcotest.(check (array int))
     "same implementation selection" legacy.State.impl_of fast.State.impl_of;
   Alcotest.(check (array int))

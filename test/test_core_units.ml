@@ -1,7 +1,7 @@
 (* Unit tests for the core scheduler's support modules: the validator's
    violation detection (by corrupting known-good schedules), the timing
-   resolver, reconfiguration sequencing, the working state, Gantt
-   rendering and metrics. *)
+   solver against the from-scratch reference, reconfiguration
+   sequencing, the working state, Gantt rendering and metrics. *)
 
 module Rng = Resched_util.Rng
 module Resource = Resched_fabric.Resource
@@ -162,6 +162,11 @@ let two_region_state () =
   let state = State.create inst ~impl_of:[| 1; 1; 1; 1 |] () in
   state
 
+(* The step-7 timing solver over the state's current augmented graph. *)
+let solver state specs =
+  Timing.Solver.of_plan ~graph:state.State.dep
+    ~durations:(State.durations state) ~reconfigs:specs
+
 let test_timing_resolve_respects_sequence () =
   let state = two_region_state () in
   let r0 = State.new_region state (Resource.make ~clb:100 ~bram:0 ~dsp:0) in
@@ -172,15 +177,15 @@ let test_timing_resolve_respects_sequence () =
   State.assign_to_region state ~task:3 r1;
   let specs = Timing.reconf_specs state in
   Alcotest.(check int) "two reconfigurations" 2 (Array.length specs);
-  let resolved01 = Timing.resolve state ~reconfigs:specs ~sequence:[ 0; 1 ] in
-  let resolved10 = Timing.resolve state ~reconfigs:specs ~sequence:[ 1; 0 ] in
+  let solver = solver state specs in
   (* In both orders the controller is exclusive. *)
   List.iter
-    (fun (r : Timing.resolved) ->
+    (fun sequence ->
+      let r = Timing.Solver.resolve solver ~sequence in
       let s0, e0 = (r.Timing.rec_start.(0), r.Timing.rec_end.(0)) in
       let s1, e1 = (r.Timing.rec_start.(1), r.Timing.rec_end.(1)) in
       Alcotest.(check bool) "no controller overlap" true (e0 <= s1 || e1 <= s0))
-    [ resolved01; resolved10 ]
+    [ [ 0; 1 ]; [ 1; 0 ] ]
 
 let check_resolved name (a : Timing.resolved) (b : Timing.resolved) =
   Alcotest.(check (array int))
@@ -206,7 +211,7 @@ let test_solver_matches_from_scratch_resolve () =
   State.assign_to_region state ~task:2 r1;
   State.assign_to_region state ~task:3 r1;
   let specs = Timing.reconf_specs state in
-  let solver = Timing.Solver.create state ~reconfigs:specs in
+  let solver = solver state specs in
   (* The solver's scratch arrays are rewound by every resolve: replaying
      a sequence after another one must reproduce the from-scratch answer
      bit for bit. *)
@@ -216,7 +221,7 @@ let test_solver_matches_from_scratch_resolve () =
         String.concat "," (List.map string_of_int sequence) |> ( ^ ) "seq "
       in
       check_resolved name
-        (Timing.resolve state ~reconfigs:specs ~sequence)
+        (Pa_oracle.resolve state ~reconfigs:specs ~sequence)
         (Timing.Solver.resolve solver ~sequence))
     [ [ 0; 1 ]; [ 1; 0 ]; [ 0; 1 ] ]
 
@@ -231,11 +236,14 @@ let test_solver_matches_resolve_on_pipeline_state () =
     ~ordering:Resched_core.Regions_define.By_efficiency state;
   Resched_core.Sw_balance.run state;
   Sw_map.run state;
-  let specs, sequence = Resched_core.Reconf_sched.run state in
-  let solver = Timing.Solver.create state ~reconfigs:specs in
-  check_resolved "pipeline sequence"
-    (Timing.resolve state ~reconfigs:specs ~sequence)
-    (Timing.Solver.resolve solver ~sequence)
+  let open Resched_core.Reconf_sched in
+  let plan = run_hot (make_arena ()) state in
+  let specs = plan.p_specs in
+  let sequence = Array.to_list (Array.sub plan.p_seq 0 plan.p_len) in
+  let reference = Pa_oracle.resolve state ~reconfigs:specs ~sequence in
+  check_resolved "pipeline sequence" reference
+    (Timing.Solver.resolve (solver state specs) ~sequence);
+  check_resolved "step-7 final times" reference plan.p_times
 
 let test_timing_reuse_skips_pairs () =
   let graph = Graph.create 2 in
@@ -322,15 +330,15 @@ let test_sw_map_incremental_matches_oracle () =
     let impl_of =
       Impl_select.run inst ~max_res:(Arch.max_res inst.Instance.arch)
     in
-    let build incremental =
+    let build sw_map =
       let state = State.create inst ~impl_of () in
       Resched_core.Regions_define.run
         ~ordering:Resched_core.Regions_define.By_efficiency state;
       Resched_core.Sw_balance.run state;
-      Sw_map.run ~incremental state;
+      sw_map state;
       state
     in
-    let a = build true and b = build false in
+    let a = build Sw_map.run and b = build Pa_oracle.sw_map in
     Alcotest.(check (array int))
       "processor assignment" b.State.processor_of a.State.processor_of;
     Alcotest.(check (list (pair int int)))

@@ -193,7 +193,12 @@ let test_io_errors () =
       "impl hw time 3 clb 10 bram -1 dsp 0";
     ];
   check_line 8 (arch "1" "3200" ^ task ^ "edge 0 1\nedge 1 0\n");
-  check_line 7 (arch "1" "3200" ^ task ^ "edge 1 1\n")
+  check_line 7 (arch "1" "3200" ^ task ^ "edge 1 1\n");
+  (* A second 'tasks' line, and counts no instance of this many lines can
+     hold, fail on their line before anything is allocated for them. *)
+  check_line 4 (arch "1" "3200" ^ "tasks 5\ntask 4\ntasks 2\nimpl sw time 3");
+  check_line 2 (arch "1" "3200" ^ "tasks 99999999999999999");
+  check_line 2 (arch "1" "3200" ^ "tasks 20000000\n")
 
 let test_io_comments_and_blank_lines () =
   let text =

@@ -340,7 +340,10 @@ let test_reconf_sched_sequences_all () =
   Regions_define.run ~ordering:Regions_define.By_efficiency state;
   Resched_core.Sw_balance.run state;
   Resched_core.Sw_map.run state;
-  let specs, sequence = Resched_core.Reconf_sched.run state in
+  let open Resched_core.Reconf_sched in
+  let plan = run_hot (make_arena ()) state in
+  let specs = plan.p_specs in
+  let sequence = Array.to_list (Array.sub plan.p_seq 0 plan.p_len) in
   Alcotest.(check int) "sequence covers every reconfiguration"
     (Array.length specs) (List.length sequence);
   let sorted = List.sort compare sequence in
@@ -354,7 +357,7 @@ let test_reconf_sched_sequences_all () =
     (fun i si ->
       Array.iteri
         (fun j sj ->
-          if i <> j && Resched_core.Timing.must_precede state si sj then
+          if i <> j && Pa_oracle.must_precede state si sj then
             Alcotest.(check bool)
               (Printf.sprintf "reconf %d before %d" i j)
               true
@@ -444,48 +447,89 @@ let schedule_fingerprint (s : Schedule.t) =
     s.Schedule.makespan,
     s.Schedule.resource_scale )
 
-(* Property: the optimized engine (restart-context arena + incremental
-   timing solver + marking-based mappings) produces bit-identical
-   schedules to the from-scratch oracle path, across repeated arena
-   reuse and across the resource-scale lattice — and they validate. *)
+(* Both fabrics the identity properties draw from: the paper's XC7Z020
+   suite, and a saturated XC7Z010 on which the shrink lattice engages. *)
+let identity_instance ~saturated seed tasks =
+  let rng = Rng.create seed in
+  if saturated then
+    let params =
+      { Suite.default_params with Suite.clb_min = 1000; clb_max = 2500 }
+    in
+    Suite.instance ~params ~arch:Arch.microzed rng ~tasks
+  else Suite.instance rng ~tasks
+
+(* [Pa.run]'s shrink chain: the scales of its eight attempts. *)
+let shrink_chain =
+  let { Pa.max_attempts; shrink_factor; _ } = Pa.default_config in
+  let rec chain k scale =
+    if k = 0 then [] else scale :: chain (k - 1) (scale *. shrink_factor)
+  in
+  chain max_attempts 1.0
+
+(* Property: the restart kernel (context arena, incremental timing
+   solver, marking-based mappings) produces bit-identical schedules to
+   the from-scratch reference, across repeated arena reuse, the
+   resource-scale lattice and [Pa.run]'s shrink chain, under every
+   ordering, with and without module reuse, on both fabrics — and they
+   validate. *)
 let prop_incremental_engine_bit_identical =
   QCheck.Test.make ~count:15
     ~name:"incremental engine = from-scratch oracle (bit-identical)"
-    QCheck.(pair int (int_range 5 30))
-    (fun (seed, tasks) ->
-      let rng = Rng.create (seed lxor 0x5ca1e) in
-      let inst = Suite.instance rng ~tasks in
+    QCheck.(quad int (int_range 5 30) bool bool)
+    (fun (seed, tasks, saturated, module_reuse) ->
+      let inst = identity_instance ~saturated (seed lxor 0x5ca1e) tasks in
       let ctx = Pa.Context.create inst in
       let scales =
-        [ 1.0; 0.9; 1.0; 0.81; 0.9; 1.0 ]
+        [ 1.0; 0.9; 1.0; 0.81; 0.9 ] @ shrink_chain
         (* revisits exercise the per-scale memo and State.reset *)
       in
       List.for_all
         (fun (i, resource_scale) ->
-          let config =
-            { Pa.default_config with
-              Pa.ordering = Regions_define.Random (Rng.create (seed + i))
-            }
+          let config () =
+            let ordering =
+              match i mod 4 with
+              | 0 -> Regions_define.By_efficiency
+              | 1 -> Regions_define.By_cost
+              | 2 -> Regions_define.Topological
+              | _ -> Regions_define.Random (Rng.create (seed + i))
+            in
+            { Pa.default_config with Pa.ordering; module_reuse }
           in
           let fast =
-            Pa.schedule_once ~config ~resource_scale ~ctx ~incremental:true
-              inst
+            Pa.schedule_once ~config:(config ()) ~resource_scale ~ctx inst
           in
           let oracle =
-            Pa.schedule_once
-              ~config:
-                { config with
-                  Pa.ordering = Regions_define.Random (Rng.create (seed + i))
-                }
-              ~resource_scale ~incremental:false inst
+            Pa_oracle.schedule_once ~config:(config ()) ~resource_scale inst
           in
           schedule_fingerprint fast = schedule_fingerprint oracle
           && Validate.check fast = Ok ())
         (List.mapi (fun i s -> (i, s)) scales))
 
-(* Property: the randomized search's candidate stream is unchanged by
-   the engine switch — same best makespan, same iteration count, same
-   improvement trace at a fixed (seed, min_iterations, budget = 0). *)
+(* Property: [Pa.run] takes the reference shrink loop's attempts and
+   returns its schedule, floorplan included, for PA and both
+   deterministic ablations. *)
+let prop_pa_run_equals_reference =
+  QCheck.Test.make ~count:10 ~name:"Pa.run = reference shrink loop"
+    QCheck.(quad int (int_range 5 30) bool bool)
+    (fun (seed, tasks, saturated, module_reuse) ->
+      let inst = identity_instance ~saturated (seed lxor 0x5a1e) tasks in
+      let ordering =
+        match abs seed mod 3 with
+        | 0 -> Regions_define.By_efficiency
+        | 1 -> Regions_define.By_cost
+        | _ -> Regions_define.Topological
+      in
+      let config = { Pa.default_config with Pa.ordering; module_reuse } in
+      let sched, stats = Pa.run ~config inst in
+      let ref_sched, ref_attempts = Pa_oracle.run ~config inst in
+      schedule_fingerprint sched = schedule_fingerprint ref_sched
+      && sched.Schedule.floorplan = ref_sched.Schedule.floorplan
+      && stats.Pa.attempts = ref_attempts
+      && Validate.check sched = Ok ())
+
+(* Property: the randomized search's candidate stream matches the
+   reference restart loop — same best makespan, same iteration count,
+   same improvement trace at a fixed (seed, min_iterations, budget = 0). *)
 let prop_par_stream_identical =
   QCheck.Test.make ~count:10
     ~name:"PA-R stream identical under incremental engine"
@@ -493,11 +537,10 @@ let prop_par_stream_identical =
     (fun (seed, tasks) ->
       let rng = Rng.create (seed lxor 0xbeef) in
       let inst = Suite.instance rng ~tasks in
-      let run incremental =
-        Pa_random.run ~seed ~min_iterations:12 ~incremental ~budget_seconds:0.
-          inst
+      let a =
+        Pa_random.run ~seed ~min_iterations:12 ~budget_seconds:0. inst
       in
-      let a = run true and b = run false in
+      let b = Pa_oracle.restart_loop ~seed ~min_iterations:12 inst in
       let ms o =
         match o.Pa_random.schedule with
         | Some s -> Schedule.makespan s
@@ -562,6 +605,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_schedule_once_valid_any_ordering;
           QCheck_alcotest.to_alcotest prop_cache_matches_fresh_check;
           QCheck_alcotest.to_alcotest prop_incremental_engine_bit_identical;
+          QCheck_alcotest.to_alcotest prop_pa_run_equals_reference;
           QCheck_alcotest.to_alcotest prop_par_stream_identical;
         ] );
     ]

@@ -619,7 +619,8 @@ let test_metrics_and_parse_errors () =
 (* Malformed input ends in one structured response and the next
    request is served: a bad [\u] escape is a JSON parse error, and an
    inline instance the parser rejects (a zero software time, a cyclic
-   edge set) fails at once, with no attempt run. *)
+   edge set, a second 'tasks' line, a task count larger than the text)
+   fails at once, with no attempt run. *)
 let test_malformed_input_keeps_serving () =
   let inst = instance 21 ~tasks:8 in
   let sim = make_sim (Server.config ~capacity:4 ()) in
@@ -630,19 +631,16 @@ let test_malformed_input_keeps_serving () =
   | r ->
     Alcotest.failf "expected parse_error rejection, got %s"
       (Protocol.response_to_line r));
-  let header =
-    "arch processors 1 recfreq 3200 device minifab\ntasks 2\ntask 0\n\
-     impl sw time 3\ntask 1\n"
-  in
+  let arch = "arch processors 1 recfreq 3200 device minifab\n" in
+  let header = arch ^ "tasks 2\ntask 0\nimpl sw time 3\ntask 1\n" in
   List.iter
-    (fun (id, body) ->
+    (fun (id, text) ->
       Server.submit sim.srv
         {
           Protocol.id;
           op =
             Protocol.Schedule
-              ( Protocol.Inline (header ^ body),
-                params ~seed:1 ~min_iterations:3 () );
+              (Protocol.Inline text, params ~seed:1 ~min_iterations:3 ());
         };
       match find_response sim id with
       | Protocol.Failed { attempts; _ } ->
@@ -651,8 +649,10 @@ let test_malformed_input_keeps_serving () =
         Alcotest.failf "%s: expected error, got %s" id
           (Protocol.response_to_line r))
     [
-      ("sw-time-0", "impl sw time 0\n");
-      ("cycle", "impl sw time 4\nedge 0 1\nedge 1 0\n");
+      ("sw-time-0", header ^ "impl sw time 0\n");
+      ("cycle", header ^ "impl sw time 4\nedge 0 1\nedge 1 0\n");
+      ("tasks-twice", arch ^ "tasks 5\ntask 4\ntasks 2\nimpl sw time 3\n");
+      ("tasks-huge", arch ^ "tasks 99999999999999999\n");
     ];
   submit_inst sim ~id:"ok" inst (params ~seed:9 ~min_iterations:5 ());
   drain_sim sim;
