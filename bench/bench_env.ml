@@ -84,7 +84,7 @@ let env_int_list name default =
 (* Provenance for a committed artifact: the RESCHED_* variables set when
    it was recorded (an empty object means every default) and the host
    that recorded it, as two JSON members. *)
-let bprint_provenance buf =
+let provenance () =
   let module Json = Resched_util.Json in
   (* [line] as a trimmed (key, value) split at its first [sep], when it
      starts with [prefix]. *)
@@ -117,9 +117,15 @@ let bprint_provenance buf =
         ("ocaml", Json.String Sys.ocaml_version);
       ]
   in
-  Printf.bprintf buf "  \"settings\": %s,\n  \"host\": %s,\n"
-    (Json.to_string ~indent:0 (Json.Obj settings))
-    (Json.to_string ~indent:0 host)
+  [ ("settings", Json.Obj settings); ("host", host) ]
+
+(* The provenance members, for a section that prints its JSON by hand. *)
+let bprint_provenance buf =
+  List.iter
+    (fun (key, v) ->
+      Printf.bprintf buf "  \"%s\": %s,\n" key
+        (Resched_util.Json.to_string ~indent:0 v))
+    (provenance ())
 
 let seed = env_int "RESCHED_SEED" 42
 

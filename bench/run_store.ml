@@ -151,7 +151,13 @@ let write_section ~section contents =
   | Some r -> write (section_path r section)
   | None -> ()
 
-let write_section_json ~section j = write_section ~section (Json.to_string j)
+(* A section's JSON object, with the provenance members every artifact
+   records appended. *)
+let write_section_json ~section = function
+  | Json.Obj fields ->
+    write_section ~section
+      (Json.to_string (Json.Obj (fields @ Bench_env.provenance ())))
+  | _ -> invalid_arg "Run_store.write_section_json: not an object"
 
 (* Resolve a run argument: an id under the runs root, a directory path,
    or [None] for the latest run. *)

@@ -16,7 +16,8 @@ module Instance = Resched_platform.Instance
 module Suite = Resched_platform.Suite
 module Arch = Resched_platform.Arch
 module Lp = Resched_milp.Lp
-module Simplex = Resched_milp.Simplex
+module Simplex = Milp_oracle.Simplex
+module Tableau = Milp_oracle.Tableau
 module Revised = Resched_milp.Revised
 module Branch_bound = Resched_milp.Branch_bound
 module Ilp_exact = Resched_baseline.Ilp_exact
@@ -736,7 +737,9 @@ let iter_fingerprint (o : Pa_random.outcome) =
 let iteration_run ~seed ~min_iterations ~cache inst = function
   | `New ->
     Pa_random.run ~seed ~min_iterations ~cache ~budget_seconds:0. inst
-  | `Old -> Pa_oracle.restart_loop ~seed ~min_iterations ~cache inst
+  | `Old ->
+    Pa_oracle.restart_loop ~seed ~min_iterations ~check:(Fp_cache.check cache)
+      inst
 
 let iteration_comparison () =
   print_endline "";
@@ -2296,6 +2299,17 @@ let collect_need_sets ~seed ~count inst =
 let fp_checks_per_group = Stdlib.max 12 (env_int "RESCHED_FP_CHECKS" 120)
 let fp_e2e_iters = Stdlib.max 4 (env_int "RESCHED_FP_E2E_ITERS" 40)
 
+(* The packer oracle's [pack_v1] as a floorplan check report. *)
+let check_v1 device needs =
+  let t0 = Unix.gettimeofday () in
+  let verdict =
+    match Packer_oracle.pack_v1 device needs with
+    | Resched_floorplan.Packer.Placed p -> Floorplanner.Feasible p
+    | Resched_floorplan.Packer.Infeasible -> Floorplanner.Infeasible
+    | Resched_floorplan.Packer.Unknown -> Floorplanner.Unknown
+  in
+  { Floorplanner.verdict; elapsed = Unix.gettimeofday () -. t0 }
+
 let floorplan_oracle_comparison () =
   print_endline "";
   Printf.printf
@@ -2333,20 +2347,15 @@ let floorplan_oracle_comparison () =
           let stream =
             collect_need_sets ~seed:s ~count:fp_checks_per_group inst
           in
-          let run_engine engine =
-            List.map
-              (fun needs -> Floorplanner.check ~engine device needs)
-              stream
-          in
-          (* Untimed warm-up so neither engine pays allocator growth. *)
-          ignore (run_engine Floorplanner.Backtracking_v1);
-          ignore (run_engine Floorplanner.Backtracking);
-          let reports_v1, s_v1 =
-            timed (fun () -> run_engine Floorplanner.Backtracking_v1)
-          in
-          let reports_v2, s_v2 =
-            timed (fun () -> run_engine Floorplanner.Backtracking)
-          in
+          (* v1 is the packer oracle of test/oracle; v2 the production
+             check. *)
+          let check_v2 device needs = Floorplanner.check device needs in
+          let run check = List.map (fun needs -> check device needs) stream in
+          (* Untimed warm-up so neither packer pays allocator growth. *)
+          ignore (run check_v1);
+          ignore (run check_v2);
+          let reports_v1, s_v1 = timed (fun () -> run check_v1) in
+          let reports_v2, s_v2 = timed (fun () -> run check_v2) in
           let identical = List.for_all2 compatible reports_v1 reports_v2 in
           let refinements =
             List.fold_left2
@@ -2372,21 +2381,25 @@ let floorplan_oracle_comparison () =
             (fun needs -> ignore (Fp_cache.check cache device needs))
             stream;
           let st = Fp_cache.stats cache in
-          (* End-to-end PA-R must be engine-invariant. *)
-          let e2e engine =
-            let config =
-              { Pa.default_config with Pa.floorplan_engine = engine }
-            in
-            match
-              (Pa_random.run ~config ~seed:s ~min_iterations:fp_e2e_iters
-                 ~budget_seconds:0. inst)
-                .Pa_random.schedule
-            with
+          (* End-to-end PA-R must be packer-invariant: the reference
+             restart loop on the v1 check against production PA-R, both
+             without a cache. The loop equals [Pa_random.run] whenever
+             the checks' verdicts do (a property in test_scheduler). *)
+          let makespan (o : Pa_random.outcome) =
+            match o.Pa_random.schedule with
             | Some sched -> Schedule.makespan sched
             | None -> -1
           in
-          let ms_v1 = e2e Floorplanner.Backtracking_v1 in
-          let ms_v2 = e2e Floorplanner.Backtracking in
+          let ms_v1 =
+            makespan
+              (Pa_oracle.restart_loop ~check:check_v1 ~seed:s
+                 ~min_iterations:fp_e2e_iters inst)
+          in
+          let ms_v2 =
+            makespan
+              (Pa_random.run ~seed:s ~min_iterations:fp_e2e_iters
+                 ~budget_seconds:0. inst)
+          in
           let checks = List.length stream in
           let row =
             {
@@ -2563,14 +2576,14 @@ let random_lp rng =
 
 let lp_results_agree a b =
   match (a, b) with
-  | Simplex.Optimal x, Simplex.Optimal y ->
-    Float.abs (x.Simplex.objective -. y.Simplex.objective)
-    <= 1e-6 *. (1. +. Float.abs x.Simplex.objective)
-  | Simplex.Infeasible, Simplex.Infeasible
-  | Simplex.Unbounded, Simplex.Unbounded ->
+  | Revised.Optimal x, Revised.Optimal y ->
+    Float.abs (x.Revised.objective -. y.Revised.objective)
+    <= 1e-6 *. (1. +. Float.abs x.Revised.objective)
+  | Revised.Infeasible, Revised.Infeasible
+  | Revised.Unbounded, Revised.Unbounded ->
     true
   (* an iteration-capped solve is indeterminate, not a verdict *)
-  | Simplex.Limit, _ | _, Simplex.Limit -> true
+  | Revised.Limit, _ | _, Revised.Limit -> true
   | _ -> false
 
 type milp_engine_row = {
@@ -2581,21 +2594,44 @@ type milp_engine_row = {
   me_makespan : int;  (** -1 when no integer solution was found *)
 }
 
-let milp_bnb_run ?(jobs = 1) ~engine inst =
-  let r, secs =
-    timed (fun () ->
-        Ilp_exact.solve ~node_limit:500_000 ~time_limit:milp_time_limit ~jobs
-          ~engine inst)
+(* One solve of the monolithic ILP, model building and schedule
+   extraction included: [`Revised] is [Ilp_exact.solve], [`Tableau] the
+   dense-tableau oracle of test/oracle on the same model. *)
+let milp_bnb_run ?(jobs = 1) arm inst =
+  let solve () =
+    match arm with
+    | `Revised ->
+      Option.map
+        (fun (r : Ilp_exact.result) ->
+          ( r.Ilp_exact.schedule, r.Ilp_exact.ilp_objective,
+            r.Ilp_exact.proved_optimal, r.Ilp_exact.nodes ))
+        (Ilp_exact.solve ~node_limit:500_000 ~time_limit:milp_time_limit
+           ~jobs inst)
+    | `Tableau -> (
+      let model = Ilp_exact.build inst in
+      match
+        Tableau.solve ~node_limit:500_000 ~time_limit:milp_time_limit
+          (Ilp_exact.lp model)
+      with
+      | Branch_bound.Optimal s | Branch_bound.Feasible s ->
+        Some
+          ( Ilp_exact.extract inst model s.Branch_bound.values,
+            s.Branch_bound.objective, s.Branch_bound.proved_optimal,
+            s.Branch_bound.nodes )
+      | Branch_bound.Infeasible | Branch_bound.Unbounded
+      | Branch_bound.Node_limit ->
+        None)
   in
+  let r, secs = timed solve in
   match r with
-  | Some r ->
-    must_validate "ILP(bench)" r.Ilp_exact.schedule;
+  | Some (schedule, objective, proved, nodes) ->
+    must_validate "ILP(bench)" schedule;
     {
       me_seconds = secs;
-      me_nodes = r.Ilp_exact.nodes;
-      me_objective = r.Ilp_exact.ilp_objective;
-      me_proved = r.Ilp_exact.proved_optimal;
-      me_makespan = Schedule.makespan r.Ilp_exact.schedule;
+      me_nodes = nodes;
+      me_objective = objective;
+      me_proved = proved;
+      me_makespan = Schedule.makespan schedule;
     }
   | None ->
     {
@@ -2655,8 +2691,8 @@ let milp_comparison () =
             (Rng.create (seed + tasks)) ~tasks
         in
         let vars, rows = Ilp_exact.model_size inst in
-        let tab = milp_bnb_run ~engine:Branch_bound.Tableau inst in
-        let rev = milp_bnb_run ~engine:Branch_bound.Revised inst in
+        let tab = milp_bnb_run `Tableau inst in
+        let rev = milp_bnb_run `Revised inst in
         let per_s r = float_of_int r.me_nodes /. Float.max r.me_seconds 1e-9 in
         Table.add_row t
           [
@@ -2728,8 +2764,8 @@ let milp_comparison () =
     Suite.instance ~params:ilp_tiny_params ~arch:Arch.mini
       (Rng.create (seed + par_tasks)) ~tasks:par_tasks
   in
-  let j1 = milp_bnb_run ~jobs:1 ~engine:Branch_bound.Revised par_inst in
-  let jn = milp_bnb_run ~jobs:par_jobs ~engine:Branch_bound.Revised par_inst in
+  let j1 = milp_bnb_run ~jobs:1 `Revised par_inst in
+  let jn = milp_bnb_run ~jobs:par_jobs `Revised par_inst in
   Printf.printf
     "  parallel B&B (%d tasks, revised): jobs=1 %d nodes in %.2fs, jobs=%d \
      %d nodes in %.2fs (nodes/s x%.2f)\n"
@@ -2766,6 +2802,7 @@ let milp_comparison () =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"seed\": %d,\n" seed;
+  bprint_provenance buf;
   Printf.bprintf buf "  \"time_limit_seconds\": %.3f,\n" milp_time_limit;
   Printf.bprintf buf
     "  \"lp_kernel\": {\"models\": %d, \"repeats\": %d, \"seconds_tableau\": \

@@ -63,11 +63,12 @@ let not_before model a b =
 let kappa device ~bits_per_tick kind =
   Bitstream.bits_per_unit device.Device.model kind /. bits_per_tick
 
-let build ?(max_slots = 4) inst =
+let build inst =
   let n = Instance.size inst in
   let arch = inst.Instance.arch in
   let device = arch.Arch.device in
-  let slots = Stdlib.min max_slots n in
+  (* Region slots offered to the model: 4, at most one per task. *)
+  let slots = Stdlib.min 4 n in
   let m = Lp.create () in
   (* Horizon: serial execution of the slowest implementations plus one
      full-device reconfiguration per task. *)
@@ -314,8 +315,10 @@ let build ?(max_slots = 4) inst =
   done;
   model
 
-let model_size ?max_slots inst =
-  let model = build ?max_slots inst in
+let lp model = model.m
+
+let model_size inst =
+  let model = build inst in
   (Lp.num_vars model.m, Lp.num_constraints model.m)
 
 (* ------------------------------------------------------------------ *)
@@ -517,10 +520,10 @@ let extract inst (model : model) values =
     resource_scale = 1.0;
   }
 
-let solve ?(node_limit = 100_000) ?time_limit ?max_slots ?jobs ?engine inst =
-  let model = build ?max_slots inst in
+let solve ?(node_limit = 100_000) ?time_limit ?jobs inst =
+  let model = build inst in
   let vars = Lp.num_vars model.m and constraints = Lp.num_constraints model.m in
-  match Branch_bound.solve ~node_limit ?time_limit ?jobs ?engine model.m with
+  match Branch_bound.solve ~node_limit ?time_limit ?jobs model.m with
   | Branch_bound.Optimal { objective; values; nodes; _ } ->
     Some
       {

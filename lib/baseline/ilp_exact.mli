@@ -37,17 +37,32 @@ type result = {
   constraints : int;
 }
 
-val solve : ?node_limit:int -> ?time_limit:float -> ?max_slots:int ->
-  ?jobs:int -> ?engine:Resched_milp.Branch_bound.engine ->
+val solve : ?node_limit:int -> ?time_limit:float -> ?jobs:int ->
   Resched_platform.Instance.t -> result option
-(** [solve inst] builds and solves the ILP. [max_slots] (default
-    [min 4 n]) bounds the number of reconfigurable region slots offered
-    to the model; [node_limit] defaults to 100_000; [time_limit] (seconds)
-    makes the solve anytime; [jobs] (default 1) parallelizes the
-    branch-and-bound over a domain pool; [engine] picks the LP engine
-    (default {!Resched_milp.Branch_bound.default_engine}). [None] when
-    the branch-and-bound found no integer solution within the budget. *)
+(** [solve inst] builds the ILP, offering the model [min 4 n]
+    reconfigurable region slots, and solves it with
+    {!Resched_milp.Branch_bound.solve}. [node_limit] defaults to
+    100_000; [time_limit] (seconds) makes the solve anytime; [jobs]
+    (default 1) parallelizes the branch-and-bound over a domain pool.
+    [None] when the branch-and-bound found no integer solution within
+    the budget. *)
 
-val model_size : ?max_slots:int -> Resched_platform.Instance.t -> int * int
+val model_size : Resched_platform.Instance.t -> int * int
 (** (variables, constraints) of the model that [solve] would build —
     used to report how fast the formulation grows. *)
+
+(** {2 The model on its own}
+
+    For another MILP solver: the bench's dense-tableau oracle arm. *)
+
+type model
+
+val build : Resched_platform.Instance.t -> model
+(** The model {!solve} solves. *)
+
+val lp : model -> Resched_milp.Lp.t
+
+val extract : Resched_platform.Instance.t -> model -> float array ->
+  Resched_core.Schedule.t
+(** The schedule a solution's variable values encode, re-timed with
+    integer longest-path semantics, as {!solve} returns it. *)

@@ -60,8 +60,7 @@ let propose d rng =
       if count < 2 then Delta.Split { region = r; keep = 1 }
       else Delta.Split { region = r; keep = 1 + Rng.int rng (count - 1) }
 
-let polish ?config ?(seed = 0) ?temperature ?(cooling = 0.999) ?(min_moves = 1)
-    ~budget_seconds sched =
+let polish ?config ?(seed = 0) ?(min_moves = 1) ~budget_seconds sched =
   let t0 = Unix.gettimeofday () in
   let d = Delta.of_schedule ?config sched in
   let rng = Rng.create seed in
@@ -69,9 +68,7 @@ let polish ?config ?(seed = 0) ?temperature ?(cooling = 0.999) ?(min_moves = 1)
   (* infeasibility must dominate any makespan difference *)
   let penalty = 10 * (seed_mk + 1) in
   let energy mk fp = if fp then mk else mk + penalty in
-  let temp = ref (match temperature with
-    | Some t -> Stdlib.max 1e-6 t
-    | None -> Stdlib.max 1.0 (0.05 *. float_of_int seed_mk)) in
+  let temp = ref (Stdlib.max 1.0 (0.05 *. float_of_int seed_mk)) in
   let cur_energy = ref (energy seed_mk (Delta.fp_feasible d)) in
   let best_mk = ref (if Delta.fp_feasible d then seed_mk else max_int) in
   let best = ref (if Delta.fp_feasible d then Some (Delta.to_schedule d) else None) in
@@ -108,7 +105,8 @@ let polish ?config ?(seed = 0) ?temperature ?(cooling = 0.999) ?(min_moves = 1)
         end
       end
       else Delta.rollback d);
-    temp := Stdlib.max 1e-6 (!temp *. cooling)
+    (* geometric cooling, per proposal *)
+    temp := Stdlib.max 1e-6 (!temp *. 0.999)
   done;
   {
     schedule = !best;

@@ -38,16 +38,15 @@ val propose : Delta.t -> Resched_util.Rng.t -> Delta.move
     kernel's structural checks). Exposed so the bench harness can drive
     the kernel with the exact move mix the search uses. *)
 
-val polish : ?config:Delta.config -> ?seed:int -> ?temperature:float ->
-  ?cooling:float -> ?min_moves:int -> budget_seconds:float -> Schedule.t ->
-  outcome
+val polish : ?config:Delta.config -> ?seed:int -> ?min_moves:int ->
+  budget_seconds:float -> Schedule.t -> outcome
 (** [polish ~budget_seconds sched] anneals from [sched] until at least
     [min_moves] (default 1) proposals have been drawn {e and} the
-    wall-clock budget is spent. [temperature] (default: 5% of the seed
-    makespan) and [cooling] (default 0.999, applied per proposal) shape
-    the Metropolis rule: a move whose energy — makespan, plus a large
-    penalty when it breaks floorplan feasibility — rises by [d] is still
-    accepted with probability [exp (-d / T)].
+    wall-clock budget is spent. The temperature [T] starts at 5% of the
+    seed makespan (at least 1) and cools by 0.999 per proposal. It
+    shapes the Metropolis rule: a move whose energy — makespan, plus a
+    large penalty when it breaks floorplan feasibility — rises by [d] is
+    still accepted with probability [exp (-d / T)].
 
     With [budget_seconds = 0.] the run performs exactly [min_moves]
     proposals, and the outcome is a deterministic function of

@@ -84,7 +84,6 @@ end
 type config = {
   ordering : Regions_define.ordering;
   module_reuse : bool;
-  floorplan_engine : Floorplanner.engine;
   max_attempts : int;
   shrink_factor : float;
 }
@@ -93,7 +92,6 @@ let default_config =
   {
     ordering = Regions_define.By_efficiency;
     module_reuse = false;
-    floorplan_engine = Floorplanner.Backtracking;
     max_attempts = 8;
     shrink_factor = 0.9;
   }
@@ -270,11 +268,8 @@ let run ?(config = default_config) ?cache inst =
       else begin
         let report =
           match cache with
-          | Some cache ->
-            Resched_floorplan.Fp_cache.check cache
-              ~engine:config.floorplan_engine device needs
-          | None ->
-            Floorplanner.check ~engine:config.floorplan_engine device needs
+          | Some cache -> Resched_floorplan.Fp_cache.check cache device needs
+          | None -> Floorplanner.check device needs
         in
         plan_time := !plan_time +. report.Floorplanner.elapsed;
         match report.Floorplanner.verdict with

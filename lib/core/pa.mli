@@ -13,7 +13,6 @@ type config = {
   module_reuse : bool;
       (** allow consecutive same-module tasks in a region to skip the
           reconfiguration (paper's future work; default false) *)
-  floorplan_engine : Resched_floorplan.Floorplanner.engine;
   max_attempts : int;
       (** floorplan retries before falling back to all-software *)
   shrink_factor : float;
@@ -21,8 +20,7 @@ type config = {
 }
 
 val default_config : config
-(** Efficiency ordering, no module reuse, backtracking floorplanner,
-    8 attempts, shrink 0.9. *)
+(** Efficiency ordering, no module reuse, 8 attempts, shrink 0.9. *)
 
 type stats = {
   attempts : int;  (** scheduling attempts (>= 1) *)

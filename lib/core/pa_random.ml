@@ -48,13 +48,13 @@ let rec claim shared ms =
 (* ------------------------------------------------------------------ *)
 (* One restart stream (Algorithm 1's loop body)                        *)
 
-let check_feasible ~engine ~cache device needs =
+let check_feasible ~cache device needs =
   if Array.length needs = 0 then Some [||]
   else begin
     let report =
       match cache with
-      | Some cache -> Fp_cache.check cache ~engine device needs
-      | None -> Floorplanner.check ~engine device needs
+      | Some cache -> Fp_cache.check cache device needs
+      | None -> Floorplanner.check device needs
     in
     match report.Floorplanner.verdict with
     | Floorplanner.Feasible placements -> Some placements
@@ -186,8 +186,7 @@ module Course = struct
     let ms = Pa.candidate_makespan cand in
     if ms < Atomic.get shared.best_makespan then
       match
-        check_feasible ~engine:config.Pa.floorplan_engine ~cache:c.crs_cache
-          device (Pa.candidate_needs cand)
+        check_feasible ~cache:c.crs_cache device (Pa.candidate_needs cand)
       with
       | None ->
         c.crs_shrink_exp <- Stdlib.min max_shrink_exp (c.crs_shrink_exp + 1)

@@ -24,6 +24,12 @@ let () =
 
 let overlap a_start a_end b_start b_end = a_start < b_end && b_start < a_end
 
+(* Does task [u]'s slot name one of its implementations? The checks that
+   read the implementation skip a task that does not: [IMPL] reports it. *)
+let impl_in_range (sched : Schedule.t) u =
+  let idx = sched.Schedule.slots.(u).Schedule.impl_idx in
+  idx >= 0 && idx < Array.length sched.Schedule.instance.Instance.impls.(u)
+
 let check (sched : Schedule.t) =
   let inst = sched.Schedule.instance in
   let n = Instance.size inst in
@@ -33,17 +39,19 @@ let check (sched : Schedule.t) =
       (fun message -> violations := { code; message } :: !violations)
       fmt
   in
-  (* Structural checks on slots and implementations. *)
+  (* Structural checks on slots and implementations. Every later check
+     reads a slot per task, so too few slots end the check here. *)
   if Array.length sched.Schedule.slots <> n then
     fail "STRUCT" "expected %d slots, got %d" n
       (Array.length sched.Schedule.slots);
+  if Array.length sched.Schedule.slots < n then Error (List.rev !violations)
+  else
   let slot u = sched.Schedule.slots.(u) in
   let impl u = Instance.impl inst ~task:u ~idx:(slot u).Schedule.impl_idx in
   for u = 0 to n - 1 do
     let s = slot u in
-    if s.Schedule.impl_idx < 0
-       || s.Schedule.impl_idx >= Array.length inst.Instance.impls.(u)
-    then fail "IMPL" "task %d: implementation index out of range" u
+    if not (impl_in_range sched u) then
+      fail "IMPL" "task %d: implementation index out of range" u
     else begin
       let i = impl u in
       (match (i.Impl.kind, s.Schedule.placement) with
@@ -99,7 +107,7 @@ let check (sched : Schedule.t) =
     (fun ridx (r : Schedule.region) ->
       List.iter
         (fun u ->
-          if u >= 0 && u < n then begin
+          if u >= 0 && u < n && impl_in_range sched u then begin
             let i = impl u in
             if Impl.is_hw i
                && not (Resource.fits i.Impl.res ~within:r.Schedule.res)
@@ -127,6 +135,8 @@ let check (sched : Schedule.t) =
       sched.Schedule.reconfigurations
   in
   let same_module a b =
+    impl_in_range sched a && impl_in_range sched b
+    &&
     match ((impl a).Impl.module_id, (impl b).Impl.module_id) with
     | Some x, Some y -> x = y
     | _ -> false

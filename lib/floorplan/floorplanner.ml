@@ -1,7 +1,7 @@
 module Device = Resched_fabric.Device
 module Resource = Resched_fabric.Resource
 
-type engine = Backtracking | Backtracking_v1 | Milp
+type engine = Backtracking | Milp
 
 type verdict =
   | Feasible of Placement.rect array
@@ -27,10 +27,7 @@ let check ?(engine = Backtracking) device needs =
   let t0 = Unix.gettimeofday () in
   let verdict =
     match engine with
-    | Backtracking ->
-      of_packer (Packer.pack ~engine:Packer.Column_interval device needs)
-    | Backtracking_v1 ->
-      of_packer (Packer.pack ~engine:Packer.Backtracking_v1 device needs)
+    | Backtracking -> of_packer (Packer.pack device needs)
     | Milp -> of_milp (Milp_model.pack device needs)
   in
   { verdict; elapsed = Unix.gettimeofday () -. t0 }

@@ -2,17 +2,14 @@
 
     Given the reconfigurable regions produced by the scheduler, decide
     whether they admit a floorplan complying with the PDR granularity
-    constraints of the device, and produce one when they do. Two engines
-    are available: a combinatorial backtracking packer (default, fast)
-    and the MILP formulation (used as a cross-check and as the faithful
-    port of [3]'s approach). *)
+    constraints of the device, and produce one when they do: with the
+    column-interval packer ({!Packer.pack}), or with the MILP formulation
+    ({!Milp_model}), the faithful port of [3]'s approach and a
+    cross-check. The packer's oracle lives in test/oracle/. *)
 
 type engine =
   | Backtracking  (** the column-interval packer (default, fast) *)
-  | Backtracking_v1
-      (** the original backtracking packer, kept as the equivalence
-          oracle for [Backtracking] *)
-  | Milp
+  | Milp  (** the MILP model over {!Branch_bound} *)
 
 type verdict =
   | Feasible of Placement.rect array

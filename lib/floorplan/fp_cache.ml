@@ -181,7 +181,6 @@ let invalidate_device t device =
 
 let engine_tag = function
   | Floorplanner.Backtracking -> 'b'
-  | Floorplanner.Backtracking_v1 -> 'o'
   | Floorplanner.Milp -> 'm'
 
 (* [order.(k)] is the original index of the k-th need in canonical order;

@@ -1,8 +1,6 @@
 module Device = Resched_fabric.Device
 module Resource = Resched_fabric.Resource
 
-type engine = Backtracking_v1 | Column_interval
-
 type outcome =
   | Placed of Placement.rect array
   | Infeasible
@@ -13,7 +11,7 @@ type path = Capacity_bound | Root_tile_bound | Greedy | Portfolio | Fallback
 exception Done of Placement.rect array
 exception Budget
 
-(* Search nodes either engine may spend on one query. *)
+(* Search nodes one query may spend. *)
 let node_limit = 200_000
 
 (* ------------------------------------------------------------------ *)
@@ -94,108 +92,6 @@ let capacity_bounds_ok device needs =
       | t -> area := !area + t)
     needs;
   !possible && !area <= ncols * rows
-
-(* ------------------------------------------------------------------ *)
-(* v1: first-fit greedy + naive backtracking over [Placement.candidates]
-   lists. Kept verbatim as the oracle for equivalence tests and the
-   bench; [Column_interval]'s fallback replays exactly this search on
-   its own tables. *)
-
-let greedy needs_order cands =
-  let n = Array.length cands in
-  let chosen = Array.make n None in
-  let ok =
-    List.for_all
-      (fun region ->
-        let free rect =
-          Array.for_all
-            (function
-              | Some placed -> not (Placement.overlap placed rect)
-              | None -> true)
-            chosen
-        in
-        match List.find_opt free cands.(region) with
-        | Some rect ->
-          chosen.(region) <- Some rect;
-          true
-        | None -> false)
-      needs_order
-  in
-  if ok then
-    Some (Array.map (function Some r -> r | None -> assert false) chosen)
-  else None
-
-let pack_v1 device needs =
-  let n = Array.length needs in
-  if n = 0 then Placed [||]
-  else begin
-    let cands = Array.map (Placement.candidates device) needs in
-    if Array.exists (fun c -> c = []) cands then Infeasible
-    else begin
-      let indices = List.init n (fun i -> i) in
-      let by_cand_count =
-        List.sort
-          (fun a b ->
-            let c = compare (List.length cands.(a)) (List.length cands.(b)) in
-            if c <> 0 then c
-            else
-              compare
-                (Resource.total_units needs.(b))
-                (Resource.total_units needs.(a)))
-          indices
-      in
-      let by_area_desc =
-        List.sort
-          (fun a b ->
-            compare (Resource.total_units needs.(b))
-              (Resource.total_units needs.(a)))
-          indices
-      in
-      let greedy_result =
-        match greedy by_cand_count cands with
-        | Some p -> Some p
-        | None -> greedy by_area_desc cands
-      in
-      match greedy_result with
-      | Some placements -> Placed placements
-      | None ->
-        (* Exact search: hardest regions first, snuggest candidates
-           first; [node_limit] bounds the effort. *)
-        let order = Array.of_list by_cand_count in
-        let chosen = Array.make n None in
-        let nodes = ref 0 in
-        let rec go k =
-          if k = n then begin
-            let result =
-              Array.map (function Some r -> r | None -> assert false) chosen
-            in
-            raise (Done result)
-          end;
-          let region = order.(k) in
-          List.iter
-            (fun rect ->
-              incr nodes;
-              if !nodes > node_limit then raise Budget;
-              let clash =
-                Array.exists
-                  (function
-                    | Some placed -> Placement.overlap placed rect
-                    | None -> false)
-                  chosen
-              in
-              if not clash then begin
-                chosen.(region) <- Some rect;
-                go (k + 1);
-                chosen.(region) <- None
-              end)
-            cands.(region)
-        in
-        (match go 0 with
-        | () -> Infeasible
-        | exception Done placements -> Placed placements
-        | exception Budget -> Unknown)
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Flat candidate tables.
@@ -577,7 +473,9 @@ module States = Hashtbl.Make (struct
 end)
 
 (* ------------------------------------------------------------------ *)
-(* v2: column-interval packer.
+(* v2: column-interval packer. v1, the original first-fit greedy plus
+   naive backtracking over [Placement.candidates] lists, is the test
+   oracle [Packer_oracle.pack_v1] (test/oracle/).
 
    Same candidate universe as v1 (the raw table), searched with:
    - greedy pre-passes in hardest-first orders, then an exact search in
@@ -787,7 +685,7 @@ let pack_v2 device needs =
         in
         (* v1's search, replayed on the raw tables: its stable region
            orders, first-fit passes and unpruned DFS against [node_limit],
-           so it reaches [pack_v1]'s verdict and placement. *)
+           so it reaches v1's verdict and placement. *)
         let fallback () =
           let raw = Array.map (fun t -> t.t_raw) tables in
           let sorted cmp =
@@ -891,12 +789,9 @@ let pack_path device needs =
   | None -> ());
   r
 
-let pack ?(engine = Column_interval) device needs =
-  match engine with
-  | Backtracking_v1 -> pack_v1 device needs
-  | Column_interval ->
-    let _, _, outcome = pack_path device needs in
-    outcome
+let pack device needs =
+  let _, _, outcome = pack_path device needs in
+  outcome
 
 let candidates device need =
   let f = fabric_for device in

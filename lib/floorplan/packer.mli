@@ -1,30 +1,6 @@
 (** Search for a non-overlapping assignment of one feasible placement to
     every reconfigurable region. *)
 
-type engine =
-  | Backtracking_v1
-      (** The original greedy + naive backtracking search over
-          {!Placement.candidates} lists, kept as the oracle for
-          equivalence tests and the bench. *)
-  | Column_interval
-      (** Column-interval packer over flat candidate tables: one
-          immutable table per (device, need), memoized across calls,
-          holding v1's candidates and their dominance-pruned subset as
-          packed ints plus the need's minimum tile vector. Searched with
-          tile-demand lower bounds, symmetry breaking over identical
-          demands, bitset occupancy, an infeasible-suffix memo and a
-          deterministic restart portfolio over several region orders.
-          Each search node ORs the occupancy over every row span once,
-          so a candidate's overlap test is at most two [land]s against
-          its span's mask, and a run of clashing candidates is skipped
-          and counted in one step: the same node count, and the same
-          budget exits, as testing them one by one.
-          When every restart runs out of budget it replays v1's search
-          (same region orders, candidate order and node count) on the
-          same tables and occupancy, so its verdicts never contradict
-          v1's and are never less decisive: only [Unknown]s can be
-          refined to decisive answers. *)
-
 type outcome =
   | Placed of Placement.rect array
       (** one placement per input region, in input order *)
@@ -36,22 +12,41 @@ val capacity_bounds_ok :
 (** Cheap necessary conditions for a packing to exist: per-kind
     column x row tile budgets and a total-area bound over each region's
     minimal rectangular footprint. [false] is a proof of infeasibility;
-    [true] promises nothing. Used by [Column_interval] as an early exit
-    and by {!Floorplanner.quick_capacity_check}. *)
+    [true] promises nothing. Used by {!pack} as an early exit and by
+    {!Floorplanner.quick_capacity_check}. *)
 
-val pack : ?engine:engine -> Resched_fabric.Device.t ->
-  Resched_fabric.Resource.t array -> outcome
-(** [pack device needs] searches for placements of all regions
-    (default engine [Column_interval]) within a budget of 200_000
-    search nodes. Raises [Invalid_argument] if any requirement is
-    zero, or if the device is too large for [Column_interval]'s
-    one-int rect encoding (a [Device.make] fabric hundreds of columns
-    or rows across; no preset comes close). *)
+val node_limit : int
+(** Search nodes one {!pack} query may spend: 200_000. *)
+
+val pack : Resched_fabric.Device.t -> Resched_fabric.Resource.t array ->
+  outcome
+(** [pack device needs] searches for placements of all regions within
+    a budget of {!node_limit} search nodes, with the column-interval
+    packer over flat candidate tables: one immutable table per
+    (device, need), memoized across calls, holding the candidates of
+    {!Placement.candidates} and their dominance-pruned subset as packed
+    ints plus the need's minimum tile vector. Searched with tile-demand
+    lower bounds, symmetry breaking over identical demands, bitset
+    occupancy, an infeasible-suffix memo and a deterministic restart
+    portfolio over several region orders. Each search node ORs the
+    occupancy over every row span once, so a candidate's overlap test
+    is at most two [land]s against its span's mask, and a run of
+    clashing candidates is skipped and counted in one step: the same
+    node count, and the same budget exits, as testing them one by one.
+
+    When every restart runs out of budget it replays v1's search (the
+    original greedy plus naive backtracking, now the test oracle
+    [Packer_oracle.pack_v1]) on the same tables and occupancy, so its
+    verdicts never contradict v1's and are never less decisive.
+
+    Raises [Invalid_argument] if any requirement is zero, or if the
+    device is too large for the one-int rect encoding (a [Device.make]
+    fabric hundreds of columns or rows across; no preset comes close). *)
 
 (** {2 Introspection}
 
     For the golden-corpus and property tests: which exit decided a
-    [Column_interval] query, and the candidate table it searched. *)
+    query, and the candidate table it searched. *)
 
 type path =
   | Capacity_bound  (** {!capacity_bounds_ok} failed: [Infeasible] *)
@@ -72,13 +67,12 @@ val pack_path : Resched_fabric.Device.t -> Resched_fabric.Resource.t array ->
 val observe :
   (Resched_fabric.Device.t -> Resched_fabric.Resource.t array -> path ->
    nodes:int -> outcome -> unit) -> (unit -> 'a) -> 'a
-(** [observe f thunk] runs [thunk], calling [f] on every
-    [Column_interval] query any domain makes meanwhile. Not reentrant:
+(** [observe f thunk] runs [thunk], calling [f] on every {!pack}
+    query any domain makes meanwhile. Not reentrant:
     one observer at a time. *)
 
 val candidates : Resched_fabric.Device.t -> Resched_fabric.Resource.t ->
   Placement.rect array * Placement.rect array
-(** [(raw, pruned)] of the table [Column_interval] searches for one
-    need. [raw] is exactly {!Placement.candidates}; [pruned] keeps, in
+(** [(raw, pruned)] of the table {!pack} searches for one need. [raw] is exactly {!Placement.candidates}; [pruned] keeps, in
     order, the rects that contain no other rect of [raw]. Raises
     [Invalid_argument] on the zero requirement. *)

@@ -12,18 +12,8 @@ type result =
   | Unbounded
   | Node_limit
 
-type engine = Revised | Tableau
-
-let is_integral ?(tolerance = 1e-6) model values =
-  let ok = ref true in
-  Array.iteri
-    (fun i v ->
-      if Lp.var_is_integer model (Lp.var_of_index model i) then begin
-        let r = Float.abs (v -. Float.round v) in
-        if r > tolerance then ok := false
-      end)
-    values;
-  !ok
+(* A relaxation value this close to an integer counts as integral. *)
+let integrality_tolerance = 1e-6
 
 (* Min-heap on LP bound (converted to minimization direction). Starts
    empty and grows lazily, so no placeholder element is ever needed. *)
@@ -194,7 +184,7 @@ let pseudo_update p nd child_key =
    the point is integral. When no account is initialized at all (e.g.
    strong branching disabled by a tiny node budget), falls back to the
    most fractional variable. *)
-let choose_branch_pc ~tol ~integer pseudo values =
+let choose_branch_pc ~integer pseudo values =
   let n = Array.length values in
   let tot_d = ref 0. and ntot_d = ref 0 in
   let tot_u = ref 0. and ntot_u = ref 0 in
@@ -212,12 +202,12 @@ let choose_branch_pc ~tol ~integer pseudo values =
   let avg_u = if !ntot_u > 0 then !tot_u /. float_of_int !ntot_u else 0. in
   let have_history = !ntot_d > 0 || !ntot_u > 0 in
   let best = ref (-1) and best_score = ref neg_infinity in
-  let most_frac = ref (-1) and best_frac = ref tol in
+  let most_frac = ref (-1) and best_frac = ref integrality_tolerance in
   for i = 0 to n - 1 do
     if integer.(i) then begin
       let v = values.(i) in
       let frac = Float.abs (v -. Float.round v) in
-      if frac > tol then begin
+      if frac > integrality_tolerance then begin
         if frac > !best_frac then begin
           most_frac := i;
           best_frac := frac
@@ -245,9 +235,9 @@ let choose_branch_pc ~tol ~integer pseudo values =
   done;
   if !most_frac = -1 then -1 else if have_history then !best else !most_frac
 
-let most_fractional ~tol ~integer values =
+let most_fractional ~integer values =
   let best = ref (-1) in
-  let best_frac = ref tol in
+  let best_frac = ref integrality_tolerance in
   Array.iteri
     (fun i v ->
       if integer.(i) then begin
@@ -261,66 +251,40 @@ let most_fractional ~tol ~integer values =
   !best
 
 (* ------------------------------------------------------------------ *)
-(* Engine-specific node evaluation                                     *)
+(* Node evaluation                                                     *)
 
-(* An evaluator owns whatever per-worker solver state its engine needs.
-   [ev_solve] materialized-bounds -> LP result; [ev_snap] the basis to
-   hand to the children of the node just solved (None for Tableau). *)
-type evaluator = {
-  ev_solve : node -> lb:float array -> ub:float array -> Simplex.result;
-  ev_snap : unit -> Revised.snapshot option;
-}
+(* A worker's LP solver and the basis snapshot it sits at: popping a
+   node whose [nsnap] is physically that basis (the common
+   first-child-after-parent case) skips the O(m^3) refactorization, and
+   the dual simplex starts from the parent's optimum. *)
+type lp = { solver : Revised.t; mutable at : Revised.snapshot option }
 
-let tableau_evaluator ~deadline model =
-  {
-    ev_solve =
-      (fun _nd ~lb ~ub -> Simplex.solve_with_bounds ~deadline model ~lb ~ub);
-    ev_snap = (fun () -> None);
-  }
+let lp_of solver = { solver; at = None }
 
-(* The revised evaluator tracks which snapshot context the solver is in:
-   popping a node whose [nsnap] is physically the basis we are already
-   at (the common first-child-after-parent case) skips the O(m^3)
-   refactorization entirely, and the dual simplex starts from the
-   parent's optimum. *)
-let revised_evaluator ~deadline solver =
-  let last_snap : Revised.snapshot option ref = ref None in
-  let solver_snap = ref None in
-  {
-    ev_solve =
-      (fun nd ~lb ~ub ->
-        Revised.set_bounds solver ~lb ~ub;
-        let warm =
-          match nd.nsnap with
-          | None -> false
-          | Some s when
-              (match !last_snap with Some l -> l == s | None -> false) ->
-            true (* already in this context; current basis is dual feasible *)
-          | Some s ->
-            last_snap := nd.nsnap;
-            Revised.load_basis solver s
-        in
-        solver_snap := None;
-        let r =
-          if warm then Revised.solve_warm ~deadline solver
-          else Revised.solve_fresh ~deadline solver
-        in
-        (match r with
-        | Simplex.Optimal _ ->
-          (* The solver now sits at this node's optimum. *)
-          ()
-        | _ -> last_snap := None);
-        r);
-    ev_snap =
-      (fun () ->
-        match !solver_snap with
-        | Some s -> Some s
-        | None ->
-          let s = Revised.save_basis solver in
-          solver_snap := Some s;
-          last_snap := Some s;
-          Some s);
-  }
+let solve_node ~deadline lp nd ~lb ~ub =
+  Revised.set_bounds lp.solver ~lb ~ub;
+  let warm =
+    match nd.nsnap with
+    | None -> false
+    | Some s when (match lp.at with Some l -> l == s | None -> false) ->
+      true (* already in this context; current basis is dual feasible *)
+    | Some s ->
+      lp.at <- nd.nsnap;
+      Revised.load_basis lp.solver s
+  in
+  let r =
+    if warm then Revised.solve_warm ~deadline lp.solver
+    else Revised.solve_fresh ~deadline lp.solver
+  in
+  (* On [Optimal] the solver sits at this node's optimum. *)
+  (match r with Revised.Optimal _ -> () | _ -> lp.at <- None);
+  r
+
+(* The basis of the node just solved, for its children. *)
+let node_snapshot lp =
+  let s = Revised.save_basis lp.solver in
+  lp.at <- Some s;
+  Some s
 
 (* Strong branching at the root: actually solve both children of each
    candidate (most fractional first, capped) and seed the pseudo-cost
@@ -330,14 +294,14 @@ let revised_evaluator ~deadline solver =
 let strong_branch_cap = 8
 let infeasible_degradation = 1e7
 
-let strong_branch ~deadline ~tol ~integer ~base_lb ~base_ub ~sign ~root_key
-    solver pseudo values =
+let strong_branch ~deadline ~integer ~base_lb ~base_ub ~sign ~root_key solver
+    pseudo values =
   let n = Array.length values in
   let cands = ref [] in
   for i = n - 1 downto 0 do
     if integer.(i) then begin
       let frac = Float.abs (values.(i) -. Float.round values.(i)) in
-      if frac > tol then cands := (frac, i) :: !cands
+      if frac > integrality_tolerance then cands := (frac, i) :: !cands
     end
   done;
   let cands =
@@ -350,34 +314,26 @@ let strong_branch ~deadline ~tol ~integer ~base_lb ~base_ub ~sign ~root_key
     Revised.set_bounds solver ~lb ~ub;
     Revised.solve_warm ~deadline solver
   in
+  (* The degradation of the child whose bounds [lb]/[ub] now hold. *)
+  let degradation () =
+    if not (Revised.load_basis solver snap0) then None
+    else
+      match probe () with
+      | Revised.Optimal { objective; _ } ->
+        Some (Float.max 0. ((sign *. objective) -. root_key))
+      | Revised.Infeasible -> Some infeasible_degradation
+      | Revised.Unbounded | Revised.Limit -> None
+  in
   List.iter
     (fun (_, v) ->
       let x = values.(v) in
       let floor_v = Float.floor x in
       let fd = x -. floor_v and fu = floor_v +. 1. -. x in
-      (* Down child. *)
       ub.(v) <- floor_v;
-      let d_down =
-        if not (Revised.load_basis solver snap0) then None
-        else
-          match probe () with
-          | Simplex.Optimal { objective; _ } ->
-            Some (Float.max 0. ((sign *. objective) -. root_key))
-          | Simplex.Infeasible -> Some infeasible_degradation
-          | Simplex.Unbounded | Simplex.Limit -> None
-      in
+      let d_down = degradation () in
       ub.(v) <- base_ub.(v);
-      (* Up child. *)
       lb.(v) <- floor_v +. 1.;
-      let d_up =
-        if not (Revised.load_basis solver snap0) then None
-        else
-          match probe () with
-          | Simplex.Optimal { objective; _ } ->
-            Some (Float.max 0. ((sign *. objective) -. root_key))
-          | Simplex.Infeasible -> Some infeasible_degradation
-          | Simplex.Unbounded | Simplex.Limit -> None
-      in
+      let d_up = degradation () in
       lb.(v) <- base_lb.(v);
       (match d_down with
       | Some d when fd > 1e-9 ->
@@ -425,7 +381,7 @@ let problem_of_model model =
 (* ------------------------------------------------------------------ *)
 (* Sequential search (jobs = 1)                                        *)
 
-let solve_seq ~node_limit ~deadline ~tol ~engine p =
+let solve_seq ~node_limit ~deadline p =
   let { model; n = _; base_lb; base_ub; integer; sign } = p in
   let incumbent = ref None in
   let incumbent_key = ref infinity in
@@ -433,40 +389,25 @@ let solve_seq ~node_limit ~deadline ~tol ~engine p =
   let exhausted = ref false in
   let heap = Heap.create () in
   let pseudo = pseudo_create p.n in
-  let solver =
-    match engine with
-    | Tableau -> None
-    | Revised ->
-      Some
-        (Revised.make ~goal:(Lp.objective model) ~obj:(Lp.obj_coeffs model)
-           ~lb:base_lb ~ub:base_ub ~rows:(Lp.rows model) ())
-  in
-  let ev =
-    match solver with
-    | None -> tableau_evaluator ~deadline model
-    | Some s -> revised_evaluator ~deadline s
-  in
-  let choose values =
-    match engine with
-    | Tableau -> most_fractional ~tol ~integer values
-    | Revised -> choose_branch_pc ~tol ~integer pseudo values
-  in
+  let solver = Revised.of_model model in
+  let lp = lp_of solver in
+  let choose values = choose_branch_pc ~integer pseudo values in
   let lbbuf = Array.copy base_lb and ubbuf = Array.copy base_ub in
   let evaluate nd =
     incr nodes;
     Array.blit base_lb 0 lbbuf 0 p.n;
     Array.blit base_ub 0 ubbuf 0 p.n;
     materialize nd lbbuf ubbuf;
-    match ev.ev_solve nd ~lb:lbbuf ~ub:ubbuf with
-    | Simplex.Infeasible -> `Pruned
-    | Simplex.Unbounded -> `Unbounded
-    | Simplex.Limit ->
+    match solve_node ~deadline lp nd ~lb:lbbuf ~ub:ubbuf with
+    | Revised.Infeasible -> `Pruned
+    | Revised.Unbounded -> `Unbounded
+    | Revised.Limit ->
       (* The LP hit its iteration cap or the deadline: the node is
          unresolved, not infeasible. Give up on proving optimality but
          never prune the subtree as if it were empty. *)
       exhausted := true;
       `Pruned
-    | Simplex.Optimal { objective; values } ->
+    | Revised.Optimal { objective; values } ->
       let key = sign *. objective in
       pseudo_update pseudo nd key;
       if key >= !incumbent_key -. 1e-9 then `Pruned
@@ -479,28 +420,24 @@ let solve_seq ~node_limit ~deadline ~tol ~engine p =
         | branch_var -> `Branch (key, branch_var, values)
       end
   in
+  let push_children nd ~key ~var values =
+    let d, u =
+      make_children nd ~key ~var ~value:values.(var) (node_snapshot lp)
+    in
+    Heap.push heap key d;
+    Heap.push heap key u
+  in
   let unbounded = ref false in
   (match evaluate root_node with
   | `Pruned | `Integer -> ()
   | `Unbounded -> unbounded := true
   | `Branch (key, var, values) ->
-    (match (engine, solver) with
-    | Revised, Some s ->
-      ignore
-        (strong_branch ~deadline ~tol ~integer ~base_lb ~base_ub ~sign
-           ~root_key:key s pseudo values)
-    | _ -> ());
+    ignore
+      (strong_branch ~deadline ~integer ~base_lb ~base_ub ~sign ~root_key:key
+         solver pseudo values);
     (* Re-pick the branching variable with the seeded pseudo-costs. *)
-    let var =
-      match engine with
-      | Tableau -> var
-      | Revised -> (
-        match choose values with -1 -> var | v -> v)
-    in
-    let snap = ev.ev_snap () in
-    let d, u = make_children root_node ~key ~var ~value:values.(var) snap in
-    Heap.push heap key d;
-    Heap.push heap key u);
+    let var = match choose values with -1 -> var | v -> v in
+    push_children root_node ~key ~var values);
   if not !unbounded then begin
     let continue_ = ref true in
     while !continue_ do
@@ -517,15 +454,8 @@ let solve_seq ~node_limit ~deadline ~tol ~engine p =
             continue_ := false
           else begin
             match evaluate nd with
-            | `Pruned | `Integer -> ()
-            | `Unbounded -> ()
-            | `Branch (child_key, var, values) ->
-              let snap = ev.ev_snap () in
-              let d, u =
-                make_children nd ~key:child_key ~var ~value:values.(var) snap
-              in
-              Heap.push heap child_key d;
-              Heap.push heap child_key u
+            | `Pruned | `Integer | `Unbounded -> ()
+            | `Branch (key, var, values) -> push_children nd ~key ~var values
           end
       end
     done
@@ -552,44 +482,30 @@ let solve_seq ~node_limit ~deadline ~tol ~engine p =
    there. Node counts are nondeterministic under work stealing, but the
    incumbent objective matches the sequential solve whenever the search
    runs to completion. *)
-let solve_par ~node_limit ~deadline ~tol ~engine ~jobs p =
+let solve_par ~node_limit ~deadline ~jobs p =
   let { model; n; base_lb; base_ub; integer; sign } = p in
-  let root_solver =
-    Revised.make ~goal:(Lp.objective model) ~obj:(Lp.obj_coeffs model)
-      ~lb:base_lb ~ub:base_ub ~rows:(Lp.rows model) ()
-  in
+  let root_solver = Revised.of_model model in
   let pseudo0 = pseudo_create n in
-  let root_result =
-    match engine with
-    | Revised -> Revised.solve_fresh ~deadline root_solver
-    | Tableau -> Simplex.solve_with_bounds ~deadline model ~lb:base_lb ~ub:base_ub
-  in
-  match root_result with
-  | Simplex.Unbounded -> Unbounded
-  | Simplex.Infeasible -> Infeasible
-  | Simplex.Limit -> Node_limit
-  | Simplex.Optimal { objective; values } -> (
+  match Revised.solve_fresh ~deadline root_solver with
+  | Revised.Unbounded -> Unbounded
+  | Revised.Infeasible -> Infeasible
+  | Revised.Limit -> Node_limit
+  | Revised.Optimal { objective; values } -> (
     let root_key = sign *. objective in
-    match most_fractional ~tol ~integer values with
+    match most_fractional ~integer values with
     | -1 ->
       Optimal
         { objective; values; proved_optimal = true; nodes = 1 }
     | mf_var ->
       let root_snap =
-        match engine with
-        | Tableau -> None
-        | Revised ->
-          Some
-            (strong_branch ~deadline ~tol ~integer ~base_lb ~base_ub ~sign
-               ~root_key root_solver pseudo0 values)
+        Some
+          (strong_branch ~deadline ~integer ~base_lb ~base_ub ~sign ~root_key
+             root_solver pseudo0 values)
       in
       let var =
-        match engine with
-        | Tableau -> mf_var
-        | Revised -> (
-          match choose_branch_pc ~tol ~integer pseudo0 values with
-          | -1 -> mf_var
-          | v -> v)
+        match choose_branch_pc ~integer pseudo0 values with
+        | -1 -> mf_var
+        | v -> v
       in
       let incumbent = Atomic.make None in
       let incumbent_key () =
@@ -645,12 +561,7 @@ let solve_par ~node_limit ~deadline ~tol ~engine ~jobs p =
       push (1 mod jobs) root_key u;
       let worker wid =
         let pseudo = pseudo_copy pseudo0 in
-        let ev =
-          match engine with
-          | Tableau -> tableau_evaluator ~deadline model
-          | Revised ->
-            revised_evaluator ~deadline (Revised.clone root_solver)
-        in
+        let lp = lp_of (Revised.clone root_solver) in
         let lbbuf = Array.copy base_lb and ubbuf = Array.copy base_ub in
         let process nd key =
           if key >= incumbent_key () -. 1e-9 then ()
@@ -664,23 +575,18 @@ let solve_par ~node_limit ~deadline ~tol ~engine ~jobs p =
               Array.blit base_lb 0 lbbuf 0 n;
               Array.blit base_ub 0 ubbuf 0 n;
               materialize nd lbbuf ubbuf;
-              match ev.ev_solve nd ~lb:lbbuf ~ub:ubbuf with
-              | Simplex.Infeasible | Simplex.Unbounded -> ()
-              | Simplex.Limit -> Atomic.set exhausted true
-              | Simplex.Optimal { objective; values } -> (
+              match solve_node ~deadline lp nd ~lb:lbbuf ~ub:ubbuf with
+              | Revised.Infeasible | Revised.Unbounded -> ()
+              | Revised.Limit -> Atomic.set exhausted true
+              | Revised.Optimal { objective; values } -> (
                 let child_key = sign *. objective in
                 pseudo_update pseudo nd child_key;
                 if child_key >= incumbent_key () -. 1e-9 then ()
                 else
-                  let bvar =
-                    match engine with
-                    | Tableau -> most_fractional ~tol ~integer values
-                    | Revised -> choose_branch_pc ~tol ~integer pseudo values
-                  in
-                  match bvar with
+                  match choose_branch_pc ~integer pseudo values with
                   | -1 -> offer child_key objective values
                   | bvar ->
-                    let snap = ev.ev_snap () in
+                    let snap = node_snapshot lp in
                     let d, u =
                       make_children nd ~key:child_key ~var:bvar
                         ~value:values.(bvar) snap
@@ -723,11 +629,7 @@ let solve_par ~node_limit ~deadline ~tol ~engine ~jobs p =
 
 (* ------------------------------------------------------------------ *)
 
-let default_engine = Revised
-
-let solve ?(node_limit = 1_000_000) ?time_limit
-    ?(integrality_tolerance = 1e-6) ?(jobs = 1) ?(engine = default_engine)
-    model =
+let solve ?(node_limit = 1_000_000) ?time_limit ?(jobs = 1) model =
   let deadline =
     match time_limit with
     | None -> infinity
@@ -737,7 +639,5 @@ let solve ?(node_limit = 1_000_000) ?time_limit
   in
   let p = problem_of_model model in
   let jobs = Stdlib.max 1 jobs in
-  if jobs = 1 then
-    solve_seq ~node_limit ~deadline ~tol:integrality_tolerance ~engine p
-  else
-    solve_par ~node_limit ~deadline ~tol:integrality_tolerance ~engine ~jobs p
+  if jobs = 1 then solve_seq ~node_limit ~deadline p
+  else solve_par ~node_limit ~deadline ~jobs p

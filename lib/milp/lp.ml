@@ -71,16 +71,11 @@ let nth_rev t l (v : var) =
 
 let var_lb t v = nth_rev t t.lb v
 let var_ub t v = nth_rev t t.ub v
-let var_is_integer t v = nth_rev t t.integer v
 let var_name t v = nth_rev t t.names v
 
 let lb_array t = rev_array t.lb
 let ub_array t = rev_array t.ub
 let integer_array t = rev_array t.integer
-
-let var_of_index t i =
-  if i < 0 || i >= t.nvars then invalid_arg "Lp.var_of_index: out of range";
-  i
 
 let rows t =
   rev_array t.constraints

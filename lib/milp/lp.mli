@@ -3,7 +3,7 @@
     This is the substrate that replaces Gurobi in the reproduction: the
     floorplanner of [3] and the IS-k baseline of [6] both need an exact
     optimizer for small models. Build a model here, then solve its
-    continuous relaxation with {!Simplex.solve} or the full MILP with
+    continuous relaxation with {!Revised.solve} or the full MILP with
     {!Branch_bound.solve}. *)
 
 type t
@@ -50,10 +50,7 @@ val lb_array : t -> float array
 val ub_array : t -> float array
 
 val integer_array : t -> bool array
-val var_is_integer : t -> var -> bool
 val var_name : t -> var -> string
-val var_of_index : t -> int -> var
-(** Raises [Invalid_argument] when out of range. *)
 
 val rows : t -> ((int * float) list * sense * float) array
 (** Constraint rows as (terms over variable indices, sense, rhs). *)

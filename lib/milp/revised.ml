@@ -1,15 +1,16 @@
 (* Revised simplex with native bounded variables.
 
-   Where {!Simplex} turns every finite upper bound into an extra tableau
-   row (a model with n variables and m rows becomes an (m+n)-row
-   tableau), this engine keeps bounds in the ratio test: a nonbasic
-   variable sits At_lower or At_upper and can cross to the opposite
-   bound without a basis change (a "bound flip"). Each constraint row
-   carries one logical variable (slack, surplus or fixed-at-zero for
-   equalities), so the basis is always m x m and is maintained as an LU
-   factorization plus an eta file ({!Basis}). Rows are equilibrated at
-   load time (exact power-of-two scaling to unit max coefficient), which
-   keeps the big-M scheduling models of [Ilp_exact] numerically tame.
+   Where a dense tableau (the test oracle [Milp_oracle.Simplex]) turns
+   every finite upper bound into an extra row (a model with n variables
+   and m rows becomes an (m+n)-row tableau), this solver keeps bounds in
+   the ratio test: a nonbasic variable sits At_lower or At_upper and can
+   cross to the opposite bound without a basis change (a "bound flip").
+   Each constraint row carries one logical variable (slack, surplus or
+   fixed-at-zero for equalities), so the basis is always m x m and is
+   maintained as an LU factorization plus an eta file ({!Basis}). Rows
+   are equilibrated at load time (exact power-of-two scaling to unit max
+   coefficient), which keeps the big-M scheduling models of [Ilp_exact]
+   numerically tame.
 
    Three solve modes:
    - primal phase 1: composite (piecewise-linear) infeasibility
@@ -28,6 +29,10 @@ let feas_tol = 1e-7
 let dual_tol = 1e-7
 let pivot_tol = 1e-9
 let ratio_tol = 1e-9
+
+type solution = { objective : float; values : float array }
+
+type result = Optimal of solution | Infeasible | Unbounded | Limit
 
 type status = At_lower | At_upper | Basic
 
@@ -587,10 +592,9 @@ let dual t ~deadline =
 (* ------------------------------------------------------------------ *)
 (* Solves                                                              *)
 
-let solution t =
+let optimal t =
   let values = Array.sub t.x 0 t.n in
-  Simplex.Optimal
-    { Simplex.objective = t.obj_sign *. objective_value t; values }
+  Optimal { objective = t.obj_sign *. objective_value t; values }
 
 let bad_box t =
   let bad = ref false in
@@ -602,7 +606,7 @@ let bad_box t =
 let solve_fresh ?(deadline = infinity) t =
   let p0 = t.pivots in
   let result =
-    if bad_box t then Simplex.Infeasible
+    if bad_box t then Infeasible
     else begin
       for j = 0 to t.n - 1 do
         t.status.(j) <- At_lower
@@ -612,7 +616,7 @@ let solve_fresh ?(deadline = infinity) t =
         t.status.(t.n + i) <- Basic
       done;
       match refactor t with
-      | exception Basis.Singular -> Simplex.Limit (* cannot happen: B = I *)
+      | exception Basis.Singular -> Limit (* cannot happen: B = I *)
       | () -> (
         compute_primal t;
         refresh_pcost t;
@@ -621,13 +625,13 @@ let solve_fresh ?(deadline = infinity) t =
           else primal t ~phase1:true ~deadline
         in
         match feasible with
-        | `Infeasible -> Simplex.Infeasible
-        | `Limit | `Unbounded | `Optimal -> Simplex.Limit
+        | `Infeasible -> Infeasible
+        | `Limit | `Unbounded | `Optimal -> Limit
         | `Feasible -> (
           match primal t ~phase1:false ~deadline with
-          | `Optimal -> solution t
-          | `Unbounded -> Simplex.Unbounded
-          | `Limit | `Feasible | `Infeasible -> Simplex.Limit))
+          | `Optimal -> optimal t
+          | `Unbounded -> Unbounded
+          | `Limit | `Feasible | `Infeasible -> Limit))
     end
   in
   t.last_pivots <- t.pivots - p0;
@@ -639,14 +643,14 @@ let solve_fresh ?(deadline = infinity) t =
    independently of the warm start's dual-feasibility assumption. *)
 let solve_warm ?(deadline = infinity) t =
   if not t.factored then solve_fresh ~deadline t
-  else if bad_box t then Simplex.Infeasible
+  else if bad_box t then Infeasible
   else begin
     let p0 = t.pivots in
     compute_primal t;
     match dual t ~deadline with
     | `Infeasible ->
       t.last_pivots <- t.pivots - p0;
-      Simplex.Infeasible
+      Infeasible
     | `Limit ->
       t.last_pivots <- t.pivots - p0;
       solve_fresh ~deadline t
@@ -654,27 +658,16 @@ let solve_warm ?(deadline = infinity) t =
       match primal t ~phase1:false ~deadline with
       | `Optimal ->
         t.last_pivots <- t.pivots - p0;
-        solution t
+        optimal t
       | `Unbounded ->
         t.last_pivots <- t.pivots - p0;
-        Simplex.Unbounded
+        Unbounded
       | `Limit | `Feasible | `Infeasible ->
         t.last_pivots <- t.pivots - p0;
         solve_fresh ~deadline t)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Drop-in entry points mirroring {!Simplex}                           *)
+(* One-shot entry points                                               *)
 
-let solve_with_bounds ?deadline model ~lb ~ub =
-  let n = Lp.num_vars model in
-  if Array.length lb <> n || Array.length ub <> n then
-    invalid_arg "Revised.solve_with_bounds: bounds length mismatch";
-  let t =
-    make ~goal:(Lp.objective model) ~obj:(Lp.obj_coeffs model) ~lb ~ub
-      ~rows:(Lp.rows model) ()
-  in
-  solve_fresh ?deadline t
-
-let solve model =
-  solve_with_bounds model ~lb:(Lp.lb_array model) ~ub:(Lp.ub_array model)
+let solve model = solve_fresh (of_model model)

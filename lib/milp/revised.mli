@@ -1,14 +1,26 @@
 (** Bounded-variable revised simplex over an LU-factorized basis.
 
-    The default LP engine behind {!Branch_bound}. Unlike {!Simplex} it
-    never adds rows for finite upper bounds — a nonbasic variable sits
-    at either bound and crosses to the other one via a bound flip in the
+    The LP solver behind {!Branch_bound}. Unlike a dense tableau (the
+    test tree keeps one, [Milp_oracle.Simplex], as its oracle) it never
+    adds rows for finite upper bounds — a nonbasic variable sits at
+    either bound and crosses to the other one via a bound flip in the
     ratio test — so the basis stays [m x m] for an [m]-row model, and it
     supports warm starts: after a single bound change the previous
     optimal basis is still dual feasible, and {!solve_warm} reaches the
     new optimum in a few dual-simplex pivots instead of a full two-phase
-    solve. Results use {!Simplex.result} so callers can switch engines
-    without re-matching. *)
+    solve. *)
+
+type solution = { objective : float; values : float array }
+(** [values] holds one value per model variable, in index order. *)
+
+type result =
+  | Optimal of solution
+  | Infeasible
+  | Unbounded
+  | Limit
+      (** The iteration cap or the [deadline] cut the solve short: the
+          model's status is unknown. {!Branch_bound} treats this as
+          "node budget exhausted", never as an infeasibility proof. *)
 
 type t
 (** Mutable solver state: model data (shared, immutable) plus bounds,
@@ -28,8 +40,8 @@ val make :
   rows:((int * float) list * Lp.sense * float) array ->
   unit ->
   t
-(** Build solver state from raw arrays (same shape as
-    [Simplex.solve_arrays]). Every variable needs a finite lower bound.
+(** Build solver state from raw arrays (a model's objective, bounds and
+    {!Lp.rows}). Every variable needs a finite lower bound.
     [refactor_every] bounds the eta file length (default 48). *)
 
 val of_model : Lp.t -> t
@@ -49,12 +61,12 @@ val load_basis : t -> snapshot -> bool
 (** Restore a snapshot and refactorize; [false] if the snapshot's basis
     is singular under the current bounds (caller should {!solve_fresh}). *)
 
-val solve_fresh : ?deadline:float -> t -> Simplex.result
+val solve_fresh : ?deadline:float -> t -> result
 (** Two-phase primal solve from the all-logical basis, ignoring any
     previous state. [deadline] is an absolute [Unix.gettimeofday]
     instant; hitting it (or the iteration cap) yields [Limit]. *)
 
-val solve_warm : ?deadline:float -> t -> Simplex.result
+val solve_warm : ?deadline:float -> t -> result
 (** Re-solve after bound changes, starting from the current basis: dual
     simplex to primal feasibility, then a certifying primal cleanup.
     Falls back to {!solve_fresh} when the warm start stalls, and behaves
@@ -65,10 +77,7 @@ val last_pivots : t -> int
 
 val num_vars : t -> int
 
-val solve : Lp.t -> Simplex.result
-(** One-shot convenience mirroring [Simplex.solve]. *)
+val solve : Lp.t -> result
+(** Solve a model's continuous relaxation (integrality markers are
+    ignored) from scratch. *)
 
-val solve_with_bounds :
-  ?deadline:float -> Lp.t -> lb:float array -> ub:float array ->
-  Simplex.result
-(** One-shot convenience mirroring [Simplex.solve_with_bounds]. *)

@@ -11,7 +11,11 @@
    - [serve]: 40 fresh 10..30-task XC7Z020 graphs at 30 restarts over
      one shared cache, as the serve daemon runs them;
    - [lns]: 15 saturated XC7Z010 graphs of 40..80 tasks, PA-R at 40
-     restarts, then [Lns.polish] over 1500 moves on the same cache.
+     restarts, then [Lns.polish] over 1500 moves on the same cache;
+   - [zc706]: 20 XC7Z045 graphs of 20..80 tasks at 30 restarts over one
+     shared cache. Only there can a candidate span three occupancy
+     words of a row, so only these queries pin the exact search's
+     generic overlap test.
 
    Queries are deduplicated on (device, needs); the first shape to issue
    one keeps it. The packer is deterministic, so a replay of the corpus
@@ -72,6 +76,15 @@ let lns () =
          ~budget_seconds:0. sched)
   done
 
+let zc706 () =
+  let rng = Rng.create seed in
+  let cache = Fp_cache.create () in
+  for k = 0 to 19 do
+    let tasks = 20 + (k * 13 mod 61) in
+    let inst = Suite.instance ~arch:Arch.zc706 rng ~tasks in
+    ignore (pa_r ~cache ~restarts:30 ~seed:(inst_seed k) inst)
+  done
+
 let () =
   let seen = Hashtbl.create 4096 in
   let queries = ref [] in
@@ -93,7 +106,7 @@ let () =
   in
   List.iter
     (fun (shape, run) -> Packer.observe (record shape) run)
-    [ ("paper", paper); ("serve", serve); ("lns", lns) ];
+    [ ("paper", paper); ("serve", serve); ("lns", lns); ("zc706", zc706) ];
   print_endline
     "# Golden packer corpus: see gen_packer_corpus.ml for the shapes and \
      packer_corpus.ml for the format.";

@@ -18,7 +18,6 @@ module Resource = Resched_fabric.Resource
 module Instance = Resched_platform.Instance
 module Arch = Resched_platform.Arch
 module Floorplanner = Resched_floorplan.Floorplanner
-module Fp_cache = Resched_floorplan.Fp_cache
 open Resched_core
 
 let tasks_where state p =
@@ -218,28 +217,27 @@ let all_software_schedule inst =
   sw_map state;
   { (schedule_of_state state [||] []) with Schedule.floorplan = Some [||] }
 
-let floorplan ~engine ?cache (sched : Schedule.t) =
+(* Step 8 runs [check]: the production check unless the caller passes
+   another, such as a cache's or the packer oracle's. *)
+let production_check device needs = Floorplanner.check device needs
+
+let floorplan ~check (sched : Schedule.t) =
   let device = sched.Schedule.instance.Instance.arch.Arch.device in
   let needs = Array.map (fun r -> r.Schedule.res) sched.Schedule.regions in
   if needs = [||] then Some [||]
   else
-    match
-      (match cache with
-      | Some cache -> Fp_cache.check cache ~engine device needs
-      | None -> Floorplanner.check ~engine device needs)
-        .Floorplanner.verdict
-    with
+    match (check device needs).Floorplanner.verdict with
     | Floorplanner.Feasible placements -> Some placements
     | Floorplanner.Infeasible | Floorplanner.Unknown -> None
 
 (* The reference for [Pa.run]: the schedule and the attempts it took,
    shrinking the virtual resources after every floorplan failure. *)
-let run ?(config = Pa.default_config) ?cache inst =
+let run ?(config = Pa.default_config) ?(check = production_check) inst =
   let rec attempt k scale =
     if k > config.Pa.max_attempts then (all_software_schedule inst, k - 1)
     else
       let sched = schedule_once ~config ~resource_scale:scale inst in
-      match floorplan ~engine:config.Pa.floorplan_engine ?cache sched with
+      match floorplan ~check sched with
       | Some p -> ({ sched with Schedule.floorplan = Some p }, k)
       | None -> attempt (k + 1) (scale *. config.Pa.shrink_factor)
   in
@@ -249,8 +247,8 @@ let run ?(config = Pa.default_config) ?cache inst =
    [min_iterations] restarts, each on a fresh state, with the same
    random orders, the same adaptive scale on the [shrink_factor^k]
    lattice (k in 0..6) and the same rule for checking floorplans. *)
-let restart_loop ?(config = Pa.default_config) ?cache ~seed ~min_iterations
-    inst =
+let restart_loop ?(config = Pa.default_config) ?(check = production_check)
+    ~seed ~min_iterations inst =
   let rng = Rng.create seed in
   let start = Unix.gettimeofday () and words = Gc.minor_words () in
   let best = ref None and trace = ref [] and shrink_exp = ref 0 in
@@ -265,7 +263,7 @@ let restart_loop ?(config = Pa.default_config) ?cache ~seed ~min_iterations
       match !best with Some b -> b.Schedule.makespan | None -> max_int
     in
     if makespan < best_makespan then
-      match floorplan ~engine:config.Pa.floorplan_engine ?cache sched with
+      match floorplan ~check sched with
       | None -> shrink_exp := Stdlib.min 6 (!shrink_exp + 1)
       | Some p ->
         shrink_exp := Stdlib.max 0 (!shrink_exp - 1);

@@ -231,7 +231,7 @@ let test_words_per_iteration () =
   let reference =
     words
       (Pa_oracle.restart_loop ~seed:5 ~min_iterations:150
-         ~cache:(Fp_cache.create ()) inst)
+         ~check:(Fp_cache.check (Fp_cache.create ())) inst)
   in
   Alcotest.(check bool)
     (Printf.sprintf "SoA kernel under 100k words/iteration (got %.0f)" soa)

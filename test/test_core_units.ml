@@ -130,6 +130,40 @@ let test_validate_detects_bad_floorplan () =
     expect_violation "PLAN" { sched with Schedule.floorplan = Some p }
   | _ -> Alcotest.fail "fixture has fewer than 2 placed regions"
 
+(* An implementation index past either end of the task's list is an
+   [IMPL] violation, not an exception, wherever the task is placed; the
+   region checks that read implementations (capacity, module reuse) skip
+   it. *)
+let test_validate_impl_out_of_range () =
+  let sched = good_schedule () in
+  let first p =
+    let i = ref (-1) in
+    Array.iteri
+      (fun u (s : Schedule.task_slot) ->
+        if !i = -1 && p s.Schedule.placement then i := u)
+      sched.Schedule.slots;
+    if !i = -1 then Alcotest.fail "fixture lacks a placement kind";
+    !i
+  in
+  let on_region = first (function Schedule.On_region _ -> true | _ -> false)
+  and on_processor =
+    first (function Schedule.On_processor _ -> true | _ -> false)
+  in
+  List.iter
+    (fun (u, idx, module_reuse) ->
+      let slots = Array.copy sched.Schedule.slots in
+      slots.(u) <- { (slots.(u)) with Schedule.impl_idx = idx };
+      expect_violation "IMPL"
+        { sched with Schedule.slots = slots; module_reuse })
+    [ (on_region, 7, false); (on_region, -1, false); (on_region, 7, true);
+      (on_processor, 7, false); (on_processor, -1, false) ]
+
+let test_validate_short_slot_array () =
+  let sched = good_schedule () in
+  let n = Array.length sched.Schedule.slots in
+  expect_violation "STRUCT"
+    { sched with Schedule.slots = Array.sub sched.Schedule.slots 0 (n - 1) }
+
 let test_validate_detects_kind_mismatch () =
   let sched = good_schedule () in
   (* Find a HW task and claim it runs on a processor. *)
@@ -551,6 +585,10 @@ let () =
             test_validate_detects_bad_floorplan;
           Alcotest.test_case "kind mismatch" `Quick
             test_validate_detects_kind_mismatch;
+          Alcotest.test_case "implementation out of range" `Quick
+            test_validate_impl_out_of_range;
+          Alcotest.test_case "short slot array" `Quick
+            test_validate_short_slot_array;
         ] );
       ( "timing",
         [

@@ -170,7 +170,7 @@ let test_pack_v2_equal_needs () =
   (* Identical demands share one candidate array and ordered anchors;
      the packing must still exist and be disjoint. *)
   let needs = Array.make 4 (v ~clb:100 ~bram:0 ~dsp:0) in
-  match Packer.pack ~engine:Packer.Column_interval d needs with
+  match Packer.pack d needs with
   | Packer.Placed p ->
     Alcotest.(check (result unit string))
       "validates" (Ok ())
@@ -183,14 +183,14 @@ let test_pack_v2_zero_slack () =
      with zero slack. A seventh unit anywhere tips it over, and the
      capacity lower bound must prove that without search. *)
   let exact = Array.make 6 (v ~clb:100 ~bram:0 ~dsp:0) in
-  (match Packer.pack ~engine:Packer.Column_interval d exact with
+  (match Packer.pack d exact with
   | Packer.Placed p ->
     Alcotest.(check (result unit string))
       "validates" (Ok ())
       (Floorplanner.validate d ~needs:exact p)
   | _ -> Alcotest.fail "zero-slack packing should exist");
   let over = Array.append exact [| v ~clb:1 ~bram:0 ~dsp:0 |] in
-  match Packer.pack ~engine:Packer.Column_interval d over with
+  match Packer.pack d over with
   | Packer.Infeasible -> ()
   | _ -> Alcotest.fail "601 CLBs on a 600-CLB device must be infeasible"
 
@@ -479,8 +479,8 @@ let compatible d needs ~v1 ~v2 =
 
 let agrees_with_v1 d needs =
   compatible d needs
-    ~v1:(Packer.pack ~engine:Packer.Backtracking_v1 d needs)
-    ~v2:(Packer.pack ~engine:Packer.Column_interval d needs)
+    ~v1:(Packer_oracle.pack_v1 d needs)
+    ~v2:(Packer.pack d needs)
 
 let prop_packer_v2_agrees_v1 =
   QCheck.Test.make ~count:100 ~name:"packer v2 vs v1 oracle"
@@ -540,7 +540,7 @@ let prop_packer_v2_agrees_v1_xc7z045 =
     (fun seed ->
       let d = Device.xc7z045 in
       let needs = tight_needs (Rng.create seed) d in
-      let v1 = Packer.pack ~engine:Packer.Backtracking_v1 d needs in
+      let v1 = Packer_oracle.pack_v1 d needs in
       let path, _, v2 = Packer.pack_path d needs in
       compatible d needs ~v1 ~v2 && (path <> Packer.Fallback || v2 = v1))
 

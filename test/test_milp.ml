@@ -1,80 +1,93 @@
 (* Tests for the LP/MILP substrate: known optima, degenerate cases and
    randomized properties that cross-check the simplex against certificates
-   of feasibility. *)
+   of feasibility. Every LP case runs on the production revised simplex
+   and on the dense-tableau oracle. *)
 
 module Lp = Resched_milp.Lp
-module Simplex = Resched_milp.Simplex
+module Revised = Resched_milp.Revised
 module Branch_bound = Resched_milp.Branch_bound
 module Rng = Resched_util.Rng
 
 let check_float = Alcotest.(check (float 1e-6))
 
+let lp_solvers =
+  [ ("revised", Revised.solve); ("tableau", Milp_oracle.Simplex.solve) ]
+
+(* Run an LP case once per solver; [check] prefixes its messages with
+   the solver's name. *)
+let on_each_solver case () =
+  List.iter
+    (fun (name, solve) ->
+      let check what = check_float (name ^ ": " ^ what) in
+      case ~check solve)
+    lp_solvers
+
 let opt_exn = function
-  | Simplex.Optimal s -> s
-  | Simplex.Infeasible -> Alcotest.fail "expected Optimal, got Infeasible"
-  | Simplex.Unbounded -> Alcotest.fail "expected Optimal, got Unbounded"
-  | Simplex.Limit -> Alcotest.fail "expected Optimal, got Limit"
+  | Revised.Optimal s -> s
+  | Revised.Infeasible -> Alcotest.fail "expected Optimal, got Infeasible"
+  | Revised.Unbounded -> Alcotest.fail "expected Optimal, got Unbounded"
+  | Revised.Limit -> Alcotest.fail "expected Optimal, got Limit"
 
 (* maximize 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> 36 at (2, 6).
    The classic Dantzig example. *)
-let test_lp_textbook () =
+let test_lp_textbook ~check solve =
   let m = Lp.create ~objective:Lp.Maximize () in
   let x = Lp.add_var m ~obj:3. () in
   let y = Lp.add_var m ~obj:5. () in
   Lp.add_constraint m [ (x, 1.) ] Lp.Le 4.;
   Lp.add_constraint m [ (y, 2.) ] Lp.Le 12.;
   Lp.add_constraint m [ (x, 3.); (y, 2.) ] Lp.Le 18.;
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 36. s.objective;
-  check_float "x" 2. s.values.(0);
-  check_float "y" 6. s.values.(1)
+  let s = opt_exn (solve m) in
+  check "objective" 36. s.objective;
+  check "x" 2. s.values.(0);
+  check "y" 6. s.values.(1)
 
 (* minimize 2x + 3y s.t. x + y >= 10, x - y <= 2, x,y >= 0.
    Optimum: push y as low as allowed: x - y <= 2 and x + y = 10 ->
    x = 6, y = 4 gives 24; check against x=0,y=10 -> 30. *)
-let test_lp_min_with_ge () =
+let test_lp_min_with_ge ~check solve =
   let m = Lp.create () in
   let x = Lp.add_var m ~obj:2. () in
   let y = Lp.add_var m ~obj:3. () in
   Lp.add_constraint m [ (x, 1.); (y, 1.) ] Lp.Ge 10.;
   Lp.add_constraint m [ (x, 1.); (y, -1.) ] Lp.Le 2.;
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 24. s.objective;
-  check_float "x" 6. s.values.(0);
-  check_float "y" 4. s.values.(1)
+  let s = opt_exn (solve m) in
+  check "objective" 24. s.objective;
+  check "x" 6. s.values.(0);
+  check "y" 4. s.values.(1)
 
-let test_lp_equality_and_bounds () =
+let test_lp_equality_and_bounds ~check solve =
   (* minimize x + 2y s.t. x + y = 5, 1 <= x <= 3 -> x = 3, y = 2, obj 7. *)
   let m = Lp.create () in
   let x = Lp.add_var m ~lb:1. ~ub:3. ~obj:1. () in
   let y = Lp.add_var m ~obj:2. () in
   Lp.add_constraint m [ (x, 1.); (y, 1.) ] Lp.Eq 5.;
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 7. s.objective;
-  check_float "x" 3. s.values.(0);
-  check_float "y" 2. s.values.(1)
+  let s = opt_exn (solve m) in
+  check "objective" 7. s.objective;
+  check "x" 3. s.values.(0);
+  check "y" 2. s.values.(1)
 
-let test_lp_infeasible () =
+let test_lp_infeasible ~check:_ solve =
   let m = Lp.create () in
   let x = Lp.add_var m ~obj:1. () in
   Lp.add_constraint m [ (x, 1.) ] Lp.Le 1.;
   Lp.add_constraint m [ (x, 1.) ] Lp.Ge 2.;
-  match Simplex.solve m with
-  | Simplex.Infeasible -> ()
+  match solve m with
+  | Revised.Infeasible -> ()
   | _ -> Alcotest.fail "expected Infeasible"
 
-let test_lp_unbounded () =
+let test_lp_unbounded ~check:_ solve =
   let m = Lp.create ~objective:Lp.Maximize () in
   let x = Lp.add_var m ~obj:1. () in
   let y = Lp.add_var m ~obj:0. () in
   Lp.add_constraint m [ (x, 1.); (y, -1.) ] Lp.Le 3.;
-  match Simplex.solve m with
-  | Simplex.Unbounded -> ()
-  | Simplex.Optimal s -> Alcotest.failf "expected Unbounded, got %g" s.objective
-  | Simplex.Infeasible -> Alcotest.fail "expected Unbounded, got Infeasible"
-  | Simplex.Limit -> Alcotest.fail "expected Unbounded, got Limit"
+  match solve m with
+  | Revised.Unbounded -> ()
+  | Revised.Optimal s -> Alcotest.failf "expected Unbounded, got %g" s.objective
+  | Revised.Infeasible -> Alcotest.fail "expected Unbounded, got Infeasible"
+  | Revised.Limit -> Alcotest.fail "expected Unbounded, got Limit"
 
-let test_lp_degenerate () =
+let test_lp_degenerate ~check solve =
   (* A degenerate vertex (redundant constraint through the optimum) must
      not cycle thanks to Bland's rule. maximize x + y s.t. x <= 2, y <= 2,
      x + y <= 4 (redundant at optimum) -> 4. *)
@@ -84,24 +97,24 @@ let test_lp_degenerate () =
   Lp.add_constraint m [ (x, 1.) ] Lp.Le 2.;
   Lp.add_constraint m [ (y, 1.) ] Lp.Le 2.;
   Lp.add_constraint m [ (x, 1.); (y, 1.) ] Lp.Le 4.;
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 4. s.objective
+  let s = opt_exn (solve m) in
+  check "objective" 4. s.objective
 
-let test_lp_negative_rhs () =
+let test_lp_negative_rhs ~check solve =
   (* minimize x s.t. -x <= -3  (i.e. x >= 3) -> 3. *)
   let m = Lp.create () in
   let x = Lp.add_var m ~obj:1. () in
   Lp.add_constraint m [ (x, -1.) ] Lp.Le (-3.);
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 3. s.objective
+  let s = opt_exn (solve m) in
+  check "objective" 3. s.objective
 
-let test_lp_duplicate_terms () =
+let test_lp_duplicate_terms ~check solve =
   (* Terms on the same variable must be combined: x + x <= 4 -> x <= 2. *)
   let m = Lp.create ~objective:Lp.Maximize () in
   let x = Lp.add_var m ~obj:1. () in
   Lp.add_constraint m [ (x, 1.); (x, 1.) ] Lp.Le 4.;
-  let s = opt_exn (Simplex.solve m) in
-  check_float "objective" 2. s.objective
+  let s = opt_exn (solve m) in
+  check "objective" 2. s.objective
 
 let bb_opt_exn = function
   | Branch_bound.Optimal s -> s
@@ -190,7 +203,7 @@ let test_milp_node_limit () =
   | Branch_bound.Unbounded -> Alcotest.fail "spurious Unbounded"
 
 (* Property: for random LPs constructed around a known feasible point x0
-   with constraints a.x <= a.x0 + slack, the simplex (a) declares
+   with constraints a.x <= a.x0 + slack, each simplex (a) declares
    feasibility and (b) returns an objective no worse than c.x0. *)
 let prop_simplex_beats_witness =
   QCheck.Test.make ~count:200 ~name:"simplex objective beats witness point"
@@ -219,9 +232,12 @@ let prop_simplex_beats_witness =
         Array.iteri (fun i v -> acc := !acc +. (c.(i) *. v)) x0;
         !acc
       in
-      match Simplex.solve m with
-      | Simplex.Optimal s -> s.objective <= witness_obj +. 1e-6
-      | Simplex.Infeasible | Simplex.Unbounded | Simplex.Limit -> false)
+      List.for_all
+        (fun (_, solve) ->
+          match solve m with
+          | Revised.Optimal s -> s.objective <= witness_obj +. 1e-6
+          | Revised.Infeasible | Revised.Unbounded | Revised.Limit -> false)
+        lp_solvers)
 
 (* Property: branch-and-bound on pure binary knapsacks matches a
    brute-force enumeration. *)
@@ -258,16 +274,22 @@ let () =
     [
       ( "simplex",
         [
-          Alcotest.test_case "textbook maximize" `Quick test_lp_textbook;
-          Alcotest.test_case "minimize with >=" `Quick test_lp_min_with_ge;
+          Alcotest.test_case "textbook maximize" `Quick
+            (on_each_solver test_lp_textbook);
+          Alcotest.test_case "minimize with >=" `Quick
+            (on_each_solver test_lp_min_with_ge);
           Alcotest.test_case "equality and var bounds" `Quick
-            test_lp_equality_and_bounds;
-          Alcotest.test_case "infeasible" `Quick test_lp_infeasible;
-          Alcotest.test_case "unbounded" `Quick test_lp_unbounded;
-          Alcotest.test_case "degenerate no-cycle" `Quick test_lp_degenerate;
-          Alcotest.test_case "negative rhs" `Quick test_lp_negative_rhs;
+            (on_each_solver test_lp_equality_and_bounds);
+          Alcotest.test_case "infeasible" `Quick
+            (on_each_solver test_lp_infeasible);
+          Alcotest.test_case "unbounded" `Quick
+            (on_each_solver test_lp_unbounded);
+          Alcotest.test_case "degenerate no-cycle" `Quick
+            (on_each_solver test_lp_degenerate);
+          Alcotest.test_case "negative rhs" `Quick
+            (on_each_solver test_lp_negative_rhs);
           Alcotest.test_case "duplicate terms combined" `Quick
-            test_lp_duplicate_terms;
+            (on_each_solver test_lp_duplicate_terms);
         ] );
       ( "branch-bound",
         [

@@ -1,11 +1,12 @@
-(* Tests for the revised-simplex engine: the dense tableau solver acts
-   as the oracle on randomized bounded LPs and MILPs, plus unit tests
-   for the mechanisms the tableau does not have — bound flips in the
-   ratio test, LU refactorization after eta-file growth, and dual
-   warm starts after a single bound change. *)
+(* Tests for the revised-simplex engine: the dense tableau of the
+   oracle library [milp_oracle] acts as the oracle on randomized bounded
+   LPs and MILPs, plus unit tests for the mechanisms the tableau does
+   not have — bound flips in the ratio test, LU refactorization after
+   eta-file growth, and dual warm starts after a single bound change. *)
 
 module Lp = Resched_milp.Lp
-module Simplex = Resched_milp.Simplex
+module Simplex = Milp_oracle.Simplex
+module Tableau = Milp_oracle.Tableau
 module Revised = Resched_milp.Revised
 module Basis = Resched_milp.Basis
 module Branch_bound = Resched_milp.Branch_bound
@@ -57,9 +58,9 @@ let prop_lp_equivalence =
       let rng = Rng.create (seed lxor 0x1ee7) in
       let m = random_model rng ~nvars ~nrows ~integer_vars:false in
       match (Simplex.solve m, Revised.solve m) with
-      | Simplex.Optimal a, Simplex.Optimal b ->
-        Float.abs (a.Simplex.objective -. b.Simplex.objective) < 1e-5
-      | Simplex.Infeasible, Simplex.Infeasible -> true
+      | Revised.Optimal a, Revised.Optimal b ->
+        Float.abs (a.Revised.objective -. b.Revised.objective) < 1e-5
+      | Revised.Infeasible, Revised.Infeasible -> true
       | _ -> false)
 
 (* And on full MILPs through the branch-and-bound (same optimum; node
@@ -70,12 +71,8 @@ let prop_milp_equivalence =
     (fun (seed, (nvars, nrows)) ->
       let rng = Rng.create (seed lxor 0xb0b0) in
       let m = random_model rng ~nvars ~nrows ~integer_vars:true in
-      let tab =
-        Branch_bound.solve ~engine:Branch_bound.Tableau ~node_limit:50_000 m
-      in
-      let rev =
-        Branch_bound.solve ~engine:Branch_bound.Revised ~node_limit:50_000 m
-      in
+      let tab = Tableau.solve ~node_limit:50_000 m in
+      let rev = Branch_bound.solve ~node_limit:50_000 m in
       match (tab, rev) with
       | Branch_bound.Optimal a, Branch_bound.Optimal b ->
         Float.abs (a.Branch_bound.objective -. b.Branch_bound.objective)
@@ -97,10 +94,10 @@ let test_bound_flip () =
       ()
   in
   (match Revised.solve_fresh t with
-  | Simplex.Optimal s ->
-    check_float "flip objective" 11. s.Simplex.objective;
-    check_float "x at upper" 5. s.Simplex.values.(0);
-    check_float "y at upper" 3. s.Simplex.values.(1)
+  | Revised.Optimal s ->
+    check_float "flip objective" 11. s.Revised.objective;
+    check_float "x at upper" 5. s.Revised.values.(0);
+    check_float "y at upper" 3. s.Revised.values.(1)
   | _ -> Alcotest.fail "expected Optimal");
   Alcotest.(check int) "no pivots, only flips" 0 (Revised.last_pivots t)
 
@@ -113,7 +110,7 @@ let test_bound_flip_blocked () =
       ()
   in
   (match Revised.solve_fresh t with
-  | Simplex.Optimal s -> check_float "blocked at row" 4. s.Simplex.objective
+  | Revised.Optimal s -> check_float "blocked at row" 4. s.Revised.objective
   | _ -> Alcotest.fail "expected Optimal");
   Alcotest.(check bool) "one real pivot" true (Revised.last_pivots t >= 1)
 
@@ -199,10 +196,10 @@ let test_solver_with_tiny_eta_file () =
         ~rows:(Lp.rows m) ()
     in
     match (Revised.solve_fresh t1, Revised.solve_fresh t2) with
-    | Simplex.Optimal a, Simplex.Optimal b ->
-      check_float "tiny eta file same optimum" a.Simplex.objective
-        b.Simplex.objective
-    | Simplex.Infeasible, Simplex.Infeasible -> ()
+    | Revised.Optimal a, Revised.Optimal b ->
+      check_float "tiny eta file same optimum" a.Revised.objective
+        b.Revised.objective
+    | Revised.Infeasible, Revised.Infeasible -> ()
     | _ -> Alcotest.fail "status mismatch with refactor_every = 1"
   done
 
@@ -234,18 +231,18 @@ let test_warm_start_single_bound_change () =
   let t = Revised.of_model m in
   let cold =
     match Revised.solve_fresh t with
-    | Simplex.Optimal s -> s
+    | Revised.Optimal s -> s
     | _ -> Alcotest.fail "root solve failed"
   in
   let cold_pivots = Revised.last_pivots t in
   Alcotest.(check bool) "cold solve pivots" true (cold_pivots > 0);
   (* Child: x0 <= floor(x0_root) - style bound tightening. *)
   let lb = Lp.lb_array m and ub = Lp.ub_array m in
-  ub.(0) <- Float.max lb.(0) (Float.floor (cold.Simplex.values.(0) /. 2.));
+  ub.(0) <- Float.max lb.(0) (Float.floor (cold.Revised.values.(0) /. 2.));
   Revised.set_bounds t ~lb ~ub;
   let warm =
     match Revised.solve_warm t with
-    | Simplex.Optimal s -> s
+    | Revised.Optimal s -> s
     | _ -> Alcotest.fail "warm solve failed"
   in
   let warm_pivots = Revised.last_pivots t in
@@ -253,9 +250,9 @@ let test_warm_start_single_bound_change () =
   let t2 = Revised.of_model m in
   Revised.set_bounds t2 ~lb ~ub;
   (match Revised.solve_fresh t2 with
-  | Simplex.Optimal s ->
-    check_float "warm = fresh on child" s.Simplex.objective
-      warm.Simplex.objective
+  | Revised.Optimal s ->
+    check_float "warm = fresh on child" s.Revised.objective
+      warm.Revised.objective
   | _ -> Alcotest.fail "child fresh solve failed");
   Alcotest.(check bool)
     (Printf.sprintf "warm pivots (%d) < cold pivots (%d)" warm_pivots
@@ -272,7 +269,7 @@ let test_snapshot_roundtrip () =
   let t = Revised.of_model m in
   let obj0 =
     match Revised.solve_fresh t with
-    | Simplex.Optimal s -> s.Simplex.objective
+    | Revised.Optimal s -> s.Revised.objective
     | _ -> Alcotest.fail "solve failed"
   in
   let snap = Revised.save_basis t in
@@ -284,7 +281,7 @@ let test_snapshot_roundtrip () =
   Revised.set_bounds t ~lb:(Lp.lb_array m) ~ub:(Lp.ub_array m);
   Alcotest.(check bool) "snapshot loads" true (Revised.load_basis t snap);
   match Revised.solve_warm t with
-  | Simplex.Optimal s -> check_float "restored optimum" obj0 s.Simplex.objective
+  | Revised.Optimal s -> check_float "restored optimum" obj0 s.Revised.objective
   | _ -> Alcotest.fail "restored solve failed"
 
 (* ------------------------------------------------------------------ *)
@@ -316,14 +313,20 @@ let solution_exn = function
   | Branch_bound.Optimal s -> s
   | _ -> Alcotest.fail "expected Optimal"
 
+(* The production search at [jobs = 1] and the tableau oracle, each
+   with an optional time limit. *)
+let searches =
+  [ (fun time_limit m -> Branch_bound.solve ?time_limit ~jobs:1 m);
+    (fun time_limit m -> Tableau.solve ?time_limit m) ]
+
 let test_jobs1_determinism () =
   (* Two identical sequential runs must visit the same node count and
-     produce the same incumbent, for both engines. *)
+     produce the same incumbent, for both searches. *)
   List.iter
-    (fun engine ->
+    (fun solve ->
       let m = hard_knapsack 4242 in
-      let a = solution_exn (Branch_bound.solve ~engine ~jobs:1 m) in
-      let b = solution_exn (Branch_bound.solve ~engine ~jobs:1 m) in
+      let a = solution_exn (solve None m) in
+      let b = solution_exn (solve None m) in
       Alcotest.(check int) "same node count" a.Branch_bound.nodes
         b.Branch_bound.nodes;
       check_float "same objective" a.Branch_bound.objective
@@ -331,7 +334,7 @@ let test_jobs1_determinism () =
       Array.iteri
         (fun i v -> check_float "same values" v b.Branch_bound.values.(i))
         a.Branch_bound.values)
-    [ Branch_bound.Revised; Branch_bound.Tableau ]
+    searches
 
 let test_parallel_same_incumbent () =
   (* jobs > 1 explores in nondeterministic order but must reach the same
@@ -350,14 +353,14 @@ let test_limit_not_infeasible () =
      this engine revision fixed: Iteration_limit used to masquerade as
      phase-1/phase-2 infeasibility and silently prune subtrees). *)
   List.iter
-    (fun engine ->
+    (fun solve ->
       let m = hard_knapsack 7 in
-      match Branch_bound.solve ~engine ~time_limit:1e-9 m with
+      match solve (Some 1e-9) m with
       | Branch_bound.Infeasible -> Alcotest.fail "Limit leaked as Infeasible"
       | Branch_bound.Node_limit | Branch_bound.Feasible _
       | Branch_bound.Optimal _ | Branch_bound.Unbounded ->
         ())
-    [ Branch_bound.Revised; Branch_bound.Tableau ]
+    searches
 
 let () =
   Alcotest.run "milp-revised"

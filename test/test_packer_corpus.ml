@@ -1,6 +1,7 @@
 (* Replays the golden packer corpus (test/corpus/packer_golden.txt): the
-   column-interval packer queries that seeded runs of the three
-   benchmark workload shapes made, each recorded with the path that
+   column-interval packer queries that seeded runs of four workload
+   shapes made (the three benchmark workloads and a ZC706-sized one),
+   each recorded with the path that
    decided it, the search nodes it spent and its outcome. Every query
    must take the same path, spend the same nodes and return the same
    outcome, placements included. *)
