@@ -99,20 +99,9 @@ let build inst =
         in
         Array.of_list (sw @ hw))
   in
-  let y =
-    Array.mapi
-      (fun t opts ->
-        Array.mapi
-          (fun c _ ->
-            Lp.add_binary m ~name:(Printf.sprintf "y_%d_%d" t c) ~obj:0. ())
-          opts)
-      options
-  in
-  let phi =
-    Array.init n (fun t ->
-        Array.init slots (fun s ->
-            Lp.add_binary m ~name:(Printf.sprintf "phi_%d_%d" t s) ~obj:0. ()))
-  in
+  let binary _ = Lp.add_binary m ~obj:0. () in
+  let y = Array.map (Array.map binary) options in
+  let phi = Array.init n (fun _ -> Array.init slots binary) in
   let forced =
     Array.init n (fun a ->
         let reach = Graph.reachable inst.Instance.graph a in
@@ -122,25 +111,20 @@ let build inst =
     Array.init n (fun a ->
         Array.init n (fun b ->
             if a < b && (not forced.(a).(b)) && not forced.(b).(a) then
-              Some
-                (Lp.add_binary m ~name:(Printf.sprintf "o_%d_%d" a b) ~obj:0.
-                   ())
+              Some (Lp.add_binary m ~obj:0. ())
             else None))
   in
-  let time_var name =
-    Lp.add_var m ~lb:0. ~ub:horizon ~name ~obj:0. ()
-  in
-  let start = Array.init n (fun t -> time_var (Printf.sprintf "s_%d" t)) in
-  let rstart = Array.init n (fun t -> time_var (Printf.sprintf "rs_%d" t)) in
-  let rdur = Array.init n (fun t -> time_var (Printf.sprintf "rd_%d" t)) in
-  let makespan = Lp.add_var m ~lb:0. ~ub:horizon ~name:"makespan" ~obj:1. () in
+  let time_var _ = Lp.add_var m ~lb:0. ~ub:horizon ~obj:0. () in
+  let start = Array.init n time_var in
+  let rstart = Array.init n time_var in
+  let rdur = Array.init n time_var in
+  let makespan = Lp.add_var m ~lb:0. ~ub:horizon ~obj:1. () in
   let res =
-    Array.init slots (fun s ->
+    Array.init slots (fun _ ->
         Array.map
           (fun kind ->
             Lp.add_var m ~lb:0.
               ~ub:(float_of_int (Resource.get (Arch.max_res arch) kind))
-              ~name:(Printf.sprintf "res_%d_%s" s (Resource.kind_name kind))
               ~obj:0. ())
           Resource.kinds)
   in

@@ -32,6 +32,9 @@ module Context = struct
     c_arena : Reconf_sched.arena;
         (* step-7 buffers (solver, closure, sequence), shared by every
            scale: one run_hot at a time per context *)
+    c_worklist : State.worklist;
+        (* the window propagation's heaps and marks, shared by every
+           scale's state: one pipeline at a time per context *)
   }
 
   let create inst =
@@ -39,6 +42,7 @@ module Context = struct
       c_inst = inst;
       entries = Hashtbl.create 8;
       c_arena = Reconf_sched.make_arena ();
+      c_worklist = State.make_worklist (Instance.size inst);
     }
 
   let entry ctx ~resource_scale =
@@ -75,7 +79,8 @@ module Context = struct
     | None ->
       let s =
         State.create ctx.c_inst ~resource_scale ~cost:e.e_cost
-          ~base_cpm:e.e_base_cpm ~impl_of:e.e_impl_of ()
+          ~base_cpm:e.e_base_cpm ~worklist:ctx.c_worklist
+          ~impl_of:e.e_impl_of ()
       in
       e.e_state <- Some s;
       s

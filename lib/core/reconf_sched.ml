@@ -53,6 +53,8 @@ let run_hot ?module_reuse arena state =
   Timing.Solver.reload solver state ~reconfigs:specs;
   let seq = arena.a_seq and rem = arena.a_rem in
   let len = ref 0 in
+  (* One full resolve of the empty chain; each insertion then splices. *)
+  let times = ref (Timing.Solver.resolve_array solver ~sequence:seq ~len:0) in
   (* Insert [k] at [desired], clamped into the legal interval the
      dependency-forced order leaves: after every scheduled spec that must
      precede it, before every scheduled spec it must precede. *)
@@ -71,15 +73,16 @@ let run_hot ?module_reuse arena state =
       seq.(i) <- seq.(i - 1)
     done;
     seq.(pos) <- k;
-    incr len
+    incr len;
+    times := Timing.Solver.splice solver ~sequence:seq ~len:!len ~pos
   in
   (* One phase per criticality class. Critical reconfigurations go
      first, lowest window start first, each appended after the last one
      scheduled: their delay hits the makespan in full. Non-critical ones
      then slot into the earliest controller gap at or after their window
-     start, and the next resolve shifts whatever follows. The remaining
-     specs are kept in ascending-index order (removal shifts), and the
-     pick is the first strict minimum of the resolved window start. *)
+     start, and the splice shifts whatever follows. The remaining specs
+     are kept in ascending-index order (removal shifts), and the pick is
+     the first strict minimum of the resolved window start. *)
   let phase ~critical ~slotted =
     let rcount = ref 0 in
     for k = 0 to nr - 1 do
@@ -89,9 +92,7 @@ let run_hot ?module_reuse arena state =
       end
     done;
     while !rcount > 0 do
-      let times =
-        Timing.Solver.resolve_array solver ~sequence:seq ~len:!len
-      in
+      let times = !times in
       let bi = ref 0 in
       let best_t =
         ref times.Timing.task_end.(specs.(rem.(0)).Timing.t_in)
@@ -117,6 +118,5 @@ let run_hot ?module_reuse arena state =
   in
   phase ~critical:true ~slotted:false;
   phase ~critical:false ~slotted:true;
-  let times = Timing.Solver.resolve_array solver ~sequence:seq ~len:!len in
-  { p_specs = specs; p_seq = seq; p_len = !len; p_times = times }
+  { p_specs = specs; p_seq = seq; p_len = !len; p_times = !times }
 

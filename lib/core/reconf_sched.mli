@@ -5,9 +5,9 @@
     on the critical path) are placed first, lowest [T_MIN] first, since
     any delay on them propagates fully; each non-critical one is then
     inserted at the earliest controller slot compatible with its window,
-    shifting later reconfigurations as required (realized by re-resolving
-    the augmented graph, which is exactly the paper's delay
-    propagation). *)
+    shifting later reconfigurations as required (realized by splicing it
+    into the timed controller chain and pushing the delay forward, which
+    is exactly the paper's delay propagation). *)
 
 type arena
 (** Reusable buffers for {!run_hot}: a {!Timing.Solver.scratch} solver,
@@ -31,8 +31,9 @@ type plan = {
 val run_hot : ?module_reuse:bool -> arena -> State.t -> plan
 (** Sequence the state's reconfigurations ({!Timing.reconf_specs}) on
     the controller and resolve the final times, so callers can read
-    every start/end time without re-timing. Each insertion re-times the
-    partial sequence through the arena's {!Timing.Solver} and answers
-    dependency-order queries from one {!Resched_taskgraph.Graph.closure}.
+    every start/end time without re-timing. One full resolve times the
+    empty chain; each insertion then {!Timing.Solver.splice}s into the
+    arena's solver, and dependency-order queries are answered from one
+    {!Resched_taskgraph.Graph.closure}.
     The returned plan aliases the arena — valid only until the next
     [run_hot] on the same arena; copy what must survive. *)

@@ -128,7 +128,9 @@ let run ?module_reuse ~ordering state =
   let n = Resched_platform.Instance.size state.State.inst in
   let scratch = state.State.scratch in
   let critical = State.sc_flags scratch in
-  Array.blit state.State.cpm.Resched_taskgraph.Cpm.critical 0 critical 0 n;
+  for u = 0 to n - 1 do
+    critical.(u) <- State.critical state u
+  done;
   let tasks = State.sc_tasks scratch in
   let keys = State.sc_keys scratch in
   (* Criticals in [0 .. nc), non-criticals in [nc .. nc + nnc), both in

@@ -6,6 +6,7 @@ module Device = Resched_fabric.Device
 module Instance = Resched_platform.Instance
 module Arch = Resched_platform.Arch
 module Impl = Resched_platform.Impl
+module Min_heap = Resched_util.Min_heap
 
 type region = {
   id : int;
@@ -15,9 +16,37 @@ type region = {
   mutable tasks : int list;
 }
 
+(* Pending window work, shared by the states of one restart context:
+   the tasks whose earliest start ([fwd], keyed on the stored start) or
+   tail ([bwd], keyed on the stored tail) a queued change may move, plus
+   what the queued changes did to task finishes (for the makespan). Keys
+   never change while a task is queued: a task's value is only rewritten
+   once it has been popped. *)
+type worklist = {
+  fwd : Min_heap.t;
+  bwd : Min_heap.t;
+  mutable hi : int;  (* highest finish a queued change raised *)
+  mutable fell : bool;
+      (* a queued change lowered a finish at or above the makespan *)
+}
+
+let make_worklist n =
+  { fwd = Min_heap.create n; bwd = Min_heap.create n; hi = 0; fell = false }
+
+let clear_worklist q =
+  Min_heap.clear q.fwd;
+  Min_heap.clear q.bwd;
+  q.hi <- 0;
+  q.fell <- false
+
+type windows = {
+  w_t_min : int array;  (* earliest start *)
+  w_tail : int array;  (* longest path from the task's end to the end *)
+  w_dur : int array;  (* duration of the selected implementation *)
+  mutable w_makespan : int;
+}
+
 type scratch = {
-  sc_buffers : Cpm.buffers;
-  sc_durations : int array;
   sc_sort : int array;  (* region-task ordering workspace, size n *)
   sc_keys : float array;  (* sort keys (unboxed), size n *)
   sc_mark : bool array;  (* cycle-guard reachability marks, size n *)
@@ -45,48 +74,149 @@ type t = {
   mutable used : Resource.t;
   region_of : int array;
   processor_of : int array;
-  mutable cpm : Cpm.t;
+  win : windows;
+  work : worklist;
   scratch : scratch;
 }
 
 let impl t u = Instance.impl t.inst ~task:u ~idx:t.impl_of.(u)
-let duration t u = (impl t u).Impl.time
-let durations t = Array.init (Instance.size t.inst) (duration t)
+let duration t u = t.win.w_dur.(u)
+let durations t = Array.copy t.win.w_dur
 let is_hw t u = Impl.is_hw (impl t u)
 
 let hw_impls t u = t.scratch.sc_hw_impls.(u)
 
-(* One set of CPM arrays is recycled: no per-refresh allocation. Safe
-   because no pipeline step keeps a [Cpm.t] alive across a refresh
-   (Regions_define copies the critical flags it needs), and a shared
-   [base_cpm] owns separate arrays. *)
-let refresh_windows t =
-  let s = t.scratch in
-  for u = 0 to Instance.size t.inst - 1 do
-    s.sc_durations.(u) <- duration t u
+let t_min t u = t.win.w_t_min.(u)
+let t_max t u = t.win.w_makespan - t.win.w_tail.(u)
+let makespan t = t.win.w_makespan
+
+let critical t u =
+  let w = t.win in
+  w.w_t_min.(u) + w.w_dur.(u) + w.w_tail.(u) = w.w_makespan
+
+(* ---- the propagation -------------------------------------------- *)
+
+let rec queue_all q ~key = function
+  | [] -> ()
+  | x :: tl ->
+    Min_heap.add q ~key x;
+    queue_all q ~key tl
+
+(* A task's finish moved from [old] to [now]: a rise may lift the
+   makespan, a fall from the top may lower it. *)
+let note_finish q (w : windows) ~old ~now =
+  if now > q.hi then q.hi <- now;
+  if now < old && old >= w.w_makespan then q.fell <- true
+
+(* [t_min] from all predecessors: max(0, max of t_min p + d p). *)
+let rec latest_finish t_min dur acc = function
+  | [] -> acc
+  | p :: tl ->
+    let f = t_min.(p) + dur.(p) in
+    latest_finish t_min dur (if f > acc then f else acc) tl
+
+(* The tail from all successors: max(0, max of d v + tail v). *)
+let rec longest_tail tail dur acc = function
+  | [] -> acc
+  | v :: tl ->
+    let l = dur.(v) + tail.(v) in
+    longest_tail tail dur (if l > acc then l else acc) tl
+
+(* Each popped task is recomputed from all its neighbours, so a falling
+   value settles as exactly as a rising one; only a task whose value
+   changes queues its own neighbours. Longest paths in a DAG with
+   non-negative durations are unique, so the fixpoint is the from-scratch
+   CPM's, whatever order the heaps pop in. The min-heaps on the stored
+   values only make that order near-topological, so most tasks settle on
+   their first pop. *)
+let propagate t =
+  let q = t.work and w = t.win and dep = t.dep in
+  let t_min = w.w_t_min and tail = w.w_tail and dur = w.w_dur in
+  while not (Min_heap.is_empty q.fwd) do
+    let x = Min_heap.pop q.fwd ~key:t_min in
+    let now = latest_finish t_min dur 0 (Graph.preds_rev dep x) in
+    let old = t_min.(x) in
+    if now <> old then begin
+      t_min.(x) <- now;
+      note_finish q w ~old:(old + dur.(x)) ~now:(now + dur.(x));
+      queue_all q.fwd ~key:t_min (Graph.succs_rev dep x)
+    end
   done;
-  t.cpm <- Cpm.compute_with s.sc_buffers t.dep ~durations:s.sc_durations
+  while not (Min_heap.is_empty q.bwd) do
+    let x = Min_heap.pop q.bwd ~key:tail in
+    let now = longest_tail tail dur 0 (Graph.succs_rev dep x) in
+    if now <> tail.(x) then begin
+      tail.(x) <- now;
+      queue_all q.bwd ~key:tail (Graph.preds_rev dep x)
+    end
+  done;
+  if q.fell then begin
+    let m = ref 0 in
+    for u = 0 to Array.length t_min - 1 do
+      let f = t_min.(u) + dur.(u) in
+      if f > !m then m := f
+    done;
+    w.w_makespan <- !m
+  end
+  else if q.hi > w.w_makespan then w.w_makespan <- q.hi;
+  q.hi <- 0;
+  q.fell <- false
 
-let initial_cpm inst ~impl_of =
-  let durations =
-    Array.init (Instance.size inst) (fun u ->
-        (Instance.impl inst ~task:u ~idx:impl_of.(u)).Impl.time)
-  in
-  Cpm.compute inst.Instance.graph ~durations
+let set_impl t ~task idx =
+  let w = t.win in
+  t.impl_of.(task) <- idx;
+  let old = w.w_dur.(task) and d = (impl t task).Impl.time in
+  if d <> old then begin
+    w.w_dur.(task) <- d;
+    let start = w.w_t_min.(task) in
+    note_finish t.work w ~old:(start + old) ~now:(start + d);
+    queue_all t.work.fwd ~key:w.w_t_min (Graph.succs_rev t.dep task);
+    queue_all t.work.bwd ~key:w.w_tail (Graph.preds_rev t.dep task)
+  end
 
-let create inst ?(resource_scale = 1.0) ?cost ?base_cpm ~impl_of () =
+(* Edge [u -> v]: [v] may start later, [u]'s tail may grow. *)
+let add_edge t u v =
+  Graph.add_edge t.dep u v;
+  Min_heap.add t.work.fwd ~key:t.win.w_t_min v;
+  Min_heap.add t.work.bwd ~key:t.win.w_tail u
+
+let set_windows t (c : Cpm.t) =
+  clear_worklist t.work;
+  let w = t.win in
+  let n = Array.length w.w_t_min in
+  Array.blit c.Cpm.t_min 0 w.w_t_min 0 n;
+  for u = 0 to n - 1 do
+    w.w_tail.(u) <- c.Cpm.makespan - c.Cpm.t_max.(u)
+  done;
+  w.w_makespan <- c.Cpm.makespan
+
+(* ---- creation and recycling -------------------------------------- *)
+
+let create inst ?(resource_scale = 1.0) ?cost ?base_cpm ?worklist ~impl_of ()
+    =
   let n = Instance.size inst in
   if Array.length impl_of <> n then
     invalid_arg "State.create: impl_of length mismatch";
+  let work =
+    match worklist with
+    | Some q when Min_heap.capacity q.fwd = n -> q
+    | Some _ ->
+      invalid_arg "State.create: worklist sized for another instance"
+    | None -> make_worklist n
+  in
   let max_res = Resource.scale (Arch.max_res inst.Instance.arch) resource_scale in
   let cost = match cost with Some c -> c | None -> Cost.make inst ~max_res in
+  let dur =
+    Array.init n (fun u ->
+        (Instance.impl inst ~task:u ~idx:impl_of.(u)).Impl.time)
+  in
   let cpm =
-    match base_cpm with Some c -> c | None -> initial_cpm inst ~impl_of
+    match base_cpm with
+    | Some c -> c
+    | None -> Cpm.compute inst.Instance.graph ~durations:dur
   in
   let scratch =
     {
-      sc_buffers = Cpm.make_buffers n;
-      sc_durations = Array.make n 0;
       sc_sort = Array.make n 0;
       sc_keys = Array.make n 0.;
       sc_mark = Array.make n false;
@@ -95,20 +225,31 @@ let create inst ?(resource_scale = 1.0) ?cost ?base_cpm ~impl_of () =
       sc_hw_impls = Array.init n (fun u -> Instance.hw_impls inst u);
     }
   in
-  {
-    inst;
-    max_res;
-    cost;
-    impl_of = Array.copy impl_of;
-    dep = Graph.copy inst.Instance.graph;
-    regions_arr = [||];
-    nregions = 0;
-    used = Resource.zero;
-    region_of = Array.make n (-1);
-    processor_of = Array.make n (-1);
-    cpm;
-    scratch;
-  }
+  let t =
+    {
+      inst;
+      max_res;
+      cost;
+      impl_of = Array.copy impl_of;
+      dep = Graph.copy inst.Instance.graph;
+      regions_arr = [||];
+      nregions = 0;
+      used = Resource.zero;
+      region_of = Array.make n (-1);
+      processor_of = Array.make n (-1);
+      win =
+        {
+          w_t_min = Array.make n 0;
+          w_tail = Array.make n 0;
+          w_dur = dur;
+          w_makespan = 0;
+        };
+      work;
+      scratch;
+    }
+  in
+  set_windows t cpm;
+  t
 
 let dummy_region =
   { id = -1; res = Resource.zero; bits = 0.; reconf = 0; tasks = [] }
@@ -118,6 +259,9 @@ let reset t ~impl_of ~base_cpm =
   if Array.length impl_of <> n then
     invalid_arg "State.reset: impl_of length mismatch";
   Array.blit impl_of 0 t.impl_of 0 n;
+  for u = 0 to n - 1 do
+    t.win.w_dur.(u) <- (impl t u).Impl.time
+  done;
   Graph.restore ~from:t.inst.Instance.graph t.dep;
   (* Drop the region references so the previous iteration's records do
      not stay rooted by the recycled slot array. *)
@@ -126,10 +270,9 @@ let reset t ~impl_of ~base_cpm =
   t.used <- Resource.zero;
   Array.fill t.region_of 0 n (-1);
   Array.fill t.processor_of 0 n (-1);
-  t.cpm <- base_cpm
+  set_windows t base_cpm
 
-let t_min t u = t.cpm.Cpm.t_min.(u)
-let t_max t u = t.cpm.Cpm.t_max.(u)
+(* ---- regions ----------------------------------------------------- *)
 
 let iter_regions t f =
   for i = 0 to t.nregions - 1 do
@@ -169,12 +312,18 @@ let new_region t need =
   region
 
 (* Would adding edge u -> v close a cycle, i.e. is u reachable from v?
-   Answered with the recycled mark array. *)
-let edge_would_cycle t u v =
-  let mark = t.scratch.sc_mark in
-  Array.fill mark 0 (Array.length mark) false;
-  Graph.mark_reachable t.dep v mark;
-  mark.(u)
+   A path v ~> u forces t_min u >= t_min v + d v, so while the windows
+   are [current] for the graph an edge with t_min u < t_min v + d v
+   cannot close one. Otherwise a DFS over the recycled mark array
+   decides. *)
+let edge_would_cycle t ~current u v =
+  if current && t_min t u < t_min t v + duration t v then false
+  else begin
+    let mark = t.scratch.sc_mark in
+    Array.fill mark 0 (Array.length mark) false;
+    Graph.mark_reachable t.dep v mark;
+    mark.(u)
+  end
 
 let insert_region_edges t ~task region =
   (* The region is exclusive: order its tasks by their window starts and
@@ -198,11 +347,17 @@ let insert_region_edges t ~task region =
   while arr.(!pos) <> task do
     incr pos
   done;
+  (* Whether no change is queued: the windows then hold for the graph as
+     it was before this call. They still rule out a cycle for the second
+     edge [task -> next] once [prev -> task] is in: a path through the new
+     edge would run next ~> prev, and t_min prev <= t_min task by the sort,
+     so t_min task < t_min next + d next rules that path out as well. *)
+  let current = Min_heap.is_empty t.work.fwd in
   let guard_edge u v =
     if u <> v && not (Graph.has_edge t.dep u v) then begin
-      if edge_would_cycle t u v then
+      if edge_would_cycle t ~current u v then
         invalid_arg "State.assign_to_region: ordering edge would create a cycle";
-      Graph.add_edge t.dep u v
+      add_edge t u v
     end
   in
   if !pos > 0 then guard_edge arr.(!pos - 1) task;
@@ -216,24 +371,24 @@ let assign_to_region t ~task region =
   t.region_of.(task) <- region.id;
   t.processor_of.(task) <- -1;
   insert_region_edges t ~task region;
-  refresh_windows t
+  propagate t
 
 let switch_to_sw t ~task =
-  t.impl_of.(task) <- Instance.fastest_sw t.inst task;
+  set_impl t ~task (Instance.fastest_sw t.inst task);
   (if t.region_of.(task) >= 0 then begin
      (* Should not happen in the pipeline, but keep the state coherent. *)
      let r = t.regions_arr.(t.region_of.(task)) in
      r.tasks <- List.filter (fun u -> u <> task) r.tasks;
      t.region_of.(task) <- -1
    end);
-  refresh_windows t
+  propagate t
 
 let switch_to_hw t ~task ~impl_idx region =
   let i = Instance.impl t.inst ~task ~idx:impl_idx in
   if not (Impl.is_hw i) then
     invalid_arg "State.switch_to_hw: not a hardware implementation";
-  t.impl_of.(task) <- impl_idx;
-  refresh_windows t;
+  set_impl t ~task impl_idx;
+  propagate t;
   assign_to_region t ~task region
 
 let region_list t = Array.sub t.regions_arr 0 t.nregions

@@ -3,8 +3,17 @@
     Holds the current implementation choice per task, the *augmented*
     dependency graph (application edges plus the ordering edges inserted
     when tasks share a reconfigurable region or a processor), the set of
-    reconfigurable regions built so far, and the CPM time windows, which
-    must be refreshed after any change ({!refresh_windows}).
+    reconfigurable regions built so far, and the CPM time windows of
+    Sec. V-B, maintained incrementally. Per task the state keeps its
+    earliest start [t_min], its duration and its {e tail} (the longest
+    path from its end to the end of the schedule, so
+    [t_max = makespan - tail]), plus the makespan. A mutation
+    ({!set_impl}, {!add_edge}, and the placement moves built on them)
+    only queues the tasks it may affect; {!propagate} then re-times just
+    the tasks whose value changes, and leaves every window equal to what
+    a from-scratch {!Cpm.compute} of the current graph and durations
+    returns. Windows read between a mutation and the next {!propagate}
+    are the ones of the last propagation.
 
     Every state carries the scratch workspaces its pipeline steps borrow,
     so a step allocates nothing per call. A state can be recycled across
@@ -24,9 +33,8 @@ type region = {
 }
 
 type scratch
-(** Reusable workspaces for allocation-free pipeline steps: CPM buffers
-    + durations for window refreshes, plus size-[n] int/float/bool arrays
-    the steps borrow for sorting and marking. *)
+(** Reusable workspaces for allocation-free pipeline steps: size-[n]
+    int/float/bool arrays the steps borrow for sorting and marking. *)
 
 val sc_tasks : scratch -> int array
 (** Size-[n] int workspace. Contents are clobbered by any pipeline step
@@ -43,12 +51,27 @@ val sc_mark : scratch -> bool array
 (** Second size-[n] bool workspace (also the cycle-guard mark array —
     any {!assign_to_region} clobbers it). Same borrowing rule. *)
 
-type t = {
+type windows
+(** The per-task windows and the makespan, read through {!t_min},
+    {!t_max}, {!critical} and {!makespan}. *)
+
+type worklist
+(** The propagation's scratch: two min-heaps of the tasks a queued
+    change may move, with their membership marks. The states of one
+    {!Pa.Context} share one, so between a mutation and its
+    {!propagate} no other state sharing it may be mutated. *)
+
+val make_worklist : int -> worklist
+(** A worklist for instances of the given task count. *)
+
+type t = private {
   inst : Resched_platform.Instance.t;
   max_res : Resched_fabric.Resource.t;
       (** virtually reduced FPGA availability for this attempt *)
   cost : Cost.t;
-  impl_of : int array;  (** current implementation index per task *)
+  impl_of : int array;
+      (** current implementation index per task; written only through
+          {!set_impl}, which keeps the durations in step *)
   dep : Graph.t;  (** augmented dependency graph (owned copy) *)
   mutable regions_arr : region array;
       (** region slots; only the first [nregions] entries are live.
@@ -58,15 +81,14 @@ type t = {
       (** running sum of all regions' requirements *)
   region_of : int array;  (** region id or -1 *)
   processor_of : int array;  (** processor id or -1 *)
-  mutable cpm : Cpm.t;
-      (** windows for the current durations/graph. {!refresh_windows}
-          recycles one set of CPM arrays, so the record is only valid
-          until the next refresh (copy what must survive). *)
+  win : windows;
+  work : worklist;
   scratch : scratch;
 }
 
 val create : Resched_platform.Instance.t -> ?resource_scale:float ->
-  ?cost:Cost.t -> ?base_cpm:Cpm.t -> impl_of:int array -> unit -> t
+  ?cost:Cost.t -> ?base_cpm:Cpm.t -> ?worklist:worklist ->
+  impl_of:int array -> unit -> t
 (** Fresh state with the given initial implementation selection; windows
     are computed immediately from the initial durations (no placeholder
     pass). [resource_scale] (default 1.0) virtually scales the device's
@@ -74,14 +96,17 @@ val create : Resched_platform.Instance.t -> ?resource_scale:float ->
     share already-computed iteration-invariant values (the cost weights
     for this [max_res], and the CPM of the unaugmented graph under the
     initial durations); when omitted they are computed here. A shared
-    [base_cpm] is never mutated — window refreshes never write into its
-    arrays. *)
+    [base_cpm] is only read: the state copies its windows. [worklist]
+    (default: a fresh one) is the propagation scratch, shared by the
+    states of one context; raises [Invalid_argument] when it was made for
+    another task count. *)
 
 val reset : t -> impl_of:int array -> base_cpm:Cpm.t -> unit
 (** Restore the state to what [create] with the same arguments would
     build — initial implementations, pristine dependency graph, no
-    regions, no processor assignments, base windows — reusing the
-    existing arrays and adjacency storage instead of reallocating.
+    regions, no processor assignments, base windows, no queued change —
+    reusing the existing arrays and adjacency storage instead of
+    reallocating.
     [impl_of] and [base_cpm] must correspond to this state's
     [max_res]/[cost] (they come from the same {!Pa.Context} entry). *)
 
@@ -98,11 +123,41 @@ val hw_impls : t -> int -> (int * Resched_platform.Impl.t) list
 (** [Instance.hw_impls] for this state's instance, answered from a list
     cached at creation (same contents, no allocation). *)
 
-val refresh_windows : t -> unit
-(** Recompute CPM windows for the current durations and augmented graph. *)
-
 val t_min : t -> int -> int
+(** Earliest start: [max(0, max over predecessors p of t_min p + d p)]. *)
+
 val t_max : t -> int -> int
+(** Latest finish: [makespan - tail], where
+    [tail u = max(0, max over successors v of d v + tail v)]. *)
+
+val critical : t -> int -> bool
+(** Zero slack: [t_min u + d u + tail u = makespan]. *)
+
+val makespan : t -> int
+(** [max over tasks of t_min + d]. *)
+
+val set_impl : t -> task:int -> int -> unit
+(** Select the task's implementation by index and queue the duration
+    change (the task's successors' starts, its predecessors' tails and
+    the makespan). The only writer of [impl_of]. Does not propagate. *)
+
+val add_edge : t -> int -> int -> unit
+(** Insert an ordering edge into the augmented graph (ignored when
+    present) and queue what it may move: the target's start and the
+    source's tail. The caller keeps the graph acyclic. Does not
+    propagate. *)
+
+val propagate : t -> unit
+(** Settle every queued change: recompute each queued task from all its
+    neighbours, queue the neighbours of each task whose value changed,
+    and update the makespan. Afterwards every window equals
+    [Cpm.compute] on the current graph and durations. Allocates
+    nothing. *)
+
+val set_windows : t -> Cpm.t -> unit
+(** Overwrite the windows with a CPM of the current graph and durations
+    and drop every queued change. {!reset} loads the base windows with
+    it; a from-scratch reference can load its own windows with it. *)
 
 val regions : t -> region list
 (** Regions in creation order (allocates one list per call). *)
@@ -133,17 +188,17 @@ val new_region : t -> Resched_fabric.Resource.t -> region
 val assign_to_region : t -> task:int -> region -> unit
 (** Place the task on the region: records the placement, inserts the
     region-ordering edges dictated by the current windows, keeps the
-    region's task list sorted by [t_min], and refreshes the windows.
-    Raises [Invalid_argument] if the insertion would create a dependency
-    cycle (callers must have checked window compatibility). *)
+    region's task list sorted by [t_min], and propagates. Raises
+    [Invalid_argument] if the insertion would create a dependency cycle
+    (callers must have checked window compatibility); an edge inserted
+    before the raise stays queued for the caller's next {!propagate}. *)
 
 val switch_to_sw : t -> task:int -> unit
-(** Select the task's fastest software implementation and refresh the
-    windows. *)
+(** Select the task's fastest software implementation and propagate. *)
 
 val switch_to_hw : t -> task:int -> impl_idx:int -> region -> unit
 (** Software-balancing move (Sec. V-D): adopt the given hardware
-    implementation and place the task on [region]. *)
+    implementation, propagate, and place the task on [region]. *)
 
 val region_list : t -> region array
 (** Regions in creation order. *)

@@ -39,21 +39,18 @@ let try_move state ~task =
         (* Tentatively adopt the implementation so the window check sees
            the hardware duration, then commit or roll back. *)
         let saved = state.State.impl_of.(task) in
-        state.State.impl_of.(task) <- impl_idx;
-        State.refresh_windows state;
-        let ok =
+        State.set_impl state ~task impl_idx;
+        State.propagate state;
+        let placed =
           Regions_define.region_compatible_non_critical state ~task region
-        in
-        if ok then
+          &&
           match State.assign_to_region state ~task region with
-          | () -> ()
-          | exception Invalid_argument _ ->
-            state.State.impl_of.(task) <- saved;
-            State.refresh_windows state;
-            attempt (i + 1)
-        else begin
-          state.State.impl_of.(task) <- saved;
-          State.refresh_windows state;
+          | () -> true
+          | exception Invalid_argument _ -> false
+        in
+        if not placed then begin
+          State.set_impl state ~task saved;
+          State.propagate state;
           attempt (i + 1)
         end)
     end

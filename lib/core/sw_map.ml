@@ -22,8 +22,10 @@ let choose_processor state ~task on_processor =
 
 (* Totally order [task] against every task already on the processor: a
    dependency path (either way) already orders the pair; otherwise an
-   explicit edge is inserted following the current window order. This
-   guarantees processor exclusiveness whatever delays appear later.
+   explicit edge is inserted following the current window order. The
+   edges only queue their window changes, so every comparison reads the
+   windows the task's step started with; [run] propagates once per task.
+   This guarantees processor exclusiveness whatever delays appear later.
    [fwd] holds the descendants of [task] and [anc] its ancestors *in the
    current graph*, maintained incrementally as edges go in. An edge
    [task -> u] can only extend [fwd] (by [u]'s descendants, a DAG admits
@@ -37,11 +39,11 @@ let order_against state ~task ~fwd ~anc assigned =
     (fun u ->
       if not (fwd.(u) || anc.(u)) then begin
         if State.t_min state u <= State.t_min state task then begin
-          Graph.add_edge dep u task;
+          State.add_edge state u task;
           Graph.mark_coreachable dep u anc
         end
         else begin
-          Graph.add_edge dep task u;
+          State.add_edge state task u;
           Graph.mark_reachable dep u fwd
         end
       end)
@@ -77,5 +79,5 @@ let run state =
     order_against state ~task ~fwd ~anc on_processor.(p);
     state.State.processor_of.(task) <- p;
     on_processor.(p) <- task :: on_processor.(p);
-    State.refresh_windows state
+    State.propagate state
   done

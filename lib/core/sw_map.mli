@@ -8,7 +8,8 @@
     task propagates any delay through the task graph (eq. 9 / step 4). *)
 
 val run : State.t -> unit
-(** Mutates [processor_of], the dependency graph and the windows. The
+(** Mutates [processor_of], the dependency graph and the windows (one
+    propagation per task, after all its ordering edges). The
     already-ordered test for each (task, assigned) pair is answered from
     incrementally maintained descendant and ancestor marks, not from two
     reachability DFS per pair. *)

@@ -1,6 +1,6 @@
 module Graph = Resched_taskgraph.Graph
-module Cpm = Resched_taskgraph.Cpm
 module Impl = Resched_platform.Impl
+module Min_heap = Resched_util.Min_heap
 
 type reconf_spec = {
   region_id : int;
@@ -24,7 +24,6 @@ let same_module (a : Impl.t) (b : Impl.t) =
   | _ -> false
 
 let reconf_specs ?(module_reuse = false) state =
-  let critical = state.State.cpm.Cpm.critical in
   let specs = ref [] in
   State.iter_regions state (fun (r : State.region) ->
       let rec pairs = function
@@ -40,7 +39,7 @@ let reconf_specs ?(module_reuse = false) state =
                 t_in = a;
                 t_out = b;
                 dur = r.State.reconf;
-                critical = critical.(b);
+                critical = State.critical state b;
               }
               :: !specs;
           pairs (b :: tl)
@@ -55,14 +54,15 @@ let must_precede_closure closure a b =
 module Solver = struct
   (* The augmented graph (data edges, region/processor ordering edges,
      one node per reconfiguration wired between its in/out tasks) is
-     invariant across the resolves of one step-7 run; only the
-     controller-chain edges over [sequence] change. The base adjacency,
-     in-degrees and durations are therefore built once, the chain is kept
-     as a [chain_next] side array, and every resolve is a single
-     allocation-free Kahn pass that relaxes earliest starts as nodes are
-     dequeued (any topological order yields the same longest-path
-     [t_min], so the result is bit-identical to a from-scratch CPM over
-     the whole augmented graph). *)
+     invariant across one step-7 run; only the controller-chain edges
+     over [sequence] change. The base adjacency, in-degrees and durations
+     are therefore built once, and the chain is kept as a [chain_next]
+     side array. A resolve is a single allocation-free Kahn pass that
+     relaxes earliest starts as nodes are dequeued (any topological order
+     yields the same longest-path [t_min], so the result is bit-identical
+     to a from-scratch CPM over the whole augmented graph); a splice
+     re-times from the previous times only what a new chain edge pushes
+     later. *)
 
   (* Every field is mutable so one solver value can be {!reload}ed for
      each restart iteration, growing its arrays on demand: loops are
@@ -85,6 +85,9 @@ module Solver = struct
     mutable task_end : int array;
     mutable rec_start : int array;
     mutable rec_end : int array;
+    mutable pending : Min_heap.t;
+        (** the splice's worklist, empty between calls *)
+    mutable makespan : int;  (** of the last resolve or splice *)
   }
 
   let of_plan ~graph ~durations:task_durations ~reconfigs =
@@ -143,6 +146,8 @@ module Solver = struct
       task_end = Array.make n 0;
       rec_start = Array.make (Stdlib.max 1 nr) 0;
       rec_end = Array.make (Stdlib.max 1 nr) 0;
+      pending = Min_heap.create total;
+      makespan = 0;
     }
 
   let scratch () =
@@ -162,6 +167,8 @@ module Solver = struct
       task_end = [||];
       rec_start = [| 0 |];
       rec_end = [| 0 |];
+      pending = Min_heap.create 0;
+      makespan = 0;
     }
 
   let reload s state ~reconfigs =
@@ -188,6 +195,10 @@ module Solver = struct
     s.chain_next <- grow s.chain_next (Stdlib.max 1 nr);
     s.rec_start <- grow s.rec_start (Stdlib.max 1 nr);
     s.rec_end <- grow s.rec_end (Stdlib.max 1 nr);
+    if Min_heap.capacity s.pending < total then
+      s.pending <-
+        Min_heap.create
+          (Stdlib.max total (2 * Min_heap.capacity s.pending));
     let off = s.off and base_indeg = s.base_indeg in
     Array.fill base_indeg 0 total 0;
     (* Pass 1: out-degree per node into [off.(u+1)], in-degrees as we
@@ -243,6 +254,15 @@ module Solver = struct
       durations.(n + k) <- reconfigs.(k).dur
     done
 
+  let result s =
+    {
+      task_start = s.task_start;
+      task_end = s.task_end;
+      rec_start = s.rec_start;
+      rec_end = s.rec_end;
+      makespan = s.makespan;
+    }
+
   (* Shared Kahn pass: chain edges must already be installed in
      [chain_next]/[indeg] (on top of a fresh [base_indeg] blit). *)
   let finish_resolve ?release s =
@@ -256,10 +276,9 @@ module Solver = struct
       Array.blit r 0 t_min 0 total);
     let head = ref 0 and tail = ref 0 in
     (* Node ids in [adj] were validated when the base adjacency was
-       built, so unchecked accesses are safe (cf. [Cpm.compute_with]).
-       Defined outside the drain loop: a closure per popped node is real
-       allocation in this, the single hottest loop of the restart
-       kernel. *)
+       built, so unchecked accesses are safe (cf. the packed rows of
+       [Graph.closure]). Defined outside the drain loop, so popping a
+       node allocates no closure. *)
     let relax v finish =
       if Array.unsafe_get t_min v < finish then
         Array.unsafe_set t_min v finish;
@@ -308,13 +327,8 @@ module Solver = struct
       s.rec_start.(k) <- t_min.(n + k);
       s.rec_end.(k) <- t_min.(n + k) + s.reconfigs.(k).dur
     done;
-    {
-      task_start = s.task_start;
-      task_end = s.task_end;
-      rec_start = s.rec_start;
-      rec_end = s.rec_end;
-      makespan = !makespan;
-    }
+    s.makespan <- !makespan;
+    result s
 
   let prep s =
     Array.fill s.chain_next 0 s.nr (-1);
@@ -344,4 +358,66 @@ module Solver = struct
       indeg.(n + b) <- indeg.(n + b) + 1
     done;
     finish_resolve ?release s
+
+  (* Raise node [v]'s start to at least [finish], keeping the derived
+     times and the makespan in step, and queue it when it moved. The
+     worklist pops the least live start first; a raise of a queued node
+     can only make that order less topological, never the result wrong:
+     every raise is a relaxation towards the unique least fixpoint. *)
+  let raise_to s v finish =
+    let t_min = s.t_min in
+    if t_min.(v) < finish then begin
+      t_min.(v) <- finish;
+      let n = s.n in
+      if v < n then begin
+        let e = finish + s.durations.(v) in
+        s.task_start.(v) <- finish;
+        s.task_end.(v) <- e;
+        if e > s.makespan then s.makespan <- e
+      end
+      else begin
+        s.rec_start.(v - n) <- finish;
+        s.rec_end.(v - n) <- finish + s.durations.(v)
+      end;
+      Min_heap.add s.pending ~key:t_min v
+    end
+
+  let splice s ~sequence ~len ~pos =
+    if len < 1 || len > Array.length sequence || pos < 0 || pos >= len then
+      invalid_arg "Timing.Solver.splice: bad position";
+    let n = s.n and chain_next = s.chain_next and pending = s.pending in
+    let k = sequence.(pos) in
+    let prev = if pos > 0 then sequence.(pos - 1) else -1 in
+    chain_next.(k) <- (if pos + 1 < len then sequence.(pos + 1) else -1);
+    (* [prev -> k -> next] replaces [prev -> next] and implies it, so
+       every time can only rise: raise [k] past [prev], then push forward
+       from [k], whose chain successor is now [next]. *)
+    let t_min = s.t_min and durations = s.durations in
+    if prev >= 0 then begin
+      chain_next.(prev) <- k;
+      raise_to s (n + k) (t_min.(n + prev) + durations.(n + prev))
+    end;
+    Min_heap.add pending ~key:t_min (n + k);
+    (* A legal splice settles each node about once. Past a budget far
+       above that, the full resolve takes over: it gives the same times,
+       and reports a cycle through the new chain edges as
+       [Graph.Cycle]. *)
+    let budget = ref ((4 * (n + s.nr)) + 64) in
+    while (not (Min_heap.is_empty pending)) && !budget > 0 do
+      decr budget;
+      let x = Min_heap.pop pending ~key:t_min in
+      let finish = t_min.(x) + durations.(x) in
+      for j = s.off.(x) to s.off.(x + 1) - 1 do
+        raise_to s s.adj.(j) finish
+      done;
+      if x >= n then begin
+        let next = chain_next.(x - n) in
+        if next >= 0 then raise_to s (n + next) finish
+      end
+    done;
+    if Min_heap.is_empty pending then result s
+    else begin
+      Min_heap.clear pending;
+      resolve_array s ~sequence ~len
+    end
 end

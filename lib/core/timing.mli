@@ -27,7 +27,7 @@ val reconf_specs : ?module_reuse:bool -> State.t -> reconf_spec array
 (** One reconfiguration per consecutive task pair inside each region
     (Sec. V-G), in region order; pairs whose implementations share a
     [module_id] are skipped when [module_reuse] is set. Criticality is
-    taken from the state's current windows. *)
+    taken from the state's windows ({!State.critical}). *)
 
 val must_precede_closure :
   Resched_taskgraph.Graph.closure -> reconf_spec -> reconf_spec -> bool
@@ -38,12 +38,12 @@ val must_precede_closure :
     state's augmented dependency graph (valid while no further edges
     are inserted). *)
 
-(** Timing solver for the sequencing loop of step 7, which resolves once
-    per reconfiguration insertion: the augmented graph and durations are
-    compiled once, and each {!Solver.resolve} only re-applies the
-    controller-chain edges and reruns the longest-path pass over reused
-    scratch arrays. Its times are bit-identical to a from-scratch CPM of
-    the whole augmented graph. *)
+(** Timing solver for the sequencing loop of step 7: the augmented graph
+    and durations are compiled once, one {!Solver.resolve_array} times
+    the empty controller chain, and each reconfiguration the loop
+    sequences is then {!Solver.splice}d in, re-timing only what the new
+    chain edges push later. Its times are bit-identical to a from-scratch
+    CPM of the whole augmented graph. *)
 module Solver : sig
   type t
 
@@ -87,4 +87,15 @@ module Solver : sig
       entries of an int array — the sequencing loop's scratch
       representation — instead of a list. Same result, same aliasing
       caveat. *)
+
+  val splice : t -> sequence:int array -> len:int -> pos:int -> resolved
+  (** Re-time after inserting [sequence.(pos)] into the chain of this
+      solver's previous resolve or splice: the first [len] entries of
+      [sequence] are that chain with the new entry at [pos]. The new
+      chain edges [prev -> k -> next] imply the old [prev -> next], so no
+      time falls; the splice raises [k] past [prev] and pushes the
+      increase forward from [k] (through [next]), touching only what
+      moves. Same result as {!resolve_array} on the new chain (which it
+      falls back to, and which raises [Graph.Cycle], should the chain
+      contradict the dependencies), same aliasing caveat. *)
 end

@@ -38,18 +38,16 @@ let pack device needs =
          objective (total occupied resource units) only serves to make
          the solve deterministic. *)
       let x =
-        Array.mapi
-          (fun i cl ->
+        Array.map
+          (fun cl ->
             Array.of_list
-              (List.mapi
-                 (fun p rect ->
+              (List.map
+                 (fun rect ->
                    let area =
                      float_of_int
                        (Resource.total_units (Placement.resources device rect))
                    in
-                   ( Lp.add_binary m ~name:(Printf.sprintf "x_%d_%d" i p)
-                       ~obj:area (),
-                     rect ))
+                   (Lp.add_binary m ~obj:area (), rect))
                  cl))
           cands
       in

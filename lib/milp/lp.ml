@@ -13,30 +13,26 @@ type t = {
   mutable lb : float list;
   mutable ub : float list;
   mutable integer : bool list;
-  mutable names : string list;
   mutable constraints : row list;  (* reversed *)
   mutable nrows : int;
 }
 
 let create ?(objective = Minimize) () =
   { goal = objective; nvars = 0; obj = []; lb = []; ub = []; integer = [];
-    names = []; constraints = []; nrows = 0 }
+    constraints = []; nrows = 0 }
 
-let add_var t ?(lb = 0.) ?(ub = infinity) ?(integer = false) ?name ~obj () =
+let add_var t ?(lb = 0.) ?(ub = infinity) ?(integer = false) ~obj () =
   if Float.is_nan lb || Float.is_nan ub then invalid_arg "Lp.add_var: NaN bound";
   if lb > ub then invalid_arg "Lp.add_var: lb > ub";
   let idx = t.nvars in
-  let name = match name with Some n -> n | None -> Printf.sprintf "x%d" idx in
   t.nvars <- idx + 1;
   t.obj <- obj :: t.obj;
   t.lb <- lb :: t.lb;
   t.ub <- ub :: t.ub;
   t.integer <- integer :: t.integer;
-  t.names <- name :: t.names;
   idx
 
-let add_binary t ?name ~obj () =
-  add_var t ~lb:0. ~ub:1. ~integer:true ?name ~obj ()
+let add_binary t ~obj () = add_var t ~lb:0. ~ub:1. ~integer:true ~obj ()
 
 let combine_terms terms =
   let tbl = Hashtbl.create (List.length terms) in
@@ -71,7 +67,6 @@ let nth_rev t l (v : var) =
 
 let var_lb t v = nth_rev t t.lb v
 let var_ub t v = nth_rev t t.ub v
-let var_name t v = nth_rev t t.names v
 
 let lb_array t = rev_array t.lb
 let ub_array t = rev_array t.ub
@@ -80,28 +75,3 @@ let integer_array t = rev_array t.integer
 let rows t =
   rev_array t.constraints
   |> Array.map (fun r -> (r.terms, r.sense, r.rhs))
-
-let pp ppf t =
-  let names = rev_array t.names in
-  let obj = obj_coeffs t in
-  let goal = match t.goal with Minimize -> "minimize" | Maximize -> "maximize" in
-  Format.fprintf ppf "%s" goal;
-  Array.iteri
-    (fun i c -> if c <> 0. then Format.fprintf ppf " %+g %s" c names.(i))
-    obj;
-  Format.fprintf ppf "@\nsubject to@\n";
-  Array.iter
-    (fun (terms, sense, rhs) ->
-      List.iter
-        (fun (v, c) -> Format.fprintf ppf " %+g %s" c names.(v))
-        terms;
-      let s = match sense with Le -> "<=" | Ge -> ">=" | Eq -> "=" in
-      Format.fprintf ppf " %s %g@\n" s rhs)
-    (rows t);
-  let lb = rev_array t.lb and ub = rev_array t.ub in
-  let integer = rev_array t.integer in
-  Array.iteri
-    (fun i name ->
-      Format.fprintf ppf "%g <= %s <= %g%s@\n" lb.(i) name ub.(i)
-        (if integer.(i) then " (int)" else ""))
-    names

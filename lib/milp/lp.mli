@@ -20,13 +20,13 @@ type objective = Minimize | Maximize
 val create : ?objective:objective -> unit -> t
 (** A fresh empty model; [objective] defaults to [Minimize]. *)
 
-val add_var : t -> ?lb:float -> ?ub:float -> ?integer:bool ->
-  ?name:string -> obj:float -> unit -> var
+val add_var : t -> ?lb:float -> ?ub:float -> ?integer:bool -> obj:float ->
+  unit -> var
 (** New variable with objective coefficient [obj]; bounds default to
     [\[0, +inf)]; [integer] defaults to [false]. Raises
     [Invalid_argument] if [lb > ub] or a bound is NaN. *)
 
-val add_binary : t -> ?name:string -> obj:float -> unit -> var
+val add_binary : t -> obj:float -> unit -> var
 (** Integer variable in [\[0, 1\]]. *)
 
 val add_constraint : t -> ?name:string -> (var * float) list -> sense ->
@@ -50,10 +50,6 @@ val lb_array : t -> float array
 val ub_array : t -> float array
 
 val integer_array : t -> bool array
-val var_name : t -> var -> string
 
 val rows : t -> ((int * float) list * sense * float) array
 (** Constraint rows as (terms over variable indices, sense, rhs). *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable LP-format-style dump. *)

@@ -181,7 +181,6 @@ let save_basis t =
   { s_status = Array.copy t.status; s_basis = Array.copy t.basis }
 
 let last_pivots t = t.last_pivots
-let num_vars t = t.n
 
 (* ------------------------------------------------------------------ *)
 (* Linear algebra plumbing                                             *)

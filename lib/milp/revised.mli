@@ -53,8 +53,8 @@ val clone : t -> t
     its first solve must be {!solve_fresh} or go through {!load_basis}. *)
 
 val set_bounds : t -> lb:float array -> ub:float array -> unit
-(** Overwrite the structural variables' bounds (arrays of length
-    [num_vars]); logical bounds are fixed by the row senses. *)
+(** Overwrite the structural variables' bounds (one entry per model
+    variable, {!Lp.num_vars}); logical bounds are fixed by the row senses. *)
 
 val save_basis : t -> snapshot
 val load_basis : t -> snapshot -> bool
@@ -74,8 +74,6 @@ val solve_warm : ?deadline:float -> t -> result
 
 val last_pivots : t -> int
 (** Pivot count of the most recent [solve_fresh]/[solve_warm] call. *)
-
-val num_vars : t -> int
 
 val solve : Lp.t -> result
 (** Solve a model's continuous relaxation (integrality markers are

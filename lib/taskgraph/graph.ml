@@ -53,6 +53,10 @@ let preds g u =
   check_node g u "preds";
   List.rev g.pred.(u)
 
+let preds_rev g u =
+  check_node g u "preds_rev";
+  g.pred.(u)
+
 let edge_count g = g.edge_count
 
 let edges g =

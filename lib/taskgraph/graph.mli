@@ -38,6 +38,11 @@ val succs_rev : t -> int -> int list
     hot read-only loops whose result does not depend on edge order. *)
 
 val preds : t -> int -> int list
+
+val preds_rev : t -> int -> int list
+(** The predecessor list in reverse insertion order, {e shared} with the
+    graph: the predecessor counterpart of {!succs_rev}. *)
+
 val edge_count : t -> int
 val edges : t -> (int * int) list
 (** All edges, ordered by source node. *)

@@ -1,15 +1,20 @@
 (* From-scratch reference for the PA pipeline (Secs. V-VI).
 
    Production runs steps 3-7 on the restart kernel: sorts over borrowed
-   scratch arrays, marking DFS in step 6, an incremental timing solver
-   and a one-shot closure in step 7. This module takes the same decisions
-   the plain way: list sorts, two reachability DFS per processor pair, a
-   from-scratch CPM of the whole augmented graph per insertion and a
-   fresh traversal per ordering query. It reuses what both share: the
-   placement rules of step 3, the balancing move of step 4, the
-   reconfiguration extraction of step 7 and the schedule construction.
-   The identity tests and the legacy bench's iteration section compare
-   the production kernel against it. *)
+   scratch arrays, windows maintained incrementally in steps 3-6,
+   marking DFS in step 6, and a timing solver that splices each
+   reconfiguration into the controller chain plus a one-shot closure in
+   step 7. This module takes the same decisions the plain way: list
+   sorts, a from-scratch CPM of the whole augmented graph after every
+   placement, two reachability DFS per processor pair, a from-scratch
+   CPM per insertion and a fresh traversal per ordering query. It reuses
+   what both share: the placement rules of step 3, the reconfiguration
+   extraction of step 7 and the schedule construction. The shared
+   placement calls update the state's windows incrementally; the oracle
+   overwrites them with its own CPM after every call, so none of its
+   decisions reads an incrementally maintained window. The identity
+   tests and the legacy bench's iteration section compare the
+   production kernel against it. *)
 
 module Rng = Resched_util.Rng
 module Graph = Resched_taskgraph.Graph
@@ -17,6 +22,7 @@ module Cpm = Resched_taskgraph.Cpm
 module Resource = Resched_fabric.Resource
 module Instance = Resched_platform.Instance
 module Arch = Resched_platform.Arch
+module Impl = Resched_platform.Impl
 module Floorplanner = Resched_floorplan.Floorplanner
 open Resched_core
 
@@ -24,6 +30,15 @@ let tasks_where state p =
   List.filter p (List.init (Instance.size state.State.inst) Fun.id)
 
 let by_t_min state a b = compare (State.t_min state a) (State.t_min state b)
+
+let duration state u = (State.impl state u).Impl.time
+
+(* The windows of the current augmented graph and implementations, from
+   scratch, loaded into the state in place of the incremental ones. *)
+let refresh state =
+  let n = Instance.size state.State.inst in
+  let durations = Array.init n (duration state) in
+  State.set_windows state (Cpm.compute state.State.dep ~durations)
 
 (* ---- step 3: regions definition ---------------------------------- *)
 
@@ -38,27 +53,79 @@ let sort_tasks state ordering tasks =
   | Random rng -> Rng.shuffle rng tasks
 
 let regions_define ?module_reuse ~ordering state =
-  let critical = state.State.cpm.Cpm.critical in
+  refresh state;
   let hw = tasks_where state (State.is_hw state) in
-  let criticals, others = List.partition (fun u -> critical.(u)) hw in
+  let criticals, others = List.partition (State.critical state) hw in
   (* Both classes are ordered before any task is placed. *)
   let criticals = sort_tasks state By_efficiency criticals in
   let others = sort_tasks state ordering others in
   List.iter
-    (fun task -> Regions_define.place_critical ?module_reuse state ~task)
+    (fun task ->
+      Regions_define.place_critical ?module_reuse state ~task;
+      refresh state)
     criticals;
-  List.iter (fun task -> Regions_define.place_non_critical state ~task) others
+  List.iter
+    (fun task ->
+      Regions_define.place_non_critical state ~task;
+      refresh state)
+    others
 
 (* ---- step 4: software balancing ----------------------------------- *)
 
+(* The cheapest hardware implementation of [task] that fits [region]:
+   the first strict cost minimum, in declaration order. *)
+let best_fitting_hw state ~task (region : State.region) =
+  List.fold_left
+    (fun best (idx, (i : Impl.t)) ->
+      if not (Resource.fits i.Impl.res ~within:region.State.res) then best
+      else
+        let c = Cost.cost state.State.cost i in
+        match best with
+        | Some (_, bc) when bc <= c -> best
+        | _ -> Some (idx, c))
+    None
+    (Instance.hw_impls state.State.inst task)
+  |> Option.map fst
+
+(* [Sw_balance.try_move], with the tentative window check on a
+   from-scratch CPM: the first region, in creation order, whose cheapest
+   fitting implementation leaves the task's window disjoint from the
+   hosted ones. *)
+let try_move state ~task =
+  let rec attempt = function
+    | [] -> ()
+    | region :: rest -> (
+      match best_fitting_hw state ~task region with
+      | None -> attempt rest
+      | Some impl_idx ->
+        let saved = state.State.impl_of.(task) in
+        State.set_impl state ~task impl_idx;
+        refresh state;
+        let placed =
+          Regions_define.region_compatible_non_critical state ~task region
+          &&
+          match State.assign_to_region state ~task region with
+          | () -> true
+          | exception Invalid_argument _ -> false
+        in
+        if placed then refresh state
+        else begin
+          State.set_impl state ~task saved;
+          refresh state;
+          attempt rest
+        end)
+  in
+  attempt (State.regions state)
+
 let sw_balance state =
+  refresh state;
   tasks_where state (fun u ->
       (not (State.is_hw state u))
       && Instance.hw_impls state.State.inst u <> [])
   |> List.sort (by_t_min state)
   |> List.iter (fun task ->
          if State.t_min state task > Sw_balance.tot_rec_time state then
-           Sw_balance.try_move state ~task)
+           try_move state ~task)
 
 (* ---- step 6: software mapping ------------------------------------- *)
 
@@ -74,6 +141,7 @@ let sequence_on_processor state ~task assigned =
     assigned
 
 let sw_map state =
+  refresh state;
   let inst = state.State.inst in
   let on_processor = Array.make inst.Instance.arch.Arch.processors [] in
   tasks_where state (fun u -> not (State.is_hw state u))
@@ -83,7 +151,7 @@ let sw_map state =
          sequence_on_processor state ~task on_processor.(p);
          state.State.processor_of.(task) <- p;
          on_processor.(p) <- task :: on_processor.(p);
-         State.refresh_windows state)
+         refresh state)
 
 (* ---- step 7: reconfigurations scheduling -------------------------- *)
 
@@ -109,7 +177,7 @@ let resolve state ~reconfigs ~sequence =
   chain sequence;
   let durations =
     Array.init (n + nr) (fun i ->
-        if i < n then State.duration state i else reconfigs.(i - n).Timing.dur)
+        if i < n then duration state i else reconfigs.(i - n).Timing.dur)
   in
   let cpm = Cpm.compute g ~durations in
   let task_start = Array.sub cpm.Cpm.t_min 0 n in

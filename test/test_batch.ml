@@ -80,7 +80,8 @@ let prop_batch_equals_sequential =
 let prop_soa_kernel_equals_boxed_oracle =
   QCheck.Test.make ~count:12
     ~name:"SoA kernel = boxed oracle (bit-identical outcomes)"
-    QCheck.(quad int (int_range 6 28) bool bool)
+    QCheck.(
+      quad int (choose [ int_range 6 28; int_range 40 100 ]) bool bool)
     (fun (seed, tasks, saturated, module_reuse) ->
       let rng = Rng.create (seed lxor 0x50abc) in
       let inst =

@@ -6,6 +6,8 @@
 module Rng = Resched_util.Rng
 module Resource = Resched_fabric.Resource
 module Graph = Resched_taskgraph.Graph
+module Cpm = Resched_taskgraph.Cpm
+module Generator = Resched_taskgraph.Generator
 module Impl = Resched_platform.Impl
 module Arch = Resched_platform.Arch
 module Instance = Resched_platform.Instance
@@ -329,6 +331,177 @@ let test_state_region_edges_ordered () =
   Alcotest.(check bool) "ordering edge exists" true
     (Graph.has_edge dep 2 3 || Graph.has_edge dep 3 2)
 
+(* ---- incremental windows and the step-7 splice ---- *)
+
+(* A random instance over one of the generator's shapes, 2-100 tasks.
+   Every task has a software implementation and up to three hardware
+   ones, all with short durations, so equal starts, ties on the critical
+   path and zero-slack chains are common. *)
+let window_instance rng =
+  let tasks = 2 + Rng.int rng 99 in
+  let graph =
+    match Rng.int rng 5 with
+    | 0 ->
+      Generator.layered rng ~tasks ~width:(2 + (tasks / 12))
+        ~edge_probability:0.07
+    | 1 -> Generator.series_parallel rng ~tasks
+    | 2 -> Generator.chain tasks
+    | 3 -> Generator.independent tasks
+    | _ ->
+      let branches = 1 + Rng.int rng 4 in
+      let depth = Stdlib.max 1 ((tasks - 2) / branches) in
+      Generator.fork_join ~branches ~depth
+  in
+  let res = Resource.make ~clb:50 ~bram:0 ~dsp:0 in
+  let impls =
+    Array.init (Graph.size graph) (fun _ ->
+        Array.init (1 + Rng.int rng 4) (fun j ->
+            let time = 1 + Rng.int rng 12 in
+            if j = 0 then Impl.sw ~time else Impl.hw ~time ~res ()))
+  in
+  Instance.make ~arch:Arch.mini ~graph ~impls ()
+
+(* The state's windows against a from-scratch CPM of its current graph
+   and implementations. *)
+let windows_match state =
+  let n = Instance.size state.State.inst in
+  let durations = Array.init n (fun u -> (State.impl state u).Impl.time) in
+  let cpm = Cpm.compute state.State.dep ~durations in
+  let ok = ref (State.makespan state = cpm.Cpm.makespan) in
+  for u = 0 to n - 1 do
+    if
+      State.duration state u <> durations.(u)
+      || State.t_min state u <> cpm.Cpm.t_min.(u)
+      || State.t_max state u <> cpm.Cpm.t_max.(u)
+      || State.critical state u <> cpm.Cpm.critical.(u)
+    then ok := false
+  done;
+  !ok
+
+(* Property: after every propagation, whatever mix of changes it
+   settles, the incrementally maintained windows are the from-scratch
+   CPM's: ordering edges in and against window order, several edges
+   queued before one propagation, duration rises and falls, and
+   tentative implementation changes rolled back. *)
+let prop_windows_equal_cpm =
+  QCheck.Test.make ~count:60 ~name:"State windows = from-scratch CPM"
+    QCheck.int
+    (fun seed ->
+      let rng = Rng.create (seed lxor 0x3d1c) in
+      let inst = window_instance rng in
+      let n = Instance.size inst in
+      let state = State.create inst ~impl_of:(Array.make n 0) () in
+      let ok = ref (windows_match state) in
+      let settle () =
+        State.propagate state;
+        if not (windows_match state) then ok := false
+      in
+      (* An acyclic edge between two random tasks, oriented along the
+         window order or against it; none when the pair is ordered the
+         other way already. *)
+      let add_edge () =
+        let a = Rng.int rng n and b = Rng.int rng n in
+        if a <> b then begin
+          let along = State.t_min state a <= State.t_min state b in
+          let u, v = if along = Rng.bool rng then (a, b) else (b, a) in
+          if not (Graph.reachable state.State.dep v).(u) then
+            State.add_edge state u v
+        end
+      in
+      let change_impl () =
+        let u = Rng.int rng n in
+        State.set_impl state ~task:u
+          (Rng.int rng (Array.length inst.Instance.impls.(u)))
+      in
+      for _ = 1 to 50 + Rng.int rng 30 do
+        match Rng.int rng 5 with
+        | 0 ->
+          add_edge ();
+          settle ()
+        | 1 ->
+          for _ = 1 to 2 + Rng.int rng 4 do
+            add_edge ()
+          done;
+          settle ()
+        | 2 ->
+          change_impl ();
+          settle ()
+        | 3 ->
+          let u = Rng.int rng n in
+          let saved = state.State.impl_of.(u) in
+          State.set_impl state ~task:u
+            (Rng.int rng (Array.length inst.Instance.impls.(u)));
+          settle ();
+          State.set_impl state ~task:u saved;
+          settle ()
+        | _ ->
+          for _ = 1 to 1 + Rng.int rng 3 do
+            if Rng.bool rng then add_edge () else change_impl ()
+          done;
+          settle ()
+      done;
+      !ok)
+
+(* Property: splicing each reconfiguration into the controller chain
+   gives, after every splice, the times a full resolve of the same chain
+   gives. Suite instances of 10-100 tasks go through steps 3-6, and the
+   specs are spliced in a random order at random legal positions. *)
+let prop_splice_equals_full_resolve =
+  QCheck.Test.make ~count:25 ~name:"splice = full resolve"
+    QCheck.(pair int (int_range 10 100))
+    (fun (seed, tasks) ->
+      let tasks = 10 + (abs tasks mod 91) in
+      let rng = Rng.create (seed lxor 0x5b1ce) in
+      let inst = Suite.instance rng ~tasks in
+      let ctx = Pa.Context.create inst in
+      let state = Pa.Context.state ctx ~resource_scale:1.0 in
+      Resched_core.Regions_define.run
+        ~ordering:(Resched_core.Regions_define.Random (Rng.split rng)) state;
+      Resched_core.Sw_balance.run state;
+      Sw_map.run state;
+      let specs = Timing.reconf_specs state in
+      let nr = Array.length specs in
+      let closure = Graph.closure state.State.dep in
+      let spliced = Timing.Solver.scratch () in
+      let full = Timing.Solver.scratch () in
+      Timing.Solver.reload spliced state ~reconfigs:specs;
+      Timing.Solver.reload full state ~reconfigs:specs;
+      let seq = Array.make (Stdlib.max 1 nr) 0 in
+      ignore (Timing.Solver.resolve_array spliced ~sequence:seq ~len:0);
+      let n = Instance.size inst in
+      let same (a : Timing.resolved) (b : Timing.resolved) =
+        Array.sub a.Timing.task_start 0 n = Array.sub b.Timing.task_start 0 n
+        && Array.sub a.Timing.task_end 0 n = Array.sub b.Timing.task_end 0 n
+        && Array.sub a.Timing.rec_start 0 nr = Array.sub b.Timing.rec_start 0 nr
+        && Array.sub a.Timing.rec_end 0 nr = Array.sub b.Timing.rec_end 0 nr
+        && a.Timing.makespan = b.Timing.makespan
+      in
+      let order = Array.init nr Fun.id in
+      Rng.shuffle_in_place rng order;
+      let ok = ref true in
+      Array.iteri
+        (fun len k ->
+          let lo = ref 0 and hi = ref len in
+          for pos = 0 to len - 1 do
+            let j = seq.(pos) in
+            if Timing.must_precede_closure closure specs.(j) specs.(k) then
+              lo := Stdlib.max !lo (pos + 1);
+            if Timing.must_precede_closure closure specs.(k) specs.(j) then
+              hi := Stdlib.min !hi pos
+          done;
+          let pos = !lo + Rng.int rng (!hi - !lo + 1) in
+          Array.blit seq pos seq (pos + 1) (len - pos);
+          seq.(pos) <- k;
+          let a =
+            Timing.Solver.splice spliced ~sequence:seq ~len:(len + 1) ~pos
+          in
+          let b =
+            Timing.Solver.resolve_array full ~sequence:seq ~len:(len + 1)
+          in
+          if not (same a b) then ok := false)
+        order;
+      !ok)
+
 (* ---- impl_select / sw_map ---- *)
 
 let test_impl_select_falls_back_to_sw () =
@@ -642,5 +815,9 @@ let () =
           Alcotest.test_case "PA deterministic" `Quick test_pa_deterministic;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_validator_catches_corruption ] );
+        [
+          QCheck_alcotest.to_alcotest prop_validator_catches_corruption;
+          QCheck_alcotest.to_alcotest prop_windows_equal_cpm;
+          QCheck_alcotest.to_alcotest prop_splice_equals_full_resolve;
+        ] );
     ]

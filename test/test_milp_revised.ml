@@ -23,12 +23,10 @@ let random_model rng ~nvars ~nrows ~integer_vars =
     Lp.create ~objective:(if maximize then Lp.Maximize else Lp.Minimize) ()
   in
   let vars =
-    Array.init nvars (fun i ->
+    Array.init nvars (fun _ ->
         let lb = float_of_int (Rng.int_in rng 0 3) in
         let ub = lb +. float_of_int (Rng.int_in rng 1 8) in
-        Lp.add_var m
-          ~name:(Printf.sprintf "v%d" i)
-          ~lb ~ub ~integer:(integer_vars && Rng.int_in rng 0 2 > 0)
+        Lp.add_var m ~lb ~ub ~integer:(integer_vars && Rng.int_in rng 0 2 > 0)
           ~obj:(float_of_int (Rng.int_in rng (-10) 10))
           ())
   in
@@ -214,7 +212,6 @@ let test_warm_start_single_bound_change () =
   let xs =
     Array.init 8 (fun i ->
         Lp.add_var m
-          ~name:(Printf.sprintf "x%d" i)
           ~lb:0. ~ub:4.
           ~obj:(float_of_int (3 + (i * 2 mod 7)))
           ())
@@ -291,9 +288,8 @@ let hard_knapsack seed =
   let rng = Rng.create seed in
   let m = Lp.create ~objective:Lp.Maximize () in
   let vars =
-    Array.init 12 (fun i ->
+    Array.init 12 (fun _ ->
         Lp.add_var m
-          ~name:(Printf.sprintf "v%d" i)
           ~lb:0.
           ~ub:(float_of_int (Rng.int_in rng 1 4))
           ~integer:true

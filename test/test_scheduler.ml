@@ -447,6 +447,11 @@ let schedule_fingerprint (s : Schedule.t) =
     s.Schedule.makespan,
     s.Schedule.resource_scale )
 
+(* Task counts for the identity properties: small graphs, and the
+   paper's larger ones. Windows that go wrong only in their tails show
+   through step 7's critical flags, which small graphs rarely exercise. *)
+let identity_tasks = QCheck.choose QCheck.[ int_range 5 30; int_range 40 100 ]
+
 (* Both fabrics the identity properties draw from: the paper's XC7Z020
    suite, and a saturated XC7Z010 on which the shrink lattice engages. *)
 let identity_instance ~saturated seed tasks =
@@ -475,7 +480,7 @@ let shrink_chain =
 let prop_incremental_engine_bit_identical =
   QCheck.Test.make ~count:15
     ~name:"incremental engine = from-scratch oracle (bit-identical)"
-    QCheck.(quad int (int_range 5 30) bool bool)
+    QCheck.(quad int identity_tasks bool bool)
     (fun (seed, tasks, saturated, module_reuse) ->
       let inst = identity_instance ~saturated (seed lxor 0x5ca1e) tasks in
       let ctx = Pa.Context.create inst in
@@ -510,7 +515,7 @@ let prop_incremental_engine_bit_identical =
    deterministic ablations. *)
 let prop_pa_run_equals_reference =
   QCheck.Test.make ~count:10 ~name:"Pa.run = reference shrink loop"
-    QCheck.(quad int (int_range 5 30) bool bool)
+    QCheck.(quad int identity_tasks bool bool)
     (fun (seed, tasks, saturated, module_reuse) ->
       let inst = identity_instance ~saturated (seed lxor 0x5a1e) tasks in
       let ordering =
@@ -533,7 +538,7 @@ let prop_pa_run_equals_reference =
 let prop_par_stream_identical =
   QCheck.Test.make ~count:10
     ~name:"PA-R stream identical under incremental engine"
-    QCheck.(pair int (int_range 5 25))
+    QCheck.(pair int identity_tasks)
     (fun (seed, tasks) ->
       let rng = Rng.create (seed lxor 0xbeef) in
       let inst = Suite.instance rng ~tasks in
