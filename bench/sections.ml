@@ -998,15 +998,17 @@ type moves_row = {
 }
 
 (* Drive [n] proposals from a fresh [seed]-derived stream through
-   apply-then-rollback — the state never drifts, so the incremental and
-   oracle arms see the exact same proposal sequence. Returns how many
+   apply-then-rollback — the state never drifts, so every arm sees the
+   exact same proposal sequence. [apply] is the kernel's [Delta.apply]
+   or the oracle's, which follows it with a from-scratch re-timing of
+   the materialized plan and a floorplan re-check. Returns how many
    were structurally accepted. *)
-let drive_moves d ~incremental ~seed ~n =
+let drive_moves d ~apply ~seed ~n =
   let rng = Rng.create seed in
   let applied = ref 0 in
   for _ = 1 to n do
-    match Delta.apply ~incremental d (Lns.propose d rng) with
-    | Some _ ->
+    match apply d (Lns.propose d rng) with
+    | Some (_ : Delta.verdict) ->
       incr applied;
       Delta.rollback d
     | None -> ()
@@ -1014,19 +1016,23 @@ let drive_moves d ~incremental ~seed ~n =
   !applied
 
 (* The honest "no delta state" baseline: what a neighborhood search
-   pays per candidate without the kernel — materialize the neighbor and
-   re-ingest it through the whole from-scratch pipeline (full re-time +
-   unconditional floorplan verification), as the reference restart
-   loop the iteration section compares against does. *)
-let drive_moves_pipeline d ~config ~seed ~n =
+   pays per candidate without the kernel — materialize the neighbor,
+   re-time it from scratch, verify its floorplan unconditionally and
+   re-ingest it, as the reference restart loop the iteration section
+   compares against does. *)
+let drive_moves_pipeline d ~config ~check ~seed ~n =
   let rng = Rng.create seed in
   let applied = ref 0 in
   for _ = 1 to n do
-    match Delta.apply ~incremental:false d (Lns.propose d rng) with
+    match Delta.apply d (Lns.propose d rng) with
     | Some _ ->
       incr applied;
       let sc = Delta.to_schedule d in
-      ignore (Delta.of_schedule ~config sc);
+      ignore
+        (Delta_oracle.retime ~processor_tasks:(Delta.processor_tasks d) sc
+          : Timing.resolved);
+      ignore (Delta_oracle.fp_feasible ~check sc : bool);
+      ignore (Delta.of_schedule ~config sc : Delta.t);
       Delta.rollback d
     | None -> ()
   done;
@@ -1035,7 +1041,7 @@ let drive_moves_pipeline d ~config ~seed ~n =
 let moves_comparison () =
   print_endline "";
   Printf.printf
-    "== Delta move kernel: O(affected-suffix) re-evaluation vs full \
+    "== Delta move kernel: incremental re-evaluation vs from-scratch \
      re-timing (%d moves/instance), and LNS-vs-PA-R at equal budget \
      (%.1fs/instance) ==\n"
     moves_per_instance lns_budget;
@@ -1066,6 +1072,12 @@ let moves_comparison () =
             { Delta.default_config with
               Delta.cache = Some (Fp_cache.create ()) }
           in
+          (* the oracle and pipeline arms re-check floorplans through
+             caches of their own: each pays its own cold misses and
+             never reads a verdict the kernel stored *)
+          let check_orc = Delta_oracle.cached_check ()
+          and check_pipe = Delta_oracle.cached_check () in
+          let apply_orc = Delta_oracle.apply ~check:check_orc in
           (* Warm-up with the FULL stream: apply-then-rollback returns to
              the base state, so the timed pass replays the identical
              proposal sequence against a hot floorplan cache. Cold-miss
@@ -1073,49 +1085,40 @@ let moves_comparison () =
              (and is gated by the same needs-changed test), so leaving it
              in the window would only add identical noise that masks the
              evaluator difference being measured. *)
-          ignore (drive_moves d_inc ~incremental:true ~seed:s
+          ignore (drive_moves d_inc ~apply:Delta.apply ~seed:s
                     ~n:moves_per_instance);
-          ignore (drive_moves d_orc ~incremental:false ~seed:s
+          ignore (drive_moves d_orc ~apply:apply_orc ~seed:s
                     ~n:moves_per_instance);
-          ignore (drive_moves_pipeline d_pipe ~config:config_pipe ~seed:s
-                    ~n:moves_per_instance);
+          ignore (drive_moves_pipeline d_pipe ~config:config_pipe
+                    ~check:check_pipe ~seed:s ~n:moves_per_instance);
           let applied, s_inc =
             timed (fun () ->
-                drive_moves d_inc ~incremental:true ~seed:s
+                drive_moves d_inc ~apply:Delta.apply ~seed:s
                   ~n:moves_per_instance)
           in
-          let applied_orc, s_orc =
+          let _applied_orc, s_orc =
             timed (fun () ->
-                drive_moves d_orc ~incremental:false ~seed:s
+                drive_moves d_orc ~apply:apply_orc ~seed:s
                   ~n:moves_per_instance)
           in
           let _applied_pipe, s_pipe =
             timed (fun () ->
-                drive_moves_pipeline d_pipe ~config:config_pipe ~seed:s
-                  ~n:moves_per_instance)
+                drive_moves_pipeline d_pipe ~config:config_pipe
+                  ~check:check_pipe ~seed:s ~n:moves_per_instance)
           in
           (* Divergence audit (untimed): replay the same stream once
-             more, this time committing both arms and comparing their
-             verdicts, resolved times and full fingerprints. *)
+             more, this time committing every accepted move and holding
+             the state's times, makespan and floorplan verdict against
+             the oracle's from-scratch evaluation after each. *)
           let divergences = ref 0 in
-          if applied <> applied_orc then incr divergences;
           let rng = Rng.create s in
           for _ = 1 to moves_per_instance do
-            let mv = Lns.propose d_inc rng in
-            let vi = Delta.apply ~incremental:true d_inc mv in
-            let vo = Delta.apply ~incremental:false d_orc mv in
-            (match (vi, vo) with
-            | Some a, Some b ->
-              if
-                a.Delta.makespan <> b.Delta.makespan
-                || (not (Delta.verify d_inc))
-                || not (String.equal (Delta.fingerprint d_inc)
-                          (Delta.fingerprint d_orc))
+            match Delta.apply d_inc (Lns.propose d_inc rng) with
+            | Some _ ->
+              if Option.is_some (Delta_oracle.divergence ~check:check_orc d_inc)
               then incr divergences;
-              Delta.commit d_inc;
-              Delta.commit d_orc
-            | None, None -> ()
-            | Some _, None | None, Some _ -> incr divergences)
+              Delta.commit d_inc
+            | None -> ()
           done;
           (* LNS vs PA-R at equal wall budget: all of it on restarts,
              or half on restarts and half on annealing the incumbent. *)
@@ -1211,7 +1214,7 @@ let moves_comparison () =
     List.for_all (fun r -> r.mv_ms_lns <= r.mv_ms_par) rows
   in
   Printf.printf
-    "\nsummary: min speedup x%.1f vs full pipeline (x%.1f vs in-kernel \
+    "\nsummary: min speedup x%.1f vs full pipeline (x%.1f vs from-scratch \
      oracle), %d divergence(s), LNS %s PA-R at equal budget on every group\n"
     min_speedup min_speedup_orc total_div
     (if lns_never_worse then "<=" else "WORSE THAN");

@@ -2,8 +2,8 @@
 
     All three quantities depend on the (possibly virtually reduced) FPGA
     resource availability [max_res]:
-    - [weight_res] (eq. 4) gives more importance to resource kinds that
-      are scarcer on the device;
+    - the weights [weightRes_r] (eq. 4), fixed by {!make}, give more
+      importance to resource kinds that are scarcer on the device;
     - [cost] (eq. 3) scores an implementation by its relative resource
       footprint plus its execution time normalized by [maxT];
     - [efficiency] (eq. 5) is the time/weighted-area ratio: high values
@@ -16,9 +16,6 @@ type t
 val make : Resched_platform.Instance.t ->
   max_res:Resched_fabric.Resource.t -> t
 (** Raises [Invalid_argument] when [max_res] is the zero vector. *)
-
-val weight_res : t -> Resched_fabric.Resource.kind -> float
-(** Eq. 4: [1 - maxRes_r / Σ_r' maxRes_r']. *)
 
 val max_t : t -> int
 (** Eq. 4's [maxT]: serial execution with each task's fastest

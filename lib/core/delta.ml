@@ -7,6 +7,7 @@ module Impl = Resched_platform.Impl
 module Floorplanner = Resched_floorplan.Floorplanner
 module Fp_cache = Resched_floorplan.Fp_cache
 module Placement = Resched_floorplan.Placement
+module Min_heap = Resched_util.Min_heap
 
 type config = {
   engine : Floorplanner.engine;
@@ -129,6 +130,7 @@ type t = {
   mutable gen : int;
   mutable indeg : int array;
   mutable queue : int array;
+  mutable heap : Min_heap.t;  (* [eval_incremental]'s worklist *)
   mutable suffix : int array;
   mutable stk : int array;
   sortbuf : int array;  (* member collection, task-indexed *)
@@ -334,6 +336,7 @@ let ensure_capacity d ~specs ~regions =
     d.stamp <- grow_int d.stamp nodes 0;
     d.indeg <- grow_int d.indeg nodes 0;
     d.queue <- grow_int d.queue nodes 0;
+    d.heap <- Min_heap.create nodes;
     d.suffix <- grow_int d.suffix nodes 0;
     d.stk <- grow_int d.stk nodes 0
   end;
@@ -482,10 +485,10 @@ let note_edge d x y =
 
    Chaotic iteration only terminates on a DAG. Structural application
    cycle-checks every edge it inserts, so a cycle here is a bug-guard
-   path, not an expected one: a relaxation budget bounds the loop and
-   overruns fall back to [eval_suffix], the reach-DFS + Kahn pass that
-   recomputes the full reachable suffix once and detects cycles
-   exactly. *)
+   path, not an expected one: the shared pop budget bounds the loop,
+   and work left over falls back to [eval_suffix], the reach-DFS + Kahn
+   pass that recomputes the full reachable suffix once and detects
+   cycles exactly. *)
 
 let eval_suffix d seeds =
   d.gen <- d.gen + 1;
@@ -540,179 +543,44 @@ let eval_suffix d seeds =
   !head = top
 
 let eval_incremental d seeds =
-  d.gen <- d.gen + 1;
-  let gen = d.gen in
-  let stamp = d.stamp and heap = d.queue and t = d.t in
-  (* Min-heap on the stored start time: stale times are near-topological
-     (the order-potential again), so each node is almost always popped
-     after all its changing predecessors and recomputed once. Keys read
-     live from [t]; a mid-pass update can only degrade the order, never
-     the fixpoint. *)
-  let len = ref 0 in
-  let push x =
-    if stamp.(x) <> gen then begin
-      stamp.(x) <- gen;
-      let i = ref !len in
-      incr len;
-      let k = t.(x) in
-      while
-        !i > 0
-        &&
-        let p = (!i - 1) / 2 in
-        if t.(heap.(p)) > k then begin
-          heap.(!i) <- heap.(p);
-          i := p;
-          true
-        end
-        else false
-      do
-        ()
-      done;
-      heap.(!i) <- x
-    end
-  in
-  let pop () =
-    let x = heap.(0) in
-    decr len;
-    let last = heap.(!len) in
-    let k = t.(last) in
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 in
-      if l >= !len then continue_ := false
-      else begin
-        let c =
-          if l + 1 < !len && t.(heap.(l + 1)) < t.(heap.(l)) then l + 1
-          else l
-        in
-        if t.(heap.(c)) < k then begin
-          heap.(!i) <- heap.(c);
-          i := c
-        end
-        else continue_ := false
-      end
-    done;
-    heap.(!i) <- last;
-    x
-  in
-  List.iter push seeds;
-  (* Worst legal case is every node finalizing once per depth level;
-     anything past a generous multiple means a cycle is spinning the
-     worklist, so hand over to the exact pass. *)
-  let budget = ref ((4 * (d.n + d.nspecs)) + 64) in
-  let overrun = ref false in
-  while (not !overrun) && !len > 0 do
-    let x = pop () in
-    stamp.(x) <- 0;
+  (* Least stored start first: stale times are near-topological (the
+     order-potential again), so each node is almost always popped after
+     all its changing predecessors and recomputed once. Keys read live
+     from [t]; a mid-pass update can only degrade the order, never the
+     fixpoint. *)
+  let heap = d.heap and t = d.t in
+  List.iter (fun x -> Min_heap.add heap ~key:t x) seeds;
+  let budget = ref (Min_heap.pop_budget (d.n + d.nspecs)) in
+  while (not (Min_heap.is_empty heap)) && !budget > 0 do
     decr budget;
-    if !budget < 0 then overrun := true
-    else begin
-      let nt = compute_time d x in
-      if nt <> t.(x) then begin
-        seti d F_t x nt;
-        (* closure-free [iter_succs]: push each successor directly *)
-        if x < d.n then begin
-          for j = d.d_soff.(x) to d.d_soff.(x + 1) - 1 do
-            push d.d_sadj.(j)
-          done;
-          let nx = d.next_.(x) in
-          if nx >= 0 then begin
-            let s = d.spec_after.(x) in
-            if s >= 0 then push (d.n + s) else push nx
-          end
+    let x = Min_heap.pop heap ~key:t in
+    let nt = compute_time d x in
+    if nt <> t.(x) then begin
+      seti d F_t x nt;
+      (* closure-free [iter_succs]: push each successor directly *)
+      if x < d.n then begin
+        for j = d.d_soff.(x) to d.d_soff.(x + 1) - 1 do
+          Min_heap.add heap ~key:t d.d_sadj.(j)
+        done;
+        let nx = d.next_.(x) in
+        if nx >= 0 then begin
+          let s = d.spec_after.(x) in
+          Min_heap.add heap ~key:t (if s >= 0 then d.n + s else nx)
         end
-        else begin
-          let s = x - d.n in
-          push d.sp_succ.(s);
-          let cn = d.sp_cnext.(s) in
-          if cn >= 0 then push (d.n + cn)
-        end
+      end
+      else begin
+        let s = x - d.n in
+        Min_heap.add heap ~key:t d.sp_succ.(s);
+        let cn = d.sp_cnext.(s) in
+        if cn >= 0 then Min_heap.add heap ~key:t (d.n + cn)
       end
     end
   done;
-  if !overrun then eval_suffix d seeds else true
-
-(* Oracle path: project the plan onto the PR 2 machinery — a fresh
-   [Graph.t] with the data and chain edges, the live reconfigurations as
-   a [Timing.reconf_spec] array, the controller order as [sequence] —
-   and let a from-scratch CSR solver re-time everything. Shares no code
-   with [eval_incremental] past the structural application itself. *)
-let oracle_resolve d =
-  let n = d.n in
-  let g = Graph.create n in
-  for u = 0 to n - 1 do
-    for j = d.d_soff.(u) to d.d_soff.(u + 1) - 1 do
-      Graph.add_edge g u d.d_sadj.(j)
-    done
-  done;
-  (* live specs in ascending slot order; remember slot -> compact idx *)
-  let compact = Array.make (Stdlib.max 1 d.nspecs) (-1) in
-  let count = ref 0 in
-  for s = 0 to d.nspecs - 1 do
-    if d.sp_live.(s) = 1 then begin
-      compact.(s) <- !count;
-      incr count
-    end
-  done;
-  let reconfigs =
-    Array.init !count (fun _ ->
-        { Timing.region_id = 0; t_in = 0; t_out = 0; dur = 0; critical = false })
-  in
-  for s = 0 to d.nspecs - 1 do
-    if d.sp_live.(s) = 1 then
-      reconfigs.(compact.(s)) <-
-        {
-          Timing.region_id = d.sp_region.(s);
-          t_in = d.sp_pred.(s);
-          t_out = d.sp_succ.(s);
-          dur = d.sp_dur.(s);
-          critical = false;
-        }
-  done;
-  (* chain edges between consecutive tasks not separated by a spec *)
-  for u = 0 to n - 1 do
-    let nx = d.next_.(u) in
-    if nx >= 0 && d.spec_after.(u) < 0 then Graph.add_edge g u nx
-  done;
-  let sequence =
-    let rec walk s acc =
-      if s < 0 then List.rev acc else walk d.sp_cnext.(s) (compact.(s) :: acc)
-    in
-    walk d.ctrl_head []
-  in
-  let solver = Timing.Solver.of_plan ~graph:g ~durations:d.dur ~reconfigs in
-  let times = Timing.Solver.resolve solver ~sequence in
-  (times, compact)
-
-let eval_oracle d =
-  match oracle_resolve d with
-  | times, compact ->
-    for u = 0 to d.n - 1 do
-      seti d F_t u times.Timing.task_start.(u)
-    done;
-    for s = 0 to d.nspecs - 1 do
-      if d.sp_live.(s) = 1 then
-        seti d F_t (d.n + s) times.Timing.rec_start.(compact.(s))
-    done;
-    true
-  | exception Graph.Cycle _ -> false
-
-let verify d =
-  match oracle_resolve d with
-  | times, compact ->
-    let ok = ref (d.mk = times.Timing.makespan) in
-    for u = 0 to d.n - 1 do
-      if d.t.(u) <> times.Timing.task_start.(u) then ok := false
-    done;
-    for s = 0 to d.nspecs - 1 do
-      if
-        d.sp_live.(s) = 1
-        && d.t.(d.n + s) <> times.Timing.rec_start.(compact.(s))
-      then ok := false
-    done;
-    !ok
-  | exception Graph.Cycle _ -> false
+  Min_heap.is_empty heap
+  || begin
+       Min_heap.clear heap;
+       eval_suffix d seeds
+     end
 
 let update_makespan d =
   let m = ref 0 in
@@ -1260,7 +1128,7 @@ let apply_structural d move ~seeds ~needs_changed =
     rebuild_chain d nr d.sortbuf ~base:keep ~count:(count - keep) ~seeds;
     needs_changed := true
 
-let apply ?(incremental = true) d move =
+let apply d move =
   ensure_capacity d ~specs:8 ~regions:2;
   d.undo <- U_mark :: d.undo;
   let seeds = ref [] and needs_changed = ref false in
@@ -1269,22 +1137,16 @@ let apply ?(incremental = true) d move =
     | () -> true
     | exception Reject -> false
   in
-  let ok =
-    ok
-    && (if incremental then eval_incremental d !seeds else eval_oracle d)
-  in
+  let ok = ok && eval_incremental d !seeds in
   if not ok then begin
     rollback d;
     None
   end
   else begin
     update_makespan d;
-    (* The incremental kernel re-queries the floorplan only when the
-       live demand multiset changed; the from-scratch oracle arm, being
-       the full pipeline, re-verifies it on every evaluation. Same
-       multiset, same (deterministic, memoized) verdict — only the cost
-       differs. *)
-    if (not incremental) || !needs_changed then requery_fp d;
+    (* Same demand multiset, same (deterministic, memoized) verdict: the
+       floorplan is re-queried only when the multiset changed. *)
+    if !needs_changed then requery_fp d;
     d.times_valid <- true;
     Some
       {
@@ -1385,6 +1247,7 @@ let of_schedule ?(config = default_config) (sched : Schedule.t) =
       gen = 0;
       indeg = Array.make (n + cap_sp) 0;
       queue = Array.make (n + cap_sp) 0;
+      heap = Min_heap.create (n + cap_sp);
       suffix = Array.make (n + cap_sp) 0;
       stk = Array.make (n + cap_sp) 0;
       sortbuf = Array.make (Stdlib.max 1 n) 0;
@@ -1481,9 +1344,10 @@ let of_schedule ?(config = default_config) (sched : Schedule.t) =
   d.ctrl_tail <- !prev_slot;
   d.nctrl <- d.nspecs;
   (* canonicalize: the reduced graph can start some nodes earlier than
-     the pipeline's richer edge set did; one full evaluation settles on
-     this plan's own fixpoint (and [verify] holds from here on) *)
-  if not (eval_oracle d) then
+     the pipeline's richer edge set did; the exact pass seeded with every
+     node (all spec slots are live here) settles on this plan's own
+     fixpoint, or reports a cycle *)
+  if not (eval_suffix d (List.init (n + d.nspecs) Fun.id)) then
     invalid_arg "Delta.of_schedule: schedule's plan graph is cyclic";
   update_makespan d;
   (match sched.Schedule.floorplan with
@@ -1498,11 +1362,18 @@ let of_schedule ?(config = default_config) (sched : Schedule.t) =
 (* ------------------------------------------------------------------ *)
 (* Materialization and fingerprinting. *)
 
-let region_chain d r =
+let chain_from d head =
   let rec walk u acc =
     if u < 0 then List.rev acc else walk d.next_.(u) (u :: acc)
   in
-  walk d.rg_head.(r) []
+  walk head []
+
+let region_chain d r = chain_from d d.rg_head.(r)
+
+let processor_tasks d p =
+  if p < 0 || p >= d.processors then
+    invalid_arg "Delta.processor_tasks: no such processor";
+  chain_from d d.proc_head.(p)
 
 let to_schedule d =
   let n = d.n in
@@ -1575,14 +1446,7 @@ let fingerprint d =
       (fun r -> (d.rg_res.(r), d.rg_reconf.(r), region_chain d r))
       (live_regions d)
   in
-  let procs =
-    Array.to_list
-      (Array.init d.processors (fun p ->
-           let rec walk u acc =
-             if u < 0 then List.rev acc else walk d.next_.(u) (u :: acc)
-           in
-           walk d.proc_head.(p) []))
-  in
+  let procs = List.init d.processors (processor_tasks d) in
   let ctrl =
     let rec walk s acc =
       if s < 0 then List.rev acc

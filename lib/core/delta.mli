@@ -5,23 +5,25 @@
     and the resolved earliest-start times — on which candidate {e moves}
     (reassign a task to another region, swap two tasks' regions, move a
     task HW<->SW, merge or split a region) are evaluated {e incrementally}:
-    only the affected suffix of the timing graph is re-solved (a dirty-set
-    Kahn pass over the nodes reachable from the structurally touched
-    ones), region resource totals and demand vectors are maintained as
-    moves apply, and floorplan feasibility is re-queried only when the
-    multiset of region demands actually changed (through the shared
+    only the starts a move actually changes are recomputed (a worklist
+    on the shared {!Resched_util.Min_heap}, least stored start first,
+    that pushes a node's successors only when its start moved), region
+    resource totals and demand vectors are maintained as moves apply,
+    and floorplan feasibility is re-queried only when the multiset of
+    region demands actually changed (through the shared
     {!Resched_floorplan.Fp_cache}, so repeated demand sets are O(1)).
+    The worklist runs under {!Resched_util.Min_heap.pop_budget}; work
+    left after it, like the first timing of {!of_schedule}, goes to an
+    exact reach-DFS plus Kahn pass that also detects a cycle.
 
     Every applied move is undone in O(touched) by {!rollback} via a typed
     undo log, which is what makes a large-neighborhood / simulated-
     annealing driver ({!Lns}) able to explore thousands of moves per
-    second. The from-scratch evaluator — a fresh
-    {!Timing.Solver.of_plan} over the post-move plan — is retained behind
-    [apply ~incremental:false] as the bit-identity oracle, exactly like
-    the incremental paths of PRs 2/5/7: both evaluators compute the same
-    unique longest-path fixpoint, so an accepted move's resulting times
-    are bit-identical whichever path evaluated it ({!verify} checks this
-    directly).
+    second. Longest paths in a DAG with non-negative durations are
+    unique, so the resulting times are bit-identical to re-timing the
+    whole plan from scratch; the test-only [Delta_oracle] does exactly
+    that on {!to_schedule}'s result through {!Timing.Solver.of_plan}
+    and re-checks the floorplan verdict.
 
     {b Timing model.} The plan's precedence graph has one node per task
     and one per live reconfiguration. Edges are the instance's data
@@ -78,11 +80,15 @@ type verdict = {
 
 val of_schedule : ?config:config -> Schedule.t -> t
 (** Build a kernel state from a validated schedule (typically a PA / PA-R
-    result). The plan's times are canonicalized by one full evaluation:
-    the reduced structural graph can admit earlier starts than the
-    pipeline's (it drops edges the chains subsume), so the initial
-    makespan is at most the schedule's. The schedule's floorplan, when
-    present, seeds the feasibility state; otherwise it is queried. *)
+    result). The plan's times are canonicalized by one exact pass over
+    every node: the reduced structural graph can admit earlier starts
+    than the pipeline's (it drops edges the chains subsume), so the
+    initial makespan is at most the schedule's. The schedule's
+    floorplan, when present, seeds the feasibility state; otherwise it
+    is queried. Raises [Invalid_argument] when the schedule's
+    reconfigurations do not match its region chains, or when its plan
+    graph is cyclic (say, a controller order that runs against a data
+    dependency). *)
 
 val instance : t -> Resched_platform.Instance.t
 val makespan : t -> int
@@ -103,12 +109,15 @@ val live_regions : t -> int list
 val region_task_count : t -> int -> int
 val region_res : t -> int -> Resched_fabric.Resource.t
 
-val apply : ?incremental:bool -> t -> move -> verdict option
-(** Apply one move: mutate the plan structurally, re-evaluate times
-    ([~incremental:true], the default, re-solves only the affected
-    suffix; [false] re-times the whole plan through a fresh
-    {!Timing.Solver} — the oracle), and re-query floorplan feasibility
-    iff the demand multiset changed. [None] means the move was rejected
+val processor_tasks : t -> int -> int list
+(** Tasks of a processor's chain in chain order — the order the timing
+    model links them in. Raises [Invalid_argument] for an id outside
+    the architecture's processors. *)
+
+val apply : t -> move -> verdict option
+(** Apply one move: mutate the plan structurally, re-evaluate the times
+    it changes, and re-query floorplan feasibility iff the demand
+    multiset changed. [None] means the move was rejected
     — structurally ill-formed (dead region, implementation that does not
     fit, …) or it would create a precedence cycle — and the state is
     exactly as before the call. [Some v] leaves the move applied;
@@ -122,12 +131,6 @@ val rollback : t -> unit
 
 val commit : t -> unit
 (** Accept every applied move and drop the undo log. *)
-
-val verify : t -> bool
-(** Oracle check: re-time the current plan from scratch through
-    {!Timing.Solver.of_plan} and compare against the stored times and
-    makespan. [true] iff bit-identical — the divergence gate benched and
-    property-tested against [apply ~incremental]. *)
 
 val to_schedule : t -> Schedule.t
 (** Materialize the current plan. The result passes {!Validate.check}

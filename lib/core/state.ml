@@ -290,7 +290,6 @@ let regions t =
   build (t.nregions - 1) []
 
 let region_count t = t.nregions
-let used_resources t = t.used
 
 let fits_on_fpga t need =
   Resource.fits (Resource.add t.used need) ~within:t.max_res
@@ -383,18 +382,4 @@ let switch_to_sw t ~task =
    end);
   propagate t
 
-let switch_to_hw t ~task ~impl_idx region =
-  let i = Instance.impl t.inst ~task ~idx:impl_idx in
-  if not (Impl.is_hw i) then
-    invalid_arg "State.switch_to_hw: not a hardware implementation";
-  set_impl t ~task impl_idx;
-  propagate t;
-  assign_to_region t ~task region
-
 let region_list t = Array.sub t.regions_arr 0 t.nregions
-
-let find_region t id =
-  (* Region ids are assigned densely by [new_region], so the id is the
-     slot index. *)
-  if id < 0 || id >= t.nregions then raise Not_found;
-  t.regions_arr.(id)

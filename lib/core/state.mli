@@ -172,10 +172,6 @@ val nth_region : t -> int -> region
 
 val region_count : t -> int
 
-val used_resources : t -> Resched_fabric.Resource.t
-(** Sum of the resource requirements of all regions created so far;
-    maintained incrementally, O(1). *)
-
 val fits_on_fpga : t -> Resched_fabric.Resource.t -> bool
 (** Would a new region with the given requirement still fit [max_res]
     next to the existing regions? O(1) against the running total. *)
@@ -196,12 +192,5 @@ val assign_to_region : t -> task:int -> region -> unit
 val switch_to_sw : t -> task:int -> unit
 (** Select the task's fastest software implementation and propagate. *)
 
-val switch_to_hw : t -> task:int -> impl_idx:int -> region -> unit
-(** Software-balancing move (Sec. V-D): adopt the given hardware
-    implementation, propagate, and place the task on [region]. *)
-
 val region_list : t -> region array
 (** Regions in creation order. *)
-
-val find_region : t -> int -> region
-(** Region by id; raises [Not_found]. *)

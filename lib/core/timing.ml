@@ -398,11 +398,10 @@ module Solver = struct
       raise_to s (n + k) (t_min.(n + prev) + durations.(n + prev))
     end;
     Min_heap.add pending ~key:t_min (n + k);
-    (* A legal splice settles each node about once. Past a budget far
-       above that, the full resolve takes over: it gives the same times,
-       and reports a cycle through the new chain edges as
-       [Graph.Cycle]. *)
-    let budget = ref ((4 * (n + s.nr)) + 64) in
+    (* Past the shared pop budget the full resolve takes over: it gives
+       the same times, and reports a cycle through the new chain edges
+       as [Graph.Cycle]. *)
+    let budget = ref (Min_heap.pop_budget (n + s.nr)) in
     while (not (Min_heap.is_empty pending)) && !budget > 0 do
       decr budget;
       let x = Min_heap.pop pending ~key:t_min in

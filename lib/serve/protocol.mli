@@ -102,7 +102,5 @@ type response =
 
 val response_id : response -> string
 
-val response_json : response -> Resched_util.Json.t
-
 val response_to_line : response -> string
 (** Compact single-line JSON, no trailing newline. *)

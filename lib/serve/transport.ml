@@ -315,6 +315,10 @@ let run t =
   done;
   cleanup t
 
+(* Connection counters for the metrics reply: active/accepted/closed
+   connections, total and per-connection bytes in/out, oversized-line
+   and dropped-response counts. Readable from any thread (monitoring
+   reads are racy but never unsafe). *)
 let stats_json t =
   let conns = t.conns in
   Json.Obj

@@ -83,9 +83,3 @@ val finished : t -> bool
 (** The server is closed and drained and every response has been
     flushed (or its connection abandoned). A daemon that never
     receives [shutdown] never finishes. *)
-
-val stats_json : t -> Resched_util.Json.t
-(** Connection counters: active/accepted/closed connections, total and
-    per-connection bytes in/out, oversized-line and dropped-response
-    counts. Readable from any thread (monitoring reads are racy but
-    never unsafe). *)

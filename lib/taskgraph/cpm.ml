@@ -62,122 +62,6 @@ let run g ~durations ~release =
 
 let compute g ~durations = run g ~durations ~release:None
 
-type buffers = {
-  b_t_min : int array;
-  b_t_max : int array;
-  b_critical : bool array;
-  b_order : int array;
-  b_indeg : int array;
-  b_off : int array;  (* n + 1 CSR row offsets *)
-  mutable b_adj : int array;  (* CSR edge targets, grown on demand *)
-}
-
-let make_buffers n =
-  if n < 0 then invalid_arg "Cpm.make_buffers: negative size";
-  {
-    b_t_min = Array.make n 0;
-    b_t_max = Array.make n 0;
-    b_critical = Array.make n false;
-    b_order = Array.make n 0;
-    b_indeg = Array.make n 0;
-    b_off = Array.make (n + 1) 0;
-    b_adj = [||];
-  }
-
-let rec fill_row adj indeg c = function
-  | [] -> c
-  | v :: tl ->
-    adj.(c) <- v;
-    indeg.(v) <- indeg.(v) + 1;
-    fill_row adj indeg (c + 1) tl
-
-(* [compute] rebuilt on preallocated arrays: same FIFO Kahn order, same
-   forward/backward relaxations (max/min folds are iteration-order
-   independent), so every field of the result is bit-identical to
-   [compute]'s — only the allocations differ. The adjacency lists are
-   flattened into a CSR layout first, so the lists (boxed, scattered)
-   are chased once instead of once per pass; the three passes then run
-   over contiguous int arrays. The scheduler's window refresh runs this
-   once per placement, which made the allocating version the single
-   hottest site of a restart iteration. *)
-let compute_with b g ~durations =
-  check_inputs g ~durations ~release:None;
-  let n = Graph.size g in
-  if Array.length b.b_t_min <> n then
-    invalid_arg "Cpm.compute_with: buffers sized for a different graph";
-  let e = Graph.edge_count g in
-  if Array.length b.b_adj < e then
-    b.b_adj <- Array.make (Stdlib.max e (2 * Array.length b.b_adj)) 0;
-  let order = b.b_order and indeg = b.b_indeg in
-  let off = b.b_off and adj = b.b_adj in
-  Array.fill indeg 0 n 0;
-  let c = ref 0 in
-  for u = 0 to n - 1 do
-    off.(u) <- !c;
-    c := fill_row adj indeg !c (Graph.succs_rev g u)
-  done;
-  off.(n) <- !c;
-  (* [order] doubles as the FIFO queue: [tail] is the write cursor,
-     [head] the read cursor; once the loop drains, [order] holds the
-     exact topological order [Graph.topological_order] would return
-     (same FIFO discipline, same per-node edge order). *)
-  let tail = ref 0 in
-  for u = 0 to n - 1 do
-    if indeg.(u) = 0 then begin
-      order.(!tail) <- u;
-      incr tail
-    end
-  done;
-  (* The passes below index only with node ids already validated by the
-     CSR build (every [adj] entry came from an in-range successor list),
-     so unchecked accesses are safe — same reasoning as the packed rows
-     of [Graph.closure]. *)
-  let head = ref 0 in
-  while !head < !tail do
-    let u = Array.unsafe_get order !head in
-    incr head;
-    for j = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
-      let v = Array.unsafe_get adj j in
-      let d = Array.unsafe_get indeg v - 1 in
-      Array.unsafe_set indeg v d;
-      if d = 0 then begin
-        Array.unsafe_set order !tail v;
-        incr tail
-      end
-    done
-  done;
-  if !tail < n then ignore (Graph.topological_order g : int array);
-  let t_min = b.b_t_min in
-  Array.fill t_min 0 n 0;
-  let makespan = ref 0 in
-  for i = 0 to n - 1 do
-    let u = Array.unsafe_get order i in
-    let finish = Array.unsafe_get t_min u + Array.unsafe_get durations u in
-    if finish > !makespan then makespan := finish;
-    for j = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
-      let v = Array.unsafe_get adj j in
-      if Array.unsafe_get t_min v < finish then Array.unsafe_set t_min v finish
-    done
-  done;
-  let makespan = !makespan in
-  let t_max = b.b_t_max in
-  Array.fill t_max 0 n makespan;
-  for i = n - 1 downto 0 do
-    let u = Array.unsafe_get order i in
-    let latest = ref (Array.unsafe_get t_max u) in
-    for j = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
-      let v = Array.unsafe_get adj j in
-      let latest_start = Array.unsafe_get t_max v - Array.unsafe_get durations v in
-      if !latest > latest_start then latest := latest_start
-    done;
-    Array.unsafe_set t_max u !latest
-  done;
-  let critical = b.b_critical in
-  for u = 0 to n - 1 do
-    critical.(u) <- t_max.(u) - t_min.(u) = durations.(u)
-  done;
-  { t_min; t_max; makespan; critical; order }
-
 let compute_with_release g ~durations ~release =
   run g ~durations ~release:(Some release)
 

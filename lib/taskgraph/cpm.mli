@@ -19,27 +19,10 @@ val compute : Graph.t -> durations:int array -> t
     non-negative entry per task. Raises [Graph.Cycle] on cyclic graphs and
     [Invalid_argument] on length mismatch or negative durations. *)
 
-type buffers
-(** Preallocated scratch for {!compute_with}: the five arrays a CPM pass
-    needs, reusable across calls on graphs of the same size. *)
-
-val make_buffers : int -> buffers
-(** Buffers for graphs of the given node count. *)
-
-val compute_with : buffers -> Graph.t -> durations:int array -> t
-(** Exactly {!compute} — every field of the result is bit-identical —
-    but computed into the given buffers instead of fresh arrays. The
-    returned record {e shares} the buffers' arrays: it is only valid
-    until the next [compute_with] on the same buffers. The scheduler's
-    restart arena uses this for its once-per-placement window refresh;
-    anything that must outlive the next refresh copies what it needs
-    (or uses {!compute}). *)
-
 val compute_with_release : Graph.t -> durations:int array ->
   release:int array -> t
 (** Like {!compute} but every task additionally cannot start before its
-    [release] time. Used by the scheduler when part of the schedule is
-    already committed. The backward pass keeps [T_MAX] consistent with the
+    [release] time. The backward pass keeps [T_MAX] consistent with the
     (possibly release-extended) makespan. *)
 
 val slack : t -> durations:int array -> int -> int

@@ -60,6 +60,8 @@ external pin_available_stub : unit -> bool = "resched_pin_available"
 
 let pin_available () = pin_available_stub ()
 
+(* Pin the calling domain's thread to core [core mod available cores];
+   [false] if unsupported or refused by the OS. *)
 let pin_to_core core =
   if core < 0 then invalid_arg "Domain_pool.pin_to_core: negative core";
   pin_to_core_stub core

@@ -57,11 +57,6 @@ val pin_available : unit -> bool
 (** Whether worker-to-core pinning is supported on this platform
     (Linux [sched_setaffinity]). *)
 
-val pin_to_core : int -> bool
-(** Pin the calling domain's thread to core [i mod available cores];
-    [false] if unsupported or refused by the OS. Exposed mostly for
-    {!Pool.create}'s [~pin] flag. *)
-
 val env_pin_default : unit -> bool
 (** The default pinning policy: [true] iff the [RESCHED_PIN] environment
     variable is 1/true/yes and pinning is available. *)

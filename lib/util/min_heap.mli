@@ -26,3 +26,11 @@ val pop : t -> key:int array -> int
 
 val clear : t -> unit
 (** Drop every queued node. *)
+
+val pop_budget : int -> int
+(** [pop_budget nodes] = [4 * nodes + 64]: how many pops a settle over a
+    DAG of [nodes] nodes may spend before it hands the work left over to
+    its exact from-scratch pass. A legal settle pops each node about
+    once; a budget far above that is only exhausted by a cycle spinning
+    the worklist (or a pathological settle order), and the exact pass
+    gives the same times either way and reports the cycle. *)

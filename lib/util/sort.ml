@@ -8,7 +8,10 @@
    (a stable merge sort), and insertion sort preserves ties the same
    way, so the dedup cannot change any schedule. *)
 
-let by_int_key arr ~base ~len ~key =
+(* Element and key types are annotated: left generic, every comparison
+   below would compile to a call to the polymorphic [compare]
+   primitives. *)
+let by_int_key (arr : int array) ~base ~len ~(key : int -> int) =
   for j = base + 1 to base + len - 1 do
     let v = arr.(j) in
     let kv = key v in
@@ -20,7 +23,7 @@ let by_int_key arr ~base ~len ~key =
     arr.(!p + 1) <- v
   done
 
-let by_float_keys arr keys ~base ~len ~desc =
+let by_float_keys (arr : int array) (keys : float array) ~base ~len ~desc =
   for j = base + 1 to base + len - 1 do
     let v = arr.(j) and kv = keys.(j) in
     let p = ref (j - 1) in

@@ -24,7 +24,6 @@ let add_row t row =
     invalid_arg "Table.add_row: row length mismatch";
   t.rows <- row :: t.rows
 
-let add_rows t rows = List.iter (add_row t) rows
 
 let pad align width s =
   let n = String.length s in

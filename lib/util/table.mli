@@ -16,8 +16,6 @@ val create : ?aligns:align list -> string list -> t
 val add_row : t -> string list -> unit
 (** Append a row; the row length must match the header length. *)
 
-val add_rows : t -> string list list -> unit
-
 val render : t -> string
 (** Render to a string, including a trailing newline. *)
 

@@ -191,50 +191,6 @@ let test_cpm_rejects_bad_input () =
     (Invalid_argument "Cpm.compute: negative duration") (fun () ->
       ignore (Cpm.compute g ~durations:[| 1; -2 |]))
 
-let check_cpm_equal name (a : Cpm.t) (b : Cpm.t) =
-  Alcotest.(check (array int)) (name ^ ": t_min") a.Cpm.t_min b.Cpm.t_min;
-  Alcotest.(check (array int)) (name ^ ": t_max") a.Cpm.t_max b.Cpm.t_max;
-  Alcotest.(check int) (name ^ ": makespan") a.Cpm.makespan b.Cpm.makespan;
-  Alcotest.(check (array bool))
-    (name ^ ": critical")
-    a.Cpm.critical b.Cpm.critical;
-  Alcotest.(check (array int)) (name ^ ": order") a.Cpm.order b.Cpm.order
-
-let test_compute_with_matches_compute () =
-  let rng = Rng.create 31 in
-  let tasks = 40 in
-  (* One set of buffers recycled across graphs and edge insertions, as
-     the scheduler's window refresh uses it. *)
-  let b = Cpm.make_buffers tasks in
-  for i = 1 to 10 do
-    let g = Generator.layered rng ~tasks ~width:5 ~edge_probability:0.1 in
-    let durations = Array.init tasks (fun _ -> Rng.int rng 50) in
-    check_cpm_equal
-      (Printf.sprintf "graph %d" i)
-      (Cpm.compute g ~durations)
-      (Cpm.compute_with b g ~durations);
-    (* Mutate the graph (as region/processor ordering edges do) and
-       recompute on the same buffers. *)
-    let order = Graph.topological_order g in
-    for _ = 1 to 5 do
-      let i = Rng.int rng (tasks - 1) in
-      let j = i + 1 + Rng.int rng (tasks - i - 1) in
-      Graph.add_edge g order.(i) order.(j)
-    done;
-    check_cpm_equal
-      (Printf.sprintf "graph %d augmented" i)
-      (Cpm.compute g ~durations)
-      (Cpm.compute_with b g ~durations)
-  done;
-  let wrong = Cpm.make_buffers (tasks + 1) in
-  Alcotest.check_raises "size mismatch rejected"
-    (Invalid_argument "Cpm.compute_with: buffers sized for a different graph")
-    (fun () ->
-      ignore
-        (Cpm.compute_with wrong
-           (Generator.chain tasks)
-           ~durations:(Array.make tasks 1)))
-
 let test_generator_chain () =
   let g = Generator.chain 5 in
   Alcotest.(check int) "edges" 4 (Graph.edge_count g);
@@ -348,8 +304,6 @@ let () =
           Alcotest.test_case "release times" `Quick test_cpm_release;
           Alcotest.test_case "input validation" `Quick
             test_cpm_rejects_bad_input;
-          Alcotest.test_case "compute_with = compute" `Quick
-            test_compute_with_matches_compute;
         ] );
       ( "generators",
         [
