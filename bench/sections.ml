@@ -314,15 +314,12 @@ type par_width = {
   pw_effective : int;
   pw_rows : (int * int * int) list;  (* tasks, iterations, makespan *)
   pw_cache : Fp_cache.stats;  (* parallel phase only (pre-warm subtracted) *)
-  pw_stripes : Fp_cache.stats array;
-  pw_read_retries : int;  (* L2 optimistic-read retries, all stripes *)
 }
 
 let add_stats (a : Fp_cache.stats) (b : Fp_cache.stats) =
   {
     a with
-    Fp_cache.l1_hits = a.Fp_cache.l1_hits + b.Fp_cache.l1_hits;
-    hits = a.Fp_cache.hits + b.Fp_cache.hits;
+    Fp_cache.hits = a.Fp_cache.hits + b.Fp_cache.hits;
     misses = a.Fp_cache.misses + b.Fp_cache.misses;
     inserts = a.Fp_cache.inserts + b.Fp_cache.inserts;
   }
@@ -330,7 +327,6 @@ let add_stats (a : Fp_cache.stats) (b : Fp_cache.stats) =
 let cache_stats_json (st : Fp_cache.stats) =
   Json.Obj
     [
-      ("l1_hits", Json.Int st.Fp_cache.l1_hits);
       ("hits", Json.Int st.Fp_cache.hits);
       ("misses", Json.Int st.Fp_cache.misses);
       ("inserts", Json.Int st.Fp_cache.inserts);
@@ -340,8 +336,8 @@ let cache_stats_json (st : Fp_cache.stats) =
 (* Measure one effective width across all groups. The pool (resident
    domains, one per worker beyond the caller) is created once and
    reused for every group, so domain spawn/join and first-touch costs
-   are paid once per width, and per-domain state (restart arenas,
-   cache L1 memos) stays warm across the batch. *)
+   are paid once per width, and per-domain restart arenas stay warm
+   across the batch. *)
 let par_measure_width ~pin ~requested ~effective insts =
   let cache = Fp_cache.create () in
   let pool =
@@ -391,9 +387,6 @@ let par_measure_width ~pin ~requested ~effective insts =
     pw_effective = effective;
     pw_rows = rows;
     pw_cache = Fp_cache.diff (Fp_cache.stats cache) !prewarm;
-    pw_stripes = Fp_cache.stripe_stats cache;
-    pw_read_retries =
-      Array.fold_left ( + ) 0 (Fp_cache.stripe_read_retries cache);
   }
 
 let parallel_comparison () =
@@ -538,27 +531,11 @@ let parallel_comparison () =
        clamps to jobs=1; the scaling guard must run on a multi-core host\n");
   List.iter
     (fun pw ->
-      Printf.printf
-        "  j%d cache: %d L1 + %d L2 hits / %d lookups (%.1f%%), %d L2 read \
-         retries\n"
-        pw.pw_effective pw.pw_cache.Fp_cache.l1_hits pw.pw_cache.Fp_cache.hits
+      Printf.printf "  j%d cache: %d hits / %d lookups (%.1f%%)\n"
+        pw.pw_effective pw.pw_cache.Fp_cache.hits
         (Fp_cache.lookups pw.pw_cache)
-        (100. *. Fp_cache.hit_rate pw.pw_cache)
-        pw.pw_read_retries)
+        (100. *. Fp_cache.hit_rate pw.pw_cache))
     measured;
-  let busy =
-    Array.to_list top.pw_stripes
-    |> List.filter (fun st -> Fp_cache.lookups st > 0)
-  in
-  Printf.printf "  j%d cache stripes: %d/%d active, per-stripe hit rates [%s]\n"
-    top.pw_effective (List.length busy)
-    (Array.length top.pw_stripes)
-    (String.concat "; "
-       (List.map
-          (fun st ->
-            Printf.sprintf "%d:%.2f" (Fp_cache.lookups st)
-              (Fp_cache.hit_rate st))
-          busy));
   write_csv "parallel.csv"
     (("tasks"
      :: List.concat_map
@@ -638,18 +615,6 @@ let parallel_comparison () =
                pw.pw_rows) );
         ("total_iterations", Json.Int (totals pw));
         ("cache", cache_stats_json pw.pw_cache);
-        ("l2_read_retries", Json.Int pw.pw_read_retries);
-        ( "stripes",
-          Json.List
-            (Array.to_list
-               (Array.map
-                  (fun st ->
-                    Json.Obj
-                      [
-                        ("lookups", Json.Int (Fp_cache.lookups st));
-                        ("hit_rate", Json.float (Fp_cache.hit_rate st));
-                      ])
-                  pw.pw_stripes)) );
       ]
   in
   Run_store.write_section_json ~section:"parallel"
@@ -706,13 +671,11 @@ type iter_row = {
   ir_ms_new : int;
   ir_ms_old : int;
   ir_identical : bool;
-  ir_hits : int;  (* L1 + L2 *)
+  ir_hits : int;
   ir_misses : int;
   ir_mw_new : float;  (* minor words / iteration, SoA kernel *)
   ir_mw_old : float;  (* minor words / iteration, reference loop *)
 }
-
-let cache_hits (st : Fp_cache.stats) = st.Fp_cache.l1_hits + st.Fp_cache.hits
 
 let hit_rate hits misses =
   float_of_int hits /. float_of_int (Stdlib.max 1 (hits + misses))
@@ -800,7 +763,7 @@ let iteration_comparison () =
               ir_ms_new = ms_new;
               ir_ms_old = ms_old;
               ir_identical = identical;
-              ir_hits = cache_hits st;
+              ir_hits = st.Fp_cache.hits;
               ir_misses = st.Fp_cache.misses;
               ir_mw_new = words_per_iter new_o;
               ir_mw_old = words_per_iter old_o;
@@ -861,7 +824,8 @@ let iteration_comparison () =
   in
   let timed_hits = List.fold_left (fun a r -> a + r.ir_hits) 0 rows
   and timed_misses = List.fold_left (fun a r -> a + r.ir_misses) 0 rows in
-  let sat_hits = List.fold_left (fun a (_, st) -> a + cache_hits st) 0 sat_rows
+  let sat_hits =
+    List.fold_left (fun a (_, st) -> a + st.Fp_cache.hits) 0 sat_rows
   and sat_misses =
     List.fold_left (fun a (_, st) -> a + st.Fp_cache.misses) 0 sat_rows
   in
@@ -965,8 +929,8 @@ let iteration_comparison () =
       Printf.bprintf buf
         "    {\"tasks\": %d, \"cache\": {\"hits\": %d, \"misses\": %d, \
          \"hit_rate\": %.3f}}%s\n"
-        tasks (cache_hits st) st.Fp_cache.misses
-        (hit_rate (cache_hits st) st.Fp_cache.misses)
+        tasks st.Fp_cache.hits st.Fp_cache.misses
+        (hit_rate st.Fp_cache.hits st.Fp_cache.misses)
         (if i = List.length sat_rows - 1 then "" else ","))
     sat_rows;
   Buffer.add_string buf "  ],\n";
@@ -1213,11 +1177,18 @@ let moves_comparison () =
   let lns_never_worse =
     List.for_all (fun r -> r.mv_ms_lns <= r.mv_ms_par) rows
   in
+  let groups_where keep =
+    List.filter keep rows
+    |> List.map (fun r -> string_of_int r.mv_tasks)
+    |> String.concat "; "
+  in
   Printf.printf
     "\nsummary: min speedup x%.1f vs full pipeline (x%.1f vs from-scratch \
-     oracle), %d divergence(s), LNS %s PA-R at equal budget on every group\n"
+     oracle), %d divergence(s); LNS vs PA-R at equal budget: worse on \
+     task groups [%s], better on [%s]\n"
     min_speedup min_speedup_orc total_div
-    (if lns_never_worse then "<=" else "WORSE THAN");
+    (groups_where (fun r -> r.mv_ms_lns > r.mv_ms_par))
+    (groups_where (fun r -> r.mv_ms_lns < r.mv_ms_par));
   write_csv "moves.csv"
     ([ "tasks"; "moves"; "applied"; "s_incremental"; "s_oracle"; "s_pipeline";
        "speedup_vs_oracle"; "speedup_vs_pipeline"; "divergences";
@@ -2268,7 +2239,7 @@ type fp_row = {
   fr_s_v2 : float;
   fr_identical : bool;
   fr_refined : int;
-  fr_hits : int;  (* L1 + L2 *)
+  fr_hits : int;
   fr_misses : int;
   fr_ms_v1 : int;
   fr_ms_v2 : int;
@@ -2412,7 +2383,7 @@ let floorplan_oracle_comparison () =
               fr_s_v2 = s_v2;
               fr_identical = identical;
               fr_refined = refinements;
-              fr_hits = cache_hits st;
+              fr_hits = st.Fp_cache.hits;
               fr_misses = st.Fp_cache.misses;
               fr_ms_v1 = ms_v1;
               fr_ms_v2 = ms_v2;

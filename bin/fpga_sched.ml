@@ -203,10 +203,9 @@ let run_algo ?cache algo ~budget_s ~reuse ~seed ~jobs inst =
         before
     in
     Logs.info (fun m ->
-        m "PA-R: %d iterations on %d worker(s); floorplan cache %d L1 + %d \
-           L2 hits / %d misses"
+        m "PA-R: %d iterations on %d worker(s); floorplan cache %d hits / \
+           %d misses"
           outcome.Pa_random.iterations jobs
-          st.Resched_floorplan.Fp_cache.l1_hits
           st.Resched_floorplan.Fp_cache.hits
           st.Resched_floorplan.Fp_cache.misses);
     match outcome.Pa_random.schedule with
@@ -216,7 +215,7 @@ let run_algo ?cache algo ~budget_s ~reuse ~seed ~jobs inst =
         "note: PA-R found no floorplannable schedule in %.1fs; falling back \
          to PA\n"
         budget_s;
-      fst (Pa.run inst))
+      fst (Pa.run ~cache inst))
   | A_is1 ->
     fst
       (Isk.run
@@ -566,9 +565,8 @@ let compare_ path budget_ms seed jobs =
   let lookups = F.lookups st in
   if lookups > 0 then
     Printf.printf
-      "shared floorplan cache: %d lookups, %d L1 + %d L2 hits (%.0f%%), %d \
-       misses\n"
-      lookups st.F.l1_hits st.F.hits
+      "shared floorplan cache: %d lookups, %d hits (%.0f%%), %d misses\n"
+      lookups st.F.hits
       (100. *. F.hit_rate st)
       st.F.misses;
   0

@@ -80,9 +80,12 @@ let run ?(config = config ~k:1) inst =
   let device = inst.Instance.arch.Arch.device in
   let sched_time = ref 0. and plan_time = ref 0. in
   let nodes = ref 0 and chunks = ref 0 and all_optimal = ref true in
-  let stats_before =
-    Option.map Fp_cache.stats config.floorplan_cache
+  let cache =
+    match config.floorplan_cache with
+    | Some c -> c
+    | None -> Fp_cache.create ()
   in
+  let stats_before = Fp_cache.stats cache in
   let rec attempt k scale =
     if k > config.max_attempts then begin
       let t0 = Unix.gettimeofday () in
@@ -103,11 +106,7 @@ let run ?(config = config ~k:1) inst =
       if Array.length needs = 0 then
         ({ sched with Schedule.floorplan = Some [||] }, k)
       else begin
-        let report =
-          match config.floorplan_cache with
-          | Some cache -> Fp_cache.check cache device needs
-          | None -> Floorplanner.check device needs
-        in
+        let report = Fp_cache.check cache device needs in
         plan_time := !plan_time +. report.Floorplanner.elapsed;
         match report.Floorplanner.verdict with
         | Floorplanner.Feasible placements ->
@@ -119,9 +118,9 @@ let run ?(config = config ~k:1) inst =
   in
   let sched, attempts = attempt 1 1.0 in
   let cache_stats =
-    match (config.floorplan_cache, stats_before) with
-    | Some cache, Some before -> Some (Fp_cache.diff (Fp_cache.stats cache) before)
-    | _ -> None
+    Option.map
+      (fun _ -> Fp_cache.diff (Fp_cache.stats cache) stats_before)
+      config.floorplan_cache
   in
   ( sched,
     {

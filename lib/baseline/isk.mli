@@ -14,15 +14,15 @@ type config = {
   chunk_node_limit : int;  (** branch-and-bound budget per chunk *)
   module_reuse : bool;  (** default true: [6] supports module reuse *)
   floorplan_cache : Resched_floorplan.Fp_cache.t option;
-      (** when set, the shrink-retry loop consults this shared cache
-          instead of calling the backtracking floorplanner directly *)
+      (** the cache the shrink-retry loop checks its region sets
+          through; [None] gives each {!run} a private one *)
   max_attempts : int;
   shrink_factor : float;
 }
 
 val config : k:int -> config
-(** Defaults: 200_000 nodes per chunk, module reuse on, no cache,
-    8 attempts, shrink 0.9. *)
+(** Defaults: 200_000 nodes per chunk, module reuse on, no shared
+    cache, 8 attempts, shrink 0.9. *)
 
 type stats = {
   chunks : int;

@@ -54,14 +54,10 @@ let schedule_once ?(module_reuse = false) ?(resource_scale = 1.0) inst =
   let sched = Partial.to_schedule !state in
   { sched with Schedule.resource_scale }
 
-let run_with_stats ?(module_reuse = false) ?cache inst =
+let run_with_stats ?(module_reuse = false) ?cache:given inst =
   let device = inst.Instance.arch.Arch.device in
-  let stats_before = Option.map Fp_cache.stats cache in
-  let check needs =
-    match cache with
-    | Some cache -> Fp_cache.check cache device needs
-    | None -> Floorplanner.check device needs
-  in
+  let cache = match given with Some c -> c | None -> Fp_cache.create () in
+  let stats_before = Fp_cache.stats cache in
   let rec attempt k scale =
     if k > 8 then Pa.all_software_schedule inst
     else begin
@@ -73,7 +69,7 @@ let run_with_stats ?(module_reuse = false) ?cache inst =
       if Array.length needs = 0 then
         { sched with Schedule.floorplan = Some [||] }
       else begin
-        match (check needs).Floorplanner.verdict with
+        match (Fp_cache.check cache device needs).Floorplanner.verdict with
         | Floorplanner.Feasible placements ->
           { sched with Schedule.floorplan = Some placements }
         | Floorplanner.Infeasible | Floorplanner.Unknown ->
@@ -83,9 +79,9 @@ let run_with_stats ?(module_reuse = false) ?cache inst =
   in
   let sched = attempt 1 1.0 in
   let cache_stats =
-    match (cache, stats_before) with
-    | Some cache, Some before -> Some (Fp_cache.diff (Fp_cache.stats cache) before)
-    | _ -> None
+    Option.map
+      (fun _ -> Fp_cache.diff (Fp_cache.stats cache) stats_before)
+      given
   in
   (sched, cache_stats)
 

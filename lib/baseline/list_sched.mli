@@ -17,8 +17,8 @@ val schedule_once : ?module_reuse:bool -> ?resource_scale:float ->
 val run : ?module_reuse:bool -> ?cache:Resched_floorplan.Fp_cache.t ->
   Resched_platform.Instance.t -> Resched_core.Schedule.t
 (** With the same floorplan-validation/shrink-retry loop as PA and
-    IS-k. [cache], when given, memoizes the floorplan checks in a cache
-    shared with the other schedulers. *)
+    IS-k. The floorplan checks go through [cache], shared with the other
+    schedulers, or through a private cache when none is given. *)
 
 val run_with_stats : ?module_reuse:bool ->
   ?cache:Resched_floorplan.Fp_cache.t -> Resched_platform.Instance.t ->

@@ -110,6 +110,9 @@ let run ?config ?cache ?jobs ?pool ?slice requests =
     | Some s -> invalid_arg (Printf.sprintf "Batch.run: slice=%d" s)
     | None -> default_slice ~jobs requests
   in
+  (* One cache for every course: a caller that passes none still gets
+     verdicts shared across the batch. *)
+  let cache = match cache with Some c -> c | None -> Fp_cache.create () in
   let start = Unix.gettimeofday () in
   (* One course per request, each with its own RNG and its own incumbent:
      whatever slice interleaving the queue produces, every instance's
@@ -120,7 +123,7 @@ let run ?config ?cache ?jobs ?pool ?slice requests =
   let courses =
     Array.map
       (fun r ->
-        Pa_random.Course.create ?config ?cache ~start
+        Pa_random.Course.create ?config ~cache ~start
           ?cancel:r.cancel ~seed:r.seed ~min_iterations:r.min_iterations
           ~budget_seconds:r.budget_seconds r.instance)
       requests

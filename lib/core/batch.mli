@@ -10,15 +10,15 @@
     instances one {!Pa_random.run_parallel} at a time this removes the
     per-instance fan-out barrier — a straggler instance no longer idles
     the other workers — while the per-domain {!Pa.Context} restart
-    arenas and floorplan-cache L1 memos stay warm across instances.
+    arenas stay warm across instances.
 
     Determinism: each course owns its RNG and its incumbent, so the
     slice interleaving (which varies with load) never leaks between
     instances. Per-instance outcomes are bit-identical to running
     [Pa_random.run ~seed ~min_iterations ~budget_seconds:0.] for each
-    request in isolation with a cache (or, in both, with none), whatever
-    [jobs] and [slice] are (property-tested): a cache's verdicts are a
-    pure function of the query, so sharing one across instances changes
+    request in isolation, with or without a cache, whatever [jobs] and
+    [slice] are (property-tested): a cache's verdicts are a pure
+    function of the query, so sharing one across instances changes
     wall-clock only. *)
 
 type request = {
@@ -58,6 +58,7 @@ val run : ?config:Pa.config -> ?cache:Resched_floorplan.Fp_cache.t ->
     [cache] apply to all courses (see {!Pa_random.run}). [jobs] defaults
     to the pool's width when [pool] is given (both with different values
     is an error), else to {!Resched_util.Domain_pool.available_cores}.
+    Without [cache], the courses share a private one.
     [slice] (default: derived from the total requested iterations, at
     most 32) bounds how many restarts a worker runs on a course before
     requeuing it — results never depend on it, only load balance does.

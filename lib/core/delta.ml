@@ -79,7 +79,9 @@ type t = {
   processors : int;
   module_reuse : bool;
   resource_scale : float;
-  cfg : config;
+  fp_engine : Floorplanner.engine;
+  fp_cache : Fp_cache.t Lazy.t;
+      (* [config.cache], or a private cache made on the first L0 miss *)
   (* static data-dependency CSR, forward and reverse *)
   d_soff : int array;
   d_sadj : int array;
@@ -662,10 +664,8 @@ let requery_fp d =
         end
       done;
       let report =
-        match d.cfg.cache with
-        | Some cache ->
-          Fp_cache.check cache ~engine:d.cfg.engine d.device needs
-        | None -> Floorplanner.check ~engine:d.cfg.engine d.device needs
+        Fp_cache.check (Lazy.force d.fp_cache) ~engine:d.fp_engine d.device
+          needs
       in
       let ok, places =
         match report.Floorplanner.verdict with
@@ -1200,7 +1200,11 @@ let of_schedule ?(config = default_config) (sched : Schedule.t) =
       processors = arch.Arch.processors;
       module_reuse = sched.Schedule.module_reuse;
       resource_scale = sched.Schedule.resource_scale;
-      cfg = config;
+      fp_engine = config.engine;
+      fp_cache =
+        (match config.cache with
+        | Some c -> Lazy.from_val c
+        | None -> lazy (Fp_cache.create ()));
       d_soff;
       d_sadj;
       d_poff;

@@ -40,8 +40,9 @@ type t
 type config = {
   engine : Resched_floorplan.Floorplanner.engine;
   cache : Resched_floorplan.Fp_cache.t option;
-      (** demand-vector feasibility queries go through this cache when
-          present *)
+      (** the cache demand-vector feasibility queries go through;
+          [None] gives the state a private one, made on its first
+          query *)
 }
 
 val default_config : config

@@ -3,6 +3,7 @@ module Arch = Resched_platform.Arch
 module Cpm = Resched_taskgraph.Cpm
 module Resource = Resched_fabric.Resource
 module Floorplanner = Resched_floorplan.Floorplanner
+module Fp_cache = Resched_floorplan.Fp_cache
 
 let src = Logs.Src.create "resched.pa" ~doc:"PA scheduler pipeline"
 
@@ -249,6 +250,7 @@ let region_needs (sched : Schedule.t) =
   Array.map (fun (r : Schedule.region) -> r.Schedule.res) sched.Schedule.regions
 
 let run ?(config = default_config) ?cache inst =
+  let cache = match cache with Some c -> c | None -> Fp_cache.create () in
   let device = inst.Instance.arch.Arch.device in
   let ctx = Context.create inst in
   let sched_time = ref 0. and plan_time = ref 0. in
@@ -271,11 +273,7 @@ let run ?(config = default_config) ?cache inst =
       if Array.length needs = 0 then
         ({ sched with Schedule.floorplan = Some [||] }, k)
       else begin
-        let report =
-          match cache with
-          | Some cache -> Resched_floorplan.Fp_cache.check cache device needs
-          | None -> Floorplanner.check device needs
-        in
+        let report = Fp_cache.check cache device needs in
         plan_time := !plan_time +. report.Floorplanner.elapsed;
         match report.Floorplanner.verdict with
         | Floorplanner.Feasible placements ->

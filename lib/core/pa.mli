@@ -100,6 +100,7 @@ val run : ?config:config -> ?cache:Resched_floorplan.Fp_cache.t ->
 (** The full PA algorithm: steps 1-7 on one restart arena shared by the
     shrink attempts, then the floorplan check. The returned schedule
     always validates ({!Validate.check}) and carries a floorplan when it
-    uses regions. When [cache] is given, the check consults it instead
-    of calling the floorplanner directly, so shrink attempts (and other
-    schedulers sharing the cache) reuse verdicts. *)
+    uses regions. The check goes through [cache] (default: a private
+    cache for this call), so shrink attempts, and other schedulers
+    sharing the cache, reuse verdicts; the schedule does not depend on
+    which cache answers. *)

@@ -50,16 +50,14 @@ let rec claim shared ms =
 
 let check_feasible ~cache device needs =
   if Array.length needs = 0 then Some [||]
-  else begin
-    let report =
-      match cache with
-      | Some cache -> Fp_cache.check cache device needs
-      | None -> Floorplanner.check device needs
-    in
-    match report.Floorplanner.verdict with
+  else
+    match (Fp_cache.check cache device needs).Floorplanner.verdict with
     | Floorplanner.Feasible placements -> Some placements
     | Floorplanner.Infeasible | Floorplanner.Unknown -> None
-  end
+
+(* A caller that passes no cache gets a private one per entry-point
+   call, shared by every stream of that call. *)
+let resolve_cache = function Some c -> c | None -> Fp_cache.create ()
 
 type worker_result = {
   w_iterations : int;
@@ -119,7 +117,7 @@ module Course = struct
   type t = {
     crs_inst : Instance.t;
     crs_config : Pa.config;
-    crs_cache : Fp_cache.t option;
+    crs_cache : Fp_cache.t;
     crs_rng : Rng.t;
     crs_shared : shared;
     crs_start : float;
@@ -134,7 +132,7 @@ module Course = struct
     mutable crs_done : bool;
   }
 
-  let make ?(config = Pa.default_config) ?cache ?cancel ~shared ~rng ~start
+  let make ?(config = Pa.default_config) ?cancel ~cache ~shared ~rng ~start
       ~min_iterations ~budget_seconds inst =
     {
       crs_inst = inst;
@@ -167,8 +165,9 @@ module Course = struct
     let start =
       match start with Some s -> s | None -> Unix.gettimeofday ()
     in
-    make ?config ?cache ?cancel ~shared:(make_shared ())
-      ~rng:(Rng.create seed) ~start ~min_iterations ~budget_seconds inst
+    make ?config ?cancel ~cache:(resolve_cache cache)
+      ~shared:(make_shared ()) ~rng:(Rng.create seed) ~start ~min_iterations
+      ~budget_seconds inst
 
   let iterate c ~ctx ~now =
     let config =
@@ -283,8 +282,8 @@ let run ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1) ?cache
   let start = Unix.gettimeofday () in
   let shared = make_shared () in
   let course =
-    Course.make ~config ?cache ~shared ~rng:(Rng.create seed) ~start
-      ~min_iterations ~budget_seconds inst
+    Course.make ~config ~cache:(resolve_cache cache) ~shared
+      ~rng:(Rng.create seed) ~start ~min_iterations ~budget_seconds inst
   in
   let r = exhaust course in
   {
@@ -342,9 +341,10 @@ let run_parallel ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1)
           if i = 0 then Rng.create seed else Rng.split root)
     in
     let min_per_worker = (min_iterations + jobs - 1) / jobs in
+    let cache = resolve_cache cache in
     let job i =
       exhaust
-        (Course.make ~config ?cache ~shared ~rng:rngs.(i) ~start
+        (Course.make ~config ~cache ~shared ~rng:rngs.(i) ~start
            ~min_iterations:min_per_worker ~budget_seconds inst)
     in
     let results =

@@ -7,8 +7,9 @@
     floorplan-infeasible candidates are discarded rather than triggering
     the resource-shrinking restart of PA.
 
-    Both entry points accept a {!Resched_floorplan.Fp_cache.t} so that
-    repeated region-need multisets skip the floorplanner entirely, and
+    Every floorplan check goes through a {!Resched_floorplan.Fp_cache.t}
+    — the caller's, or a private one per entry-point call — so repeated
+    region-need multisets skip the floorplanner entirely, and
     {!run_parallel} fans the restart loop out over OCaml 5 domains with a
     shared atomic incumbent makespan. The restart stream itself is
     reified as a resumable {!Course}, which the batch engine
@@ -57,6 +58,7 @@ module Course : sig
       {!run} with the same arguments would do. [start] (default: now)
       anchors the wall-clock budget and the trace's [elapsed] stamps —
       the batch engine passes one common origin for all its courses.
+      Without [cache], the course checks through a private one.
 
       [cancel] is a cooperative cancellation checkpoint: it is polled
       once at the start of every {!run_slice} (never inside the
@@ -96,15 +98,12 @@ val run : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
     iterations are executed even if the budget is already exhausted, so a
     tiny budget still returns a schedule whenever one is floorplannable.
     The [config]'s [ordering] field is ignored (PA-R always randomizes
-    non-critical tasks). When [cache] is given, floorplan verdicts are
-    memoized through it. The cache's verdicts are a pure function of
-    the query — the engine's answer for the canonically sorted needs —
-    so any two runs through caches (fresh, shared, or reused) produce
-    identical results for a fixed iteration count. They can still
-    differ from a {e cache-less} run where the engine's node budget
-    bites (the canonical order may explore the search space
-    differently), which steers the adaptive resource scale onto a
-    different (still valid) trajectory.
+    non-critical tasks). Floorplan verdicts are memoized through
+    [cache], or through a private cache when none is given. A cache's
+    verdicts are a pure function of the query — the engine's answer for
+    the canonically sorted needs — so any two runs (through a fresh,
+    shared or reused cache, or none) produce identical results for a
+    fixed iteration count.
 
     The adaptive virtual resource scale moves on the integer
     [shrink_factor^k] lattice (k in [0..6]) so the per-scale restart
@@ -121,14 +120,15 @@ val run_parallel : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
 (** [run] fanned out over [jobs] worker domains (default
     {!Resched_util.Domain_pool.available_cores}) sharing one atomic
     incumbent makespan — a worker floorplans a candidate only if it beats
-    the best found by {e any} worker — and, when given, one [cache].
+    the best found by {e any} worker — and one [cache] (the caller's, or
+    one private cache for all workers).
 
     With [pool], the fan-out reuses that persistent pool's resident
     domains instead of spawning fresh ones per call — across a batch of
     runs this amortizes domain spawn/join and keeps per-domain state
     warm: each worker's {!Pa.Context} restart arena (cached in
-    domain-local storage, keyed by instance identity) and its floorplan
-    cache L1 memo survive between calls. [jobs] then defaults to the
+    domain-local storage, keyed by instance identity) survives between
+    calls. [jobs] then defaults to the
     pool's width, and giving both with different values is an error.
     Pool reuse never changes results: worker 0 still runs on the calling
     domain, and arena reuse is bit-identical by construction.

@@ -321,29 +321,12 @@ let rec take_locked t =
 
 let cache_json c =
   let s = Fp_cache.stats c in
-  let stripe (st : Fp_cache.stats) =
-    Json.Obj
-      [
-        ("hits", Json.Int st.Fp_cache.hits);
-        ("misses", Json.Int st.Fp_cache.misses);
-        ("hit_rate", Json.float (Fp_cache.hit_rate st));
-      ]
-  in
   Json.Obj
     [
-      ("l1_hits", Json.Int s.Fp_cache.l1_hits);
       ("hits", Json.Int s.Fp_cache.hits);
       ("misses", Json.Int s.Fp_cache.misses);
       ("inserts", Json.Int s.Fp_cache.inserts);
       ("hit_rate", Json.float (Fp_cache.hit_rate s));
-      ( "stripes",
-        Json.List (Array.to_list (Array.map stripe (Fp_cache.stripe_stats c)))
-      );
-      ( "stripe_read_retries",
-        Json.List
-          (Array.to_list
-             (Array.map (fun n -> Json.Int n) (Fp_cache.stripe_read_retries c)))
-      );
     ]
 
 let dispatch_json_locked t =
@@ -383,7 +366,7 @@ let metrics t =
   with_lock t (fun () ->
       Json.Obj
         ([
-           ("schema", Json.String "resched-serve-metrics/2");
+           ("schema", Json.String "resched-serve-metrics/3");
            ( "queue",
              Json.Obj
                [

@@ -186,8 +186,8 @@ val sweep_expired : t -> int
 val metrics : t -> Resched_util.Json.t
 (** The [metrics] response body: queue gauges, request/shed/degrade
     counters, retry and deadline counts, the completed-request latency
-    histogram ({!Histogram.to_json}), floorplan-cache stripe hit
-    rates, the DRR dispatch table (per-source queued/enqueued/
+    histogram ({!Histogram.to_json}), the floorplan cache's hit, miss
+    and insert counts, the DRR dispatch table (per-source queued/enqueued/
     dispatched fairness counters and their max/min), per-tenant
     in-flight occupancy, and — when a transport registered
     {!set_connection_stats} — per-connection transport counters. *)

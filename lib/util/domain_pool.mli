@@ -5,8 +5,8 @@
     failures. {!Pool} keeps the worker domains resident so a *batch* of
     fan-outs (the bench's per-group PA-R runs, a server's request
     stream) pays the domain-spawn and first-touch cost once instead of
-    per call — and so domain-local state (PA restart arenas, cache L1
-    memos) stays warm between calls.
+    per call — and so domain-local state (PA restart arenas) stays warm
+    between calls.
 
     {!plan_jobs} is the honest-parallelism helper: it reconciles a
     requested fan-out with the machine's core count and says loudly

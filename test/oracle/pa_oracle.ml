@@ -286,8 +286,21 @@ let all_software_schedule inst =
   { (schedule_of_state state [||] []) with Schedule.floorplan = Some [||] }
 
 (* Step 8 runs [check]: the production check unless the caller passes
-   another, such as a cache's or the packer oracle's. *)
-let production_check device needs = Floorplanner.check device needs
+   another, such as a cache's or the packer oracle's. Production asks
+   [Fp_cache], whose verdict is the engine's answer for the needs in
+   canonical order (a stable sort by [Resource.compare]) with placements
+   handed back in the caller's order; this is that check, without the
+   table. *)
+let production_check device needs =
+  let order = Array.init (Array.length needs) Fun.id in
+  Array.stable_sort (fun i j -> Resource.compare needs.(i) needs.(j)) order;
+  let report = Floorplanner.check device (Array.map (Array.get needs) order) in
+  match report.Floorplanner.verdict with
+  | Floorplanner.Feasible rects ->
+    let out = Array.copy rects in
+    Array.iteri (fun k rect -> out.(order.(k)) <- rect) rects;
+    { report with Floorplanner.verdict = Floorplanner.Feasible out }
+  | Floorplanner.Infeasible | Floorplanner.Unknown -> report
 
 let floorplan ~check (sched : Schedule.t) =
   let device = sched.Schedule.instance.Instance.arch.Arch.device in

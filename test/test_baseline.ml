@@ -158,8 +158,27 @@ let test_list_sched_valid () =
 module Fp_cache = Resched_floorplan.Fp_cache
 
 (* A shared floorplan cache must not change either scheduler's output,
-   and both must report the cache activity of their own run. *)
+   and both must report the cache activity of their own run. Besides the
+   first instance, each case runs the 12-task seed-37 instance on which
+   PA's result once depended on the cache, and one on which this
+   scheduler's did (the packer's budgeted search answers one of its
+   region sets differently in region order and in canonical order). *)
 let test_isk_cache_threading () =
+  List.iter
+    (fun (seed, tasks) ->
+      let inst = small_instance ~tasks seed in
+      let plain, _ = Isk.run ~config:(Isk.config ~k:1) inst in
+      let config =
+        {
+          (Isk.config ~k:1) with
+          Isk.floorplan_cache = Some (Fp_cache.create ());
+        }
+      in
+      let cached, _ = Isk.run ~config inst in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d, %d tasks: same makespan" seed tasks)
+        plain.Schedule.makespan cached.Schedule.makespan)
+    [ (37, 12); (4, 12) ];
   let inst = small_instance ~tasks:15 42 in
   let cache = Fp_cache.create () in
   let sched_plain, _ = Isk.run ~config:(Isk.config ~k:1) inst in
@@ -180,6 +199,14 @@ let test_isk_cache_threading () =
     Alcotest.(check int) "replay is all hits" 0 st.Fp_cache.misses
 
 let test_list_sched_cache_threading () =
+  List.iter
+    (fun (seed, tasks) ->
+      let inst = small_instance ~tasks seed in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d, %d tasks: same makespan" seed tasks)
+        (List_sched.run inst).Schedule.makespan
+        (List_sched.run ~cache:(Fp_cache.create ()) inst).Schedule.makespan)
+    [ (37, 12); (49, 12) ];
   let inst = small_instance ~tasks:18 5 in
   let cache = Fp_cache.create () in
   let plain = List_sched.run inst in

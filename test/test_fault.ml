@@ -571,11 +571,14 @@ let prop_repair_always_validates =
    load attempts as free: a load that never succeeded migrated its
    region's suffix as soon as its first attempt started, and a
    [Resched_tail] repair released pending activities into a window that
-   earlier failed attempts still held. Thirteen now end at or above the
-   static makespan. In (7, 11, 2) and (81, 10, 2) a region death
-   migrates tasks whose software runs end before their hardware runs
-   were due, and [Resched_tail] compaction lets their successors follow:
-   those still beat the static schedule, legitimately. *)
+   earlier failed attempts still held. Fourteen now end at or above the
+   static makespan. In (7, 11, 2) a region death migrates tasks whose
+   software runs end before their hardware runs were due, and
+   [Resched_tail] compaction lets their successors follow: it still
+   beats the static schedule, legitimately. (81, 10, 2) did too on the
+   10772-tick fixture [Pa.run] built when it checked the floorplan in
+   region order; in canonical order it finds an 8173-tick one, which
+   the replay does not beat. *)
 let test_pinned_fault_triples () =
   List.iter
     (fun ((seed, tasks, pidx) as triple, may_beat_static) ->
@@ -600,7 +603,7 @@ let test_pinned_fault_triples () =
       ((61, 9, 2), false);
       ((70, 8, 2), false);
       ((73, 8, 2), false);
-      ((81, 10, 2), true);
+      ((81, 10, 2), false);
       ((81, 13, 2), false);
       ((91, 9, 1), false);
       ((91, 9, 2), false);

@@ -20,6 +20,8 @@ module State = Resched_core.State
 module Regions_define = Resched_core.Regions_define
 module Sw_balance = Resched_core.Sw_balance
 module Metrics = Resched_core.Metrics
+module Isk = Resched_baseline.Isk
+module List_sched = Resched_baseline.List_sched
 
 let validate_or_fail sched =
   match Validate.check sched with
@@ -256,37 +258,53 @@ let trace_makespans (o : Pa_random.outcome) =
   List.map (fun (p : Pa_random.trace_point) -> p.Pa_random.makespan)
     o.Pa_random.trace
 
+(* The instance on which [Pa.run]'s shrink loop once found a different
+   schedule without a cache (makespan 10010) than with one (9943): the
+   packer's budgeted search answers one of its region sets differently
+   in region order and in canonical order. *)
+let cache_sensitive_instance () = Suite.instance (Rng.create 37) ~tasks:12
+
 let test_run_parallel_jobs1_matches_sequential () =
   (* With a zero budget and a fixed min_iterations both runs execute the
      exact same finite stream, so the outcomes must be identical; the
      cache only memoizes the deterministic check so it cannot change the
      result either. *)
-  let rng = Rng.create 8 in
-  let inst = Suite.instance rng ~tasks:15 in
-  let seq = Pa_random.run ~seed:9 ~min_iterations:12 ~budget_seconds:0. inst in
-  let par =
-    Pa_random.run_parallel ~jobs:1 ~seed:9 ~min_iterations:12
-      ~budget_seconds:0. inst
-  in
-  let cached =
-    Pa_random.run ~seed:9 ~min_iterations:12
-      ~cache:(Fp_cache.create ())
-      ~budget_seconds:0. inst
-  in
-  Alcotest.(check int) "same iteration count" seq.Pa_random.iterations
-    par.Pa_random.iterations;
   let makespan o =
     match o.Pa_random.schedule with
     | Some s -> Schedule.makespan s
     | None -> -1
   in
-  Alcotest.(check int) "same best makespan" (makespan seq) (makespan par);
-  Alcotest.(check (list int)) "same trace" (trace_makespans seq)
-    (trace_makespans par);
-  Alcotest.(check int) "cache does not change the result" (makespan seq)
-    (makespan cached);
-  Alcotest.(check (list int)) "cache does not change the trace"
-    (trace_makespans seq) (trace_makespans cached)
+  List.iter
+    (fun (what, inst) ->
+      let seq =
+        Pa_random.run ~seed:9 ~min_iterations:12 ~budget_seconds:0. inst
+      in
+      let par =
+        Pa_random.run_parallel ~jobs:1 ~seed:9 ~min_iterations:12
+          ~budget_seconds:0. inst
+      in
+      let cached =
+        Pa_random.run ~seed:9 ~min_iterations:12
+          ~cache:(Fp_cache.create ())
+          ~budget_seconds:0. inst
+      in
+      let check_int name = Alcotest.(check int) (what ^ ": " ^ name) in
+      check_int "same iteration count" seq.Pa_random.iterations
+        par.Pa_random.iterations;
+      check_int "same best makespan" (makespan seq) (makespan par);
+      Alcotest.(check (list int)) (what ^ ": same trace")
+        (trace_makespans seq) (trace_makespans par);
+      check_int "cache does not change the result" (makespan seq)
+        (makespan cached);
+      Alcotest.(check (list int)) (what ^ ": cache does not change the trace")
+        (trace_makespans seq) (trace_makespans cached);
+      check_int "cache does not change PA"
+        (Schedule.makespan (fst (Pa.run inst)))
+        (Schedule.makespan (fst (Pa.run ~cache:(Fp_cache.create ()) inst))))
+    [
+      ("15 tasks", Suite.instance (Rng.create 8) ~tasks:15);
+      ("12 tasks, seed 37", cache_sensitive_instance ());
+    ]
 
 let test_run_parallel_valid_schedule_and_trace () =
   let rng = Rng.create 13 in
@@ -435,8 +453,8 @@ let prop_cache_matches_fresh_check =
       && kind miss.Floorplanner.verdict = kind hit.Floorplanner.verdict
       && placements_ok miss.Floorplanner.verdict
       && placements_ok hit.Floorplanner.verdict
-      && st.Fp_cache.l1_hits = 1 && st.Fp_cache.hits = 0
-      && st.Fp_cache.misses = 1)
+      && st.Fp_cache.hits = 1 && st.Fp_cache.misses = 1
+      && st.Fp_cache.l1_hits = 0)
 
 (* Everything observable about a schedule except the instance pointer:
    structural equality here is what "bit-identical" means below. *)
@@ -470,6 +488,40 @@ let shrink_chain =
     if k = 0 then [] else scale :: chain (k - 1) (scale *. shrink_factor)
   in
   chain max_attempts 1.0
+
+(* Property: a floorplan cache changes how fast a schedule is found,
+   never which one. Every scheduler checks its region sets through a
+   cache (a private one when the caller passes none), so [Pa.run],
+   [List_sched.run], IS-1 and PA-R at a fixed restart count return the
+   same schedule, floorplan included, with and without a cache, on both
+   fabrics. *)
+let prop_cache_never_changes_schedule =
+  let tasks =
+    QCheck.(
+      set_shrink Shrink.(filter (fun n -> n >= 12) int) (int_range 12 100))
+  in
+  QCheck.Test.make ~count:100 ~name:"a cache never changes a schedule"
+    QCheck.(triple int tasks bool)
+    (fun (seed, tasks, saturated) ->
+      let inst = identity_instance ~saturated (seed lxor 0xcac4e) tasks in
+      let same run =
+        let key (s : Schedule.t) =
+          (schedule_fingerprint s, s.Schedule.floorplan)
+        in
+        Option.map key (run None)
+        = Option.map key (run (Some (Fp_cache.create ())))
+      in
+      same (fun cache -> Some (fst (Pa.run ?cache inst)))
+      && same (fun cache -> Some (List_sched.run ?cache inst))
+      && same (fun cache ->
+             let config =
+               { (Isk.config ~k:1) with Isk.floorplan_cache = cache }
+             in
+             Some (fst (Isk.run ~config inst)))
+      && same (fun cache ->
+             (Pa_random.run ?cache ~seed ~min_iterations:12
+                ~budget_seconds:0. inst)
+               .Pa_random.schedule))
 
 (* Property: the restart kernel (context arena, incremental timing
    solver, marking-based mappings) produces bit-identical schedules to
@@ -609,6 +661,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_pa_valid;
           QCheck_alcotest.to_alcotest prop_schedule_once_valid_any_ordering;
           QCheck_alcotest.to_alcotest prop_cache_matches_fresh_check;
+          QCheck_alcotest.to_alcotest prop_cache_never_changes_schedule;
           QCheck_alcotest.to_alcotest prop_incremental_engine_bit_identical;
           QCheck_alcotest.to_alcotest prop_pa_run_equals_reference;
           QCheck_alcotest.to_alcotest prop_par_stream_identical;

@@ -577,7 +577,7 @@ let test_overload_script () =
   Alcotest.(check int) "a1 recovered from its injected fault" 2
     (completion sim "a1").Protocol.c_attempts;
   (* The shared cache accelerated later requests without perturbing
-     their results (identity above); stripe counters are exposed. *)
+     their results (identity above); its counters are exposed. *)
   match Json.path [ "fp_cache"; "hit_rate" ] (Server.metrics sim.srv) with
   | Some v -> Alcotest.(check bool) "cache hit rate present" true
                 (Json.get_float v <> None)
@@ -600,8 +600,13 @@ let test_metrics_and_parse_errors () =
   (match find_response sim "m" with
   | Protocol.Metrics_reply { body; _ } ->
     Alcotest.(check (option string)) "metrics schema"
-      (Some "resched-serve-metrics/2")
+      (Some "resched-serve-metrics/3")
       (Option.bind (Json.member "schema" body) Json.get_string);
+    Alcotest.(check (option (list string))) "fp_cache keys"
+      (Some [ "hits"; "misses"; "inserts"; "hit_rate" ])
+      (match Json.member "fp_cache" body with
+      | Some (Json.Obj kvs) -> Some (List.map fst kvs)
+      | Some _ | None -> None);
     Alcotest.(check (option int)) "parse error counted" (Some 1)
       (Option.bind (Json.path [ "requests"; "parse_errors" ] body)
          Json.get_int)

@@ -1,13 +1,12 @@
 (* Tests for the util substrate: RNG determinism and distribution sanity,
-   statistics, table rendering and CSV escaping, the seqlock's optimistic
-   read protocol, the persistent domain pool and the JSON codec. *)
+   statistics, table rendering and CSV escaping, the persistent domain
+   pool and the JSON codec. *)
 
 module Rng = Resched_util.Rng
 module Stats = Resched_util.Stats
 module Table = Resched_util.Table
 module Csv = Resched_util.Csv
 module Domain_pool = Resched_util.Domain_pool
-module Seqlock = Resched_util.Seqlock
 module Json = Resched_util.Json
 
 let contains ~sub s =
@@ -144,78 +143,6 @@ let test_domain_pool_shared_atomic () =
            Atomic.incr counter
          done));
   Alcotest.(check int) "all increments land" 4000 (Atomic.get counter)
-
-let test_seqlock_basic () =
-  let s = Seqlock.create 1 in
-  Alcotest.(check int) "initial" 1 (Seqlock.get s);
-  Seqlock.set s 2;
-  Alcotest.(check int) "after set" 2 (Seqlock.get s);
-  Seqlock.update s (fun x -> x + 10);
-  Alcotest.(check int) "after update" 12 (Seqlock.get s);
-  Alcotest.(check int) "two writes leave an even version" 4 (Seqlock.version s)
-
-let test_seqlock_update_exn_keeps_value () =
-  let s = Seqlock.create 5 in
-  Alcotest.check_raises "update re-raises" (Failure "nope") (fun () ->
-      Seqlock.update s (fun _ -> failwith "nope"));
-  Alcotest.(check int) "value unchanged" 5 (Seqlock.get s);
-  Alcotest.(check bool) "version settles even" true
-    (Seqlock.version s land 1 = 0);
-  Seqlock.set s 6;
-  Alcotest.(check int) "cell still writable" 6 (Seqlock.get s)
-
-let test_seqlock_hook_forced_retry () =
-  (* A write landing between the version sample and the value read must
-     fail the re-check; once the writer goes quiet the read linearizes
-     on the latest published value. *)
-  let s = Seqlock.create 0 in
-  let writes = ref 0 in
-  let v =
-    Seqlock.For_testing.get_with_hook s ~hook:(fun () ->
-        if !writes < 3 then begin
-          incr writes;
-          Seqlock.set s !writes
-        end)
-  in
-  Alcotest.(check int) "read sees the last write" 3 v;
-  Alcotest.(check int) "every collision counted" 3 (Seqlock.retries s)
-
-let test_seqlock_mutex_fallback () =
-  (* A hook that writes on every attempt starves the optimistic path
-     forever; the read must still terminate, via the writer mutex. *)
-  let s = Seqlock.create 0 in
-  let n = ref 0 in
-  let v =
-    Seqlock.For_testing.get_with_hook s ~hook:(fun () ->
-        incr n;
-        Seqlock.set s !n)
-  in
-  Alcotest.(check int) "fallback read returns the latest value" !n v;
-  Alcotest.(check bool) "optimism is bounded" true (Seqlock.retries s > 64)
-
-let test_seqlock_concurrent_reads () =
-  (* One writer publishes (k, -k) pairs in increasing k; concurrent
-     readers must never observe a torn pair or travel back in time. *)
-  let s = Seqlock.create (0, 0) in
-  let writes = 2000 in
-  let bad = Atomic.make 0 in
-  ignore
-    (Domain_pool.run ~jobs:4 (fun i ->
-         if i = 0 then
-           for k = 1 to writes do
-             Seqlock.set s (k, -k)
-           done
-         else begin
-           let last = ref (-1) in
-           for _ = 1 to 5000 do
-             let a, b = Seqlock.get s in
-             if b <> -a || a < !last then Atomic.incr bad;
-             last := a
-           done
-         end));
-  Alcotest.(check int) "reads consistent and monotone" 0 (Atomic.get bad);
-  Alcotest.(check int) "final value visible after join" writes
-    (fst (Seqlock.get s))
 
 let test_plan_jobs () =
   let cores = Domain_pool.available_cores () in
@@ -693,18 +620,6 @@ let () =
             test_domain_pool_shared_atomic;
           Alcotest.test_case "plan_jobs clamps honestly" `Quick test_plan_jobs;
           Alcotest.test_case "warn_downgrade output" `Quick test_warn_downgrade;
-        ] );
-      ( "seqlock",
-        [
-          Alcotest.test_case "get/set/update/version" `Quick test_seqlock_basic;
-          Alcotest.test_case "failed update keeps value" `Quick
-            test_seqlock_update_exn_keeps_value;
-          Alcotest.test_case "hook-forced retry" `Quick
-            test_seqlock_hook_forced_retry;
-          Alcotest.test_case "mutex fallback under write storm" `Quick
-            test_seqlock_mutex_fallback;
-          Alcotest.test_case "concurrent reads consistent" `Quick
-            test_seqlock_concurrent_reads;
         ] );
       ( "pool",
         [
