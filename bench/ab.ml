@@ -7,13 +7,13 @@
    re-executes anything — two committed or CI-archived run directories
    are enough to reproduce it.
 
-   [check] is the single-run release gate that replaces the hand-coded
-   CI threshold scripts: every guard is derived from the recorded
-   logs — engines identical, verdicts agreed, makespans never worse,
-   SW-capable fault policies fully recovering — plus the
-   honest-parallelism guards (recorded cores and effective width at
-   least what the caller demands, jobs=1 bit-identical, scaling speedup
-   at least a floor on the large groups). *)
+   [check] is the single-run release gate: every guard is derived from
+   the run's own logs — engines identical, verdicts agreed, makespans
+   never worse, SW-capable fault policies fully recovering — plus the
+   bounds of the profile the run recorded (honest parallelism: recorded
+   cores and effective width, scaling speedup on the large groups;
+   restart-kernel allocation; move-kernel speedup). [ab] compares only
+   runs recorded under the same profile. *)
 
 module Json = Resched_util.Json
 
@@ -22,6 +22,7 @@ let get path j = Json.path path j
 let get_bool path j = Option.bind (get path j) Json.get_bool
 let get_int path j = Option.bind (get path j) Json.get_int
 let get_float path j = Option.bind (get path j) Json.get_float
+let get_string path j = Option.bind (get path j) Json.get_string
 
 (* ------------------------------------------------------------------ *)
 (* Guard plumbing: each guard pushes a verdict line; [finish] prints    *)
@@ -197,32 +198,10 @@ let check_parallel v ~min_cores ~min_speedup j =
         floor
     else fail v "parallel: no speedup_large_groups recorded"
 
-(* The batch engine's correctness contract is unconditional: every
-   instance's outcome must be bit-identical to its sequential run,
-   whatever the interleaving. The throughput speedup is informational
-   only — a CI smoke run on 2 cores with a couple of instances cannot
-   back a fleet-throughput claim, so no floor is enforced here (the
-   recorded full runs carry it). *)
-let check_batch v j =
-  each_group j ~list_field:"instances" (fun g ->
-      let tasks = Option.value ~default:(-1) (get_int [ "tasks" ] g) in
-      let idx = Option.value ~default:(-1) (get_int [ "idx" ] g) in
-      if get_bool [ "identical" ] g = Some false then
-        fail v
-          "batch: instance (%d tasks, #%d) diverged from its sequential \
-           one-at-a-time run"
-          tasks idx);
-  if get_bool [ "all_identical" ] j <> Some true then
-    fail v "batch: all_identical is not true";
-  match (get_float [ "speedup" ] j, get_int [ "jobs" ] j) with
-  | Some s, Some jobs ->
-    note v "batch: x%.2f instances/s vs one-at-a-time at jobs=%d" s jobs
-  | _ -> ()
-
 (* The move kernel's contract mirrors the iteration section's: zero
    divergence from the from-scratch oracle (bit-identity is the whole
    point of keeping the oracle around), the LNS driver never
-   worse than PA-R at equal wall budget, and optionally a floor on the
+   worse than PA-R at fixed work, and optionally a floor on the
    move-evaluation speedup against the full re-evaluation pipeline. *)
 let check_moves ?min_move_speedup v j =
   each_group j ~list_field:"groups" (fun g ->
@@ -234,7 +213,7 @@ let check_moves ?min_move_speedup v j =
       | _ -> ());
       if get_bool [ "lns_not_worse" ] g = Some false then
         fail v
-          "moves: %d-task group LNS makespan worse than PA-R at equal budget"
+          "moves: %d-task group LNS makespan worse than PA-R at fixed work"
           tasks);
   if get_bool [ "all_agree" ] j <> Some true then
     fail v "moves: all_agree is not true";
@@ -258,131 +237,61 @@ let check_moves ?min_move_speedup v j =
     fail v "moves: no min_speedup recorded but a x%.2f floor was required"
       floor
 
-(* The serve section's robustness contract: under every offered load
-   the admission-queue bound held, no response arrived after its
-   deadline plus the recorded slack, every schedule that left the
-   server validated, and the sequential identity pass matched the
-   offline solver bit-for-bit. Shed counts and tail latencies are
-   informational — overload is supposed to shed, loudly. *)
-let check_serve v j =
-  each_group j ~list_field:"loads" (fun g ->
-      let load = Option.value ~default:(-1) (get_int [ "load" ] g) in
-      (match get_int [ "overruns" ] g with
-      | Some o when o > 0 ->
-        fail v "serve: %d deadline overrun(s) at load %dx" o load
-      | _ -> ());
-      (match get_int [ "invalid_schedules" ] g with
-      | Some i when i > 0 ->
-        fail v "serve: %d invalid schedule(s) served at load %dx" i load
-      | _ -> ());
-      if get_bool [ "queue_bound_ok" ] g = Some false then
-        fail v "serve: admission-queue bound exceeded at load %dx" load;
-      match
-        ( get_int [ "shed"; "queue_full" ] g,
-          get_float [ "p99_ms" ] g )
-      with
-      | Some shed, Some p99 ->
-        note v "serve: load %dx shed %d (queue_full), p99 %.1f ms" load shed
-          p99
-      | _ -> ());
-  if get_bool [ "zero_overruns" ] j <> Some true then
-    fail v "serve: zero_overruns is not true";
-  if get_bool [ "zero_invalid" ] j <> Some true then
-    fail v "serve: zero_invalid is not true";
-  if get_bool [ "queue_bound_ok" ] j <> Some true then
-    fail v "serve: queue_bound_ok is not true";
-  if get_bool [ "identity_ok" ] j <> Some true then
-    fail v "serve: served responses diverged from the offline solver"
-
-(* The serve_concurrency section's contract (ISSUE 10): dispatch is
-   fair across simultaneous clients (max/min goodput <= 2 at 4
-   clients), a flooding connection never head-of-line-blocks a sparse
-   one, transport responses stay bit-identical to the offline solver,
-   no client saw an error, and — on hosts with at least 2 serving
-   workers — 4 concurrent clients clear the recorded throughput floor
-   over 1 client. *)
-let check_serve_concurrency v j =
-  each_group j ~list_field:"levels" (fun g ->
-      let clients = Option.value ~default:(-1) (get_int [ "clients" ] g) in
-      (match get_int [ "errors" ] g with
-      | Some e when e > 0 ->
-        fail v "serve_concurrency: %d client error(s) at %d client(s)" e
-          clients
-      | _ -> ());
-      match
-        (get_float [ "throughput_rps" ] g, get_float [ "fairness_ratio" ] g)
-      with
-      | Some tput, Some fair ->
-        note v "serve_concurrency: %d client(s) %.1f req/s, fairness %.2f"
-          clients tput fair
-      | _ -> ());
-  if get_bool [ "fairness_ok" ] j <> Some true then
-    fail v "serve_concurrency: per-client goodput ratio exceeded 2 at 4 \
-            clients";
-  if get_bool [ "no_holb" ] j <> Some true then
-    fail v "serve_concurrency: sparse client was head-of-line-blocked (%d \
-            dispatches)"
-      (Option.value ~default:(-1) (get_int [ "holb_dispatches" ] j));
-  if get_bool [ "identity_ok" ] j <> Some true then
-    fail v "serve_concurrency: transport responses diverged from the \
-            offline solver";
-  match
-    ( get_bool [ "concurrency_measurable" ] j,
-      get_bool [ "throughput_ok" ] j,
-      get_float [ "speedup_4c_over_1c" ] j,
-      get_float [ "throughput_floor" ] j )
-  with
-  | Some true, ok, Some s, Some floor ->
-    if ok <> Some true then
-      fail v
-        "serve_concurrency: 4-client speedup x%.2f below the x%.2f floor" s
-        floor
-    else
-      note v "serve_concurrency: 4-client speedup x%.2f (floor x%.2f)" s
-        floor
-  | Some false, _, _, _ ->
-    note v
-      "serve_concurrency: single-worker host, throughput gate waived \
-       (fairness/HOLB/identity still enforced)"
-  | _ -> fail v "serve_concurrency: missing measurability or speedup fields"
-
-(* Sections [check] knows how to audit, with their guard functions.
-   Missing sections are skipped with a note (a partial run can still be
-   checked) unless [require_all] is set. *)
-let checkable_sections ~min_cores ~min_speedup ~max_minor_words_per_iter
-    ~min_move_speedup =
+(* Sections [check] knows how to audit, with their guard functions under
+   the bounds of profile [p]. Every other section writes no log. *)
+let checkable_sections (p : Profile.t) =
   [
-    ("parallel", check_parallel ~min_cores ~min_speedup);
-    ("iteration", check_iteration ?max_minor_words_per_iter);
-    ("batch", check_batch);
-    ("serve", check_serve);
-    ("serve_concurrency", check_serve_concurrency);
+    ( "parallel",
+      check_parallel ~min_cores:p.min_cores ~min_speedup:p.min_speedup );
+    ( "iteration",
+      check_iteration ?max_minor_words_per_iter:p.max_minor_words_per_iter );
     ("milp", check_milp);
     ("floorplan", check_floorplan);
     ("faults", check_faults);
-    ("moves", check_moves ?min_move_speedup);
+    ("moves", check_moves ?min_move_speedup:p.min_move_speedup);
   ]
 
-let check ?run ?min_cores ?min_speedup ?max_minor_words_per_iter
-    ?min_move_speedup ?(require_all = false) () =
-  let r = Run_store.find run in
-  (match (run, r) with
-  | Some arg, None ->
-    Printf.printf "check: run %s not found (using legacy BENCH_*.json only)\n"
-      arg
-  | _, Some r -> Printf.printf "check: auditing %s\n" r.Run_store.dir
-  | None, None -> Printf.printf "check: auditing legacy BENCH_*.json\n");
-  let v = new_verdicts () in
-  List.iter
-    (fun (section, guard) ->
-      match Run_store.load_section r section with
-      | Ok j -> guard v j
-      | Error e ->
-        if require_all then fail v "%s: %s" section e
-        else note v "%s: skipped (%s)" section e)
-    (checkable_sections ~min_cores ~min_speedup ~max_minor_words_per_iter
-       ~min_move_speedup);
-  finish ~label:"check" v
+(* A member of a run's manifest, if the manifest and the member exist. *)
+let manifest_member (r : Run_store.run) key =
+  Option.bind (Result.to_option (Run_store.load_manifest r)) (Json.member key)
+
+(* Audit [run] (default: the latest) under the bounds of the profile its
+   manifest names. The recorded profile must still equal that profile's
+   definition, and every section the manifest lists that [check] can
+   audit must have left its log in the run directory. *)
+let check ?run () =
+  match Run_store.find run with
+  | None ->
+    Printf.printf "check: run %s not found\n"
+      (Option.value ~default:"(latest)" run);
+    2
+  | Some r ->
+    Printf.printf "check: auditing %s\n" r.Run_store.dir;
+    let v = new_verdicts () in
+    let recorded = manifest_member r "profile" in
+    let name = Option.bind recorded (get_string [ "name" ]) in
+    (match Option.bind name Profile.of_name with
+    | None -> fail v "the run's manifest names no known profile"
+    | Some p ->
+      note v "profile %s" p.Profile.name;
+      if recorded <> Some (Profile.to_json p) then
+        fail v
+          "the run recorded profile %s with values other than its definition \
+           in bench/profile.ml"
+          p.Profile.name;
+      let listed =
+        Option.bind (manifest_member r "sections") Json.to_list
+        |> Option.value ~default:[]
+        |> List.filter_map Json.get_string
+      in
+      List.iter
+        (fun (section, guard) ->
+          if List.mem section listed then
+            match Run_store.load_section r section with
+            | Ok j -> guard v j
+            | Error e -> fail v "%s: no log (%s)" section e)
+        (checkable_sections p));
+    finish ~label:"check" v
 
 (* ------------------------------------------------------------------ *)
 (* Two-run comparison (the [ab] subcommand)                            *)
@@ -425,15 +334,6 @@ let verdict_flags =
     ("parallel", [ "never_worse" ]);
     ("iteration", [ "all_identical" ]);
     ("iteration", [ "never_worse" ]);
-    ("batch", [ "all_identical" ]);
-    ("serve", [ "zero_overruns" ]);
-    ("serve", [ "zero_invalid" ]);
-    ("serve", [ "queue_bound_ok" ]);
-    ("serve", [ "identity_ok" ]);
-    ("serve_concurrency", [ "fairness_ok" ]);
-    ("serve_concurrency", [ "no_holb" ]);
-    ("serve_concurrency", [ "identity_ok" ]);
-    ("serve_concurrency", [ "throughput_ok" ]);
     ("milp", [ "engines_agree" ]);
     ("milp", [ "never_worse" ]);
     ("milp", [ "lp_kernel"; "all_agree" ]);
@@ -446,7 +346,7 @@ let verdict_flags =
   ]
 
 let compare_runs (a : Run_store.run) (b : Run_store.run) =
-  let load r section = Run_store.load_section (Some r) section in
+  let load r section = Run_store.load_section r section in
   let v = new_verdicts () in
   (* Coverage audit first: a comparison that silently matches zero
      sections reads as "no regressions" when it actually compared
@@ -613,6 +513,14 @@ let ab ?run_a ?run_b ?out () =
       | _ -> failwith "ab: need two recorded runs (or pass two run ids)")
   in
   Printf.printf "ab: A=%s  B=%s\n" a.Run_store.dir b.Run_store.dir;
+  (* Two runs under different profiles differ by design; a comparison
+     of them would report the profile, not the code. *)
+  (match (manifest_member a "profile", manifest_member b "profile") with
+  | Some pa, Some pb when pa = pb -> ()
+  | _ ->
+    failwith
+      (Printf.sprintf "ab: %s and %s were not recorded under the same profile"
+         a.Run_store.id b.Run_store.id));
   let report, v = compare_runs a b in
   (match out with
   | Some path ->

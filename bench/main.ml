@@ -1,19 +1,22 @@
 (* Bench CLI.
 
-     main run [SECTION,...]     run sections (default: all) in a fresh
-                                run directory under bench_out/runs/
-     main ab [A] [B]            compare two recorded runs (default: the
-                                latest two); nonzero exit on regression
-                                or verdict divergence
-     main check [RUN]           audit one run's recorded logs (default:
-                                latest, falling back to the repo-root
-                                BENCH_*.json); replaces the hand-coded
-                                CI threshold scripts
+     main run [SECTION,...] [--profile ci|full]
+                                run sections (default: all) under a
+                                profile (default: full) in a fresh run
+                                directory under bench_out/runs/; a full
+                                run also writes the repo-root
+                                BENCH_*.json
+     main ab [A] [B]            compare two runs recorded under the same
+                                profile (default: the latest two);
+                                nonzero exit on regression or verdict
+                                divergence
+     main check [RUN]           audit one run's logs (default: the
+                                latest) under its profile's bounds
      main champions             print the best-known PA-R results
      main list                  list recorded runs
 
-   Invoking with no arguments runs every section, so `dune exec
-   bench/main.exe` keeps its historical behaviour. *)
+   Invoking with no arguments runs every section under the full
+   profile. *)
 
 open Cmdliner
 
@@ -28,14 +31,19 @@ let label_arg =
   let doc = "Label recorded in the run directory name." in
   Arg.(value & opt string "" & info [ "label" ] ~docv:"LABEL" ~doc)
 
-let no_store_arg =
+let profile_arg =
   let doc =
-    "Do not create a run directory (only the legacy BENCH_*.json and \
-     bench_out CSVs are written)."
+    "Profile to run under: $(b,ci) (smoke scale, with CI's check bounds) or \
+     $(b,full) (the scale of the committed artifacts; only a full run \
+     writes the repo-root BENCH_*.json). See bench/profile.ml."
   in
-  Arg.(value & flag & info [ "no-store" ] ~doc)
+  let profiles = List.map (fun p -> (p.Profile.name, p)) Profile.all in
+  Arg.(
+    value
+    & opt (enum profiles) Profile.full
+    & info [ "profile" ] ~docv:"PROFILE" ~doc)
 
-let run_bench sections label no_store =
+let run_bench sections label profile =
   let names =
     match sections with
     | None -> Sections.default_sections
@@ -51,20 +59,17 @@ let run_bench sections label no_store =
         exit 2
       end)
     names;
-  let run = if no_store then None else Some (Run_store.create ~label) in
+  let run = Run_store.create ~profile ~label ~sections:names in
   let t0 = Unix.gettimeofday () in
-  Sections.run_sections names;
+  Sections.run_sections profile names;
   let elapsed = Unix.gettimeofday () -. t0 in
-  (match run with
-  | Some r ->
-    Run_store.finalize r ~elapsed_s:elapsed;
-    Printf.printf "\n[run] completed %s (%.1fs)\n" r.Run_store.dir elapsed
-  | None -> Printf.printf "\n(total %.1fs)\n" elapsed);
+  Run_store.finalize run ~profile ~sections:names ~elapsed_s:elapsed;
+  Printf.printf "\n[run] completed %s (%.1fs)\n" run.Run_store.dir elapsed;
   0
 
 let run_cmd =
   let info = Cmd.info "run" ~doc:"Run bench sections into a run directory." in
-  Cmd.v info Term.(const run_bench $ sections_arg $ label_arg $ no_store_arg)
+  Cmd.v info Term.(const run_bench $ sections_arg $ label_arg $ profile_arg)
 
 let run_a_arg =
   Arg.(value & pos 0 (some string) None & info [] ~docv:"RUN_A"
@@ -91,58 +96,15 @@ let ab_cmd =
 
 let check_run_arg =
   Arg.(value & pos 0 (some string) None & info [] ~docv:"RUN"
-         ~doc:"Run to audit (id or directory; default: latest, then the \
-               repo-root BENCH_*.json).")
-
-let min_cores_arg =
-  let doc =
-    "Fail unless the recorded parallel run had at least this many cores and \
-     a matching effective width."
-  in
-  Arg.(value & opt (some int) None & info [ "min-cores" ] ~docv:"N" ~doc)
-
-let min_speedup_arg =
-  let doc =
-    "Fail unless the recorded large-group iteration speedup is at least this."
-  in
-  Arg.(value & opt (some float) None & info [ "min-speedup" ] ~docv:"X" ~doc)
-
-let max_minor_words_arg =
-  let doc =
-    "Fail if the recorded iteration section's worst SoA-kernel allocation \
-     rate exceeds this many minor words per iteration (allocation \
-     regression gate)."
-  in
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "max-minor-words-per-iter" ] ~docv:"W" ~doc)
-
-let min_move_speedup_arg =
-  let doc =
-    "Fail unless the recorded move-kernel speedup over the full \
-     re-evaluation pipeline is at least this on every task group."
-  in
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "min-move-speedup" ] ~docv:"X" ~doc)
-
-let require_all_arg =
-  let doc = "Fail if any checkable section log is missing." in
-  Arg.(value & flag & info [ "require-all" ] ~doc)
+         ~doc:"Run to audit (id or directory; default: the latest).")
 
 let check_cmd =
-  let doc = "Audit a run's recorded logs (the CI release gate)." in
-  let f run min_cores min_speedup max_minor_words_per_iter min_move_speedup
-      require_all =
-    Ab.check ?run ?min_cores ?min_speedup ?max_minor_words_per_iter
-      ?min_move_speedup ~require_all ()
+  let doc =
+    "Audit a run's logs under the bounds of the profile it recorded (the CI \
+     release gate)."
   in
   Cmd.v (Cmd.info "check" ~doc)
-    Term.(
-      const f $ check_run_arg $ min_cores_arg $ min_speedup_arg
-      $ max_minor_words_arg $ min_move_speedup_arg $ require_all_arg)
+    Term.(const (fun run -> Ab.check ?run ()) $ check_run_arg)
 
 let champions_cmd =
   let doc = "Print the best-known PA-R results per task group." in
@@ -166,8 +128,8 @@ let list_cmd =
       $ const ())
 
 let default =
-  (* No subcommand: run everything, like the historical monolith. *)
-  Term.(const (fun () -> run_bench None "" false) $ const ())
+  (* No subcommand: run everything under the full profile. *)
+  Term.(const (fun () -> run_bench None "" Profile.full) $ const ())
 
 let () =
   let info = Cmd.info "bench" ~doc:"resched benchmark harness" in

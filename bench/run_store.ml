@@ -2,9 +2,9 @@
    [<out_dir>/runs/<run-id>/] holding a manifest plus one JSON log per
    section. The [ab] and [check] subcommands consume these logs, so a
    comparison can always be reproduced from two committed (or
-   CI-archived) run directories. Sections additionally mirror their log
-   to the legacy repo-root [BENCH_<section>.json] paths that older
-   tooling and the README reference. *)
+   CI-archived) run directories. A run under the [full] profile also
+   writes each log to the repo-root [BENCH_<section>.json], the
+   committed artifacts the docs cite. *)
 
 module Json = Resched_util.Json
 
@@ -16,15 +16,11 @@ let manifest_path r = Filename.concat r.dir "manifest.json"
 
 let section_path r section = Filename.concat r.dir (section ^ ".json")
 
-(* The active run, if the harness created one; sections write through
-   [write_section] regardless, and only get a run-dir copy when a run is
-   active (so a bare section invocation still produces the legacy
-   files). *)
-let active : run option ref = ref None
+(* The run the harness is recording, with its profile; sections write
+   their logs into it. *)
+let active : (run * Profile.t) option ref = ref None
 
-let set_active r = active := Some r
-
-let active_id () = match !active with Some r -> r.id | None -> "adhoc"
+let active_id () = match !active with Some (r, _) -> r.id | None -> "adhoc"
 
 let run_of_dir dir = { id = Filename.basename dir; dir }
 
@@ -70,8 +66,8 @@ let next_id ~label =
    [finalize] folds them into the manifest so [ab] can report
    allocation-rate drift between two runs without re-executing
    anything. Orchestrating-domain counters only — worker-domain
-   allocation is reported by the sections that measure it
-   (iteration/batch words-per-iteration telemetry). *)
+   allocation is reported by the sections that measure it (the
+   iteration section's words-per-iteration telemetry). *)
 let section_gc : (string * Json.t) list ref = ref []
 
 let record_section_gc ~section ~elapsed_s (b : Gc.stat) (a : Gc.stat) =
@@ -91,73 +87,57 @@ let record_section_gc ~section ~elapsed_s (b : Gc.stat) (a : Gc.stat) =
         ] )
     :: !section_gc
 
-let manifest_json ~completed ~elapsed_s =
-  let p = Bench_env.par_plan in
+let manifest_json ~profile ~sections ~completed ~elapsed_s =
   Json.Obj
     [
-      ("schema", Json.String "resched-bench-run/1");
-      ("label", Json.String (match !active with Some r -> r.id | None -> ""));
+      ("schema", Json.String "resched-bench-run/2");
+      ("label", Json.String (active_id ()));
       ("created", Json.float (Unix.gettimeofday ()));
-      ("seed", Json.Int Bench_env.seed);
-      ( "groups",
-        Json.List (List.map (fun g -> Json.Int g) Bench_env.groups) );
-      ("graphs_per_group", Json.Int Bench_env.graphs_per_group);
-      ("budget_seconds", Json.float Bench_env.par_budget_cap);
-      ( "jobs",
-        Json.Obj
-          [
-            ("requested", Json.Int p.Resched_util.Domain_pool.requested);
-            ("effective", Json.Int p.Resched_util.Domain_pool.effective);
-            ("cores", Json.Int p.Resched_util.Domain_pool.cores);
-            ( "downgraded",
-              Json.Bool (Resched_util.Domain_pool.downgraded p) );
-          ] );
+      ("profile", Profile.to_json profile);
+      ("sections", Json.List (List.map (fun s -> Json.String s) sections));
+      Bench_env.host ();
       ("completed", Json.Bool completed);
       ( "elapsed_s",
         match elapsed_s with Some s -> Json.float s | None -> Json.Null );
       ("sections_gc", Json.Obj (List.rev !section_gc));
     ]
 
-let create ~label =
+let create ~profile ~label ~sections =
   Bench_env.mkdir_p (runs_root ());
   let id = next_id ~label in
   let dir = Filename.concat (runs_root ()) id in
   Bench_env.mkdir_p dir;
   let r = { id; dir } in
-  set_active r;
-  Json.write_file (manifest_path r) (manifest_json ~completed:false ~elapsed_s:None);
-  Printf.printf "[run] %s\n%!" dir;
+  active := Some (r, profile);
+  Json.write_file (manifest_path r)
+    (manifest_json ~profile ~sections ~completed:false ~elapsed_s:None);
+  Printf.printf "[run] %s (profile %s)\n%!" dir profile.Profile.name;
   r
 
-let finalize r ~elapsed_s =
+let finalize r ~profile ~sections ~elapsed_s =
   Json.write_file (manifest_path r)
-    (manifest_json ~completed:true ~elapsed_s:(Some elapsed_s))
+    (manifest_json ~profile ~sections ~completed:true
+       ~elapsed_s:(Some elapsed_s))
 
-(* Write one section's JSON log: always to the legacy repo-root
-   [BENCH_<section>.json], and into the active run directory when there
-   is one. [contents] is the already-serialized document (sections that
-   build their log with Printf keep doing so; new sections pass
-   [Json.to_string]). *)
-let write_section ~section contents =
-  let write path =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc contents);
-    Printf.printf "  [json] %s\n%!" path
-  in
-  write ("BENCH_" ^ section ^ ".json");
-  match !active with
-  | Some r -> write (section_path r section)
-  | None -> ()
-
-(* A section's JSON object, with the provenance members every artifact
-   records appended. *)
-let write_section_json ~section = function
-  | Json.Obj fields ->
-    write_section ~section
-      (Json.to_string (Json.Obj (fields @ Bench_env.provenance ())))
-  | _ -> invalid_arg "Run_store.write_section_json: not an object"
+(* Write one section's log into the active run, with the run's profile
+   and the host appended to the section's fields; a [full] run also
+   writes it to the repo-root [BENCH_<section>.json]. *)
+let write_section_json ~section record =
+  match (!active, record) with
+  | Some (r, profile), Json.Obj fields ->
+    let log =
+      Json.Obj
+        (fields @ [ ("profile", Profile.to_json profile); Bench_env.host () ])
+    in
+    let write path =
+      Json.write_file path log;
+      Printf.printf "  [json] %s\n%!" path
+    in
+    write (section_path r section);
+    if profile.Profile.name = Profile.full.Profile.name then
+      write ("BENCH_" ^ section ^ ".json")
+  | None, _ -> invalid_arg "Run_store.write_section_json: no active run"
+  | Some _, _ -> invalid_arg "Run_store.write_section_json: not an object"
 
 (* Resolve a run argument: an id under the runs root, a directory path,
    or [None] for the latest run. *)
@@ -189,18 +169,4 @@ let sections_present r =
            else None)
     |> List.sort String.compare
 
-(* A section log for [r], falling back to the legacy repo-root file so
-   [check] also works right after a bare `bench run` with no run dir
-   (or on a checkout that only has the committed BENCH_*.json). *)
-let load_section r section =
-  let p =
-    match r with
-    | Some r when Sys.file_exists (section_path r section) ->
-      Some (section_path r section)
-    | _ ->
-      let legacy = "BENCH_" ^ section ^ ".json" in
-      if Sys.file_exists legacy then Some legacy else None
-  in
-  match p with
-  | None -> Error (Printf.sprintf "no %s log found" section)
-  | Some p -> Json.parse_file p
+let load_section r section = Json.parse_file (section_path r section)

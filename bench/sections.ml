@@ -1,13 +1,12 @@
 (* Benchmark sections: regenerates every table and figure of the paper's
-   evaluation (Sec. VII) plus the ablations listed in DESIGN.md. All
-   configuration comes from environment knobs (see bench_env.ml); the
-   CLI in main.ml selects which sections run and wraps them in a run
-   directory (see run_store.ml). *)
+   evaluation (Sec. VII) plus the ablations listed in DESIGN.md. Each
+   section takes the run's profile (profile.ml), which holds every value
+   that steers it; the CLI in main.ml selects which sections run and
+   wraps them in a run directory (see run_store.ml). *)
 
 module Rng = Resched_util.Rng
 module Stats = Resched_util.Stats
 module Table = Resched_util.Table
-module Csv = Resched_util.Csv
 module Json = Resched_util.Json
 module Resource = Resched_fabric.Resource
 module Cpm = Resched_taskgraph.Cpm
@@ -41,11 +40,6 @@ module Repair = Resched_core.Repair
 module Delta = Resched_core.Delta
 module Lns = Resched_core.Lns
 module Campaign = Resched_sim.Campaign
-module Schedule_io = Resched_core.Schedule_io
-module Plat_io = Resched_platform.Io
-module Serve_protocol = Resched_serve.Protocol
-module Serve_server = Resched_serve.Server
-module Serve_transport = Resched_serve.Transport
 
 open Bench_env
 
@@ -76,28 +70,30 @@ type run = {
   heft_makespan : float;
 }
 
-let evaluate_instance ~tasks ~idx inst =
+let evaluate_instance (p : Profile.t) ~tasks ~idx inst =
   let pa, pa_stats = Pa.run inst in
   must_validate "PA" pa;
   let (is1, _), is1_s =
     timed (fun () ->
         Isk.run
-          ~config:{ (Isk.config ~k:1) with Isk.chunk_node_limit = isk_node_cap }
+          ~config:
+            { (Isk.config ~k:1) with Isk.chunk_node_limit = p.isk_node_cap }
           inst)
   in
   must_validate "IS-1" is1;
   let (is5, _), is5_s =
     timed (fun () ->
         Isk.run
-          ~config:{ (Isk.config ~k:5) with Isk.chunk_node_limit = isk_node_cap }
+          ~config:
+            { (Isk.config ~k:5) with Isk.chunk_node_limit = p.isk_node_cap }
           inst)
   in
   must_validate "IS-5" is5;
   (* As in the paper, PA-R gets the same budget as IS-5 (here capped so a
      full sweep stays laptop-sized). *)
-  let par_budget_s = Float.min par_budget_cap is5_s in
+  let par_budget_s = Float.min p.par_budget_cap_s is5_s in
   let outcome =
-    Pa_random.run ~seed:(seed + (1000 * tasks) + idx)
+    Pa_random.run ~seed:(p.seed + (1000 * tasks) + idx)
       ~budget_seconds:par_budget_s inst
   in
   let par_makespan =
@@ -126,9 +122,9 @@ let evaluate_instance ~tasks ~idx inst =
     heft_makespan = float_of_int (Schedule.makespan heft);
   }
 
-let collect_group tasks =
-  let insts = Suite.group ~seed ~tasks ~count:graphs_per_group () in
-  List.mapi (fun idx inst -> evaluate_instance ~tasks ~idx inst) insts
+let collect_group (p : Profile.t) tasks =
+  let insts = Suite.group ~seed:p.seed ~tasks ~count:p.graphs_per_group () in
+  List.mapi (fun idx inst -> evaluate_instance p ~tasks ~idx inst) insts
 
 (* ------------------------------------------------------------------ *)
 (* Table I and Figures 2-5                                             *)
@@ -249,18 +245,19 @@ let improvement_figure ~title ~csv_name ~baseline ~value all =
 (* ------------------------------------------------------------------ *)
 (* Figure 6: PA-R convergence traces                                   *)
 
-let print_fig6 () =
+let print_fig6 (p : Profile.t) =
   print_endline "";
   Printf.printf
     "== Figure 6: PA-R best makespan over time (budget %.1fs per graph) ==\n"
-    fig6_budget;
+    p.fig6_budget_s;
   let csv = ref [ [ "tasks"; "elapsed_s"; "iteration"; "best_makespan" ] ] in
   List.iter
     (fun tasks ->
-      match Suite.group ~seed ~tasks ~count:1 () with
+      match Suite.group ~seed:p.seed ~tasks ~count:1 () with
       | [ inst ] ->
         let outcome =
-          Pa_random.run ~seed:(seed + tasks) ~budget_seconds:fig6_budget inst
+          Pa_random.run ~seed:(p.seed + tasks) ~budget_seconds:p.fig6_budget_s
+            inst
         in
         let points = outcome.Pa_random.trace in
         Printf.printf "  %3d tasks (%d iterations): " tasks
@@ -283,10 +280,15 @@ let print_fig6 () =
   write_csv "fig6.csv" (List.rev !csv)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel PA-R: jobs=1 vs jobs=N at equal wall-clock budget          *)
-
-(* ------------------------------------------------------------------ *)
 (* Parallel PA-R: scaling curve over pooled worker widths              *)
+
+(* The requested width of the parallel comparison against this host's
+   cores. Domains beyond the core count don't just timeshare under
+   OCaml 5, they stall each other on minor-GC barriers, so the
+   effective width is clamped; the parallel log records both numbers
+   plus the core count, so no output presents a clamped run as the
+   requested width. *)
+let jobs_plan (p : Profile.t) = Domain_pool.plan_jobs ~requested:p.jobs ()
 
 (* Iterations of the deterministic pre-warm run that seeds each width's
    shared cache (see [parallel_comparison]). *)
@@ -338,18 +340,17 @@ let cache_stats_json (st : Fp_cache.stats) =
    reused for every group, so domain spawn/join and first-touch costs
    are paid once per width, and per-domain restart arenas stay warm
    across the batch. *)
-let par_measure_width ~pin ~requested ~effective insts =
+let par_measure_width (p : Profile.t) ~requested ~effective insts =
   let cache = Fp_cache.create () in
   let pool =
-    if effective > 1 then
-      Some (Domain_pool.Pool.create ~pin ~jobs:effective ())
+    if effective > 1 then Some (Domain_pool.Pool.create ~jobs:effective ())
     else None
   in
   let prewarm = ref Fp_cache.zero_stats in
   let rows =
     List.map
       (fun (tasks, inst) ->
-        let s = seed + (7 * tasks) in
+        let s = p.seed + (7 * tasks) in
         (* Deterministic pre-warm of the shared cache: a short
            sequential run with the same seed replays the exact stream
            worker 0 will draw, so the parallel run starts against a
@@ -363,11 +364,12 @@ let par_measure_width ~pin ~requested ~effective insts =
           add_stats !prewarm (Fp_cache.diff (Fp_cache.stats cache) before);
         let o =
           match pool with
-          | Some p ->
-            Pa_random.run_parallel ~pool:p ~seed:s ~cache
-              ~budget_seconds:par_budget_cap inst
+          | Some pool ->
+            Pa_random.run_parallel ~pool ~seed:s ~cache
+              ~budget_seconds:p.par_budget_cap_s inst
           | None ->
-            Pa_random.run ~seed:s ~cache ~budget_seconds:par_budget_cap inst
+            Pa_random.run ~seed:s ~cache ~budget_seconds:p.par_budget_cap_s
+              inst
         in
         let ms =
           match o.Pa_random.schedule with
@@ -389,14 +391,18 @@ let par_measure_width ~pin ~requested ~effective insts =
     pw_cache = Fp_cache.diff (Fp_cache.stats cache) !prewarm;
   }
 
-let parallel_comparison () =
+let parallel_comparison (p : Profile.t) =
   print_endline "";
-  let plan = par_plan in
+  let plan = jobs_plan p in
+  (* Widths of the scaling curve (requested; each is re-planned against
+     the core count below). The requested comparison width and 1 are
+     always included. *)
+  let scale_widths = List.sort_uniq compare (1 :: p.jobs :: p.scale_jobs) in
   Printf.printf
     "== Parallel PA-R scaling: widths [%s] at equal budget (%.2fs), pooled \
      workers, shared floorplan cache ==\n"
     (String.concat ";" (List.map string_of_int scale_widths))
-    par_budget_cap;
+    p.par_budget_cap_s;
   (* Satellite requirement: a clamped run must be unmissable, both here
      and in the recorded metadata below. *)
   Domain_pool.warn_downgrade ~out:stdout ~label:"parallel PA-R comparison"
@@ -404,10 +410,10 @@ let parallel_comparison () =
   let insts =
     List.map
       (fun tasks ->
-        match Suite.group ~seed ~tasks ~count:1 () with
+        match Suite.group ~seed:p.seed ~tasks ~count:1 () with
         | [ inst ] -> (tasks, inst)
         | _ -> assert false)
-      groups
+      p.groups
   in
   (* jobs=1 bit-identity: the parallel entry point at width 1 must
      replay the sequential engine exactly, and the sequential engine
@@ -415,7 +421,7 @@ let parallel_comparison () =
   let bit_identical =
     List.for_all
       (fun (tasks, inst) ->
-        let s = seed + (7 * tasks) in
+        let s = p.seed + (7 * tasks) in
         let direct () =
           par_fingerprint
             (Pa_random.run ~seed:s ~min_iterations:par_prewarm_iters
@@ -432,7 +438,6 @@ let parallel_comparison () =
   in
   if not bit_identical then
     print_endline "  !! jobs=1 is NOT bit-identical to the sequential engine";
-  let pin = Domain_pool.env_pin_default () in
   (* One measurement per *distinct effective* width: on a small machine
      several requested widths clamp to the same fan-out and re-measuring
      the same configuration only adds noise. The requested->effective
@@ -440,15 +445,15 @@ let parallel_comparison () =
   let specs =
     List.map
       (fun requested ->
-        let p = Domain_pool.plan_jobs ~requested () in
-        (requested, p.Domain_pool.effective))
+        let plan = Domain_pool.plan_jobs ~requested () in
+        (requested, plan.Domain_pool.effective))
       scale_widths
   in
   let measured =
     List.fold_left
       (fun acc (requested, effective) ->
         if List.exists (fun pw -> pw.pw_effective = effective) acc then acc
-        else acc @ [ par_measure_width ~pin ~requested ~effective insts ])
+        else acc @ [ par_measure_width p ~requested ~effective insts ])
       [] specs
   in
   let base =
@@ -536,24 +541,6 @@ let parallel_comparison () =
         (Fp_cache.lookups pw.pw_cache)
         (100. *. Fp_cache.hit_rate pw.pw_cache))
     measured;
-  write_csv "parallel.csv"
-    (("tasks"
-     :: List.concat_map
-          (fun pw ->
-            [
-              Printf.sprintf "iters_jobs%d" pw.pw_effective;
-              Printf.sprintf "makespan_jobs%d" pw.pw_effective;
-            ])
-          measured)
-    :: List.map
-         (fun (tasks, _) ->
-           string_of_int tasks
-           :: List.concat_map
-                (fun pw ->
-                  let _, it, ms = row_of pw tasks in
-                  [ string_of_int it; string_of_int ms ])
-                measured)
-         insts);
   (* Champion tracking: fold this run's best per-group makespan into the
      persistent best-known table, tagged with the variant that found
      it. *)
@@ -572,8 +559,8 @@ let parallel_comparison () =
           Json.Obj
             [
               ("jobs", Json.Int best_pw.pw_effective);
-              ("seed", Json.Int (seed + (7 * tasks)));
-              ("budget_seconds", Json.float par_budget_cap);
+              ("seed", Json.Int (p.seed + (7 * tasks)));
+              ("budget_seconds", Json.float p.par_budget_cap_s);
               ( "shrink_factor",
                 Json.float Pa.default_config.Pa.shrink_factor );
             ] ))
@@ -621,13 +608,12 @@ let parallel_comparison () =
     (Json.Obj
        [
          ("section", Json.String "parallel");
-         ("seed", Json.Int seed);
-         ("budget_seconds", Json.float par_budget_cap);
+         ("seed", Json.Int p.seed);
+         ("budget_seconds", Json.float p.par_budget_cap_s);
          ("cores", Json.Int plan.Domain_pool.cores);
          ("jobs_requested", Json.Int plan.Domain_pool.requested);
          ("jobs_effective", Json.Int plan.Domain_pool.effective);
          ("downgraded", Json.Bool (Domain_pool.downgraded plan));
-         ("pinned", Json.Bool (pin && Domain_pool.pin_available ()));
          ("prewarm_iterations", Json.Int par_prewarm_iters);
          ("jobs1_bit_identical", Json.Bool bit_identical);
          ("parallel_measurable", Json.Bool measurable);
@@ -704,12 +690,12 @@ let iteration_run ~seed ~min_iterations ~cache inst = function
     Pa_oracle.restart_loop ~seed ~min_iterations ~check:(Fp_cache.check cache)
       inst
 
-let iteration_comparison () =
+let iteration_comparison (p : Profile.t) =
   print_endline "";
   Printf.printf
     "== Restart iteration throughput: restart kernel vs from-scratch \
      reference loop (jobs=1, %d iterations each, budget 0) ==\n"
-    iter_min;
+    p.iter_min;
   let t =
     Table.create
       [ "# Tasks"; "iters"; "new [s]"; "old [s]"; "iters/s new";
@@ -719,9 +705,9 @@ let iteration_comparison () =
   let rows =
     List.map
       (fun tasks ->
-        match Suite.group ~seed ~tasks ~count:1 () with
+        match Suite.group ~seed:p.seed ~tasks ~count:1 () with
         | [ inst ] ->
-          let s = seed + (13 * tasks) in
+          let s = p.seed + (13 * tasks) in
           (* One floorplan cache per group, shared between the two runs:
              both loops emit bit-identical candidate streams, so the
              second run's floorplan checks replay the first run's keys.
@@ -730,11 +716,12 @@ let iteration_comparison () =
           let cache = Fp_cache.create () in
           let run arm =
             timed (fun () ->
-                iteration_run ~seed:s ~min_iterations:iter_min ~cache inst arm)
+                iteration_run ~seed:s ~min_iterations:p.iter_min ~cache inst
+                  arm)
           in
           (* Untimed warm-up (throwaway cache) so neither loop pays the
              allocator's first-touch growth inside its timed window. *)
-          let warm = Stdlib.min 10 iter_min in
+          let warm = Stdlib.min 10 p.iter_min in
           List.iter
             (fun arm ->
               ignore
@@ -789,7 +776,7 @@ let iteration_comparison () =
             ];
           row
         | _ -> assert false)
-      groups
+      p.groups
   in
   Table.print t;
   (* The timed groups above run on the zedboard fabric, which fits every
@@ -806,21 +793,21 @@ let iteration_comparison () =
     List.map
       (fun tasks ->
         match
-          Suite.group ~params:sat_params ~arch:Arch.microzed ~seed ~tasks
-            ~count:1 ()
+          Suite.group ~params:sat_params ~arch:Arch.microzed ~seed:p.seed
+            ~tasks ~count:1 ()
         with
         | [ inst ] ->
           let cache = Fp_cache.create () in
-          let s = seed + (13 * tasks) in
+          let s = p.seed + (13 * tasks) in
           List.iter
             (fun arm ->
               ignore
-                (iteration_run ~seed:s ~min_iterations:iter_min ~cache inst
+                (iteration_run ~seed:s ~min_iterations:p.iter_min ~cache inst
                    arm))
             [ `New; `Old ];
           (tasks, Fp_cache.stats cache)
         | _ -> assert false)
-      groups
+      p.groups
   in
   let timed_hits = List.fold_left (fun a r -> a + r.ir_hits) 0 rows
   and timed_misses = List.fold_left (fun a r -> a + r.ir_misses) 0 rows in
@@ -844,71 +831,12 @@ let iteration_comparison () =
   Printf.printf "  floorplan cache combined: %d hits / %d lookups (%.1f%%)\n"
     total_hits (total_hits + total_misses)
     (100. *. hit_rate total_hits total_misses);
-  write_csv "iteration.csv"
-    ([ "tasks"; "iterations"; "seconds_new"; "seconds_old"; "speedup";
-       "minor_words_per_iter_new"; "minor_words_per_iter_old"; "alloc_ratio";
-       "makespan_new"; "makespan_old"; "identical"; "cache_hits";
-       "cache_misses" ]
-    :: List.map
-         (fun r ->
-           [
-             string_of_int r.ir_tasks;
-             string_of_int r.ir_iters;
-             Printf.sprintf "%.4f" r.ir_s_new;
-             Printf.sprintf "%.4f" r.ir_s_old;
-             Printf.sprintf "%.3f" (r.ir_s_old /. Float.max r.ir_s_new 1e-9);
-             Printf.sprintf "%.0f" r.ir_mw_new;
-             Printf.sprintf "%.0f" r.ir_mw_old;
-             Printf.sprintf "%.2f" (r.ir_mw_old /. Float.max r.ir_mw_new 1e-9);
-             string_of_int r.ir_ms_new;
-             string_of_int r.ir_ms_old;
-             string_of_bool r.ir_identical;
-             string_of_int r.ir_hits;
-             string_of_int r.ir_misses;
-           ])
-         rows);
-  (* Machine-readable record; CI's never-worse guard reads this. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"seed\": %d,\n" seed;
-  bprint_provenance buf;
-  Printf.bprintf buf "  \"min_iterations\": %d,\n" iter_min;
-  Buffer.add_string buf "  \"groups\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.bprintf buf
-        "    {\"tasks\": %d, \"iterations\": %d, \"seconds_new\": %.4f, \
-         \"seconds_old\": %.4f, \"iters_per_s_new\": %.1f, \
-         \"iters_per_s_old\": %.1f, \"speedup\": %.3f, \
-         \"minor_words_per_iter_new\": %.0f, \
-         \"minor_words_per_iter_old\": %.0f, \"alloc_ratio\": %.2f, \
-         \"makespan_new\": %d, \"makespan_old\": %d, \"identical\": %b, \
-         \"cache\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f}}%s\n"
-        r.ir_tasks r.ir_iters r.ir_s_new r.ir_s_old
-        (float_of_int r.ir_iters /. Float.max r.ir_s_new 1e-9)
-        (float_of_int r.ir_iters /. Float.max r.ir_s_old 1e-9)
-        (r.ir_s_old /. Float.max r.ir_s_new 1e-9)
-        r.ir_mw_new r.ir_mw_old
-        (r.ir_mw_old /. Float.max r.ir_mw_new 1e-9)
-        r.ir_ms_new r.ir_ms_old r.ir_identical r.ir_hits r.ir_misses
-        (hit_rate r.ir_hits r.ir_misses)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf "  \"all_identical\": %b,\n"
-    (List.for_all (fun r -> r.ir_identical) rows);
-  Printf.bprintf buf "  \"never_worse\": %b,\n"
-    (List.for_all (fun r -> r.ir_ms_new <= r.ir_ms_old) rows);
   let largest =
     List.fold_left (fun acc r -> if r.ir_tasks > acc.ir_tasks then r else acc)
       (List.hd rows) rows
   in
-  Printf.bprintf buf
-    "  \"largest_group\": {\"tasks\": %d, \"speedup\": %.3f},\n"
-    largest.ir_tasks
-    (largest.ir_s_old /. Float.max largest.ir_s_new 1e-9);
-  (* Allocation-regression gate inputs (`bench check
-     --max-minor-words-per-iter`): worst SoA-kernel words/iteration over
+  (* Allocation-regression gate inputs (the profile's
+     [max_minor_words_per_iter]): worst SoA-kernel words/iteration over
      the groups, and the smallest reference/SoA reduction. *)
   let max_mw =
     List.fold_left (fun acc r -> Float.max acc r.ir_mw_new) 0. rows
@@ -919,34 +847,103 @@ let iteration_comparison () =
         Float.min acc (r.ir_mw_old /. Float.max r.ir_mw_new 1e-9))
       infinity rows
   in
-  Printf.bprintf buf
-    "  \"alloc\": {\"max_minor_words_per_iter\": %.0f, \"min_alloc_ratio\": \
-     %.2f},\n"
-    max_mw min_ratio;
-  Buffer.add_string buf "  \"saturated_groups\": [\n";
-  List.iteri
-    (fun i (tasks, (st : Fp_cache.stats)) ->
-      Printf.bprintf buf
-        "    {\"tasks\": %d, \"cache\": {\"hits\": %d, \"misses\": %d, \
-         \"hit_rate\": %.3f}}%s\n"
-        tasks st.Fp_cache.hits st.Fp_cache.misses
-        (hit_rate st.Fp_cache.hits st.Fp_cache.misses)
-        (if i = List.length sat_rows - 1 then "" else ","))
-    sat_rows;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf
-    "  \"cache\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f, \
-     \"timed\": {\"hits\": %d, \"misses\": %d}, \"saturated\": {\"hits\": \
-     %d, \"misses\": %d}}\n"
-    total_hits total_misses
-    (hit_rate total_hits total_misses)
-    timed_hits timed_misses sat_hits sat_misses;
-  Buffer.add_string buf "}\n";
-  Run_store.write_section ~section:"iteration" (Buffer.contents buf)
+  let cache_json hits misses =
+    [
+      ("hits", Json.Int hits);
+      ("misses", Json.Int misses);
+      ("hit_rate", Json.float (hit_rate hits misses));
+    ]
+  in
+  Run_store.write_section_json ~section:"iteration"
+    (Json.Obj
+       [
+         ("section", Json.String "iteration");
+         ("seed", Json.Int p.seed);
+         ("min_iterations", Json.Int p.iter_min);
+         ( "groups",
+           Json.List
+             (List.map
+                (fun r ->
+                  Json.Obj
+                    [
+                      ("tasks", Json.Int r.ir_tasks);
+                      ("iterations", Json.Int r.ir_iters);
+                      ("seconds_new", Json.float r.ir_s_new);
+                      ("seconds_old", Json.float r.ir_s_old);
+                      ( "iters_per_s_new",
+                        Json.float
+                          (float_of_int r.ir_iters /. Float.max r.ir_s_new 1e-9)
+                      );
+                      ( "iters_per_s_old",
+                        Json.float
+                          (float_of_int r.ir_iters /. Float.max r.ir_s_old 1e-9)
+                      );
+                      ( "speedup",
+                        Json.float (r.ir_s_old /. Float.max r.ir_s_new 1e-9) );
+                      ("minor_words_per_iter_new", Json.float r.ir_mw_new);
+                      ("minor_words_per_iter_old", Json.float r.ir_mw_old);
+                      ( "alloc_ratio",
+                        Json.float
+                          (r.ir_mw_old /. Float.max r.ir_mw_new 1e-9) );
+                      ("makespan_new", Json.Int r.ir_ms_new);
+                      ("makespan_old", Json.Int r.ir_ms_old);
+                      ("identical", Json.Bool r.ir_identical);
+                      ("cache", Json.Obj (cache_json r.ir_hits r.ir_misses));
+                    ])
+                rows) );
+         ( "all_identical",
+           Json.Bool (List.for_all (fun r -> r.ir_identical) rows) );
+         ( "never_worse",
+           Json.Bool
+             (List.for_all (fun r -> r.ir_ms_new <= r.ir_ms_old) rows) );
+         ( "largest_group",
+           Json.Obj
+             [
+               ("tasks", Json.Int largest.ir_tasks);
+               ( "speedup",
+                 Json.float
+                   (largest.ir_s_old /. Float.max largest.ir_s_new 1e-9) );
+             ] );
+         ( "alloc",
+           Json.Obj
+             [
+               ("max_minor_words_per_iter", Json.float max_mw);
+               ("min_alloc_ratio", Json.float min_ratio);
+             ] );
+         ( "saturated_groups",
+           Json.List
+             (List.map
+                (fun (tasks, (st : Fp_cache.stats)) ->
+                  Json.Obj
+                    [
+                      ("tasks", Json.Int tasks);
+                      ( "cache",
+                        Json.Obj
+                          (cache_json st.Fp_cache.hits st.Fp_cache.misses) );
+                    ])
+                sat_rows) );
+         ( "cache",
+           Json.Obj
+             (cache_json total_hits total_misses
+             @ [
+                 ( "timed",
+                   Json.Obj
+                     [
+                       ("hits", Json.Int timed_hits);
+                       ("misses", Json.Int timed_misses);
+                     ] );
+                 ( "saturated",
+                   Json.Obj
+                     [
+                       ("hits", Json.Int sat_hits);
+                       ("misses", Json.Int sat_misses);
+                     ] );
+               ]) );
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Delta move kernel: moves/s against the from-scratch oracle, plus    *)
-(* LNS-vs-PA-R at equal wall budget                                    *)
+(* LNS-vs-PA-R at fixed work                                           *)
 
 type moves_row = {
   mv_tasks : int;
@@ -958,6 +955,8 @@ type moves_row = {
   mv_divergences : int;
   mv_ms_par : int;
   mv_ms_lns : int;
+  mv_s_par : float;
+  mv_s_lns : float;
   mv_lns_improved : int;
 }
 
@@ -1002,24 +1001,30 @@ let drive_moves_pipeline d ~config ~check ~seed ~n =
   done;
   !applied
 
-let moves_comparison () =
+(* The LNS arm's seeding restarts: 0.7 R, the rest of the PA-R arm's
+   work going to move-level polish. *)
+let lns_seed_restarts (p : Profile.t) = 7 * p.lns_restarts / 10
+
+let moves_comparison (p : Profile.t) =
   print_endline "";
+  let moves_per_instance = p.moves_per_instance in
   Printf.printf
     "== Delta move kernel: incremental re-evaluation vs from-scratch \
-     re-timing (%d moves/instance), and LNS-vs-PA-R at equal budget \
-     (%.1fs/instance) ==\n"
-    moves_per_instance lns_budget;
+     re-timing (%d moves/instance), and LNS-vs-PA-R at fixed work (PA-R %d \
+     restarts; LNS %d restarts + %d moves) ==\n"
+    moves_per_instance p.lns_restarts (lns_seed_restarts p) p.lns_moves;
   let t =
     Table.create
       [ "# Tasks"; "moves"; "applied"; "inc [s]"; "orc [s]"; "pipe [s]";
-        "moves/s inc"; "x orc"; "x pipe"; "diverge"; "PA-R"; "LNS"; "delta" ]
+        "moves/s inc"; "x orc"; "x pipe"; "diverge"; "PA-R"; "LNS"; "delta";
+        "PA-R [s]"; "LNS [s]" ]
   in
   let rows =
     List.map
       (fun tasks ->
-        match Suite.group ~seed ~tasks ~count:1 () with
+        match Suite.group ~seed:p.seed ~tasks ~count:1 () with
         | [ inst ] ->
-          let s = seed + (29 * tasks) in
+          let s = p.seed + (29 * tasks) in
           let sched, _ = Pa.run inst in
           must_validate "PA seed" sched;
           let state () =
@@ -1084,11 +1089,14 @@ let moves_comparison () =
               Delta.commit d_inc
             | None -> ()
           done;
-          (* LNS vs PA-R at equal wall budget: all of it on restarts,
-             or half on restarts and half on annealing the incumbent. *)
-          let par =
-            Pa_random.run ~seed:s ~cache:(Fp_cache.create ())
-              ~budget_seconds:lns_budget inst
+          (* LNS vs PA-R at fixed work, each a function of the code and
+             the seed: R restarts, or 0.7 R restarts and then M polish
+             proposals on the incumbent (the profile chooses R and M so
+             that the two arms take about equal time). *)
+          let par, s_par =
+            timed (fun () ->
+                Pa_random.run ~seed:s ~cache:(Fp_cache.create ())
+                  ~min_iterations:p.lns_restarts ~budget_seconds:0. inst)
           in
           let ms_par =
             match par.Pa_random.schedule with
@@ -1097,28 +1105,28 @@ let moves_comparison () =
               Schedule.makespan sc
             | None -> Schedule.makespan sched
           in
-          (* Same total wall budget as the PA-R arm, split 70/30: most
-             of it on the restart search that annealing cannot imitate,
-             the rest on move-level polish of the incumbent. One cache
-             is shared across both phases. *)
+          (* Most of the LNS arm's work goes to the restart search that
+             annealing cannot imitate, the rest to move-level polish of
+             the incumbent. One cache is shared across both phases. *)
           let lns_cache = Fp_cache.create () in
-          let seed_budget = 0.7 *. lns_budget in
-          let lns_seed_outcome =
-            Pa_random.run ~seed:s ~cache:lns_cache ~budget_seconds:seed_budget
-              inst
-          in
-          let lns_seed =
-            match lns_seed_outcome.Pa_random.schedule with
-            | Some sc -> sc
-            | None -> sched
-          in
-          let lns =
-            Lns.polish
-              ~config:
-                { Delta.default_config with Delta.cache = Some lns_cache }
-              ~seed:s
-              ~budget_seconds:(lns_budget -. seed_budget)
-              lns_seed
+          let (lns_seed, lns), s_lns =
+            timed (fun () ->
+                let lns_seed =
+                  match
+                    (Pa_random.run ~seed:s ~cache:lns_cache
+                       ~min_iterations:(lns_seed_restarts p) ~budget_seconds:0.
+                       inst)
+                      .Pa_random.schedule
+                  with
+                  | Some sc -> sc
+                  | None -> sched
+                in
+                ( lns_seed,
+                  Lns.polish
+                    ~config:
+                      { Delta.default_config with Delta.cache = Some lns_cache }
+                    ~seed:s ~min_moves:p.lns_moves ~budget_seconds:0.
+                    lns_seed ))
           in
           let ms_lns =
             match lns.Lns.schedule with
@@ -1138,6 +1146,8 @@ let moves_comparison () =
               mv_divergences = !divergences;
               mv_ms_par = ms_par;
               mv_ms_lns = ms_lns;
+              mv_s_par = s_par;
+              mv_s_lns = s_lns;
               mv_lns_improved = lns.Lns.stats.Lns.improvements;
             }
           in
@@ -1159,10 +1169,12 @@ let moves_comparison () =
               string_of_int ms_par;
               string_of_int ms_lns;
               string_of_int (ms_lns - ms_par);
+              Table.cell_f s_par;
+              Table.cell_f s_lns;
             ];
           row
         | _ -> assert false)
-      groups
+      p.groups
   in
   Table.print t;
   let speedup_orc r = r.mv_s_orc /. Float.max r.mv_s_inc 1e-9 in
@@ -1184,36 +1196,20 @@ let moves_comparison () =
   in
   Printf.printf
     "\nsummary: min speedup x%.1f vs full pipeline (x%.1f vs from-scratch \
-     oracle), %d divergence(s); LNS vs PA-R at equal budget: worse on \
-     task groups [%s], better on [%s]\n"
+     oracle), %d divergence(s); LNS vs PA-R at fixed work: worse on task \
+     groups [%s], better on [%s]\n"
     min_speedup min_speedup_orc total_div
     (groups_where (fun r -> r.mv_ms_lns > r.mv_ms_par))
     (groups_where (fun r -> r.mv_ms_lns < r.mv_ms_par));
-  write_csv "moves.csv"
-    ([ "tasks"; "moves"; "applied"; "s_incremental"; "s_oracle"; "s_pipeline";
-       "speedup_vs_oracle"; "speedup_vs_pipeline"; "divergences";
-       "makespan_par"; "makespan_lns" ]
-    :: List.map
-         (fun r ->
-           [
-             string_of_int r.mv_tasks; string_of_int r.mv_moves;
-             string_of_int r.mv_applied;
-             Printf.sprintf "%.6f" r.mv_s_inc;
-             Printf.sprintf "%.6f" r.mv_s_orc;
-             Printf.sprintf "%.6f" r.mv_s_pipe;
-             Printf.sprintf "%.3f" (speedup_orc r);
-             Printf.sprintf "%.3f" (speedup_pipe r);
-             string_of_int r.mv_divergences;
-             string_of_int r.mv_ms_par; string_of_int r.mv_ms_lns;
-           ])
-         rows);
   Run_store.write_section_json ~section:"moves"
     (Json.Obj
        [
          ("section", Json.String "moves");
-         ("seed", Json.Int seed);
+         ("seed", Json.Int p.seed);
          ("moves_per_instance", Json.Int moves_per_instance);
-         ("lns_budget_seconds", Json.float lns_budget);
+         ("lns_restarts", Json.Int p.lns_restarts);
+         ("lns_seed_restarts", Json.Int (lns_seed_restarts p));
+         ("lns_moves", Json.Int p.lns_moves);
          ( "groups",
            Json.List
              (List.map
@@ -1244,6 +1240,8 @@ let moves_comparison () =
                       ("divergences", Json.Int r.mv_divergences);
                       ("makespan_par", Json.Int r.mv_ms_par);
                       ("makespan_lns", Json.Int r.mv_ms_lns);
+                      ("seconds_par", Json.float r.mv_s_par);
+                      ("seconds_lns", Json.float r.mv_s_lns);
                       ("lns_improvements", Json.Int r.mv_lns_improved);
                       ( "lns_not_worse",
                         Json.Bool (r.mv_ms_lns <= r.mv_ms_par) );
@@ -1254,979 +1252,6 @@ let moves_comparison () =
          ("divergences", Json.Int total_div);
          ("all_agree", Json.Bool (total_div = 0));
          ("lns_never_worse", Json.Bool lns_never_worse);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Batch engine: a manifest of instances over one worker fleet         *)
-
-let batch_comparison () =
-  print_endline "";
-  let module Batch = Resched_core.Batch in
-  let iters =
-    Stdlib.max 1 (env_int "RESCHED_BATCH_ITER" (Stdlib.min iter_min 300))
-  in
-  let jobs = par_jobs in
-  let insts =
-    List.concat_map
-      (fun tasks ->
-        List.mapi
-          (fun i inst -> (tasks, i, inst))
-          (Suite.group ~seed ~tasks ~count:graphs_per_group ()))
-      groups
-  in
-  let requests =
-    Array.of_list
-      (List.map
-         (fun (tasks, i, inst) ->
-           Batch.request ~seed:(seed + (13 * tasks) + i) ~min_iterations:iters
-             inst)
-         insts)
-  in
-  Printf.printf
-    "== Batch engine: %d instances (%d iterations each) on %d worker(s) vs \
-     sequential one-at-a-time ==\n"
-    (Array.length requests) iters jobs;
-  let pin = Domain_pool.env_pin_default () in
-  let pool = Domain_pool.Pool.create ~pin ~jobs () in
-  (* Untimed warm-up on both engines: first-touch arena growth, pool
-     spawn and per-domain context creation stay out of the timed
-     windows. *)
-  let warm_requests =
-    Array.map
-      (fun (r : Batch.request) ->
-        { r with Batch.min_iterations = Stdlib.min 10 iters })
-      requests
-  in
-  ignore
-    (Batch.run ~cache:(Fp_cache.create ()) ~pool
-       warm_requests);
-  Array.iter
-    (fun (r : Batch.request) ->
-      ignore
-        (Pa_random.run ~seed:r.Batch.seed
-           ~min_iterations:(Stdlib.min 10 iters)
-           ~cache:(Fp_cache.create ())
-           ~budget_seconds:0. r.Batch.instance))
-    requests;
-  (* Batch first, on a cold floorplan cache of its own: it pays the cold
-     misses, the sequential baseline gets equally-cold ones — separate
-     caches per engine keep the timing comparison honest. *)
-  let (batch_outcomes, bstats), s_batch =
-    timed (fun () ->
-        Batch.run ~cache:(Fp_cache.create ()) ~pool
-          requests)
-  in
-  Domain_pool.Pool.shutdown pool;
-  let seq_outcomes, s_seq =
-    timed (fun () ->
-        let cache = Fp_cache.create () in
-        Array.map
-          (fun (r : Batch.request) ->
-            Pa_random.run ~seed:r.Batch.seed
-              ~min_iterations:r.Batch.min_iterations ~cache ~budget_seconds:0.
-              r.Batch.instance)
-          requests)
-  in
-  let n = Array.length requests in
-  let identical = Array.make n false in
-  for i = 0 to n - 1 do
-    identical.(i) <- iter_fingerprint batch_outcomes.(i) = iter_fingerprint seq_outcomes.(i)
-  done;
-  let t =
-    Table.create [ "# Tasks"; "insts"; "iters"; "identical"; "makespans" ]
-  in
-  List.iter
-    (fun tasks ->
-      let idxs =
-        List.filteri (fun i _ -> let t', _, _ = List.nth insts i in t' = tasks)
-          (List.init n (fun i -> i))
-      in
-      let iters_sum =
-        List.fold_left
-          (fun acc i -> acc + batch_outcomes.(i).Pa_random.iterations)
-          0 idxs
-      in
-      let all_id = List.for_all (fun i -> identical.(i)) idxs in
-      let makespans =
-        String.concat " "
-          (List.map
-             (fun i ->
-               match batch_outcomes.(i).Pa_random.schedule with
-               | Some s -> string_of_int (Schedule.makespan s)
-               | None -> "-")
-             idxs)
-      in
-      Table.add_row t
-        [
-          string_of_int tasks;
-          string_of_int (List.length idxs);
-          string_of_int iters_sum;
-          (if all_id then "yes" else "NO");
-          makespans;
-        ])
-    groups;
-  Table.print t;
-  let total_iters = bstats.Batch.total_iterations in
-  let mw_batch =
-    bstats.Batch.total_minor_words /. float_of_int (Stdlib.max 1 total_iters)
-  in
-  let seq_iters =
-    Array.fold_left (fun a (o : Pa_random.outcome) -> a + o.Pa_random.iterations)
-      0 seq_outcomes
-  in
-  let mw_seq =
-    Array.fold_left
-      (fun a (o : Pa_random.outcome) -> a +. o.Pa_random.minor_words)
-      0. seq_outcomes
-    /. float_of_int (Stdlib.max 1 seq_iters)
-  in
-  let all_identical = Array.for_all (fun b -> b) identical in
-  let speedup = s_seq /. Float.max s_batch 1e-9 in
-  Printf.printf
-    "  batch: %.3fs (%.1f instances/s, %d slices of %d), sequential: %.3fs \
-     (%.1f instances/s) -> x%.2f\n"
-    s_batch
-    (float_of_int n /. Float.max s_batch 1e-9)
-    bstats.Batch.total_slices bstats.Batch.slice s_seq
-    (float_of_int n /. Float.max s_seq 1e-9)
-    speedup;
-  Printf.printf
-    "  allocation: %.0f minor words/iter (batch, worker domains) vs %.0f \
-     (sequential); per-instance results %s\n"
-    mw_batch mw_seq
-    (if all_identical then "bit-identical" else "DIVERGED");
-  write_csv "batch.csv"
-    ([ "tasks"; "idx"; "seed"; "iterations"; "makespan"; "identical" ]
-    :: List.mapi
-         (fun i (tasks, idx, _) ->
-           [
-             string_of_int tasks;
-             string_of_int idx;
-             string_of_int requests.(i).Batch.seed;
-             string_of_int batch_outcomes.(i).Pa_random.iterations;
-             (match batch_outcomes.(i).Pa_random.schedule with
-             | Some s -> string_of_int (Schedule.makespan s)
-             | None -> "-1");
-             string_of_bool identical.(i);
-           ])
-         insts);
-  let p = par_plan in
-  Run_store.write_section_json ~section:"batch"
-    (Json.Obj
-       [
-         ("schema", Json.String "resched-bench-batch/1");
-         ("seed", Json.Int seed);
-         ("min_iterations", Json.Int iters);
-         ("jobs", Json.Int jobs);
-         ("cores", Json.Int p.Domain_pool.cores);
-         ("slice", Json.Int bstats.Batch.slice);
-         ( "instances",
-           Json.List
-             (List.mapi
-                (fun i (tasks, idx, _) ->
-                  Json.Obj
-                    [
-                      ("tasks", Json.Int tasks);
-                      ("idx", Json.Int idx);
-                      ("seed", Json.Int requests.(i).Batch.seed);
-                      ( "iterations",
-                        Json.Int batch_outcomes.(i).Pa_random.iterations );
-                      ( "makespan",
-                        match batch_outcomes.(i).Pa_random.schedule with
-                        | Some s -> Json.Int (Schedule.makespan s)
-                        | None -> Json.Null );
-                      ("identical", Json.Bool identical.(i));
-                    ])
-                insts) );
-         ( "totals",
-           Json.Obj
-             [
-               ("instances", Json.Int n);
-               ("iterations", Json.Int total_iters);
-               ("slices", Json.Int bstats.Batch.total_slices);
-               ("batch_seconds", Json.float s_batch);
-               ("seq_seconds", Json.float s_seq);
-               ( "instances_per_s_batch",
-                 Json.float (float_of_int n /. Float.max s_batch 1e-9) );
-               ( "instances_per_s_seq",
-                 Json.float (float_of_int n /. Float.max s_seq 1e-9) );
-               ("minor_words_per_iter_batch", Json.float mw_batch);
-               ("minor_words_per_iter_seq", Json.float mw_seq);
-             ] );
-         ("speedup", Json.float speedup);
-         ( "parallel_measurable",
-           Json.Bool (jobs >= 2 && p.Domain_pool.cores >= 2) );
-         ("all_identical", Json.Bool all_identical);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Serve: the resident daemon under 1x/2x/4x offered load              *)
-
-type serve_row = {
-  sv_load : int;
-  sv_interarrival_ms : float;
-  sv_accepted : int;
-  sv_completed : int;
-  sv_failed : int;
-  sv_shed : (string * int) list;  (* reason -> count, protocol order *)
-  sv_degrade : int array;  (* completions per rung 0..2 *)
-  sv_p50_ms : float;
-  sv_p95_ms : float;
-  sv_p99_ms : float;
-  sv_max_ms : float;
-  sv_overruns : int;
-  sv_invalid : int;
-  sv_max_depth : int;
-}
-
-(* The service layer under deterministic overload: one server per
-   offered-load level (1x, 2x, 4x the calibrated service capacity),
-   a paced submitter on pool worker 0 and the remaining workers in
-   [work_loop] — the exact topology of [fpga_sched serve]. The gates
-   downstream ([check]) hold the recorded run to zero deadline
-   overruns, zero invalid schedules, the queue bound, and served =
-   offline bit-identity. *)
-let serve_comparison () =
-  print_endline "";
-  let n = serve_requests in
-  let iters = serve_iter in
-  let capacity = serve_capacity in
-  let jobs = par_jobs in
-  let serving_width = Stdlib.max 1 (jobs - 1) in
-  let rng = Rng.create (seed lxor 0x5e17e) in
-  let insts = Array.init n (fun _ -> Suite.instance rng ~tasks:serve_tasks) in
-  let texts = Array.map Plat_io.to_string insts in
-  Printf.printf
-    "== Serve: %d requests per load at 1x/2x/4x offered load, %d worker(s) \
-     (%d serving), capacity %d, %d restarts/request ==\n"
-    n jobs serving_width capacity iters;
-  let fresh_cache () = Fp_cache.create () in
-  (* Calibrate the nominal per-request service time on this host (warm
-     run first: arena growth and code paging stay out of the estimate). *)
-  let offline i =
-    Pa_random.run ~seed:(seed + i) ~min_iterations:iters
-      ~cache:(fresh_cache ()) ~budget_seconds:0. insts.(i)
-  in
-  ignore (offline 0);
-  let service_s =
-    let k = Stdlib.min 4 n in
-    let _, s = timed (fun () -> for i = 0 to k - 1 do ignore (offline i) done) in
-    Float.max 1e-4 (s /. float_of_int k)
-  in
-  (* Deadline: generous against the worst queueing delay the bound
-     allows, so overruns can only come from a broken cancellation
-     contract, not from honest queueing. *)
-  let deadline_s =
-    Float.max 0.25 (service_s *. float_of_int (4 * capacity))
-  in
-  let deadline_ms = int_of_float (Float.ceil (deadline_s *. 1000.)) in
-  Printf.printf "  calibrated service time %.1f ms, deadline %d ms\n%!"
-    (service_s *. 1000.) deadline_ms;
-  let pin = Domain_pool.env_pin_default () in
-  let metric_int path m =
-    Option.value ~default:0 (Option.bind (Json.path path m) Json.get_int)
-  in
-  let run_load load =
-    let responses = ref [] in
-    let resp_lock = Mutex.create () in
-    let srv =
-      Serve_server.create
-        ~respond:(fun r ->
-          Mutex.lock resp_lock;
-          responses := r :: !responses;
-          Mutex.unlock resp_lock)
-        (Serve_server.config ~capacity ~slice:16 ())
-    in
-    let interarrival =
-      service_s /. float_of_int (serving_width * load)
-    in
-    let t_start = Unix.gettimeofday () in
-    let submitter () =
-      for i = 0 to n - 1 do
-        let target = t_start +. (float_of_int i *. interarrival) in
-        let rec pace () =
-          let now = Unix.gettimeofday () in
-          if now < target then begin
-            (* The transport loop's poll tick: expirations are noticed
-               even while every worker is busy. *)
-            ignore (Serve_server.sweep_expired srv : int);
-            Unix.sleepf (Float.min 0.002 (target -. now));
-            pace ()
-          end
-        in
-        pace ();
-        Serve_server.submit srv
-          {
-            Serve_protocol.id = Printf.sprintf "%dx-%d" load i;
-            op =
-              Serve_protocol.Schedule
-                ( Serve_protocol.Inline texts.(i),
-                  {
-                    Serve_protocol.tenant =
-                      (if i land 1 = 0 then "even" else "odd");
-                    seed = Some (seed + i);
-                    min_iterations = Some iters;
-                    budget_ms = None;
-                    deadline_ms = Some deadline_ms;
-                    fail_attempts = 0;
-                    emit_schedule = false;
-                  } )
-          }
-      done;
-      Serve_server.close srv
-    in
-    let pool = Domain_pool.Pool.create ~pin ~jobs () in
-    Fun.protect
-      ~finally:(fun () -> Domain_pool.Pool.shutdown pool)
-      (fun () ->
-        ignore
-          (Domain_pool.Pool.map pool (fun w ->
-               if w = 0 then submitter ();
-               Serve_server.work_loop srv)
-            : unit array));
-    let responses = !responses in
-    let completions =
-      List.filter_map
-        (function Serve_protocol.Completed c -> Some c | _ -> None)
-        responses
-    in
-    let lat =
-      Array.of_list
-        (List.map
-           (fun (c : Serve_protocol.completion) ->
-             c.Serve_protocol.c_latency_s *. 1000.)
-           completions)
-    in
-    let pct p = if Array.length lat = 0 then 0. else Stats.percentile lat p in
-    (* Overrun: a response delivered past deadline + one service time of
-       slack — the "deadline + one slice" contract with a margin far
-       above any real slice. *)
-    let overrun_s = deadline_s +. Float.max 0.05 service_s in
-    let overruns =
-      List.length
-        (List.filter
-           (fun (c : Serve_protocol.completion) ->
-             c.Serve_protocol.c_latency_s > overrun_s)
-           completions)
-    in
-    let m = Serve_server.metrics srv in
-    let row =
-      {
-        sv_load = load;
-        sv_interarrival_ms = interarrival *. 1000.;
-        sv_accepted = metric_int [ "requests"; "accepted" ] m;
-        sv_completed = metric_int [ "requests"; "completed" ] m;
-        sv_failed = metric_int [ "requests"; "failed" ] m;
-        sv_shed =
-          List.map
-            (fun r -> (r, metric_int [ "shed"; r ] m))
-            [ "queue_full"; "tenant_quota"; "expired"; "shutting_down" ];
-        sv_degrade =
-          [| metric_int [ "degrade"; "full" ] m;
-             metric_int [ "degrade"; "reduced" ] m;
-             metric_int [ "degrade"; "heuristic" ] m;
-          |];
-        sv_p50_ms = pct 50.;
-        sv_p95_ms = pct 95.;
-        sv_p99_ms = pct 99.;
-        sv_max_ms = (if Array.length lat = 0 then 0. else Stats.max lat);
-        sv_overruns = overruns;
-        sv_invalid = metric_int [ "invalid_schedules" ] m;
-        sv_max_depth = Serve_server.max_queue_depth srv;
-      }
-    in
-    (* Sanity: one response per submission, none silent. *)
-    if List.length responses <> n then
-      failwith
-        (Printf.sprintf "serve: %d responses for %d requests at load %dx"
-           (List.length responses) n load);
-    row
-  in
-  let rows = List.map run_load [ 1; 2; 4 ] in
-  (* Deterministic identity pass: a sequential server (driven by
-     [drain]) must answer bit-identically to the offline solver at the
-     effective budget it reports, across whatever rungs the backlog
-     triggered. *)
-  let id_n = Stdlib.min 6 n in
-  let id_responses = ref [] in
-  let id_srv =
-    Serve_server.create
-      ~respond:(fun r -> id_responses := r :: !id_responses)
-      (Serve_server.config ~capacity:(Stdlib.max 2 id_n) ())
-  in
-  for i = 0 to id_n - 1 do
-    Serve_server.submit id_srv
-      {
-        Serve_protocol.id = string_of_int i;
-        op =
-          Serve_protocol.Schedule
-            ( Serve_protocol.Inline texts.(i),
-              {
-                Serve_protocol.tenant = "identity";
-                seed = Some (seed + i);
-                min_iterations = Some iters;
-                budget_ms = None;
-                deadline_ms = None;
-                fail_attempts = 0;
-                emit_schedule = true;
-              } )
-      }
-  done;
-  Serve_server.close id_srv;
-  Serve_server.drain id_srv;
-  let identity_ok =
-    List.for_all
-      (fun i ->
-        match
-          List.find_opt
-            (fun r -> Serve_protocol.response_id r = string_of_int i)
-            !id_responses
-        with
-        | Some (Serve_protocol.Completed c) -> (
-          let served_text =
-            Option.value ~default:"" c.Serve_protocol.c_schedule
-          in
-          let valid =
-            match Schedule_io.of_string served_text with
-            | Ok s -> Validate.check s = Ok ()
-            | Error _ -> false
-          in
-          valid
-          &&
-          if c.Serve_protocol.c_degrade = 2 then
-            let s = List_sched.run ~cache:(fresh_cache ()) insts.(i) in
-            c.Serve_protocol.c_makespan = Some (Schedule.makespan s)
-            && served_text = Schedule_io.to_string s
-          else
-            let o =
-              Pa_random.run ~seed:(seed + i)
-                ~min_iterations:c.Serve_protocol.c_effective_min_iterations
-                ~cache:(fresh_cache ()) ~budget_seconds:0. insts.(i)
-            in
-            match o.Pa_random.schedule with
-            | Some s ->
-              c.Serve_protocol.c_iterations = o.Pa_random.iterations
-              && c.Serve_protocol.c_makespan = Some (Schedule.makespan s)
-              && served_text = Schedule_io.to_string s
-            | None -> false)
-        | _ -> false)
-      (List.init id_n (fun i -> i))
-  in
-  let t =
-    Table.create
-      [
-        "load"; "arr ms"; "acc"; "done"; "shed q/t/e"; "rung 0/1/2";
-        "p50 ms"; "p95 ms"; "p99 ms"; "overrun"; "maxq";
-      ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [
-          Printf.sprintf "%dx" r.sv_load;
-          Printf.sprintf "%.1f" r.sv_interarrival_ms;
-          string_of_int r.sv_accepted;
-          string_of_int r.sv_completed;
-          Printf.sprintf "%d/%d/%d"
-            (List.assoc "queue_full" r.sv_shed)
-            (List.assoc "tenant_quota" r.sv_shed)
-            (List.assoc "expired" r.sv_shed);
-          Printf.sprintf "%d/%d/%d" r.sv_degrade.(0) r.sv_degrade.(1)
-            r.sv_degrade.(2);
-          Printf.sprintf "%.1f" r.sv_p50_ms;
-          Printf.sprintf "%.1f" r.sv_p95_ms;
-          Printf.sprintf "%.1f" r.sv_p99_ms;
-          string_of_int r.sv_overruns;
-          string_of_int r.sv_max_depth;
-        ])
-    rows;
-  Table.print t;
-  let total_overruns = List.fold_left (fun a r -> a + r.sv_overruns) 0 rows in
-  let total_invalid = List.fold_left (fun a r -> a + r.sv_invalid) 0 rows in
-  let bound_ok = List.for_all (fun r -> r.sv_max_depth <= capacity) rows in
-  Printf.printf
-    "  overruns: %d, invalid schedules: %d, queue bound %s, served = \
-     offline %s (%d checked)\n"
-    total_overruns total_invalid
-    (if bound_ok then "held" else "EXCEEDED")
-    (if identity_ok then "bit-identical" else "DIVERGED")
-    id_n;
-  write_csv "serve.csv"
-    ([
-       "load"; "interarrival_ms"; "requests"; "accepted"; "completed";
-       "shed_queue_full"; "shed_tenant_quota"; "shed_expired"; "p50_ms";
-       "p95_ms"; "p99_ms"; "max_ms"; "overruns"; "invalid"; "max_depth";
-     ]
-    :: List.map
-         (fun r ->
-           [
-             string_of_int r.sv_load;
-             Printf.sprintf "%.3f" r.sv_interarrival_ms;
-             string_of_int n;
-             string_of_int r.sv_accepted;
-             string_of_int r.sv_completed;
-             string_of_int (List.assoc "queue_full" r.sv_shed);
-             string_of_int (List.assoc "tenant_quota" r.sv_shed);
-             string_of_int (List.assoc "expired" r.sv_shed);
-             Printf.sprintf "%.3f" r.sv_p50_ms;
-             Printf.sprintf "%.3f" r.sv_p95_ms;
-             Printf.sprintf "%.3f" r.sv_p99_ms;
-             Printf.sprintf "%.3f" r.sv_max_ms;
-             string_of_int r.sv_overruns;
-             string_of_int r.sv_invalid;
-             string_of_int r.sv_max_depth;
-           ])
-         rows);
-  Run_store.write_section_json ~section:"serve"
-    (Json.Obj
-       [
-         ("schema", Json.String "resched-bench-serve/1");
-         ("seed", Json.Int seed);
-         ("jobs", Json.Int jobs);
-         ("serving_width", Json.Int serving_width);
-         ("capacity", Json.Int capacity);
-         ("min_iterations", Json.Int iters);
-         ("tasks", Json.Int serve_tasks);
-         ("requests_per_load", Json.Int n);
-         ("service_s_estimate", Json.float service_s);
-         ("deadline_ms", Json.Int deadline_ms);
-         ( "loads",
-           Json.List
-             (List.map
-                (fun r ->
-                  Json.Obj
-                    [
-                      ("load", Json.Int r.sv_load);
-                      ("interarrival_ms", Json.float r.sv_interarrival_ms);
-                      ("requests", Json.Int n);
-                      ("accepted", Json.Int r.sv_accepted);
-                      ("completed", Json.Int r.sv_completed);
-                      ("failed", Json.Int r.sv_failed);
-                      ( "shed",
-                        Json.Obj
-                          (List.map
-                             (fun (k, v) -> (k, Json.Int v))
-                             r.sv_shed) );
-                      ( "degrade",
-                        Json.Obj
-                          [
-                            ("full", Json.Int r.sv_degrade.(0));
-                            ("reduced", Json.Int r.sv_degrade.(1));
-                            ("heuristic", Json.Int r.sv_degrade.(2));
-                          ] );
-                      ("p50_ms", Json.float r.sv_p50_ms);
-                      ("p95_ms", Json.float r.sv_p95_ms);
-                      ("p99_ms", Json.float r.sv_p99_ms);
-                      ("max_ms", Json.float r.sv_max_ms);
-                      ("overruns", Json.Int r.sv_overruns);
-                      ("invalid_schedules", Json.Int r.sv_invalid);
-                      ("max_queue_depth", Json.Int r.sv_max_depth);
-                      ( "queue_bound_ok",
-                        Json.Bool (r.sv_max_depth <= capacity) );
-                    ])
-                rows) );
-         ("zero_overruns", Json.Bool (total_overruns = 0));
-         ( "zero_invalid",
-           Json.Bool (total_invalid = 0 && identity_ok) );
-         ("queue_bound_ok", Json.Bool bound_ok);
-         ( "identity",
-           Json.Obj
-             [
-               ("checked", Json.Int id_n);
-               ("ok", Json.Bool identity_ok);
-             ] );
-         ("identity_ok", Json.Bool identity_ok);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Serve concurrency: the multiplexing transport under 1/2/4/8 clients *)
-
-type conc_row = {
-  cc_clients : int;
-  cc_wall_s : float;
-  cc_throughput : float;  (* completed requests / s, aggregate *)
-  cc_p50_ms : float;
-  cc_p95_ms : float;
-  cc_p99_ms : float;
-  cc_rates : float array;  (* per-client goodput, requests / s *)
-  cc_fairness : float;  (* max rate / min rate *)
-  cc_errors : int;
-}
-
-(* The ISSUE 10 concurrency sweep: closed-loop jsonl clients on real
-   socketpairs through the real [Transport] event loop, workers on the
-   persistent pool — the exact [fpga_sched serve --socket] topology.
-   Records aggregate throughput, per-client latency percentiles and the
-   max/min per-client goodput ratio per client count, plus two
-   deterministic probes (no head-of-line blocking; transport responses
-   bit-identical to the offline solver). [check] downstream gates
-   fairness <= 2 at 4 clients, the HOLB bound, identity, and — when
-   this host has enough workers to make concurrency measurable — a
-   floor on the 4-client speedup over 1 client. *)
-let serve_concurrency () =
-  print_endline "";
-  let n = serve_conc_requests in
-  let iters = serve_conc_iter in
-  let jobs = par_jobs in
-  let serving_width = if jobs = 1 then 1 else jobs - 1 in
-  let measurable = serving_width >= 2 in
-  let rng = Rng.create (seed lxor 0xc11e27) in
-  let n_inst = 8 in
-  let insts =
-    Array.init n_inst (fun _ -> Suite.instance rng ~tasks:serve_conc_tasks)
-  in
-  let texts = Array.map Plat_io.to_string insts in
-  Printf.printf
-    "== Serve concurrency: %d requests/client at 1/2/4/8 clients, %d \
-     worker(s) (%d serving), %d restarts/request ==\n%!"
-    n jobs serving_width iters;
-  let fresh_cache () = Fp_cache.create () in
-  let req_line ~client ~i ~emit =
-    String.trim
-    @@ Json.to_string ~indent:0
-         (Json.Obj
-            [
-              ("op", Json.String "schedule");
-              ("id", Json.String (Printf.sprintf "c%d-%d" client i));
-              ("instance", Json.String texts.((client + i) mod n_inst));
-              ("seed", Json.Int (seed + (1000 * client) + i));
-              ("min_iterations", Json.Int iters);
-              ("emit_schedule", Json.Bool emit);
-            ])
-  in
-  let write_all fd s =
-    let b = Bytes.of_string (s ^ "\n") in
-    let len = Bytes.length b in
-    let rec go off =
-      if off < len then go (off + Unix.write fd b off (len - off))
-    in
-    go 0
-  in
-  (* Nonblocking line reads for the single-threaded probes. *)
-  let recv_lines buf fd =
-    let chunk = Bytes.create 4096 in
-    (try
-       let rec slurp () =
-         let k = Unix.read fd chunk 0 4096 in
-         if k > 0 then begin
-           Buffer.add_subbytes buf chunk 0 k;
-           slurp ()
-         end
-       in
-       slurp ()
-     with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ());
-    let s = Buffer.contents buf in
-    let rec split start acc =
-      match String.index_from_opt s start '\n' with
-      | None ->
-        Buffer.clear buf;
-        Buffer.add_substring buf s start (String.length s - start);
-        List.rev acc
-      | Some i -> split (i + 1) (String.sub s start (i - start) :: acc)
-    in
-    split 0 []
-  in
-  let pin = Domain_pool.env_pin_default () in
-  (* One sweep level: [nc] closed-loop client domains, each on its own
-     socketpair, a closer domain that shuts the server down when every
-     client is done, and the serve topology (event loop + work_loops)
-     on the pool. Degradation is pinned off so the per-request cost is
-     identical at every client count. *)
-  let run_clients nc =
-    let srv =
-      Serve_server.create
-        ~respond:(fun _ -> ())
-        (Serve_server.config ~capacity:64 ~degrade_low:1_000_000
-           ~degrade_high:1_000_001 ~slice:16 ())
-    in
-    let tr =
-      Serve_transport.create ~max_clients:(Stdlib.max 8 nc)
-        ~drive_server:(jobs = 1) srv
-    in
-    let pairs =
-      Array.init nc (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
-    in
-    Array.iter (fun (near, _) -> Serve_transport.add_socket tr near) pairs;
-    let lat = Array.make_matrix nc n 0. in
-    let rates = Array.make nc 0. in
-    let errors = Atomic.make 0 in
-    let client c far () =
-      let buf = Buffer.create 1024 in
-      let chunk = Bytes.create 4096 in
-      let read_line () =
-        let rec frame () =
-          let s = Buffer.contents buf in
-          match String.index_opt s '\n' with
-          | Some i ->
-            Buffer.clear buf;
-            Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-            String.sub s 0 i
-          | None ->
-            let k = Unix.read far chunk 0 4096 in
-            if k = 0 then failwith "server closed the connection";
-            Buffer.add_subbytes buf chunk 0 k;
-            frame ()
-        in
-        frame ()
-      in
-      let t_c0 = Unix.gettimeofday () in
-      for i = 0 to n - 1 do
-        let t0 = Unix.gettimeofday () in
-        write_all far (req_line ~client:c ~i ~emit:false);
-        let resp = read_line () in
-        lat.(c).(i) <- (Unix.gettimeofday () -. t0) *. 1000.;
-        match Json.parse resp with
-        | Ok j
-          when Option.bind (Json.member "status" j) Json.get_string
-               = Some "ok" ->
-          ()
-        | _ -> Atomic.incr errors
-      done;
-      rates.(c) <- float_of_int n /. (Unix.gettimeofday () -. t_c0);
-      Unix.close far
-    in
-    let t0 = Unix.gettimeofday () in
-    let clients =
-      Array.mapi (fun c (_, far) -> Domain.spawn (client c far)) pairs
-    in
-    let wall = ref 0. in
-    let closer =
-      Domain.spawn (fun () ->
-          Array.iter Domain.join clients;
-          wall := Unix.gettimeofday () -. t0;
-          Serve_server.close srv)
-    in
-    (if jobs = 1 then Serve_transport.run tr
-     else begin
-       let pool = Domain_pool.Pool.create ~pin ~jobs () in
-       Fun.protect
-         ~finally:(fun () -> Domain_pool.Pool.shutdown pool)
-         (fun () ->
-           ignore
-             (Domain_pool.Pool.map pool (fun w ->
-                  if w = 0 then Serve_transport.run tr
-                  else Serve_server.work_loop srv)
-               : unit array))
-     end);
-    Domain.join closer;
-    let pooled = Array.concat (Array.to_list lat) in
-    let pct p =
-      if Array.length pooled = 0 then 0. else Stats.percentile pooled p
-    in
-    let rmin = Array.fold_left Float.min Float.infinity rates in
-    let rmax = Array.fold_left Float.max 0. rates in
-    {
-      cc_clients = nc;
-      cc_wall_s = !wall;
-      cc_throughput = float_of_int (nc * n) /. Float.max 1e-9 !wall;
-      cc_p50_ms = pct 50.;
-      cc_p95_ms = pct 95.;
-      cc_p99_ms = pct 99.;
-      cc_rates = rates;
-      cc_fairness = (if rmin > 0. then rmax /. rmin else Float.infinity);
-      cc_errors = Atomic.get errors;
-    }
-  in
-  let rows = List.map run_clients [ 1; 2; 4; 8 ] in
-  (* Deterministic HOLB probe: a flooding connection queues 10 requests
-     before a sparse one queues its single request; under DRR the
-     sparse client must be answered within 2 dispatches. Driven
-     single-threaded (poll + step) so the bound is exact, not a race. *)
-  let no_holb, holb_steps =
-    let srv =
-      Serve_server.create
-        ~respond:(fun _ -> ())
-        (Serve_server.config ~capacity:16 ~degrade_low:1_000_000
-           ~degrade_high:1_000_001 ())
-    in
-    let tr = Serve_transport.create srv in
-    let mk () =
-      let near, far = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Serve_transport.add_socket tr near;
-      Unix.set_nonblock far;
-      (far, Buffer.create 256)
-    in
-    let flood, _ = mk () in
-    let sparse_fd, sparse_buf = mk () in
-    for i = 0 to 9 do
-      write_all flood (req_line ~client:90 ~i ~emit:false)
-    done;
-    write_all sparse_fd (req_line ~client:91 ~i:0 ~emit:false);
-    let polls = ref 0 in
-    while Serve_server.queue_depth srv < 11 && !polls < 500 do
-      Serve_transport.poll tr ~timeout_s:0.;
-      incr polls
-    done;
-    let steps = ref 0 in
-    let got = ref false in
-    while (not !got) && !steps < 11 do
-      ignore (Serve_server.step srv : Serve_server.step_result);
-      incr steps;
-      Serve_transport.poll tr ~timeout_s:0.;
-      if recv_lines sparse_buf sparse_fd <> [] then got := true
-    done;
-    Unix.close flood;
-    Unix.close sparse_fd;
-    Serve_server.close srv;
-    Serve_server.drain srv;
-    Serve_transport.poll tr ~timeout_s:0.;
-    (!got && !steps <= 2, !steps)
-  in
-  (* Identity through the real transport: responses (schedule text,
-     makespan, iterations) bit-identical to the offline solver at the
-     same seed and budget. *)
-  let id_n = Stdlib.min 6 n in
-  let identity_ok =
-    let srv = Serve_server.create ~respond:(fun _ -> ()) (Serve_server.config ()) in
-    let tr = Serve_transport.create srv in
-    let near, far = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Serve_transport.add_socket tr near;
-    Unix.set_nonblock far;
-    let buf = Buffer.create 1024 in
-    for i = 0 to id_n - 1 do
-      write_all far (req_line ~client:0 ~i ~emit:true)
-    done;
-    let polls = ref 0 in
-    while Serve_server.queue_depth srv < id_n && !polls < 500 do
-      Serve_transport.poll tr ~timeout_s:0.;
-      incr polls
-    done;
-    let lines = ref [] in
-    let steps = ref 0 in
-    while List.length !lines < id_n && !steps < 4 * id_n do
-      ignore (Serve_server.step srv : Serve_server.step_result);
-      incr steps;
-      Serve_transport.poll tr ~timeout_s:0.;
-      lines := !lines @ recv_lines buf far
-    done;
-    Unix.close far;
-    Serve_server.close srv;
-    Serve_server.drain srv;
-    Serve_transport.poll tr ~timeout_s:0.;
-    List.length !lines = id_n
-    && List.for_all
-         (fun line ->
-           match Json.parse line with
-           | Error _ -> false
-           | Ok j -> (
-             let str k = Option.bind (Json.member k j) Json.get_string in
-             let int k = Option.bind (Json.member k j) Json.get_int in
-             match str "id" with
-             | Some id
-               when String.length id > 3 && String.sub id 0 3 = "c0-" -> (
-               let i = int_of_string (String.sub id 3 (String.length id - 3)) in
-               let o =
-                 Pa_random.run
-                   ~seed:(seed + i)
-                   ~min_iterations:iters ~cache:(fresh_cache ())
-                   ~budget_seconds:0.
-                   insts.(i mod n_inst)
-               in
-               str "status" = Some "ok"
-               && int "iterations" = Some o.Pa_random.iterations
-               &&
-               match o.Pa_random.schedule with
-               | Some s ->
-                 int "makespan" = Some (Schedule.makespan s)
-                 && str "schedule" = Some (Schedule_io.to_string s)
-               | None -> false)
-             | _ -> false))
-         !lines
-  in
-  let row nc = List.find (fun r -> r.cc_clients = nc) rows in
-  let speedup = (row 4).cc_throughput /. Float.max 1e-9 (row 1).cc_throughput in
-  let floor = if serving_width >= 3 then 2.0 else 1.6 in
-  let fairness_ok = (row 4).cc_fairness <= 2.0 in
-  let throughput_ok = (not measurable) || speedup >= floor in
-  let errors_total = List.fold_left (fun a r -> a + r.cc_errors) 0 rows in
-  let t =
-    Table.create
-      [ "clients"; "wall s"; "req/s"; "p50 ms"; "p95 ms"; "p99 ms"; "fair" ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [
-          string_of_int r.cc_clients;
-          Printf.sprintf "%.2f" r.cc_wall_s;
-          Printf.sprintf "%.1f" r.cc_throughput;
-          Printf.sprintf "%.1f" r.cc_p50_ms;
-          Printf.sprintf "%.1f" r.cc_p95_ms;
-          Printf.sprintf "%.1f" r.cc_p99_ms;
-          Printf.sprintf "%.2f" r.cc_fairness;
-        ])
-    rows;
-  Table.print t;
-  Printf.printf
-    "  4-client speedup %.2fx over 1 client (%s; floor %.1f), fairness \
-     %.2f, HOLB answered in %d dispatch(es), identity %s, errors %d\n"
-    speedup
-    (if measurable then "measurable"
-     else "NOT measurable on this host, gate waived")
-    floor (row 4).cc_fairness holb_steps
-    (if identity_ok then "bit-identical" else "DIVERGED")
-    errors_total;
-  write_csv "serve_concurrency.csv"
-    ([
-       "clients"; "requests_total"; "wall_s"; "throughput_rps"; "p50_ms";
-       "p95_ms"; "p99_ms"; "fairness_ratio"; "errors";
-     ]
-    :: List.map
-         (fun r ->
-           [
-             string_of_int r.cc_clients;
-             string_of_int (r.cc_clients * n);
-             Printf.sprintf "%.4f" r.cc_wall_s;
-             Printf.sprintf "%.3f" r.cc_throughput;
-             Printf.sprintf "%.3f" r.cc_p50_ms;
-             Printf.sprintf "%.3f" r.cc_p95_ms;
-             Printf.sprintf "%.3f" r.cc_p99_ms;
-             Printf.sprintf "%.4f" r.cc_fairness;
-             string_of_int r.cc_errors;
-           ])
-         rows);
-  Run_store.write_section_json ~section:"serve_concurrency"
-    (Json.Obj
-       [
-         ("schema", Json.String "resched-bench-serve-concurrency/1");
-         ("seed", Json.Int seed);
-         ("jobs", Json.Int jobs);
-         ("serving_width", Json.Int serving_width);
-         ("requests_per_client", Json.Int n);
-         ("min_iterations", Json.Int iters);
-         ("tasks", Json.Int serve_conc_tasks);
-         ( "levels",
-           Json.List
-             (List.map
-                (fun r ->
-                  Json.Obj
-                    [
-                      ("clients", Json.Int r.cc_clients);
-                      ("wall_s", Json.float r.cc_wall_s);
-                      ("throughput_rps", Json.float r.cc_throughput);
-                      ("p50_ms", Json.float r.cc_p50_ms);
-                      ("p95_ms", Json.float r.cc_p95_ms);
-                      ("p99_ms", Json.float r.cc_p99_ms);
-                      ( "client_rates_rps",
-                        Json.List
-                          (Array.to_list
-                             (Array.map Json.float r.cc_rates)) );
-                      ("fairness_ratio", Json.float r.cc_fairness);
-                      ("errors", Json.Int r.cc_errors);
-                    ])
-                rows) );
-         ("speedup_4c_over_1c", Json.float speedup);
-         ("throughput_floor", Json.float floor);
-         ("concurrency_measurable", Json.Bool measurable);
-         ("throughput_ok", Json.Bool throughput_ok);
-         ("fairness_ok", Json.Bool fairness_ok);
-         ("holb_dispatches", Json.Int holb_steps);
-         ("no_holb", Json.Bool no_holb);
-         ( "identity",
-           Json.Obj
-             [ ("checked", Json.Int id_n); ("ok", Json.Bool identity_ok) ] );
-         ("identity_ok", Json.Bool identity_ok);
-         ("errors", Json.Int errors_total);
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -2270,9 +1295,6 @@ let collect_need_sets ~seed ~count inst =
   done;
   List.rev !acc
 
-let fp_checks_per_group = Stdlib.max 12 (env_int "RESCHED_FP_CHECKS" 120)
-let fp_e2e_iters = Stdlib.max 4 (env_int "RESCHED_FP_E2E_ITERS" 40)
-
 (* The packer oracle's [pack_v1] as a floorplan check report. *)
 let check_v1 device needs =
   let t0 = Unix.gettimeofday () in
@@ -2284,12 +1306,12 @@ let check_v1 device needs =
   in
   { Floorplanner.verdict; elapsed = Unix.gettimeofday () -. t0 }
 
-let floorplan_oracle_comparison () =
+let floorplan_oracle_comparison (p : Profile.t) =
   print_endline "";
   Printf.printf
     "== Floorplan oracle: column-interval packer vs backtracking v1 (%d \
      checks/group) + cache replay ==\n"
-    fp_checks_per_group;
+    p.fp_checks;
   let t =
     Table.create
       [ "# Tasks"; "checks"; "v1 [s]"; "v2 [s]"; "checks/s v1";
@@ -2314,13 +1336,11 @@ let floorplan_oracle_comparison () =
   let rows =
     List.map
       (fun tasks ->
-        match Suite.group ~seed ~tasks ~count:1 () with
+        match Suite.group ~seed:p.seed ~tasks ~count:1 () with
         | [ inst ] ->
           let device = inst.Instance.arch.Arch.device in
-          let s = seed + (17 * tasks) in
-          let stream =
-            collect_need_sets ~seed:s ~count:fp_checks_per_group inst
-          in
+          let s = p.seed + (17 * tasks) in
+          let stream = collect_need_sets ~seed:s ~count:p.fp_checks inst in
           (* v1 is the packer oracle of test/oracle; v2 the production
              check. *)
           let check_v2 device needs = Floorplanner.check device needs in
@@ -2367,11 +1387,11 @@ let floorplan_oracle_comparison () =
           let ms_v1 =
             makespan
               (Pa_oracle.restart_loop ~check:check_v1 ~seed:s
-                 ~min_iterations:fp_e2e_iters inst)
+                 ~min_iterations:p.fp_e2e_iters inst)
           in
           let ms_v2 =
             makespan
-              (Pa_random.run ~seed:s ~min_iterations:fp_e2e_iters
+              (Pa_random.run ~seed:s ~min_iterations:p.fp_e2e_iters
                  ~budget_seconds:0. inst)
           in
           let checks = List.length stream in
@@ -2404,29 +1424,9 @@ let floorplan_oracle_comparison () =
             ];
           row
         | _ -> assert false)
-      groups
+      p.groups
   in
   Table.print t;
-  write_csv "floorplan.csv"
-    ([ "tasks"; "checks"; "seconds_v1"; "seconds_v2"; "speedup";
-       "identical"; "refined"; "cache_hits"; "cache_misses"; "makespan_v1";
-       "makespan_v2" ]
-    :: List.map
-         (fun r ->
-           [
-             string_of_int r.fr_tasks;
-             string_of_int r.fr_checks;
-             Printf.sprintf "%.4f" r.fr_s_v1;
-             Printf.sprintf "%.4f" r.fr_s_v2;
-             Printf.sprintf "%.3f" (r.fr_s_v1 /. Float.max r.fr_s_v2 1e-9);
-             string_of_bool r.fr_identical;
-             string_of_int r.fr_refined;
-             string_of_int r.fr_hits;
-             string_of_int r.fr_misses;
-             string_of_int r.fr_ms_v1;
-             string_of_int r.fr_ms_v2;
-           ])
-         rows);
   (* Aggregate speedup over the largest groups (>= 60 tasks when present,
      otherwise all groups): total v1 time over total v2 time. *)
   let big = List.filter (fun r -> r.fr_tasks >= 60) rows in
@@ -2456,42 +1456,59 @@ let floorplan_oracle_comparison () =
     (if big = [] then "all" else ">=60-task")
     speedup_large all_identical total_refined makespans_never_worse total_hits
     total_misses (100. *. combined_rate);
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"seed\": %d,\n" seed;
-  bprint_provenance buf;
-  Printf.bprintf buf "  \"checks_per_group\": %d,\n" fp_checks_per_group;
-  Printf.bprintf buf "  \"e2e_iterations\": %d,\n" fp_e2e_iters;
-  Buffer.add_string buf "  \"groups\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.bprintf buf
-        "    {\"tasks\": %d, \"checks\": %d, \"seconds_v1\": %.4f, \
-         \"seconds_v2\": %.4f, \"checks_per_s_v1\": %.1f, \
-         \"checks_per_s_v2\": %.1f, \"speedup\": %.3f, \"identical\": %b, \
-         \"refined\": %d, \"cache\": {\"hits\": %d, \"misses\": %d, \
-         \"hit_rate\": %.3f}, \"makespan_v1\": %d, \"makespan_v2\": %d}%s\n"
-        r.fr_tasks r.fr_checks r.fr_s_v1 r.fr_s_v2
-        (float_of_int r.fr_checks /. Float.max r.fr_s_v1 1e-9)
-        (float_of_int r.fr_checks /. Float.max r.fr_s_v2 1e-9)
-        (r.fr_s_v1 /. Float.max r.fr_s_v2 1e-9)
-        r.fr_identical r.fr_refined r.fr_hits r.fr_misses
-        (hit_rate r.fr_hits r.fr_misses)
-        r.fr_ms_v1 r.fr_ms_v2
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf "  \"all_identical\": %b,\n" all_identical;
-  Printf.bprintf buf "  \"refined\": %d,\n" total_refined;
-  Printf.bprintf buf "  \"makespans_never_worse\": %b,\n"
-    makespans_never_worse;
-  Printf.bprintf buf "  \"speedup_large_groups\": %.3f,\n" speedup_large;
-  Printf.bprintf buf
-    "  \"cache\": {\"hits\": %d, \"misses\": %d, \"combined_hit_rate\": \
-     %.3f}\n"
-    total_hits total_misses combined_rate;
-  Buffer.add_string buf "}\n";
-  Run_store.write_section ~section:"floorplan" (Buffer.contents buf)
+  Run_store.write_section_json ~section:"floorplan"
+    (Json.Obj
+       [
+         ("section", Json.String "floorplan");
+         ("seed", Json.Int p.seed);
+         ("checks_per_group", Json.Int p.fp_checks);
+         ("e2e_iterations", Json.Int p.fp_e2e_iters);
+         ( "groups",
+           Json.List
+             (List.map
+                (fun r ->
+                  Json.Obj
+                    [
+                      ("tasks", Json.Int r.fr_tasks);
+                      ("checks", Json.Int r.fr_checks);
+                      ("seconds_v1", Json.float r.fr_s_v1);
+                      ("seconds_v2", Json.float r.fr_s_v2);
+                      ( "checks_per_s_v1",
+                        Json.float
+                          (float_of_int r.fr_checks /. Float.max r.fr_s_v1 1e-9)
+                      );
+                      ( "checks_per_s_v2",
+                        Json.float
+                          (float_of_int r.fr_checks /. Float.max r.fr_s_v2 1e-9)
+                      );
+                      ( "speedup",
+                        Json.float (r.fr_s_v1 /. Float.max r.fr_s_v2 1e-9) );
+                      ("identical", Json.Bool r.fr_identical);
+                      ("refined", Json.Int r.fr_refined);
+                      ( "cache",
+                        Json.Obj
+                          [
+                            ("hits", Json.Int r.fr_hits);
+                            ("misses", Json.Int r.fr_misses);
+                            ( "hit_rate",
+                              Json.float (hit_rate r.fr_hits r.fr_misses) );
+                          ] );
+                      ("makespan_v1", Json.Int r.fr_ms_v1);
+                      ("makespan_v2", Json.Int r.fr_ms_v2);
+                    ])
+                rows) );
+         ("all_identical", Json.Bool all_identical);
+         ("refined", Json.Int total_refined);
+         ("makespans_never_worse", Json.Bool makespans_never_worse);
+         ("speedup_large_groups", Json.float speedup_large);
+         ( "cache",
+           Json.Obj
+             [
+               ("hits", Json.Int total_hits);
+               ("misses", Json.Int total_misses);
+               ("combined_hit_rate", Json.float combined_rate);
+             ] );
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* MILP engine: warm-started revised simplex vs dense tableau oracle   *)
@@ -2570,8 +1587,10 @@ type milp_engine_row = {
 
 (* One solve of the monolithic ILP, model building and schedule
    extraction included: [`Revised] is [Ilp_exact.solve], [`Tableau] the
-   dense-tableau oracle of test/oracle on the same model. *)
-let milp_bnb_run ?(jobs = 1) arm inst =
+   dense-tableau oracle of test/oracle on the same model. Both stop at
+   the same node budget and have no time limit, so at [jobs = 1] where
+   each search ends is a function of the code alone. *)
+let milp_bnb_run ?(jobs = 1) ~node_budget arm inst =
   let solve () =
     match arm with
     | `Revised ->
@@ -2579,14 +1598,10 @@ let milp_bnb_run ?(jobs = 1) arm inst =
         (fun (r : Ilp_exact.result) ->
           ( r.Ilp_exact.schedule, r.Ilp_exact.ilp_objective,
             r.Ilp_exact.proved_optimal, r.Ilp_exact.nodes ))
-        (Ilp_exact.solve ~node_limit:500_000 ~time_limit:milp_time_limit
-           ~jobs inst)
+        (Ilp_exact.solve ~node_limit:node_budget ~jobs inst)
     | `Tableau -> (
       let model = Ilp_exact.build inst in
-      match
-        Tableau.solve ~node_limit:500_000 ~time_limit:milp_time_limit
-          (Ilp_exact.lp model)
-      with
+      match Tableau.solve ~node_limit:node_budget (Ilp_exact.lp model) with
       | Branch_bound.Optimal s | Branch_bound.Feasible s ->
         Some
           ( Ilp_exact.extract inst model s.Branch_bound.values,
@@ -2616,14 +1631,15 @@ let milp_bnb_run ?(jobs = 1) arm inst =
       me_makespan = -1;
     }
 
-let milp_comparison () =
+let milp_comparison (p : Profile.t) =
   print_endline "";
   Printf.printf
     "== MILP engine: dense tableau oracle vs warm-started revised simplex \
-     (time limit %.1fs per solve) ==\n"
-    milp_time_limit;
+     (%d nodes per solve) ==\n"
+    p.milp_node_budget;
+  let node_budget = p.milp_node_budget in
   (* --- LP kernel: floorplan-sized continuous relaxations ----------- *)
-  let rng = Rng.create (seed lxor 0x317) in
+  let rng = Rng.create (p.seed lxor 0x317) in
   let models = List.init 24 (fun _ -> random_lp rng) in
   let nmodels = List.length models in
   let lp_agree =
@@ -2635,13 +1651,13 @@ let milp_comparison () =
   List.iter (fun m -> ignore (Simplex.solve m); ignore (Revised.solve m)) models;
   let (), s_tab =
     timed (fun () ->
-        for _ = 1 to milp_lp_repeats do
+        for _ = 1 to p.milp_lp_repeats do
           List.iter (fun m -> ignore (Simplex.solve m)) models
         done)
   in
   let (), s_rev =
     timed (fun () ->
-        for _ = 1 to milp_lp_repeats do
+        for _ = 1 to p.milp_lp_repeats do
           List.iter (fun m -> ignore (Revised.solve m)) models
         done)
   in
@@ -2649,7 +1665,7 @@ let milp_comparison () =
   Printf.printf
     "  LP kernel (%d models x %d solves): tableau %.3fs, revised %.3fs \
      (x%.2f), verdicts %s\n"
-    nmodels milp_lp_repeats s_tab s_rev lp_speedup
+    nmodels p.milp_lp_repeats s_tab s_rev lp_speedup
     (if lp_agree then "agree" else "DIVERGE");
   (* --- Branch-and-bound on the monolithic ILP, jobs = 1 ------------ *)
   let t =
@@ -2657,17 +1673,17 @@ let milp_comparison () =
       [ "# Tasks"; "vars"; "rows"; "nodes tab"; "nodes rev"; "s tab";
         "s rev"; "nodes/s tab"; "nodes/s rev"; "n/s speedup"; "objective" ]
   in
+  let per_s r = float_of_int r.me_nodes /. Float.max r.me_seconds 1e-9 in
   let bnb =
     List.map
       (fun tasks ->
         let inst =
           Suite.instance ~params:ilp_tiny_params ~arch:Arch.mini
-            (Rng.create (seed + tasks)) ~tasks
+            (Rng.create (p.seed + tasks)) ~tasks
         in
         let vars, rows = Ilp_exact.model_size inst in
-        let tab = milp_bnb_run `Tableau inst in
-        let rev = milp_bnb_run `Revised inst in
-        let per_s r = float_of_int r.me_nodes /. Float.max r.me_seconds 1e-9 in
+        let tab = milp_bnb_run ~node_budget `Tableau inst in
+        let rev = milp_bnb_run ~node_budget `Revised inst in
         Table.add_row t
           [
             string_of_int tasks;
@@ -2706,8 +1722,8 @@ let milp_comparison () =
   in
   (* Aggregate throughput over the instances where BOTH engines produced
      a solution: on the largest ones the tableau finds nothing at all
-     within the budget (reported per-row above), and counting its 0
-     nodes there would inflate the revised engine's speedup. *)
+     within the node budget (reported per-row above), and counting its
+     0 nodes there would inflate the revised engine's speedup. *)
   let both =
     List.filter
       (fun (_, _, _, tab, rev) -> tab.me_makespan >= 0 && rev.me_makespan >= 0)
@@ -2736,96 +1752,97 @@ let milp_comparison () =
   let par_tasks = 5 in
   let par_inst =
     Suite.instance ~params:ilp_tiny_params ~arch:Arch.mini
-      (Rng.create (seed + par_tasks)) ~tasks:par_tasks
+      (Rng.create (p.seed + par_tasks)) ~tasks:par_tasks
   in
-  let j1 = milp_bnb_run ~jobs:1 `Revised par_inst in
-  let jn = milp_bnb_run ~jobs:par_jobs `Revised par_inst in
+  let par_jobs = (jobs_plan p).Domain_pool.effective in
+  let j1 = milp_bnb_run ~jobs:1 ~node_budget `Revised par_inst in
+  let jn = milp_bnb_run ~jobs:par_jobs ~node_budget `Revised par_inst in
   Printf.printf
     "  parallel B&B (%d tasks, revised): jobs=1 %d nodes in %.2fs, jobs=%d \
      %d nodes in %.2fs (nodes/s x%.2f)\n"
     par_tasks j1.me_nodes j1.me_seconds par_jobs jn.me_nodes jn.me_seconds
     (float_of_int jn.me_nodes /. Float.max jn.me_seconds 1e-9
     /. Float.max (float_of_int j1.me_nodes /. Float.max j1.me_seconds 1e-9) 1e-9);
-  (* --- CSV + JSON --------------------------------------------------- *)
-  write_csv "milp.csv"
-    ([ "section"; "label"; "vars"; "rows"; "seconds_tableau";
-       "seconds_revised"; "nodes_tableau"; "nodes_revised";
-       "objective_tableau"; "objective_revised"; "agree" ]
-    :: ([ "lp_kernel";
-          Printf.sprintf "%dx%d" nmodels milp_lp_repeats; ""; "";
-          Printf.sprintf "%.4f" s_tab; Printf.sprintf "%.4f" s_rev;
-          ""; ""; ""; ""; string_of_bool lp_agree ]
-       :: List.map
-            (fun (tasks, vars, rows, tab, rev) ->
-              [ "bnb"; Printf.sprintf "%d_tasks" tasks;
-                string_of_int vars; string_of_int rows;
-                Printf.sprintf "%.4f" tab.me_seconds;
-                Printf.sprintf "%.4f" rev.me_seconds;
-                string_of_int tab.me_nodes; string_of_int rev.me_nodes;
-                Printf.sprintf "%.3f" tab.me_objective;
-                Printf.sprintf "%.3f" rev.me_objective;
-                string_of_bool (objectives_agree tab rev) ])
-            bnb
-       @ [ [ "parallel"; Printf.sprintf "jobs_%d" par_jobs; ""; "";
-             Printf.sprintf "%.4f" j1.me_seconds;
-             Printf.sprintf "%.4f" jn.me_seconds;
-             string_of_int j1.me_nodes; string_of_int jn.me_nodes;
-             Printf.sprintf "%.3f" j1.me_objective;
-             Printf.sprintf "%.3f" jn.me_objective;
-             string_of_bool (objectives_agree j1 jn) ] ]));
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"seed\": %d,\n" seed;
-  bprint_provenance buf;
-  Printf.bprintf buf "  \"time_limit_seconds\": %.3f,\n" milp_time_limit;
-  Printf.bprintf buf
-    "  \"lp_kernel\": {\"models\": %d, \"repeats\": %d, \"seconds_tableau\": \
-     %.4f, \"seconds_revised\": %.4f, \"speedup\": %.3f, \"all_agree\": %b},\n"
-    nmodels milp_lp_repeats s_tab s_rev lp_speedup lp_agree;
-  Buffer.add_string buf "  \"bnb\": [\n";
-  (* NaN objectives (no solution) and speedups against a 0-node run are
-     emitted as null: strict JSON has no NaN/Infinity literals. *)
-  let jf fmt v = if Float.is_finite v then Printf.sprintf fmt v else "null" in
-  List.iteri
-    (fun i (tasks, vars, rows, tab, rev) ->
-      let per_s r = float_of_int r.me_nodes /. Float.max r.me_seconds 1e-9 in
-      Printf.bprintf buf
-        "    {\"tasks\": %d, \"vars\": %d, \"rows\": %d, \"tableau\": \
-         {\"seconds\": %.4f, \"nodes\": %d, \"nodes_per_s\": %.1f, \
-         \"objective\": %s, \"proved_optimal\": %b, \"makespan\": %d}, \
-         \"revised\": {\"seconds\": %.4f, \"nodes\": %d, \"nodes_per_s\": \
-         %.1f, \"objective\": %s, \"proved_optimal\": %b, \"makespan\": \
-         %d}, \"nodes_per_s_speedup\": %s, \"objectives_agree\": %b, \
-         \"never_worse\": %b}%s\n"
-        tasks vars rows tab.me_seconds tab.me_nodes (per_s tab)
-        (jf "%.4f" tab.me_objective) tab.me_proved tab.me_makespan
-        rev.me_seconds rev.me_nodes (per_s rev)
-        (jf "%.4f" rev.me_objective) rev.me_proved rev.me_makespan
-        (if tab.me_nodes = 0 then "null"
-         else jf "%.3f" (per_s rev /. Float.max (per_s tab) 1e-9))
-        (objectives_agree tab rev) (never_worse tab rev)
-        (if i = List.length bnb - 1 then "" else ","))
-    bnb;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf
-    "  \"bnb_totals\": {\"nodes_per_s_tableau\": %.1f, \
-     \"nodes_per_s_revised\": %.1f, \"nodes_per_s_speedup\": %.3f},\n"
-    nps_tab nps_rev nps_speedup;
-  Printf.bprintf buf
-    "  \"parallel\": {\"jobs\": %d, \"tasks\": %d, \"jobs1\": {\"seconds\": \
-     %.4f, \"nodes\": %d, \"makespan\": %d}, \"jobsN\": {\"seconds\": %.4f, \
-     \"nodes\": %d, \"makespan\": %d}, \"objectives_agree\": %b},\n"
-    par_jobs par_tasks j1.me_seconds j1.me_nodes j1.me_makespan jn.me_seconds
-    jn.me_nodes jn.me_makespan (objectives_agree j1 jn);
-  Printf.bprintf buf "  \"engines_agree\": %b,\n" engines_agree;
-  Printf.bprintf buf "  \"never_worse\": %b\n" makespan_ok;
-  Buffer.add_string buf "}\n";
-  Run_store.write_section ~section:"milp" (Buffer.contents buf)
+  let engine_json r =
+    Json.Obj
+      [
+        ("seconds", Json.float r.me_seconds);
+        ("nodes", Json.Int r.me_nodes);
+        ("nodes_per_s", Json.float (per_s r));
+        ("objective", Json.float r.me_objective);
+        ("proved_optimal", Json.Bool r.me_proved);
+        ("makespan", Json.Int r.me_makespan);
+      ]
+  in
+  let run_json r =
+    Json.Obj
+      [
+        ("seconds", Json.float r.me_seconds);
+        ("nodes", Json.Int r.me_nodes);
+        ("makespan", Json.Int r.me_makespan);
+      ]
+  in
+  Run_store.write_section_json ~section:"milp"
+    (Json.Obj
+       [
+         ("section", Json.String "milp");
+         ("seed", Json.Int p.seed);
+         ("node_budget", Json.Int node_budget);
+         ( "lp_kernel",
+           Json.Obj
+             [
+               ("models", Json.Int nmodels);
+               ("repeats", Json.Int p.milp_lp_repeats);
+               ("seconds_tableau", Json.float s_tab);
+               ("seconds_revised", Json.float s_rev);
+               ("speedup", Json.float lp_speedup);
+               ("all_agree", Json.Bool lp_agree);
+             ] );
+         ( "bnb",
+           Json.List
+             (List.map
+                (fun (tasks, vars, rows, tab, rev) ->
+                  Json.Obj
+                    [
+                      ("tasks", Json.Int tasks);
+                      ("vars", Json.Int vars);
+                      ("rows", Json.Int rows);
+                      ("tableau", engine_json tab);
+                      ("revised", engine_json rev);
+                      ( "nodes_per_s_speedup",
+                        if tab.me_nodes = 0 then Json.Null
+                        else
+                          Json.float (per_s rev /. Float.max (per_s tab) 1e-9)
+                      );
+                      ( "objectives_agree",
+                        Json.Bool (objectives_agree tab rev) );
+                      ("never_worse", Json.Bool (never_worse tab rev));
+                    ])
+                bnb) );
+         ( "bnb_totals",
+           Json.Obj
+             [
+               ("nodes_per_s_tableau", Json.float nps_tab);
+               ("nodes_per_s_revised", Json.float nps_rev);
+               ("nodes_per_s_speedup", Json.float nps_speedup);
+             ] );
+         ( "parallel",
+           Json.Obj
+             [
+               ("jobs", Json.Int par_jobs);
+               ("tasks", Json.Int par_tasks);
+               ("jobs1", run_json j1);
+               ("jobsN", run_json jn);
+               ("objectives_agree", Json.Bool (objectives_agree j1 jn));
+             ] );
+         ("engines_agree", Json.Bool engines_agree);
+         ("never_worse", Json.Bool makespan_ok);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
 
-let ablation_ordering () =
+let ablation_ordering (p : Profile.t) =
   print_endline "";
   print_endline
     "== Ablation: non-critical task ordering in regions definition ==";
@@ -2834,7 +1851,9 @@ let ablation_ordering () =
   in
   List.iter
     (fun tasks ->
-      let insts = Suite.group ~seed ~tasks ~count:graphs_per_group () in
+      let insts =
+        Suite.group ~seed:p.seed ~tasks ~count:p.graphs_per_group ()
+      in
       let mean_for ordering =
         let ms =
           List.map
@@ -2854,16 +1873,18 @@ let ablation_ordering () =
           Table.cell_f ~decimals:0 (mean_for Regions_define.By_cost);
           Table.cell_f ~decimals:0 (mean_for Regions_define.Topological);
           Table.cell_f ~decimals:0
-            (mean_for (Regions_define.Random (Rng.create seed)));
+            (mean_for (Regions_define.Random (Rng.create p.seed)));
         ])
     [ 30; 60 ];
   Table.print t
 
-let ablation_module_reuse () =
+let ablation_module_reuse (p : Profile.t) =
   print_endline "";
   print_endline "== Ablation: module reuse (paper future work) ==";
   let t = Table.create [ "algorithm"; "reuse off"; "reuse on"; "delta" ] in
-  let insts = Suite.group ~seed ~tasks:40 ~count:graphs_per_group () in
+  let insts =
+    Suite.group ~seed:p.seed ~tasks:40 ~count:p.graphs_per_group ()
+  in
   let mean ms = Stats.mean (Array.of_list ms) in
   let pa_off =
     mean
@@ -2885,7 +1906,7 @@ let ablation_module_reuse () =
          (fun i ->
            let config =
              { (Isk.config ~k:5) with
-               Isk.chunk_node_limit = isk_node_cap;
+               Isk.chunk_node_limit = p.isk_node_cap;
                Isk.module_reuse = reuse }
            in
            float_of_int (Schedule.makespan (fst (Isk.run ~config i))))
@@ -2905,7 +1926,7 @@ let ablation_module_reuse () =
   row "IS-5 (40 tasks)" is5_off is5_on;
   Table.print t
 
-let ablation_floorplan_engines () =
+let ablation_floorplan_engines (p : Profile.t) =
   print_endline "";
   print_endline
     "== Ablation: floorplan engines (random region sets on minifab, where \
@@ -2914,7 +1935,7 @@ let ablation_floorplan_engines () =
     Table.create
       [ "engine"; "feasible"; "infeasible"; "unknown"; "avg time [ms]" ]
   in
-  let rng = Rng.create (seed lxor 0xF100) in
+  let rng = Rng.create (p.seed lxor 0xF100) in
   let needs_sets =
     List.init 24 (fun _ ->
         let count = 1 + Rng.int rng 4 in
@@ -2970,7 +1991,7 @@ let ablation_floorplan_engines () =
   Table.print t;
   Printf.printf "  decided-verdict agreement: %d/%d\n" !agreement !comparable
 
-let related_work_ilp_viability () =
+let related_work_ilp_viability (p : Profile.t) =
   print_endline "";
   print_endline
     "== Related work: monolithic ILP [8] viability (time limit 5s/size) ==";
@@ -2986,7 +2007,7 @@ let related_work_ilp_viability () =
     (fun tasks ->
       let inst =
         Suite.instance ~params:ilp_tiny_params ~arch:Arch.mini
-          (Rng.create (seed + tasks)) ~tasks
+          (Rng.create (p.seed + tasks)) ~tasks
       in
       let vars, rows = Resched_baseline.Ilp_exact.model_size inst in
       let (ilp, ilp_s) =
@@ -3025,11 +2046,13 @@ let related_work_ilp_viability () =
     [ 2; 3; 4; 5; 6 ];
   Table.print t
 
-let ablation_robustness () =
+let ablation_robustness (p : Profile.t) =
   print_endline "";
   print_endline
     "== Ablation: schedule robustness under runtime jitter (resched_sim) ==";
-  let insts = Suite.group ~seed ~tasks:30 ~count:graphs_per_group () in
+  let insts =
+    Suite.group ~seed:p.seed ~tasks:30 ~count:p.graphs_per_group ()
+  in
   let t =
     Table.create
       [ "scheduler"; "mean slowdown (±20%)"; "mean slowdown (+40% delays)" ]
@@ -3040,7 +2063,8 @@ let ablation_robustness () =
         let pa, _ = Pa.run inst in
         let is5, _ =
           Isk.run
-            ~config:{ (Isk.config ~k:5) with Isk.chunk_node_limit = isk_node_cap }
+            ~config:
+              { (Isk.config ~k:5) with Isk.chunk_node_limit = p.isk_node_cap }
             inst
         in
         let heft = List_sched.run inst in
@@ -3054,7 +2078,7 @@ let ablation_robustness () =
           List.map
             (fun per_inst ->
               let sched = List.assoc name per_inst in
-              let rng = Rng.create (seed lxor 0x51) in
+              let rng = Rng.create (p.seed lxor 0x51) in
               (Resched_sim.Executor.robustness ~rng ~trials:60 ~jitter sched)
                 .Resched_sim.Executor.mean_slowdown)
             schedules
@@ -3073,12 +2097,13 @@ let ablation_robustness () =
 (* ------------------------------------------------------------------ *)
 (* Fault campaign: survival and degradation per recovery policy        *)
 
-let fault_campaign () =
+let fault_campaign (p : Profile.t) =
   print_endline "";
+  let jobs = (jobs_plan p).Domain_pool.effective in
   Printf.printf
     "== Fault campaign: recovery policies under the default fault plan \
      (%d trials per schedule, jobs=%d) ==\n"
-    fault_trials par_jobs;
+    p.fault_trials jobs;
   let policies = [ Repair.Retry; Repair.Sw_fallback; Repair.Resched_tail ] in
   let t =
     Table.create
@@ -3088,15 +2113,15 @@ let fault_campaign () =
   let rows =
     List.concat_map
       (fun tasks ->
-        match Suite.group ~seed ~tasks ~count:1 () with
+        match Suite.group ~seed:p.seed ~tasks ~count:1 () with
         | [ inst ] ->
           let sched, _ = Pa.run inst in
           must_validate "PA(faults)" sched;
           List.map
             (fun policy ->
               let s =
-                Campaign.run ~jobs:par_jobs ~trials:fault_trials
-                  ~seed:(seed + (17 * tasks)) ~policy sched
+                Campaign.run ~jobs ~trials:p.fault_trials
+                  ~seed:(p.seed + (17 * tasks)) ~policy sched
               in
               let count k =
                 Option.value ~default:0 (List.assoc_opt k s.Campaign.actions)
@@ -3133,74 +2158,51 @@ let fault_campaign () =
     "  SW-capable policies recovered every trial: %b; every repaired \
      schedule validated: %b\n"
     sw_full_recovery all_valid;
-  write_csv "faults.csv"
-    ([ "tasks"; "policy"; "trials"; "survived"; "survival_rate";
-       "mean_degradation"; "p95_degradation"; "worst_degradation";
-       "faults_fired"; "faults_moot"; "retries"; "migrations"; "retimes";
-       "all_valid" ]
-    :: List.map
-         (fun (tasks, (s : Campaign.summary)) ->
-           let count k =
-             Option.value ~default:0 (List.assoc_opt k s.Campaign.actions)
-           in
-           [
-             string_of_int tasks;
-             Repair.policy_name s.Campaign.policy;
-             string_of_int s.Campaign.trials;
-             string_of_int s.Campaign.survived;
-             Printf.sprintf "%.4f" s.Campaign.survival_rate;
-             Printf.sprintf "%.4f" s.Campaign.mean_degradation;
-             Printf.sprintf "%.4f" s.Campaign.p95_degradation;
-             Printf.sprintf "%.4f" s.Campaign.worst_degradation;
-             string_of_int s.Campaign.faults_fired;
-             string_of_int s.Campaign.faults_moot;
-             string_of_int (count "retry");
-             string_of_int (count "migrate");
-             string_of_int (count "retime");
-             string_of_bool s.Campaign.all_valid;
-           ])
-         rows);
-  (* Machine-readable record; CI's fault-campaign guard reads this. *)
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"seed\": %d,\n" seed;
-  bprint_provenance buf;
-  Printf.bprintf buf "  \"trials\": %d,\n" fault_trials;
-  Printf.bprintf buf "  \"jobs\": %d,\n" par_jobs;
-  Buffer.add_string buf "  \"campaigns\": [\n";
-  List.iteri
-    (fun i (tasks, (s : Campaign.summary)) ->
-      Printf.bprintf buf
-        "    {\"tasks\": %d, \"policy\": \"%s\", \"trials\": %d, \
-         \"survived\": %d, \"survival_rate\": %.4f, \"mean_degradation\": \
-         %.4f, \"p95_degradation\": %.4f, \"worst_degradation\": %.4f, \
-         \"faults_fired\": %d, \"faults_moot\": %d, \"actions\": {%s}, \
-         \"all_valid\": %b}%s\n"
-        tasks
-        (Repair.policy_name s.Campaign.policy)
-        s.Campaign.trials s.Campaign.survived s.Campaign.survival_rate
-        s.Campaign.mean_degradation s.Campaign.p95_degradation
-        s.Campaign.worst_degradation s.Campaign.faults_fired
-        s.Campaign.faults_moot
-        (String.concat ", "
-           (List.map
-              (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v)
-              s.Campaign.actions))
-        s.Campaign.all_valid
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf "  \"sw_policies_full_recovery\": %b,\n" sw_full_recovery;
-  Printf.bprintf buf "  \"all_valid\": %b\n" all_valid;
-  Buffer.add_string buf "}\n";
-  Run_store.write_section ~section:"faults" (Buffer.contents buf)
+  Run_store.write_section_json ~section:"faults"
+    (Json.Obj
+       [
+         ("section", Json.String "faults");
+         ("seed", Json.Int p.seed);
+         ("trials", Json.Int p.fault_trials);
+         ("jobs", Json.Int jobs);
+         ( "campaigns",
+           Json.List
+             (List.map
+                (fun (tasks, (s : Campaign.summary)) ->
+                  Json.Obj
+                    [
+                      ("tasks", Json.Int tasks);
+                      ( "policy",
+                        Json.String (Repair.policy_name s.Campaign.policy) );
+                      ("trials", Json.Int s.Campaign.trials);
+                      ("survived", Json.Int s.Campaign.survived);
+                      ("survival_rate", Json.float s.Campaign.survival_rate);
+                      ( "mean_degradation",
+                        Json.float s.Campaign.mean_degradation );
+                      ( "p95_degradation",
+                        Json.float s.Campaign.p95_degradation );
+                      ( "worst_degradation",
+                        Json.float s.Campaign.worst_degradation );
+                      ("faults_fired", Json.Int s.Campaign.faults_fired);
+                      ("faults_moot", Json.Int s.Campaign.faults_moot);
+                      ( "actions",
+                        Json.Obj
+                          (List.map
+                             (fun (k, v) -> (k, Json.Int v))
+                             s.Campaign.actions) );
+                      ("all_valid", Json.Bool s.Campaign.all_valid);
+                    ])
+                rows) );
+         ("sw_policies_full_recovery", Json.Bool sw_full_recovery);
+         ("all_valid", Json.Bool all_valid);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks (one kernel per table/figure)             *)
 
-let bechamel_suite () =
+let bechamel_suite (p : Profile.t) =
   let open Bechamel in
-  let rng = Rng.create seed in
+  let rng = Rng.create p.seed in
   let inst30 = Suite.instance rng ~tasks:30 in
   let inst100 = Suite.instance rng ~tasks:100 in
   let pa_needs =
@@ -3305,19 +2307,19 @@ let bechamel_suite () =
 (* Section registry and driver                                         *)
 
 (* Table 1, Figs. 2-6: the paper's headline evaluation. *)
-let section_paper () =
+let section_paper (p : Profile.t) =
   Printf.printf
     "resched benchmark harness: seed=%d, %d graphs/group, groups=[%s],\n\
      IS-k node cap=%d, PA-R budget cap=%.1fs\n%!"
-    seed graphs_per_group
-    (String.concat "," (List.map string_of_int groups))
-    isk_node_cap par_budget_cap;
+    p.seed p.graphs_per_group
+    (String.concat "," (List.map string_of_int p.groups))
+    p.isk_node_cap p.par_budget_cap_s;
   let all =
     List.map
       (fun tasks ->
         Printf.printf "running group %d...\n%!" tasks;
-        (tasks, collect_group tasks))
-      groups
+        (tasks, collect_group p tasks))
+      p.groups
   in
   print_table1 all;
   print_fig2 all;
@@ -3347,29 +2349,26 @@ let section_paper () =
       ~value:(fun r -> r.par_makespan)
       all
   in
-  print_fig6 ();
+  print_fig6 p;
   Printf.printf
     "\nsummary: PA-vs-IS1 %+.1f%%, PA-vs-IS5 %+.1f%%, PAR-vs-IS5 %+.1f%%\n"
     fig3 fig4 fig5
 
-let section_ablations () =
-  ablation_ordering ();
-  ablation_module_reuse ();
-  ablation_floorplan_engines ();
-  ablation_robustness ()
+let section_ablations p =
+  ablation_ordering p;
+  ablation_module_reuse p;
+  ablation_floorplan_engines p;
+  ablation_robustness p
 
 (* Every runnable section, in default execution order. "bechamel" only
-   runs when selected explicitly or RESCHED_BECHAMEL=1 (it is slow and
-   its output is not consumed by ab/check). *)
+   runs when selected by name (it is slow and its output is not
+   consumed by ab/check). *)
 let all_sections =
   [
     ("paper", section_paper);
     ("parallel", parallel_comparison);
     ("iteration", iteration_comparison);
     ("moves", moves_comparison);
-    ("batch", batch_comparison);
-    ("serve", serve_comparison);
-    ("serve_concurrency", serve_concurrency);
     ("floorplan", floorplan_oracle_comparison);
     ("milp", milp_comparison);
     ("ablations", section_ablations);
@@ -3380,23 +2379,20 @@ let all_sections =
 
 let section_names = List.map fst all_sections
 
-let default_sections =
-  List.filter
-    (fun n -> n <> "bechamel" || env_set "RESCHED_BECHAMEL")
-    section_names
+let default_sections = List.filter (fun n -> n <> "bechamel") section_names
 
-let run_sections names =
+let run_sections p names =
   List.iter
     (fun n ->
       match List.assoc_opt n all_sections with
       | Some f ->
         (* S1: GC counters per section into the run manifest. Counters
            are per-domain, so this sees the orchestrating domain only —
-           the worker-side allocation rates live in the iteration/batch
-           section logs. *)
+           the worker-side allocation rates live in the iteration
+           section's log. *)
         let before = Gc.quick_stat () in
         let t0 = Unix.gettimeofday () in
-        f ();
+        f p;
         let elapsed_s = Unix.gettimeofday () -. t0 in
         Run_store.record_section_gc ~section:n ~elapsed_s before
           (Gc.quick_stat ())

@@ -26,14 +26,11 @@ let run ~jobs f =
 
 type plan = { requested : int; effective : int; cores : int }
 
-let plan_jobs ?(allow_oversubscribe = false) ~requested () =
+let plan_jobs ~requested () =
   if requested < 1 then
     invalid_arg "Domain_pool.plan_jobs: requested must be >= 1";
   let cores = available_cores () in
-  let effective =
-    if allow_oversubscribe then requested else Stdlib.min requested cores
-  in
-  { requested; effective = Stdlib.max 1 effective; cores }
+  { requested; effective = Stdlib.max 1 (Stdlib.min requested cores); cores }
 
 let downgraded p = p.effective < p.requested
 
@@ -53,25 +50,6 @@ let warn_downgrade ?(out = stderr) ~label p =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Worker-to-core pinning (Linux sched_setaffinity; no-op elsewhere)   *)
-
-external pin_to_core_stub : int -> bool = "resched_pin_to_core"
-external pin_available_stub : unit -> bool = "resched_pin_available"
-
-let pin_available () = pin_available_stub ()
-
-(* Pin the calling domain's thread to core [core mod available cores];
-   [false] if unsupported or refused by the OS. *)
-let pin_to_core core =
-  if core < 0 then invalid_arg "Domain_pool.pin_to_core: negative core";
-  pin_to_core_stub core
-
-let env_pin_default () =
-  match Sys.getenv_opt "RESCHED_PIN" with
-  | Some ("1" | "true" | "yes") -> pin_available ()
-  | _ -> false
-
-(* ------------------------------------------------------------------ *)
 (* Persistent pool                                                     *)
 
 module Pool = struct
@@ -87,13 +65,10 @@ module Pool = struct
     mutable pending : int;  (* resident workers still on the current task *)
     mutable busy : bool;  (* a map is in flight (reentrancy guard) *)
     mutable shut : bool;
-    mutable caller_pinned : bool;
-    pin : bool;
     mutable domains : unit Domain.t array;
   }
 
   let worker_loop t i =
-    if t.pin then ignore (pin_to_core i);
     let rec wait_for_work seen_gen =
       Mutex.lock t.lock;
       while
@@ -125,11 +100,8 @@ module Pool = struct
     in
     wait_for_work 0
 
-  let create ?pin ~jobs () =
+  let create ~jobs () =
     if jobs < 1 then invalid_arg "Domain_pool.Pool.create: jobs must be >= 1";
-    let pin =
-      match pin with Some p -> p && pin_available () | None -> env_pin_default ()
-    in
     let t =
       {
         p_jobs = jobs;
@@ -141,8 +113,6 @@ module Pool = struct
         pending = 0;
         busy = false;
         shut = false;
-        caller_pinned = false;
-        pin;
         domains = [||];
       }
     in
@@ -158,10 +128,6 @@ module Pool = struct
         if t.shut then invalid_arg "Domain_pool.Pool.map: pool is shut down";
         if t.busy then invalid_arg "Domain_pool.Pool.map: pool is busy";
         t.busy <- true);
-    if t.pin && not t.caller_pinned then begin
-      ignore (pin_to_core 0);
-      t.caller_pinned <- true
-    end;
     let results = Array.make t.p_jobs None in
     let task i = results.(i) <- Some (try Ok (f i) with e -> Error e) in
     if t.p_jobs > 1 then

@@ -35,13 +35,10 @@ type plan = {
   cores : int;  (** {!available_cores} at planning time *)
 }
 
-val plan_jobs : ?allow_oversubscribe:bool -> requested:int -> unit -> plan
+val plan_jobs : requested:int -> unit -> plan
 (** Clamp [requested] to [[1 .. available_cores]] — domains beyond the
     core count don't just timeshare under OCaml 5, they stall each other
-    on minor-GC stop-the-world rendezvous. [~allow_oversubscribe:true]
-    keeps [effective = requested] anyway (for deliberately exercising the
-    multi-domain path on small machines); the plan still records the true
-    core count so downstream metadata stays honest. *)
+    on minor-GC stop-the-world rendezvous. *)
 
 val downgraded : plan -> bool
 (** [effective < requested]. *)
@@ -53,16 +50,6 @@ val warn_downgrade : ?out:out_channel -> label:string -> plan -> unit
 
 (* ------------------------------------------------------------------ *)
 
-val pin_available : unit -> bool
-(** Whether worker-to-core pinning is supported on this platform
-    (Linux [sched_setaffinity]). *)
-
-val env_pin_default : unit -> bool
-(** The default pinning policy: [true] iff the [RESCHED_PIN] environment
-    variable is 1/true/yes and pinning is available. *)
-
-(* ------------------------------------------------------------------ *)
-
 (** Persistent worker pool: [jobs - 1] resident domains plus the caller
     (which always executes job index 0, preserving {!run}'s property
     that worker 0's work happens on the calling domain — sequential
@@ -70,13 +57,8 @@ val env_pin_default : unit -> bool
 module Pool : sig
   type t
 
-  val create : ?pin:bool -> jobs:int -> unit -> t
-  (** [jobs >= 1] resident workers. With [~pin:true] (default: set when
-      the [RESCHED_PIN] environment variable is 1/true/yes and pinning is
-      available), worker [i] pins itself to core [i mod cores] at
-      startup; the caller's domain is pinned to core 0 on its first
-      {!map}. Pinning failures are silently ignored (the pool still
-      works, just unpinned). *)
+  val create : jobs:int -> unit -> t
+  (** [jobs >= 1] resident workers. *)
 
   val jobs : t -> int
 

@@ -448,6 +448,24 @@ let test_deadline_cancels_midrun () =
     true
     (c.Protocol.c_latency_s < 1.0 +. 0.1)
 
+(* The latency a completion reports, which its deadline is judged
+   against, runs from the request's submission to its completion on the
+   server's clock, however late in the clock's life the request came. *)
+let test_latency_from_submission () =
+  let inst = instance 18 ~tasks:8 in
+  let sim =
+    make_sim (Server.config ~capacity:4 ~default_min_iterations:4 ())
+  in
+  sim.clock := 100.;
+  submit_inst sim ~id:"late" inst (params ~seed:5 ~deadline_ms:60_000 ());
+  sim.clock := 100.25;
+  drain_sim sim;
+  let c = completion sim "late" in
+  Alcotest.(check (float 1e-9)) "latency = completion - submission" 0.25
+    c.Protocol.c_latency_s;
+  Alcotest.(check bool) "well inside its deadline" false
+    c.Protocol.c_deadline_hit
+
 (* ------------------------------------------------------------------ *)
 (* Retries and crash containment                                       *)
 
@@ -1014,6 +1032,8 @@ let () =
             test_deadline_sheds_queued;
           Alcotest.test_case "mid-run cancellation" `Quick
             test_deadline_cancels_midrun;
+          Alcotest.test_case "latency counts from submission" `Quick
+            test_latency_from_submission;
         ] );
       ( "failures",
         [

@@ -152,13 +152,6 @@ let test_plan_jobs () =
   Alcotest.(check int) "request recorded" (cores + 8) p.Domain_pool.requested;
   Alcotest.(check bool) "clamping is a downgrade" true
     (Domain_pool.downgraded p);
-  let q =
-    Domain_pool.plan_jobs ~allow_oversubscribe:true ~requested:(cores + 8) ()
-  in
-  Alcotest.(check int) "oversubscription keeps the request" (cores + 8)
-    q.Domain_pool.effective;
-  Alcotest.(check bool) "oversubscribed plan is not downgraded" false
-    (Domain_pool.downgraded q);
   Alcotest.(check bool) "jobs=1 never downgrades" false
     (Domain_pool.downgraded (Domain_pool.plan_jobs ~requested:1 ()))
 
