@@ -186,25 +186,36 @@ type candidate = {
   cd_resource_scale : float;
 }
 
+(* Steps 6 and 7 keep every duration and only add processor-order
+   edges, reconfiguration nodes and controller edges, all of
+   non-negative length, to the graph whose longest path the windows hold
+   after step 4. From there on the windows' makespan only rises, so a
+   restart whose makespan reaches [bound] there or during step 6 cannot
+   end below it. Step 4 can still lower the makespan, so no earlier
+   check is sound (DESIGN.md, "Incumbent bound"). *)
 let schedule_candidate ?(config = default_config) ?(resource_scale = 1.0)
-    ~ctx inst =
+    ~bound ~ctx inst =
   if not (inst == ctx.Context.c_inst) then
     invalid_arg "Pa.schedule_candidate: context belongs to another instance";
   let state = Context.state ctx ~resource_scale in
   Regions_define.run ~module_reuse:config.module_reuse
     ~ordering:config.ordering state;
   Sw_balance.run state;
-  Sw_map.run state;
-  let plan =
-    Reconf_sched.run_hot ~module_reuse:config.module_reuse
-      ctx.Context.c_arena state
-  in
-  {
-    cd_state = state;
-    cd_plan = plan;
-    cd_module_reuse = config.module_reuse;
-    cd_resource_scale = resource_scale;
-  }
+  if State.makespan state >= bound || not (Sw_map.run state ~bound) then None
+  else
+    let plan =
+      Reconf_sched.run_hot ~module_reuse:config.module_reuse
+        ctx.Context.c_arena state
+    in
+    if plan.Reconf_sched.p_times.Timing.makespan >= bound then None
+    else
+      Some
+        {
+          cd_state = state;
+          cd_plan = plan;
+          cd_module_reuse = config.module_reuse;
+          cd_resource_scale = resource_scale;
+        }
 
 let candidate_makespan c =
   c.cd_plan.Reconf_sched.p_times.Timing.makespan
@@ -227,14 +238,16 @@ let materialize c =
 
 let schedule_once ?config ?resource_scale ?ctx inst =
   let ctx = match ctx with Some c -> c | None -> Context.create inst in
-  materialize (schedule_candidate ?config ?resource_scale ~ctx inst)
+  match schedule_candidate ?config ?resource_scale ~bound:max_int ~ctx inst with
+  | Some c -> materialize c
+  | None -> assert false (* no makespan reaches max_int *)
 
 let all_software_schedule inst =
   let impl_of =
     Array.init (Instance.size inst) (fun u -> Instance.fastest_sw inst u)
   in
   let state = State.create inst ~impl_of () in
-  Sw_map.run state;
+  ignore (Sw_map.run state ~bound:max_int : bool);
   let sched =
     materialize
       {

@@ -55,12 +55,22 @@ type candidate
     {!materialize} copies it into an owning schedule. *)
 
 val schedule_candidate : ?config:config -> ?resource_scale:float ->
-  ctx:Context.t -> Resched_platform.Instance.t -> candidate
+  bound:int -> ctx:Context.t -> Resched_platform.Instance.t ->
+  candidate option
 (** Steps 1-7 over the context's arena — the struct-of-arrays restart
-    kernel. The restart loop inspects {!candidate_makespan} (and
-    {!candidate_needs} for the floorplan check) and only pays
-    {!materialize} for improving iterations. [inst] must be the
-    instance the context was created for (checked by identity). *)
+    kernel — stopped as soon as the restart cannot end below [bound]
+    (the restart loop's incumbent makespan). [Some c] means exactly that
+    [c]'s makespan is below [bound]: it is the candidate an unbounded
+    run ([bound = max_int]) returns. [None] means the unbounded
+    candidate's makespan is at or above [bound]. Steps 6 and 7 only add
+    non-negative paths to the graph step 4 leaves, so the windows'
+    makespan is a lower bound from step 4 on: the restart stops when it
+    reaches [bound] after {!Sw_balance.run}, after any software task of
+    {!Sw_map.run}, or when the finished plan's makespan does. The
+    restart loop inspects {!candidate_makespan} (and {!candidate_needs}
+    for the floorplan check) and only pays {!materialize} for improving
+    iterations. [inst] must be the instance the context was created for
+    (checked by identity). *)
 
 val candidate_makespan : candidate -> int
 (** O(1); equals [(materialize c).makespan]. *)
@@ -84,7 +94,8 @@ val build_schedule : module_reuse:bool -> resource_scale:float -> State.t ->
 
 val schedule_once : ?config:config -> ?resource_scale:float ->
   ?ctx:Context.t -> Resched_platform.Instance.t -> Schedule.t
-(** Steps 1-7 only (no floorplan check); [resource_scale] (default 1.0)
+(** Steps 1-7 only (no floorplan check), {!schedule_candidate} with
+    [bound = max_int] materialized; [resource_scale] (default 1.0)
     virtually scales the FPGA resources. The result's [floorplan] is
     [None]. [ctx] reuses a restart arena's memoized invariants and
     recycled state (the returned schedule never aliases the arena, so

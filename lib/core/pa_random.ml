@@ -179,29 +179,36 @@ module Course = struct
     let scale = c.crs_lattice.(c.crs_shrink_exp) in
     let device = c.crs_inst.Instance.arch.Arch.device in
     let shared = c.crs_shared in
-    let cand =
-      Pa.schedule_candidate ~config ~resource_scale:scale ~ctx c.crs_inst
-    in
-    let ms = Pa.candidate_makespan cand in
-    if ms < Atomic.get shared.best_makespan then
-      match
-        check_feasible ~cache:c.crs_cache device (Pa.candidate_needs cand)
-      with
-      | None ->
-        c.crs_shrink_exp <- Stdlib.min max_shrink_exp (c.crs_shrink_exp + 1)
-      | Some placements ->
-        c.crs_shrink_exp <- Stdlib.max 0 (c.crs_shrink_exp - 1);
-        if claim shared ms then begin
-          publish shared
-            { (Pa.materialize cand) with Schedule.floorplan = Some placements };
-          c.crs_trace <-
-            {
-              elapsed = now -. c.crs_start;
-              iteration = c.crs_iterations;
-              makespan = ms;
-            }
-            :: c.crs_trace
-        end
+    (* The restart stops once it cannot beat the incumbent it started
+       against. The shared best only falls, so a stopped restart is one
+       the test below would have discarded; that test re-reads the best,
+       which another worker may have lowered in the meantime. *)
+    match
+      Pa.schedule_candidate ~config ~resource_scale:scale
+        ~bound:(Atomic.get shared.best_makespan) ~ctx c.crs_inst
+    with
+    | None -> ()
+    | Some cand ->
+      let ms = Pa.candidate_makespan cand in
+      if ms < Atomic.get shared.best_makespan then
+        match
+          check_feasible ~cache:c.crs_cache device (Pa.candidate_needs cand)
+        with
+        | None ->
+          c.crs_shrink_exp <- Stdlib.min max_shrink_exp (c.crs_shrink_exp + 1)
+        | Some placements ->
+          c.crs_shrink_exp <- Stdlib.max 0 (c.crs_shrink_exp - 1);
+          if claim shared ms then begin
+            publish shared
+              { (Pa.materialize cand) with Schedule.floorplan = Some placements };
+            c.crs_trace <-
+              {
+                elapsed = now -. c.crs_start;
+                iteration = c.crs_iterations;
+                makespan = ms;
+              }
+              :: c.crs_trace
+          end
 
   let run_slice c ~max_iterations =
     (* Cooperative cancellation: polled once per slice, never inside the

@@ -111,7 +111,12 @@ val run : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
 
     Each iteration runs steps 3-7 over the domain's {!Pa.Context}
     restart arena ({!Pa.schedule_candidate}) and materializes a
-    {!Schedule.t} only for claimed improvements. *)
+    {!Schedule.t} only for claimed improvements. The incumbent makespan
+    is the kernel's [bound]: a restart that cannot beat it stops after
+    step 4 or inside step 6, or skips the floorplan check once step 7
+    is done. Such a restart is one the loop would discard anyway, and it
+    still counts as an iteration and still draws its random order, so
+    the outcome is what running every restart to the end gives. *)
 
 val run_parallel : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
   ?jobs:int -> ?pool:Resched_util.Domain_pool.Pool.t ->
@@ -121,7 +126,10 @@ val run_parallel : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
     {!Resched_util.Domain_pool.available_cores}) sharing one atomic
     incumbent makespan — a worker floorplans a candidate only if it beats
     the best found by {e any} worker — and one [cache] (the caller's, or
-    one private cache for all workers).
+    one private cache for all workers). Each restart is bounded by the
+    shared best it starts against; the best only falls, so a restart
+    that stops is one the later test against the current best would
+    discard.
 
     With [pool], the fan-out reuses that persistent pool's resident
     domains instead of spawning fresh ones per call — across a batch of

@@ -128,10 +128,12 @@ let rec longest_tail tail dur acc = function
    non-negative durations are unique, so the fixpoint is the from-scratch
    CPM's, whatever order the heaps pop in. The min-heaps on the stored
    values only make that order near-topological, so most tasks settle on
-   their first pop. *)
-let propagate t =
+   their first pop. Starts and the makespan never read a tail, so the
+   forward half settles alone; the queued tails wait in [bwd], keyed on
+   values nothing rewrites until they are popped. *)
+let settle_starts t =
   let q = t.work and w = t.win and dep = t.dep in
-  let t_min = w.w_t_min and tail = w.w_tail and dur = w.w_dur in
+  let t_min = w.w_t_min and dur = w.w_dur in
   while not (Min_heap.is_empty q.fwd) do
     let x = Min_heap.pop q.fwd ~key:t_min in
     let now = latest_finish t_min dur 0 (Graph.preds_rev dep x) in
@@ -140,14 +142,6 @@ let propagate t =
       t_min.(x) <- now;
       note_finish q w ~old:(old + dur.(x)) ~now:(now + dur.(x));
       queue_all q.fwd ~key:t_min (Graph.succs_rev dep x)
-    end
-  done;
-  while not (Min_heap.is_empty q.bwd) do
-    let x = Min_heap.pop q.bwd ~key:tail in
-    let now = longest_tail tail dur 0 (Graph.succs_rev dep x) in
-    if now <> tail.(x) then begin
-      tail.(x) <- now;
-      queue_all q.bwd ~key:tail (Graph.preds_rev dep x)
     end
   done;
   if q.fell then begin
@@ -160,7 +154,21 @@ let propagate t =
   end
   else if q.hi > w.w_makespan then w.w_makespan <- q.hi;
   q.hi <- 0;
-  q.fell <- false
+  q.fell <- false;
+  w.w_makespan
+
+let propagate t =
+  ignore (settle_starts t : int);
+  let q = t.work and w = t.win and dep = t.dep in
+  let tail = w.w_tail and dur = w.w_dur in
+  while not (Min_heap.is_empty q.bwd) do
+    let x = Min_heap.pop q.bwd ~key:tail in
+    let now = longest_tail tail dur 0 (Graph.succs_rev dep x) in
+    if now <> tail.(x) then begin
+      tail.(x) <- now;
+      queue_all q.bwd ~key:tail (Graph.preds_rev dep x)
+    end
+  done
 
 let set_impl t ~task idx =
   let w = t.win in

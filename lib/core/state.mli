@@ -13,7 +13,9 @@
     the tasks whose value changes, and leaves every window equal to what
     a from-scratch {!Cpm.compute} of the current graph and durations
     returns. Windows read between a mutation and the next {!propagate}
-    are the ones of the last propagation.
+    are the ones of the last propagation. {!settle_starts} settles the
+    starts and the makespan alone and leaves the tails queued; step 6
+    reads nothing else, so it settles tails once, when it is done.
 
     Every state carries the scratch workspaces its pipeline steps borrow,
     so a step allocates nothing per call. A state can be recycled across
@@ -153,6 +155,16 @@ val propagate : t -> unit
     and update the makespan. Afterwards every window equals
     [Cpm.compute] on the current graph and durations. Allocates
     nothing. *)
+
+val settle_starts : t -> int
+(** The forward half of {!propagate}: settle every queued start and the
+    makespan, and return the makespan. Afterwards {!t_min} and
+    {!makespan} equal [Cpm.compute]'s on the current graph and
+    durations; the tails stay queued for the next {!propagate}, and
+    {!t_max} and {!critical} read the tails of the last one until then.
+    Adding edges never lowers the returned makespan, so while the
+    durations stay as they are it bounds every later one from below.
+    Allocates nothing. *)
 
 val set_windows : t -> Cpm.t -> unit
 (** Overwrite the windows with a CPM of the current graph and durations

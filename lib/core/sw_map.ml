@@ -24,7 +24,8 @@ let choose_processor state ~task on_processor =
    dependency path (either way) already orders the pair; otherwise an
    explicit edge is inserted following the current window order. The
    edges only queue their window changes, so every comparison reads the
-   windows the task's step started with; [run] propagates once per task.
+   windows the task's step started with; [run] settles the starts once
+   per task.
    This guarantees processor exclusiveness whatever delays appear later.
    [fwd] holds the descendants of [task] and [anc] its ancestors *in the
    current graph*, maintained incrementally as edges go in. An edge
@@ -49,7 +50,7 @@ let order_against state ~task ~fwd ~anc assigned =
       end)
     assigned
 
-let run state =
+let run state ~bound =
   let n = Instance.size state.State.inst in
   let processors =
     state.State.inst.Instance.arch.Resched_platform.Arch.processors
@@ -69,8 +70,13 @@ let run state =
   let count = !count in
   Resched_util.Sort.by_int_key sw ~base:0 ~len:count ~key:(State.t_min state);
   let fwd = State.sc_flags s and anc = State.sc_mark s in
-  for i = 0 to count - 1 do
-    let task = sw.(i) in
+  (* Only starts and durations steer the mapping, so each task settles
+     the starts alone; the tails its edges queue settle once, at the
+     end. The edges only raise the makespan the settle returns, so once
+     it reaches [bound] the mapping stops. *)
+  let i = ref 0 and below = ref true in
+  while !below && !i < count do
+    let task = sw.(!i) in
     let p = choose_processor state ~task on_processor in
     Array.fill fwd 0 n false;
     Array.fill anc 0 n false;
@@ -79,5 +85,8 @@ let run state =
     order_against state ~task ~fwd ~anc on_processor.(p);
     state.State.processor_of.(task) <- p;
     on_processor.(p) <- task :: on_processor.(p);
-    State.propagate state
-  done
+    below := State.settle_starts state < bound;
+    incr i
+  done;
+  if !below then State.propagate state;
+  !below

@@ -7,9 +7,16 @@
     typo, see DESIGN.md), and an ordering edge from the processor's last
     task propagates any delay through the task graph (eq. 9 / step 4). *)
 
-val run : State.t -> unit
-(** Mutates [processor_of], the dependency graph and the windows (one
-    propagation per task, after all its ordering edges). The
+val run : State.t -> bound:int -> bool
+(** Mutates [processor_of], the dependency graph and the windows. The
+    mapping reads only starts and durations, so after each task's
+    ordering edges it settles the starts alone ({!State.settle_starts});
+    the tails settle in one {!State.propagate} once every task is
+    mapped, and [run] returns [true] with every window current. The
+    edges only raise the makespan, so as soon as a settle returns a
+    makespan at or above [bound] the mapping stops and returns [false],
+    leaving the state part-mapped with its tails queued: the caller
+    drops it ({!State.reset}). [bound = max_int] maps every task. The
     already-ordered test for each (task, assigned) pair is answered from
     incrementally maintained descendant and ancestor marks, not from two
     reachability DFS per pair. *)

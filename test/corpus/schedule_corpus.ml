@@ -1,0 +1,91 @@
+(* Inputs and line format of the golden schedule digests
+   ([schedule_digests.txt]), shared by their generator and the replay
+   test.
+
+     <name> <makespan> <md5>
+
+   <name> names the instance (its shape, task count and index),
+   <makespan> is the best schedule's makespan and <md5> the hex MD5 of
+   its [Schedule_io.to_string]: the instance, every placement and time,
+   the reconfiguration sequence and the floorplan. An instance for which
+   PA-R found no floorplannable schedule reads [-1 none]. Lines starting
+   with '#' are comments.
+
+   The inputs, each at fixed work, all through one [Batch.run] at
+   jobs 2:
+   - [paper]: the seed-1 XC7Z020 paper suite ([Suite.full]), two graphs
+     per 10..100-task group, 100 restarts each;
+   - [saturated]: 10 saturated XC7Z010 graphs of 40..80 tasks (large
+     CLB demands, so the shrink lattice engages), 40 restarts each.
+
+   Batch outcomes equal each request's [Pa_random.run] at a zero budget
+   whatever the interleaving, so a replay must reproduce every line. *)
+
+module Rng = Resched_util.Rng
+module Arch = Resched_platform.Arch
+module Instance = Resched_platform.Instance
+module Suite = Resched_platform.Suite
+module Batch = Resched_core.Batch
+module Pa_random = Resched_core.Pa_random
+module Schedule = Resched_core.Schedule
+module Schedule_io = Resched_core.Schedule_io
+
+let seed = 1
+let inst_seed k = (seed * 1000) + k + 1
+
+let paper () =
+  List.concat_map
+    (fun (tasks, insts) ->
+      List.mapi
+        (fun i inst -> (Printf.sprintf "paper-%d-%d" tasks i, 100, inst))
+        insts)
+    (Suite.full ~graphs_per_group:2 ~seed ())
+
+let saturated () =
+  let rng = Rng.create seed in
+  let params =
+    { Suite.default_params with Suite.clb_min = 1000; clb_max = 2500 }
+  in
+  List.init 10 (fun k ->
+      let tasks = 40 + (10 * (k mod 5)) in
+      ( Printf.sprintf "saturated-%d-%d" tasks k,
+        40,
+        Suite.instance ~params ~arch:Arch.microzed rng ~tasks ))
+
+type entry = { name : string; makespan : int; md5 : string }
+
+let entry name (o : Pa_random.outcome) =
+  match o.Pa_random.schedule with
+  | None -> { name; makespan = -1; md5 = "none" }
+  | Some s ->
+    {
+      name;
+      makespan = s.Schedule.makespan;
+      md5 = Digest.to_hex (Digest.string (Schedule_io.to_string s));
+    }
+
+(* Every instance through one batch at jobs 2, in input order. *)
+let run () =
+  let inputs = Array.of_list (paper () @ saturated ()) in
+  let requests =
+    Array.mapi
+      (fun k (_, restarts, inst) ->
+        Batch.request ~seed:(inst_seed k) ~min_iterations:restarts inst)
+      inputs
+  in
+  let outcomes, _ = Batch.run ~jobs:2 requests in
+  Array.to_list
+    (Array.mapi (fun k (name, _, _) -> entry name outcomes.(k)) inputs)
+
+let to_line e = Printf.sprintf "%s %d %s" e.name e.makespan e.md5
+
+let of_line line =
+  match String.split_on_char ' ' line with
+  | [ name; makespan; md5 ] -> { name; makespan = int_of_string makespan; md5 }
+  | _ -> failwith ("Schedule_corpus.of_line: " ^ line)
+
+let load path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.map of_line

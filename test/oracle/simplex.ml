@@ -59,9 +59,12 @@ let pivot t ~row ~col =
 
 (* Bland's rule: entering = smallest column index with cost < -eps;
    leaving = min ratio, ties broken by smallest basis column. Bland's
-   rule cannot cycle, so the iteration cap is a pure safety backstop.
-   (Dantzig pricing was tried and performs worse here: the big-M
-   disjunctive models keep attracting it to near-degenerate columns.) *)
+   rule cannot cycle, but on degenerate big-M models it can stall for
+   many pivots, so the cap does bind: node LPs of the 5-task monolithic
+   ILP (415 rows) reach it, and the solve then returns [Limit] (an
+   unresolved node, not an infeasible one). (Dantzig pricing was tried
+   and performs worse here: the big-M disjunctive models keep
+   attracting it to near-degenerate columns.) *)
 let iterate ?(allowed = fun _ -> true) ?(deadline = infinity) t =
   let limit = 2000 + (64 * (t.m + t.ncols)) in
   let iter = ref 0 in

@@ -357,7 +357,7 @@ let test_reconf_sched_sequences_all () =
   let state = State.create inst ~impl_of () in
   Regions_define.run ~ordering:Regions_define.By_efficiency state;
   Resched_core.Sw_balance.run state;
-  Resched_core.Sw_map.run state;
+  ignore (Resched_core.Sw_map.run state ~bound:max_int : bool);
   let open Resched_core.Reconf_sched in
   let plan = run_hot (make_arena ()) state in
   let specs = plan.p_specs in
@@ -456,6 +456,12 @@ let prop_cache_matches_fresh_check =
       && st.Fp_cache.hits = 1 && st.Fp_cache.misses = 1
       && st.Fp_cache.l1_hits = 0)
 
+(* Task counts from [lo] to 100 whose shrinks stay in that range
+   ([QCheck.int_range] shrinks toward 0, and [Suite.instance] rejects a
+   count below 1). *)
+let tasks_from lo =
+  QCheck.(set_shrink Shrink.(filter (fun n -> n >= lo) int) (int_range lo 100))
+
 (* Everything observable about a schedule except the instance pointer:
    structural equality here is what "bit-identical" means below. *)
 let schedule_fingerprint (s : Schedule.t) =
@@ -481,6 +487,19 @@ let identity_instance ~saturated seed tasks =
     Suite.instance ~params ~arch:Arch.microzed rng ~tasks
   else Suite.instance rng ~tasks
 
+(* The configuration of the [i]-th run of a draw: the four orderings in
+   turn, with a random order seeded from the draw and [i], so two calls
+   give the same configuration. *)
+let nth_config ~seed ~module_reuse i =
+  let ordering =
+    match i mod 4 with
+    | 0 -> Regions_define.By_efficiency
+    | 1 -> Regions_define.By_cost
+    | 2 -> Regions_define.Topological
+    | _ -> Regions_define.Random (Rng.create (seed + i))
+  in
+  { Pa.default_config with Pa.ordering; module_reuse }
+
 (* [Pa.run]'s shrink chain: the scales of its eight attempts. *)
 let shrink_chain =
   let { Pa.max_attempts; shrink_factor; _ } = Pa.default_config in
@@ -496,12 +515,8 @@ let shrink_chain =
    same schedule, floorplan included, with and without a cache, on both
    fabrics. *)
 let prop_cache_never_changes_schedule =
-  let tasks =
-    QCheck.(
-      set_shrink Shrink.(filter (fun n -> n >= 12) int) (int_range 12 100))
-  in
   QCheck.Test.make ~count:100 ~name:"a cache never changes a schedule"
-    QCheck.(triple int tasks bool)
+    QCheck.(triple int (tasks_from 12) bool)
     (fun (seed, tasks, saturated) ->
       let inst = identity_instance ~saturated (seed lxor 0xcac4e) tasks in
       let same run =
@@ -542,16 +557,7 @@ let prop_incremental_engine_bit_identical =
       in
       List.for_all
         (fun (i, resource_scale) ->
-          let config () =
-            let ordering =
-              match i mod 4 with
-              | 0 -> Regions_define.By_efficiency
-              | 1 -> Regions_define.By_cost
-              | 2 -> Regions_define.Topological
-              | _ -> Regions_define.Random (Rng.create (seed + i))
-            in
-            { Pa.default_config with Pa.ordering; module_reuse }
-          in
+          let config () = nth_config ~seed ~module_reuse i in
           let fast =
             Pa.schedule_once ~config:(config ()) ~resource_scale ~ctx inst
           in
@@ -585,30 +591,67 @@ let prop_pa_run_equals_reference =
       && Validate.check sched = Ok ())
 
 (* Property: the randomized search's candidate stream matches the
-   reference restart loop — same best makespan, same iteration count,
-   same improvement trace at a fixed (seed, min_iterations, budget = 0). *)
+   reference restart loop, which runs every restart to the end — same
+   published schedule, floorplan included, same iteration count, same
+   improvement trace at a fixed (seed, min_iterations, budget = 0), on
+   both fabrics. A restart the incumbent bound stops too early, or
+   wrongly, changes which candidates reach the floorplan check. *)
 let prop_par_stream_identical =
-  QCheck.Test.make ~count:10
+  QCheck.Test.make ~count:20
     ~name:"PA-R stream identical under incremental engine"
-    QCheck.(pair int identity_tasks)
-    (fun (seed, tasks) ->
-      let rng = Rng.create (seed lxor 0xbeef) in
-      let inst = Suite.instance rng ~tasks in
+    QCheck.(triple int identity_tasks bool)
+    (fun (seed, tasks, saturated) ->
+      let inst = identity_instance ~saturated (seed lxor 0xbeef) tasks in
       let a =
-        Pa_random.run ~seed ~min_iterations:12 ~budget_seconds:0. inst
+        Pa_random.run ~seed ~min_iterations:40 ~budget_seconds:0. inst
       in
-      let b = Pa_oracle.restart_loop ~seed ~min_iterations:12 inst in
-      let ms o =
-        match o.Pa_random.schedule with
-        | Some s -> Schedule.makespan s
-        | None -> -1
+      let b = Pa_oracle.restart_loop ~seed ~min_iterations:40 inst in
+      let published o =
+        Option.map
+          (fun s -> (schedule_fingerprint s, s.Schedule.floorplan))
+          o.Pa_random.schedule
       in
-      ms a = ms b
+      published a = published b
       && a.Pa_random.iterations = b.Pa_random.iterations
       && List.map (fun p -> (p.Pa_random.iteration, p.Pa_random.makespan))
            a.Pa_random.trace
          = List.map (fun p -> (p.Pa_random.iteration, p.Pa_random.makespan))
              b.Pa_random.trace)
+
+(* Property: the incumbent bound's contract. [schedule_candidate ~bound]
+   returns the unbounded candidate exactly when its makespan is below
+   [bound], and [None] otherwise: at the makespan itself, one tick above
+   it (where a bound tested one tick early stops the restart), below it,
+   and at [max_int]; under every ordering, with and without module
+   reuse, on both fabrics, across revisited scales. *)
+let prop_candidate_bound_contract =
+  QCheck.Test.make ~count:60
+    ~name:"schedule_candidate ~bound = unbounded candidate iff below bound"
+    QCheck.(quad int (tasks_from 10) bool bool)
+    (fun (seed, tasks, saturated, module_reuse) ->
+      let inst = identity_instance ~saturated (seed lxor 0xb0d) tasks in
+      let ctx = Pa.Context.create inst in
+      let rng = Rng.create seed in
+      List.for_all
+        (fun (i, resource_scale) ->
+          let config () = nth_config ~seed ~module_reuse i in
+          let full =
+            Pa.schedule_once ~config:(config ()) ~resource_scale ~ctx inst
+          in
+          let ms = full.Schedule.makespan in
+          List.for_all
+            (fun bound ->
+              match
+                Pa.schedule_candidate ~config:(config ()) ~resource_scale
+                  ~bound ~ctx inst
+              with
+              | Some c ->
+                bound > ms
+                && schedule_fingerprint (Pa.materialize c)
+                   = schedule_fingerprint full
+              | None -> bound <= ms)
+            [ ms; ms + 1; Rng.int rng (Stdlib.max 1 ms); max_int ])
+        (List.mapi (fun i s -> (i, s)) [ 1.0; 0.9; 1.0; 0.81; 0.9; 0.9 ]))
 
 let () =
   Alcotest.run "scheduler"
@@ -665,5 +708,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_incremental_engine_bit_identical;
           QCheck_alcotest.to_alcotest prop_pa_run_equals_reference;
           QCheck_alcotest.to_alcotest prop_par_stream_identical;
+          QCheck_alcotest.to_alcotest prop_candidate_bound_contract;
         ] );
     ]
