@@ -2,18 +2,15 @@
 
    [compare_runs] reads the section logs of two runs and reports, per
    section, the per-group deltas (iterations, makespans), any makespan
-   regression of B against A, and any verdict divergence (a correctness
-   flag that A recorded true and B recorded false). The comparison never
+   regression of B against A, and any verdict divergence (a
+   must-be-true gate that A passed and B failed). The comparison never
    re-executes anything — two committed or CI-archived run directories
    are enough to reproduce it.
 
-   [check] is the single-run release gate: every guard is derived from
-   the run's own logs — engines identical, verdicts agreed, makespans
-   never worse, SW-capable fault policies fully recovering — plus the
-   bounds of the profile the run recorded (honest parallelism: recorded
-   cores and effective width, scaling speedup on the large groups;
-   restart-kernel allocation; move-kernel speedup). [ab] compares only
-   runs recorded under the same profile. *)
+   [check] is the single-run release gate: it applies the gates each
+   logged section declares (see skeleton.ml) to the run's logs, under
+   the bounds of the profile the run recorded. [ab] compares only runs
+   recorded under the same profile. *)
 
 module Json = Resched_util.Json
 
@@ -25,8 +22,8 @@ let get_float path j = Option.bind (get path j) Json.get_float
 let get_string path j = Option.bind (get path j) Json.get_string
 
 (* ------------------------------------------------------------------ *)
-(* Guard plumbing: each guard pushes a verdict line; [finish] prints    *)
-(* them and computes the exit code.                                     *)
+(* Gate plumbing: each gate pushes a line; [finish] prints them and     *)
+(* computes the exit code.                                              *)
 
 type verdicts = {
   mutable failures : string list;
@@ -52,204 +49,7 @@ let finish ~label v =
     1
 
 (* ------------------------------------------------------------------ *)
-(* Single-run guards (the [check] subcommand)                          *)
-
-let each_group j ~list_field f =
-  match Option.bind (Json.member list_field j) Json.to_list with
-  | None -> ()
-  | Some gs -> List.iter f gs
-
-let check_iteration ?max_minor_words_per_iter v j =
-  (match max_minor_words_per_iter with
-  | None -> ()
-  | Some cap -> (
-    match get_float [ "alloc"; "max_minor_words_per_iter" ] j with
-    | Some w when w > cap ->
-      fail v
-        "iteration: worst SoA kernel allocation %.0f minor words/iter above \
-         the %.0f cap (allocation regression)"
-        w cap
-    | Some w ->
-      note v "iteration: worst SoA kernel allocation %.0f minor words/iter \
-              (cap %.0f)" w cap
-    | None ->
-      fail v
-        "iteration: no alloc.max_minor_words_per_iter recorded but a cap \
-         was required"));
-  (match get_float [ "alloc"; "min_alloc_ratio" ] j with
-  | Some r ->
-    note v "iteration: reference/SoA allocation reduction >= x%.1f" r
-  | None -> ());
-  each_group j ~list_field:"groups" (fun g ->
-      let tasks = Option.value ~default:(-1) (get_int [ "tasks" ] g) in
-      (match (get_int [ "makespan_new" ] g, get_int [ "makespan_old" ] g) with
-      | Some n, Some o when n > o ->
-        fail v "iteration: %d-task group makespan %d > %d (regression)" tasks n
-          o
-      | _ -> ());
-      if get_bool [ "identical" ] g = Some false then
-        fail v
-          "iteration: %d-task group restart kernel differs from the \
-           from-scratch reference loop"
-          tasks);
-  if get_bool [ "all_identical" ] j <> Some true then
-    fail v "iteration: all_identical is not true";
-  if get_bool [ "never_worse" ] j <> Some true then
-    fail v "iteration: never_worse is not true"
-
-let check_milp v j =
-  if get_bool [ "lp_kernel"; "all_agree" ] j <> Some true then
-    fail v "milp: LP kernel verdicts differ between tableau and revised";
-  each_group j ~list_field:"bnb" (fun g ->
-      let tasks = Option.value ~default:(-1) (get_int [ "tasks" ] g) in
-      if get_bool [ "objectives_agree" ] g = Some false then
-        fail v "milp: %d-task ILP proved-optimal objectives differ" tasks;
-      if get_bool [ "never_worse" ] g = Some false then
-        fail v "milp: %d-task ILP revised makespan worse than tableau" tasks);
-  if get_bool [ "engines_agree" ] j <> Some true then
-    fail v "milp: engines_agree is not true";
-  if get_bool [ "never_worse" ] j <> Some true then
-    fail v "milp: never_worse is not true";
-  match get_float [ "bnb_totals"; "nodes_per_s_speedup" ] j with
-  | Some s -> note v "milp: revised nodes/sec speedup at jobs=1: x%.2f" s
-  | None -> ()
-
-let check_floorplan v j =
-  each_group j ~list_field:"groups" (fun g ->
-      let tasks = Option.value ~default:(-1) (get_int [ "tasks" ] g) in
-      if get_bool [ "identical" ] g = Some false then
-        fail v
-          "floorplan: %d-task group packer v2 contradicts (or is less \
-           decisive than) v1"
-          tasks;
-      match (get_int [ "makespan_v2" ] g, get_int [ "makespan_v1" ] g) with
-      | Some b, Some a when b > a ->
-        fail v "floorplan: %d-task group PA-R makespan %d (v2) > %d (v1)"
-          tasks b a
-      | _ -> ());
-  if get_bool [ "all_identical" ] j <> Some true then
-    fail v "floorplan: all_identical is not true";
-  if get_bool [ "makespans_never_worse" ] j <> Some true then
-    fail v "floorplan: makespans_never_worse is not true";
-  (match get_float [ "speedup_large_groups" ] j with
-  | Some s -> note v "floorplan: oracle checks/s speedup (large groups): x%.2f" s
-  | None -> ());
-  match get_float [ "cache"; "combined_hit_rate" ] j with
-  | Some r -> note v "floorplan: oracle-replay cache combined hit rate %.3f" r
-  | None -> ()
-
-let check_faults v j =
-  each_group j ~list_field:"campaigns" (fun c ->
-      let tasks = Option.value ~default:(-1) (get_int [ "tasks" ] c) in
-      let policy =
-        Option.value ~default:"?"
-          (Option.bind (Json.member "policy" c) Json.get_string)
-      in
-      if get_bool [ "all_valid" ] c = Some false then
-        fail v "faults: %d-task %s produced an invalid repaired schedule"
-          tasks policy;
-      match (policy, get_float [ "survival_rate" ] c) with
-      | ("sw-fallback" | "resched-tail"), Some r when r < 1.0 ->
-        fail v
-          "faults: %d-task %s survival %.3f < 1.0; SW-capable policies must \
-           recover every fault on suite instances"
-          tasks policy r
-      | _ -> ());
-  if get_bool [ "sw_policies_full_recovery" ] j <> Some true then
-    fail v "faults: sw_policies_full_recovery is not true";
-  if get_bool [ "all_valid" ] j <> Some true then
-    fail v "faults: all_valid is not true"
-
-let check_parallel v ~min_cores ~min_speedup j =
-  let cores = Option.value ~default:0 (get_int [ "cores" ] j) in
-  let requested = Option.value ~default:0 (get_int [ "jobs_requested" ] j) in
-  let effective = Option.value ~default:0 (get_int [ "jobs_effective" ] j) in
-  note v "parallel: cores=%d, jobs requested=%d effective=%d%s" cores
-    requested effective
-    (if get_bool [ "downgraded" ] j = Some true then " (DOWNGRADED)" else "");
-  (match min_cores with
-  | Some m when cores < m ->
-    fail v
-      "parallel: recorded cores=%d < required %d — this run cannot back a \
-       parallel-scaling claim"
-      cores m
-  | Some m when effective < Stdlib.min m requested ->
-    fail v "parallel: jobs_effective=%d below required width %d" effective
-      (Stdlib.min m requested)
-  | _ -> ());
-  if get_bool [ "jobs1_bit_identical" ] j <> Some true then
-    fail v "parallel: jobs=1 is not bit-identical to the sequential engine";
-  if get_bool [ "never_worse" ] j <> Some true then
-    fail v "parallel: widest width is worse than jobs=1 on some group";
-  match (min_speedup, get_float [ "speedup_large_groups" ] j) with
-  | None, _ -> ()
-  | Some floor, Some s ->
-    if s < floor then
-      fail v
-        "parallel: large-group iteration speedup x%.2f below required x%.2f"
-        s floor
-    else note v "parallel: large-group iteration speedup x%.2f (>= x%.2f)" s
-        floor
-  | Some floor, None ->
-    if get_bool [ "parallel_measurable" ] j = Some false then
-      fail v
-        "parallel: speedup not measurable (single-core run) but a x%.2f \
-         floor was required"
-        floor
-    else fail v "parallel: no speedup_large_groups recorded"
-
-(* The move kernel's contract mirrors the iteration section's: zero
-   divergence from the from-scratch oracle (bit-identity is the whole
-   point of keeping the oracle around), the LNS driver never
-   worse than PA-R at fixed work, and optionally a floor on the
-   move-evaluation speedup against the full re-evaluation pipeline. *)
-let check_moves ?min_move_speedup v j =
-  each_group j ~list_field:"groups" (fun g ->
-      let tasks = Option.value ~default:(-1) (get_int [ "tasks" ] g) in
-      (match get_int [ "divergences" ] g with
-      | Some d when d > 0 ->
-        fail v "moves: %d-task group has %d incremental/oracle divergence(s)"
-          tasks d
-      | _ -> ());
-      if get_bool [ "lns_not_worse" ] g = Some false then
-        fail v
-          "moves: %d-task group LNS makespan worse than PA-R at fixed work"
-          tasks);
-  if get_bool [ "all_agree" ] j <> Some true then
-    fail v "moves: all_agree is not true";
-  if get_bool [ "lns_never_worse" ] j <> Some true then
-    fail v "moves: lns_never_worse is not true";
-  (match get_int [ "divergences" ] j with
-  | Some 0 -> ()
-  | Some d -> fail v "moves: %d divergence(s) recorded" d
-  | None -> fail v "moves: no divergence count recorded");
-  match (min_move_speedup, get_float [ "min_speedup" ] j) with
-  | None, Some s ->
-    note v "moves: min move-evaluation speedup x%.2f vs the full pipeline" s
-  | None, None -> ()
-  | Some floor, Some s ->
-    if s < floor then
-      fail v "moves: min move-evaluation speedup x%.2f below required x%.2f" s
-        floor
-    else
-      note v "moves: min move-evaluation speedup x%.2f (>= x%.2f)" s floor
-  | Some floor, None ->
-    fail v "moves: no min_speedup recorded but a x%.2f floor was required"
-      floor
-
-(* Sections [check] knows how to audit, with their guard functions under
-   the bounds of profile [p]. Every other section writes no log. *)
-let checkable_sections (p : Profile.t) =
-  [
-    ( "parallel",
-      check_parallel ~min_cores:p.min_cores ~min_speedup:p.min_speedup );
-    ( "iteration",
-      check_iteration ?max_minor_words_per_iter:p.max_minor_words_per_iter );
-    ("milp", check_milp);
-    ("floorplan", check_floorplan);
-    ("faults", check_faults);
-    ("moves", check_moves ?min_move_speedup:p.min_move_speedup);
-  ]
+(* Single-run gates (the [check] subcommand)                           *)
 
 (* A member of a run's manifest, if the manifest and the member exist. *)
 let manifest_member (r : Run_store.run) key =
@@ -285,12 +85,18 @@ let check ?run () =
         |> List.filter_map Json.get_string
       in
       List.iter
-        (fun (section, guard) ->
-          if List.mem section listed then
-            match Run_store.load_section r section with
-            | Ok j -> guard v j
-            | Error e -> fail v "%s: no log (%s)" section e)
-        (checkable_sections p));
+        (fun (s : Skeleton.section) ->
+          if List.mem s.name listed then
+            match Run_store.load_section r s.name with
+            | Ok log ->
+              List.iter
+                (fun g ->
+                  match Skeleton.apply log g with
+                  | true, line -> note v "%s.%s" s.name line
+                  | false, line -> fail v "%s.%s" s.name line)
+                (s.gates p)
+            | Error e -> fail v "%s: no log (%s)" s.name e)
+        Sections.logged);
     finish ~label:"check" v
 
 (* ------------------------------------------------------------------ *)
@@ -326,26 +132,17 @@ let widest_rows j =
           | _ -> None)
         rows)
 
-(* Correctness flags whose true->false transition between A and B is a
-   divergence. *)
-let verdict_flags =
-  [
-    ("parallel", [ "jobs1_bit_identical" ]);
-    ("parallel", [ "never_worse" ]);
-    ("iteration", [ "all_identical" ]);
-    ("iteration", [ "never_worse" ]);
-    ("milp", [ "engines_agree" ]);
-    ("milp", [ "never_worse" ]);
-    ("milp", [ "lp_kernel"; "all_agree" ]);
-    ("floorplan", [ "all_identical" ]);
-    ("floorplan", [ "makespans_never_worse" ]);
-    ("faults", [ "sw_policies_full_recovery" ]);
-    ("faults", [ "all_valid" ]);
-    ("moves", [ "all_agree" ]);
-    ("moves", [ "lns_never_worse" ]);
-  ]
+(* The must-be-true gates of every logged section under profile [p]; a
+   true->false transition of one between A and B is a divergence. *)
+let verdicts (p : Profile.t) =
+  List.concat_map
+    (fun (s : Skeleton.section) ->
+      List.filter_map
+        (function Skeleton.True key -> Some (s.name, key) | _ -> None)
+        (s.gates p))
+    Sections.logged
 
-let compare_runs (a : Run_store.run) (b : Run_store.run) =
+let compare_runs (p : Profile.t) (a : Run_store.run) (b : Run_store.run) =
   let load r section = Run_store.load_section r section in
   let v = new_verdicts () in
   (* Coverage audit first: a comparison that silently matches zero
@@ -409,18 +206,19 @@ let compare_runs (a : Run_store.run) (b : Run_store.run) =
   | _, Error e -> note v "parallel: skipped for %s (%s)" b.Run_store.id e);
   let divergences = ref [] in
   List.iter
-    (fun (section, path) ->
+    (fun (section, key) ->
+      let path = Skeleton.path_of key in
       match (load a section, load b section) with
       | Ok ja, Ok jb -> (
         match (get_bool path ja, get_bool path jb) with
         | Some true, Some false ->
-          let name = section ^ "." ^ String.concat "." path in
+          let name = section ^ "." ^ key in
           divergences := name :: !divergences;
           fail v "verdict divergence: %s was true in %s, false in %s" name
             a.Run_store.id b.Run_store.id
         | _ -> ())
       | _ -> ())
-    verdict_flags;
+    (verdicts p);
   (* S1: per-section GC counters from the two manifests — allocation
      drift on the orchestrating domain, informational (never a
      failure: absolute rates shift with groups/iteration knobs). *)
@@ -515,13 +313,22 @@ let ab ?run_a ?run_b ?out () =
   Printf.printf "ab: A=%s  B=%s\n" a.Run_store.dir b.Run_store.dir;
   (* Two runs under different profiles differ by design; a comparison
      of them would report the profile, not the code. *)
-  (match (manifest_member a "profile", manifest_member b "profile") with
-  | Some pa, Some pb when pa = pb -> ()
-  | _ ->
-    failwith
-      (Printf.sprintf "ab: %s and %s were not recorded under the same profile"
-         a.Run_store.id b.Run_store.id));
-  let report, v = compare_runs a b in
+  let profile =
+    match (manifest_member a "profile", manifest_member b "profile") with
+    | Some pa, Some pb when pa = pb ->
+      Option.bind (get_string [ "name" ] pa) Profile.of_name
+    | _ -> None
+  in
+  let profile =
+    match profile with
+    | Some p -> p
+    | None ->
+      failwith
+        (Printf.sprintf
+           "ab: %s and %s were not recorded under the same known profile"
+           a.Run_store.id b.Run_store.id)
+  in
+  let report, v = compare_runs profile a b in
   (match out with
   | Some path ->
     Json.write_file path report;

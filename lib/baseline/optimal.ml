@@ -1,4 +1,3 @@
-module Cpm = Resched_taskgraph.Cpm
 module Instance = Resched_platform.Instance
 module Schedule = Resched_core.Schedule
 
@@ -7,11 +6,6 @@ type result = {
   nodes : int;
   proved_optimal : bool;
 }
-
-let lower_bound inst =
-  let n = Instance.size inst in
-  let durations = Array.init n (Instance.min_time inst) in
-  (Cpm.compute inst.Instance.graph ~durations).Cpm.makespan
 
 let schedule ?(node_limit = 5_000_000) ?(module_reuse = false) inst =
   let n = Instance.size inst in

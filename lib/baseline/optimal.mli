@@ -22,7 +22,3 @@ type result = {
 val schedule : ?node_limit:int -> ?module_reuse:bool ->
   Resched_platform.Instance.t -> result
 (** [node_limit] defaults to 5_000_000. *)
-
-val lower_bound : Resched_platform.Instance.t -> int
-(** The CPM bound with every task at its fastest implementation and no
-    resource constraints — optimal makespan can never be below this. *)

@@ -45,14 +45,6 @@ type option_ =
 val create : ?module_reuse:bool -> ?resource_scale:float ->
   Resched_platform.Instance.t -> t
 
-val copy : t -> t
-(** Cheap: the state is immutable except the two arrays, which are
-    duplicated. *)
-
-val ready_time : t -> int -> int
-(** Max committed finish over the task's predecessors; raises [Failure]
-    if a predecessor is not committed yet. *)
-
 val options : t -> int -> option_ list
 (** All legal options for scheduling the task next: its fastest software
     implementation on each processor, every hardware implementation on

@@ -17,8 +17,6 @@ let make inst ~max_res =
   let weighted_max = Resource.weighted_sum ~weights max_res in
   { weights; weighted_max; max_t = Instance.max_t inst }
 
-let max_t t = t.max_t
-
 let cost t (impl : Impl.t) =
   let area_term =
     if t.weighted_max = 0. then 0.

@@ -17,10 +17,6 @@ val make : Resched_platform.Instance.t ->
   max_res:Resched_fabric.Resource.t -> t
 (** Raises [Invalid_argument] when [max_res] is the zero vector. *)
 
-val max_t : t -> int
-(** Eq. 4's [maxT]: serial execution with each task's fastest
-    implementation. *)
-
 val cost : t -> Resched_platform.Impl.t -> float
 (** Eq. 3. Defined for hardware implementations; a software
     implementation gets only its time term (zero resource term). *)

@@ -154,8 +154,6 @@ let instance d = d.inst
 let makespan d = d.mk
 let fp_feasible d = d.fp_ok
 let size d = d.n
-let region_of d u = d.regof.(u)
-let processor_of d u = d.procof.(u)
 
 let live_regions d =
   let acc = ref [] in
@@ -168,11 +166,6 @@ let region_task_count d r =
   if r < 0 || r >= d.nregions || d.rg_live.(r) = 0 then
     invalid_arg "Delta.region_task_count: dead region";
   d.rg_count.(r)
-
-let region_res d r =
-  if r < 0 || r >= d.nregions || d.rg_live.(r) = 0 then
-    invalid_arg "Delta.region_res: dead region";
-  d.rg_res.(r)
 
 (* ------------------------------------------------------------------ *)
 (* Logged writes. Every structural mutation goes through these so one

@@ -98,17 +98,10 @@ val fp_feasible : t -> bool
 val size : t -> int
 (** Task count. *)
 
-val region_of : t -> int -> int
-(** Region id hosting a task, or [-1] for software tasks. *)
-
-val processor_of : t -> int -> int
-(** Processor hosting a task, or [-1] for hardware tasks. *)
-
 val live_regions : t -> int list
 (** Ids of live regions, ascending. *)
 
 val region_task_count : t -> int -> int
-val region_res : t -> int -> Resched_fabric.Resource.t
 
 val processor_tasks : t -> int -> int list
 (** Tasks of a processor's chain in chain order — the order the timing

@@ -258,8 +258,6 @@ module Course = struct
 
   let finished c = c.crs_done
   let iterations c = c.crs_iterations
-  let minor_words c = c.crs_minor_words
-  let instance c = c.crs_inst
 
   let outcome c =
     {

@@ -82,11 +82,6 @@ module Course : sig
   val finished : t -> bool
   val iterations : t -> int
 
-  val minor_words : t -> float
-  (** Minor-heap words allocated so far by this course's slices. *)
-
-  val instance : t -> Resched_platform.Instance.t
-
   val outcome : t -> outcome
   (** Snapshot of the stream's result; normally read once [finished]. *)
 end

@@ -44,14 +44,6 @@ let pp_action ppf = function
     Format.fprintf ppf "retimed schedule tail%s"
       (if compacted then " (compacted)" else "")
 
-let pp_fault ppf = function
-  | Reconf_failed { region; t_in; t_out; failures } ->
-    Format.fprintf ppf "reconfiguration (region %d, %d->%d) failed %d time(s)"
-      region t_in t_out failures
-  | Task_overrun { task; end_at } ->
-    Format.fprintf ppf "task %d overran to end at %d" task end_at
-  | Region_dead { region } -> Format.fprintf ppf "region %d died" region
-
 (* A failed load holds the single controller for each failed attempt,
    load plus backoff. A load that never succeeds is given up after
    [max_attempts] of them. *)

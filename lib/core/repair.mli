@@ -71,4 +71,3 @@ val action_key : action -> string
 (** Histogram bucket: ["retry"], ["migrate"] or ["retime"]. *)
 
 val pp_action : Format.formatter -> action -> unit
-val pp_fault : Format.formatter -> fault -> unit

@@ -26,6 +26,8 @@ let best_fitting_hw state ~task (region : State.region) =
     (State.hw_impls state task);
   if !best_idx < 0 then None else Some !best_idx
 
+(* Move one software task back to hardware on the first region that
+   takes it, or leave it in software. *)
 let try_move state ~task =
   (* Regions in creation order, without materializing the list; no move
      ever changes the region count, so a plain index walk is safe. *)

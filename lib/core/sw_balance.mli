@@ -13,9 +13,3 @@ val tot_rec_time : State.t -> int
 
 val run : State.t -> unit
 (** Mutates implementations, placements and windows. *)
-
-val try_move : State.t -> task:int -> unit
-(** Move one software task back to hardware: on the first region, in
-    creation order, whose cheapest fitting implementation leaves the
-    task's window disjoint from the hosted ones. Leaves the task in
-    software when no region qualifies. *)

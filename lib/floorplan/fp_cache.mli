@@ -37,8 +37,6 @@ type stats = {
   inserts : int;  (** misses whose fresh verdict was stored *)
 }
 
-val zero_stats : stats
-
 val diff : stats -> stats -> stats
 (** [diff after before] is the component-wise difference — the activity
     between two snapshots of the same cache. *)

@@ -8,6 +8,11 @@ type outcome =
   | Infeasible
   | Unknown
 
+(* Cap on placements offered per region to the MILP (snuggest first);
+   keeps the model size tractable. When any region's candidate list was
+   truncated by this cap, a model-level infeasibility is reported as
+   [Unknown] rather than [Infeasible], since the dropped placements
+   might still admit a packing. *)
 let candidates_per_region = 12
 
 (* Branch-and-bound nodes per query; each node is one warm-started LP. *)

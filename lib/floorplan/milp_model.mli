@@ -11,13 +11,6 @@ type outcome =
   | Infeasible
   | Unknown  (** branch-and-bound node budget exhausted *)
 
-val candidates_per_region : int
-(** Cap on placements offered per region to the MILP (snuggest first);
-    keeps the model size tractable. When any region's candidate list was
-    truncated by this cap, a model-level infeasibility is reported as
-    [Unknown] rather than [Infeasible], since the dropped placements
-    might still admit a packing. *)
-
 val pack : Resched_fabric.Device.t -> Resched_fabric.Resource.t array ->
   outcome
 (** Build and solve the packing MILP sequentially within 2_000

@@ -15,9 +15,6 @@ let contains ~outer r =
 let resources device r =
   Device.rect_resources device ~c0:r.c0 ~c1:r.c1 ~r0:r.r0 ~r1:r.r1
 
-let pp ppf r =
-  Format.fprintf ppf "[cols %d-%d, rows %d-%d]" r.c0 r.c1 r.r0 r.r1
-
 let candidate_count_cap = 512
 
 let candidates device need =

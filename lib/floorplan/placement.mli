@@ -16,7 +16,6 @@ val height : rect -> int
 val overlap : rect -> rect -> bool
 val contains : outer:rect -> rect -> bool
 val resources : Resched_fabric.Device.t -> rect -> Resched_fabric.Resource.t
-val pp : Format.formatter -> rect -> unit
 
 val candidates : Resched_fabric.Device.t -> Resched_fabric.Resource.t ->
   rect list

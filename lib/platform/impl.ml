@@ -23,10 +23,6 @@ let hw ?module_id ~time ~res () =
 let is_hw i = i.kind = Hw
 let is_sw i = i.kind = Sw
 
-let equal a b =
-  a.kind = b.kind && a.time = b.time && Resource.equal a.res b.res
-  && a.module_id = b.module_id
-
 let pp ppf i =
   match i.kind with
   | Sw -> Format.fprintf ppf "SW(time=%d)" i.time

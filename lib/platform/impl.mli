@@ -30,5 +30,4 @@ val hw : ?module_id:int -> time:int -> res:Resched_fabric.Resource.t -> unit -> 
 
 val is_hw : t -> bool
 val is_sw : t -> bool
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -72,8 +72,6 @@ let config ?(capacity = 64) ?tenant_quota ?degrade_low ?degrade_high
     drr_quantum;
   }
 
-let default_config = config ()
-
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
 
@@ -185,8 +183,6 @@ let create ?clock ?cache ~respond cfg =
     latency = Histogram.create ();
     resp_lock = Mutex.create ();
   }
-
-let cache t = t.cache
 
 (* Responses are serialized under their own lock so lines never
    interleave, and delivery failures (a client that hung up) never
@@ -845,17 +841,3 @@ let work_loop t =
       loop ()
   in
   loop ()
-
-let drain t =
-  let rec go () =
-    match step t with
-    | Drained -> ()
-    | Did_work -> go ()
-    | Backoff d ->
-      Unix.sleepf (Float.max 0.001 (Float.min d 0.05));
-      go ()
-    | Idle ->
-      Unix.sleepf 0.001;
-      go ()
-  in
-  go ()

@@ -88,8 +88,6 @@ val config :
     1]); [capacity < 1], [slice < 1], [degrade_factor < 1] and
     [drr_quantum < 1] raise [Invalid_argument]. *)
 
-val default_config : config
-
 type t
 
 val create :
@@ -105,8 +103,6 @@ val create :
     per request, serialized under an internal lock, from whichever
     domain finished the request; it must not call back into this
     module, and exceptions it raises are swallowed. *)
-
-val cache : t -> Resched_floorplan.Fp_cache.t
 
 val submit :
   ?respond:(Protocol.response -> unit) ->
@@ -172,10 +168,6 @@ val step : t -> step_result
     event-loop embedding (the CLI's [--jobs 1] mode) and for
     deterministic tests, which advance a virtual clock between
     steps. *)
-
-val drain : t -> unit
-(** Drive {!step} (sleeping through backoffs) until [Drained].
-    Call after {!close}. *)
 
 val sweep_expired : t -> int
 (** Shed every queued request whose deadline has passed (structured

@@ -75,11 +75,7 @@ val poll : t -> timeout_s:float -> unit
     clock. *)
 
 val run : t -> unit
-(** Loop {!poll} until {!finished}. With [drive_server] each iteration
+(** Loop {!poll} until the server is closed and drained and every
+    response is flushed or abandoned. With [drive_server] each iteration
     also runs {!Server.step}, and the poll timeout tracks the step
     result (0 after work, the backoff remainder otherwise). *)
-
-val finished : t -> bool
-(** The server is closed and drained and every response has been
-    flushed (or its connection abandoned). A daemon that never
-    receives [shutdown] never finishes. *)

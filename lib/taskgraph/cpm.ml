@@ -6,29 +6,18 @@ type t = {
   order : int array;
 }
 
-let check_inputs g ~durations ~release =
-  let n = Graph.size g in
-  if Array.length durations <> n then
+let check_inputs g ~durations =
+  if Array.length durations <> Graph.size g then
     invalid_arg "Cpm.compute: durations length mismatch";
   Array.iter
     (fun d -> if d < 0 then invalid_arg "Cpm.compute: negative duration")
-    durations;
-  match release with
-  | None -> ()
-  | Some r ->
-    if Array.length r <> n then invalid_arg "Cpm.compute: release length mismatch";
-    Array.iter
-      (fun x -> if x < 0 then invalid_arg "Cpm.compute: negative release")
-      r
+    durations
 
-let run g ~durations ~release =
-  check_inputs g ~durations ~release;
+let compute g ~durations =
+  check_inputs g ~durations;
   let n = Graph.size g in
   let order = Graph.topological_order g in
   let t_min = Array.make n 0 in
-  (match release with
-  | None -> ()
-  | Some r -> Array.blit r 0 t_min 0 n);
   (* Forward pass: earliest starts. *)
   Array.iter
     (fun u ->
@@ -59,39 +48,3 @@ let run g ~durations ~release =
     critical.(u) <- t_max.(u) - t_min.(u) = durations.(u)
   done;
   { t_min; t_max; makespan; critical; order }
-
-let compute g ~durations = run g ~durations ~release:None
-
-let compute_with_release g ~durations ~release =
-  run g ~durations ~release:(Some release)
-
-let slack cpm ~durations u = cpm.t_max.(u) - cpm.t_min.(u) - durations.(u)
-
-let critical_path cpm ~durations g =
-  (* Start from a critical source and repeatedly follow a critical
-     successor whose start abuts our finish. *)
-  let n = Graph.size g in
-  let start = ref (-1) in
-  for u = n - 1 downto 0 do
-    if cpm.critical.(u) && cpm.t_min.(u) = 0 && Graph.preds g u = [] then
-      start := u
-  done;
-  if !start = -1 then
-    for u = n - 1 downto 0 do
-      if cpm.critical.(u) && cpm.t_min.(u) = 0 then start := u
-    done;
-  if !start = -1 then []
-  else begin
-    let rec follow u acc =
-      let finish = cpm.t_min.(u) + durations.(u) in
-      let next =
-        List.find_opt
-          (fun v -> cpm.critical.(v) && cpm.t_min.(v) = finish)
-          (Graph.succs g u)
-      in
-      match next with
-      | Some v -> follow v (u :: acc)
-      | None -> List.rev (u :: acc)
-    in
-    follow !start []
-  end

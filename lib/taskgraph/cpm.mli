@@ -18,17 +18,3 @@ val compute : Graph.t -> durations:int array -> t
 (** Runs the forward and backward passes. [durations] must have one
     non-negative entry per task. Raises [Graph.Cycle] on cyclic graphs and
     [Invalid_argument] on length mismatch or negative durations. *)
-
-val compute_with_release : Graph.t -> durations:int array ->
-  release:int array -> t
-(** Like {!compute} but every task additionally cannot start before its
-    [release] time. The backward pass keeps [T_MAX] consistent with the
-    (possibly release-extended) makespan. *)
-
-val slack : t -> durations:int array -> int -> int
-(** [slack cpm ~durations t] = [t_max.(t) - t_min.(t) - durations.(t)];
-    0 exactly for critical tasks. *)
-
-val critical_path : t -> durations:int array -> Graph.t -> int list
-(** One maximal chain of critical tasks realizing the makespan, in
-    execution order. *)

@@ -41,10 +41,6 @@ let succs g u =
   check_node g u "succs";
   List.rev g.succ.(u)
 
-let iter_succs g u f =
-  check_node g u "iter_succs";
-  List.iter f g.succ.(u)
-
 let succs_rev g u =
   check_node g u "succs_rev";
   g.succ.(u)
@@ -281,6 +277,3 @@ let restore ~from g =
   Array.blit from.succ 0 g.succ 0 g.n;
   Array.blit from.pred 0 g.pred 0 g.n;
   g.edge_count <- from.edge_count
-
-let pp ppf g =
-  Format.fprintf ppf "graph(%d nodes, %d edges)" g.n g.edge_count

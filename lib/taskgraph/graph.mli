@@ -27,11 +27,6 @@ val has_edge : t -> int -> int -> bool
 val succs : t -> int -> int list
 (** Successors in insertion order. *)
 
-val iter_succs : t -> int -> (int -> unit) -> unit
-(** Apply a function to every successor without allocating the reversed
-    list {!succs} builds. Iteration order is unspecified (currently
-    newest insertion first). *)
-
 val succs_rev : t -> int -> int list
 (** The successor list in reverse insertion order, {e shared} with the
     graph (never mutate it). Allocation-free counterpart of {!succs} for
@@ -104,5 +99,3 @@ val restore : from:t -> t -> unit
 (** [restore ~from g] resets [g] to the exact edge set of [from]
     (a graph over the same node count, typically the pristine graph [g]
     was [copy]ed from) without reallocating [g]'s arrays. *)
-
-val pp : Format.formatter -> t -> unit

@@ -16,7 +16,5 @@ let escape s =
 
 let row_to_string row = String.concat "," (List.map escape row)
 
-let to_string rows =
-  String.concat "" (List.map (fun r -> row_to_string r ^ "\n") rows)
-
-let write oc rows = output_string oc (to_string rows)
+let write oc rows =
+  List.iter (fun r -> output_string oc (row_to_string r ^ "\n")) rows

@@ -9,5 +9,3 @@ val row_to_string : string list -> string
 
 val write : out_channel -> string list list -> unit
 (** Write all rows, one per line. *)
-
-val to_string : string list list -> string

@@ -12,9 +12,6 @@ val create : int -> t
 (** [create seed] makes a fresh generator from [seed]. Equal seeds yield
     equal streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent from the remainder of [t]'s stream. *)

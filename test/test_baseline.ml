@@ -9,6 +9,7 @@ module Instance = Resched_platform.Instance
 module Suite = Resched_platform.Suite
 module Schedule = Resched_core.Schedule
 module Validate = Resched_core.Validate
+module Metrics = Resched_core.Metrics
 module Partial = Resched_baseline.Partial
 module Chunk_dfs = Resched_baseline.Chunk_dfs
 module Isk = Resched_baseline.Isk
@@ -257,8 +258,9 @@ let test_optimal_validates_and_bounds () =
       let inst = tiny_instance seed tasks in
       let r = Optimal.schedule ~node_limit:2_000_000 inst in
       validate_or_fail r.Optimal.schedule;
+      let m = Metrics.compute r.Optimal.schedule in
       Alcotest.(check bool) "above CPM bound" true
-        (Schedule.makespan r.Optimal.schedule >= Optimal.lower_bound inst))
+        (m.Metrics.makespan >= m.Metrics.critical_path_lower_bound))
     [ (1, 4); (2, 5); (3, 6) ]
 
 let test_heuristics_never_beat_optimal () =

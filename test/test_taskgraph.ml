@@ -162,25 +162,12 @@ let test_cpm_diamond () =
   Alcotest.(check (array int)) "t_min" [| 0; 2; 2; 7 |] cpm.Cpm.t_min;
   Alcotest.(check (array int)) "t_max" [| 2; 7; 7; 11 |] cpm.Cpm.t_max;
   Alcotest.(check (array bool)) "critical" [| true; true; false; true |]
-    cpm.Cpm.critical;
-  Alcotest.(check int) "slack of 2" 2 (Cpm.slack cpm ~durations 2);
-  Alcotest.(check (list int)) "critical path" [ 0; 1; 3 ]
-    (Cpm.critical_path cpm ~durations g)
+    cpm.Cpm.critical
 
 let test_cpm_empty_durations () =
   let g = Graph.create 3 in
   let cpm = Cpm.compute g ~durations:[| 0; 0; 0 |] in
   Alcotest.(check int) "zero makespan" 0 cpm.Cpm.makespan
-
-let test_cpm_release () =
-  let g = Graph.create 2 in
-  Graph.add_edge g 0 1;
-  let cpm =
-    Cpm.compute_with_release g ~durations:[| 3; 4 |] ~release:[| 5; 0 |]
-  in
-  Alcotest.(check int) "start release" 5 cpm.Cpm.t_min.(0);
-  Alcotest.(check int) "succ sees release" 8 cpm.Cpm.t_min.(1);
-  Alcotest.(check int) "makespan" 12 cpm.Cpm.makespan
 
 let test_cpm_rejects_bad_input () =
   let g = Graph.create 2 in
@@ -301,7 +288,6 @@ let () =
         [
           Alcotest.test_case "diamond" `Quick test_cpm_diamond;
           Alcotest.test_case "zero durations" `Quick test_cpm_empty_durations;
-          Alcotest.test_case "release times" `Quick test_cpm_release;
           Alcotest.test_case "input validation" `Quick
             test_cpm_rejects_bad_input;
         ] );
