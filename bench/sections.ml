@@ -484,8 +484,7 @@ let parallel =
                 ("jobs", Json.Int best_e);
                 ("seed", Json.Int (p.seed + (7 * tasks)));
                 ("budget_seconds", Json.float p.par_budget_cap_s);
-                ( "shrink_factor",
-                  Json.float Pa.default_config.Pa.shrink_factor );
+                ("shrink_factor", Json.float Pa.shrink_factor);
               ] ))
         insts
     in
@@ -1121,13 +1120,13 @@ let random_lp rng =
 (* One solve of the monolithic ILP, model building and schedule
    extraction included: [`Revised] is [Ilp_exact.solve], [`Tableau] the
    dense-tableau oracle of test/oracle on the same model. Both stop at
-   the same node budget and have no time limit, so at [jobs = 1] where
-   each search ends is a function of the code alone. Every model has an
+   the same node budget and have no time limit, so where each search
+   ends is a function of the code alone. Every model has an
    integer solution (all tasks in software), so a solve that returns
    none stopped at the node budget, and reports that budget as the
    nodes it spent and -1 as its makespan. The cells' headers end in
    [label]. *)
-let milp_bnb_run ?(jobs = 1) ~node_budget ~label arm inst =
+let milp_bnb_run ~node_budget ~label arm inst =
   let solve () =
     match arm with
     | `Revised ->
@@ -1135,7 +1134,7 @@ let milp_bnb_run ?(jobs = 1) ~node_budget ~label arm inst =
         (fun (r : Ilp_exact.result) ->
           ( r.Ilp_exact.schedule, r.Ilp_exact.ilp_objective,
             r.Ilp_exact.proved_optimal, r.Ilp_exact.nodes ))
-        (Ilp_exact.solve ~node_limit:node_budget ~jobs inst)
+        (Ilp_exact.solve ~node_limit:node_budget inst)
     | `Tableau -> (
       let model = Ilp_exact.build inst in
       match Tableau.solve ~node_limit:node_budget (Ilp_exact.lp model) with
@@ -1193,7 +1192,7 @@ let milp =
             List.iter (fun m -> ignore (Revised.solve m)) models
           done)
     in
-    (* --- Branch-and-bound on the monolithic ILP, jobs = 1 ------------ *)
+    (* --- Branch-and-bound on the monolithic ILP ---------------------- *)
     (* The tableau arm stops at 4 tasks: on the 5-task model its node LPs
        run the dense simplex to its pivot cap, and it finds no solution
        within the node budget in over a minute. *)
@@ -1256,24 +1255,6 @@ let milp =
       per_s (sum both (arm ^ ".nodes"))
         (List.fold_left (fun a r -> a +. num r (arm ^ ".seconds")) 0. both)
     in
-    (* --- Parallel B&B: revised engine, jobs=1 vs jobs=N -------------- *)
-    let par_tasks = 5 in
-    let par_inst =
-      Suite.instance ~params:ilp_tiny_params ~arch:Arch.mini
-        (Rng.create (p.seed + par_tasks)) ~tasks:par_tasks
-    in
-    let par_jobs = (jobs_plan p).Domain_pool.effective in
-    let par key jobs =
-      let label = Printf.sprintf "(parallel, jobs=%d)" jobs in
-      let r = milp_bnb_run ~jobs ~node_budget ~label `Revised par_inst in
-      List.filter
-        (fun cell -> List.mem cell.key [ "seconds"; "nodes"; "makespan" ])
-        r
-      @ [ c "found_integer" (Bool (int r "makespan" >= 0)) ]
-      |> under ("parallel." ^ key)
-    in
-    let j1 = par "jobs1" 1 in
-    let jn = par "jobsN" par_jobs in
     [
       c "node_budget" (Int node_budget);
       c "lp_kernel.models" (Int (List.length models));
@@ -1284,16 +1265,11 @@ let milp =
       c "bnb" bnb;
       c "bnb_totals.nodes_per_s_tableau" (Float (nodes_per_s "tableau"));
       c "bnb_totals.nodes_per_s_revised" (Float (nodes_per_s "revised"));
-      c ~h:"B&B nodes/s speedup at jobs=1" "bnb_totals.nodes_per_s_speedup"
+      c ~h:"B&B nodes/s speedup" "bnb_totals.nodes_per_s_speedup"
         (Ratio (ratio (nodes_per_s "revised") (nodes_per_s "tableau")));
-      c "parallel.jobs" (Int par_jobs);
-      c "parallel.tasks" (Int par_tasks);
+      c ~h:"revised never worse than tableau" "never_worse"
+        (Bool (List.for_all (fun r -> bool r "never_worse") rows));
     ]
-    @ j1 @ jn
-    @ [
-        c ~h:"revised never worse than tableau" "never_worse"
-          (Bool (List.for_all (fun r -> bool r "never_worse") rows));
-      ]
   in
   { name = "milp"; run; gates = (fun _ -> [ True "never_worse" ]) }
 

@@ -504,10 +504,10 @@ let extract inst (model : model) values =
     resource_scale = 1.0;
   }
 
-let solve ?(node_limit = 100_000) ?time_limit ?jobs inst =
+let solve ?(node_limit = 100_000) ?time_limit inst =
   let model = build inst in
   let vars = Lp.num_vars model.m and constraints = Lp.num_constraints model.m in
-  match Branch_bound.solve ~node_limit ?time_limit ?jobs model.m with
+  match Branch_bound.solve ~node_limit ?time_limit model.m with
   | Branch_bound.Optimal { objective; values; nodes; _ } ->
     Some
       {

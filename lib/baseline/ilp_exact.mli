@@ -37,14 +37,13 @@ type result = {
   constraints : int;
 }
 
-val solve : ?node_limit:int -> ?time_limit:float -> ?jobs:int ->
+val solve : ?node_limit:int -> ?time_limit:float ->
   Resched_platform.Instance.t -> result option
 (** [solve inst] builds the ILP, offering the model [min 4 n]
     reconfigurable region slots, and solves it with
     {!Resched_milp.Branch_bound.solve}. [node_limit] defaults to
-    100_000; [time_limit] (seconds) makes the solve anytime; [jobs]
-    (default 1) parallelizes the branch-and-bound over a domain pool.
-    [None] when the branch-and-bound found no integer solution within
+    100_000; [time_limit] (seconds) makes the solve anytime. [None]
+    when the branch-and-bound found no integer solution within
     the budget. *)
 
 val model_size : Resched_platform.Instance.t -> int * int

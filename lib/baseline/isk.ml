@@ -1,8 +1,6 @@
 module Graph = Resched_taskgraph.Graph
 module Instance = Resched_platform.Instance
-module Arch = Resched_platform.Arch
 module Schedule = Resched_core.Schedule
-module Floorplanner = Resched_floorplan.Floorplanner
 module Fp_cache = Resched_floorplan.Fp_cache
 module Pa = Resched_core.Pa
 
@@ -11,8 +9,6 @@ type config = {
   chunk_node_limit : int;
   module_reuse : bool;
   floorplan_cache : Fp_cache.t option;
-  max_attempts : int;
-  shrink_factor : float;
 }
 
 let config ~k =
@@ -22,8 +18,6 @@ let config ~k =
     chunk_node_limit = 200_000;
     module_reuse = true;
     floorplan_cache = None;
-    max_attempts = 8;
-    shrink_factor = 0.9;
   }
 
 type stats = {
@@ -33,7 +27,6 @@ type stats = {
   attempts : int;
   scheduling_seconds : float;
   floorplanning_seconds : float;
-  cache_stats : Fp_cache.stats option;
 }
 
 let chunks_of_order k order =
@@ -45,7 +38,7 @@ let chunks_of_order k order =
   in
   go [] [] 0 (Array.to_list order)
 
-let schedule_once ?(config = config ~k:1) ?(resource_scale = 1.0) inst =
+let schedule_at ~config ~resource_scale inst =
   let t0 = Unix.gettimeofday () in
   let order = Graph.topological_order inst.Instance.graph in
   let chunks = chunks_of_order config.k order in
@@ -73,62 +66,28 @@ let schedule_once ?(config = config ~k:1) ?(resource_scale = 1.0) inst =
       attempts = 1;
       scheduling_seconds = Unix.gettimeofday () -. t0;
       floorplanning_seconds = 0.;
-      cache_stats = None;
     } )
 
+let schedule_once ?(config = config ~k:1) inst =
+  schedule_at ~config ~resource_scale:1.0 inst
+
 let run ?(config = config ~k:1) inst =
-  let device = inst.Instance.arch.Arch.device in
-  let sched_time = ref 0. and plan_time = ref 0. in
   let nodes = ref 0 and chunks = ref 0 and all_optimal = ref true in
-  let cache =
-    match config.floorplan_cache with
-    | Some c -> c
-    | None -> Fp_cache.create ()
-  in
-  let stats_before = Fp_cache.stats cache in
-  let rec attempt k scale =
-    if k > config.max_attempts then begin
-      let t0 = Unix.gettimeofday () in
-      let fallback = Pa.all_software_schedule inst in
-      sched_time := !sched_time +. (Unix.gettimeofday () -. t0);
-      (fallback, k - 1)
-    end
-    else begin
-      let sched, stats = schedule_once ~config ~resource_scale:scale inst in
-      sched_time := !sched_time +. stats.scheduling_seconds;
-      nodes := !nodes + stats.nodes;
-      chunks := !chunks + stats.chunks;
-      if not stats.every_chunk_optimal then all_optimal := false;
-      let needs =
-        Array.map (fun (r : Schedule.region) -> r.Schedule.res)
-          sched.Schedule.regions
-      in
-      if Array.length needs = 0 then
-        ({ sched with Schedule.floorplan = Some [||] }, k)
-      else begin
-        let report = Fp_cache.check cache device needs in
-        plan_time := !plan_time +. report.Floorplanner.elapsed;
-        match report.Floorplanner.verdict with
-        | Floorplanner.Feasible placements ->
-          ({ sched with Schedule.floorplan = Some placements }, k)
-        | Floorplanner.Infeasible | Floorplanner.Unknown ->
-          attempt (k + 1) (scale *. config.shrink_factor)
-      end
-    end
-  in
-  let sched, attempts = attempt 1 1.0 in
-  let cache_stats =
-    Option.map
-      (fun _ -> Fp_cache.diff (Fp_cache.stats cache) stats_before)
-      config.floorplan_cache
+  let sched, shrink =
+    Pa.shrink_retry ?cache:config.floorplan_cache inst
+      (fun ~resource_scale ->
+        let sched, stats = schedule_at ~config ~resource_scale inst in
+        nodes := !nodes + stats.nodes;
+        chunks := !chunks + stats.chunks;
+        if not stats.every_chunk_optimal then all_optimal := false;
+        sched)
   in
   ( sched,
     {
       chunks = !chunks;
       nodes = !nodes;
       every_chunk_optimal = !all_optimal;
-      attempts;
-      scheduling_seconds = !sched_time;
-      floorplanning_seconds = !plan_time;
-      cache_stats;
+      attempts = shrink.Pa.attempts;
+      scheduling_seconds = shrink.Pa.scheduling_seconds;
+      floorplanning_seconds = shrink.Pa.floorplanning_seconds;
     } )

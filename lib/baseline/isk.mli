@@ -16,13 +16,11 @@ type config = {
   floorplan_cache : Resched_floorplan.Fp_cache.t option;
       (** the cache the shrink-retry loop checks its region sets
           through; [None] gives each {!run} a private one *)
-  max_attempts : int;
-  shrink_factor : float;
 }
 
 val config : k:int -> config
 (** Defaults: 200_000 nodes per chunk, module reuse on, no shared
-    cache, 8 attempts, shrink 0.9. *)
+    cache. *)
 
 type stats = {
   chunks : int;
@@ -31,17 +29,14 @@ type stats = {
   attempts : int;
   scheduling_seconds : float;
   floorplanning_seconds : float;
-  cache_stats : Resched_floorplan.Fp_cache.stats option;
-      (** this run's cache activity ({!Resched_floorplan.Fp_cache.diff}
-          of the shared cache's counters around the run); [None] when no
-          cache is configured or for {!schedule_once} *)
 }
 
-val schedule_once : ?config:config -> ?resource_scale:float ->
-  Resched_platform.Instance.t -> Resched_core.Schedule.t * stats
-(** One pass without the floorplan check. *)
+val schedule_once : ?config:config -> Resched_platform.Instance.t ->
+  Resched_core.Schedule.t * stats
+(** One pass at the full device, without the floorplan check. *)
 
 val run : ?config:config -> Resched_platform.Instance.t ->
   Resched_core.Schedule.t * stats
-(** Full IS-k with floorplan validation and the shrink-retry loop;
-    falls back to the all-software schedule after [max_attempts]. *)
+(** Full IS-k: passes through PA's shrink-retry loop
+    ({!Resched_core.Pa.shrink_retry}), with the floorplan checks going
+    through [config.floorplan_cache]. *)

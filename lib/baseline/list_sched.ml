@@ -1,10 +1,7 @@
 module Graph = Resched_taskgraph.Graph
 module Instance = Resched_platform.Instance
-module Arch = Resched_platform.Arch
 module Impl = Resched_platform.Impl
 module Schedule = Resched_core.Schedule
-module Floorplanner = Resched_floorplan.Floorplanner
-module Fp_cache = Resched_floorplan.Fp_cache
 module Pa = Resched_core.Pa
 
 let mean_time inst u =
@@ -26,7 +23,7 @@ let upward_ranks inst =
   done;
   rank
 
-let schedule_once ?(module_reuse = false) ?(resource_scale = 1.0) inst =
+let schedule_at ~module_reuse ~resource_scale inst =
   let n = Instance.size inst in
   let rank = upward_ranks inst in
   let order =
@@ -54,36 +51,10 @@ let schedule_once ?(module_reuse = false) ?(resource_scale = 1.0) inst =
   let sched = Partial.to_schedule !state in
   { sched with Schedule.resource_scale }
 
-let run_with_stats ?(module_reuse = false) ?cache:given inst =
-  let device = inst.Instance.arch.Arch.device in
-  let cache = match given with Some c -> c | None -> Fp_cache.create () in
-  let stats_before = Fp_cache.stats cache in
-  let rec attempt k scale =
-    if k > 8 then Pa.all_software_schedule inst
-    else begin
-      let sched = schedule_once ~module_reuse ~resource_scale:scale inst in
-      let needs =
-        Array.map (fun (r : Schedule.region) -> r.Schedule.res)
-          sched.Schedule.regions
-      in
-      if Array.length needs = 0 then
-        { sched with Schedule.floorplan = Some [||] }
-      else begin
-        match (Fp_cache.check cache device needs).Floorplanner.verdict with
-        | Floorplanner.Feasible placements ->
-          { sched with Schedule.floorplan = Some placements }
-        | Floorplanner.Infeasible | Floorplanner.Unknown ->
-          attempt (k + 1) (scale *. 0.9)
-      end
-    end
-  in
-  let sched = attempt 1 1.0 in
-  let cache_stats =
-    Option.map
-      (fun _ -> Fp_cache.diff (Fp_cache.stats cache) stats_before)
-      given
-  in
-  (sched, cache_stats)
+let schedule_once inst =
+  schedule_at ~module_reuse:false ~resource_scale:1.0 inst
 
-let run ?module_reuse ?cache inst =
-  fst (run_with_stats ?module_reuse ?cache inst)
+let run ?(module_reuse = false) ?cache inst =
+  fst
+    (Pa.shrink_retry ?cache inst (fun ~resource_scale ->
+         schedule_at ~module_reuse ~resource_scale inst))

@@ -11,18 +11,12 @@
 val upward_ranks : Resched_platform.Instance.t -> float array
 (** The priority of each task (higher runs earlier). *)
 
-val schedule_once : ?module_reuse:bool -> ?resource_scale:float ->
-  Resched_platform.Instance.t -> Resched_core.Schedule.t
+val schedule_once : Resched_platform.Instance.t -> Resched_core.Schedule.t
+(** One pass at the full device without module reuse or the floorplan
+    check. *)
 
 val run : ?module_reuse:bool -> ?cache:Resched_floorplan.Fp_cache.t ->
   Resched_platform.Instance.t -> Resched_core.Schedule.t
-(** With the same floorplan-validation/shrink-retry loop as PA and
-    IS-k. The floorplan checks go through [cache], shared with the other
-    schedulers, or through a private cache when none is given. *)
-
-val run_with_stats : ?module_reuse:bool ->
-  ?cache:Resched_floorplan.Fp_cache.t -> Resched_platform.Instance.t ->
-  Resched_core.Schedule.t * Resched_floorplan.Fp_cache.stats option
-(** Like {!run}, additionally reporting this run's cache activity (the
-    {!Resched_floorplan.Fp_cache.diff} of the shared cache's counters
-    around the run); [None] when no cache is given. *)
+(** Through PA's shrink-retry loop ({!Resched_core.Pa.shrink_retry}), as
+    IS-k does. The floorplan checks go through [cache], shared with the
+    other schedulers, or through a private cache when none is given. *)

@@ -7,10 +7,10 @@ type result = {
   proved_optimal : bool;
 }
 
-let schedule ?(node_limit = 5_000_000) ?(module_reuse = false) inst =
+let schedule ?(node_limit = 5_000_000) inst =
   let n = Instance.size inst in
   let chunk = List.init n (fun i -> i) in
-  let state = Partial.create ~module_reuse inst in
+  let state = Partial.create inst in
   let r = Chunk_dfs.solve ~node_limit state ~chunk in
   {
     schedule = Partial.to_schedule r.Chunk_dfs.state;

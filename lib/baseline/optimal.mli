@@ -19,6 +19,5 @@ type result = {
   proved_optimal : bool;  (** false when the node budget was exhausted *)
 }
 
-val schedule : ?node_limit:int -> ?module_reuse:bool ->
-  Resched_platform.Instance.t -> result
-(** [node_limit] defaults to 5_000_000. *)
+val schedule : ?node_limit:int -> Resched_platform.Instance.t -> result
+(** Without module reuse; [node_limit] defaults to 5_000_000. *)

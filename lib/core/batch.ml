@@ -89,21 +89,8 @@ let default_slice ~jobs requests =
   in
   Stdlib.max 1 (Stdlib.min 32 (total / (4 * jobs) + 1))
 
-let run ?config ?cache ?jobs ?pool ?slice requests =
-  let jobs =
-    match (pool, jobs) with
-    | Some p, Some j ->
-      if j <> Domain_pool.Pool.jobs p then
-        invalid_arg
-          (Printf.sprintf
-             "Batch.run: jobs=%d but the pool has %d worker(s)" j
-             (Domain_pool.Pool.jobs p));
-      j
-    | Some p, None -> Domain_pool.Pool.jobs p
-    | None, Some j when j >= 1 -> j
-    | None, Some j -> invalid_arg (Printf.sprintf "Batch.run: jobs=%d" j)
-    | None, None -> Domain_pool.available_cores ()
-  in
+let run ?cache ?jobs ?pool ?slice requests =
+  let jobs = Domain_pool.fan_out_jobs ~caller:"Batch.run" ~jobs ~pool in
   let slice =
     match slice with
     | Some s when s >= 1 -> s
@@ -123,7 +110,7 @@ let run ?config ?cache ?jobs ?pool ?slice requests =
   let courses =
     Array.map
       (fun r ->
-        Pa_random.Course.create ?config ~cache ~start
+        Pa_random.Course.create ~cache ~start
           ?cancel:r.cancel ~seed:r.seed ~min_iterations:r.min_iterations
           ~budget_seconds:r.budget_seconds r.instance)
       requests

@@ -51,13 +51,13 @@ type stats = {
       (** minor-heap words allocated inside the restart kernels *)
 }
 
-val run : ?config:Pa.config -> ?cache:Resched_floorplan.Fp_cache.t ->
+val run : ?cache:Resched_floorplan.Fp_cache.t ->
   ?jobs:int -> ?pool:Resched_util.Domain_pool.Pool.t -> ?slice:int ->
   request array -> Pa_random.outcome array * stats
-(** Schedule every request; outcomes are in request order. [config] and
-    [cache] apply to all courses (see {!Pa_random.run}). [jobs] defaults
-    to the pool's width when [pool] is given (both with different values
-    is an error), else to {!Resched_util.Domain_pool.available_cores}.
+(** Schedule every request under {!Pa.default_config}; outcomes are in
+    request order. [cache] applies to all courses (see
+    {!Pa_random.run}). [jobs] and [pool] give the worker count as
+    {!Resched_util.Domain_pool.fan_out_jobs} reconciles them.
     Without [cache], the courses share a private one.
     [slice] (default: derived from the total requested iterations, at
     most 32) bounds how many restarts a worker runs on a course before

@@ -12,13 +12,12 @@
 val uniform_cost : int -> src:int -> dst:int -> int
 (** The same transfer cost on every edge. *)
 
-val inflate : ?hw_factor:float -> ?sw_factor:float ->
-  cost:(src:int -> dst:int -> int) -> Resched_platform.Instance.t ->
-  Resched_platform.Instance.t
+val inflate : cost:(src:int -> dst:int -> int) ->
+  Resched_platform.Instance.t -> Resched_platform.Instance.t
 (** [inflate ~cost inst] returns an instance in which every
     implementation of every task [t] has its execution time increased by
     [factor * Σ_{(p,t) ∈ E} cost ~src:p ~dst:t], rounded up, where
-    [factor] is [hw_factor] (default 1.0 — accelerators pay DMA in full)
-    for hardware implementations and [sw_factor] (default 0.5 — cores
-    read through the cache hierarchy) for software ones. Costs must be
-    >= 0; the graph and resource requirements are shared, not copied. *)
+    [factor] is 1.0 for hardware implementations (accelerators pay DMA
+    in full) and 0.5 for software ones (cores read through the cache
+    hierarchy). Costs must be >= 0; the graph and resource requirements
+    are shared, not copied. *)

@@ -90,17 +90,13 @@ end
 type config = {
   ordering : Regions_define.ordering;
   module_reuse : bool;
-  max_attempts : int;
-  shrink_factor : float;
 }
 
 let default_config =
-  {
-    ordering = Regions_define.By_efficiency;
-    module_reuse = false;
-    max_attempts = 8;
-    shrink_factor = 0.9;
-  }
+  { ordering = Regions_define.By_efficiency; module_reuse = false }
+
+let max_attempts = 8
+let shrink_factor = 0.9
 
 type stats = {
   attempts : int;
@@ -262,17 +258,16 @@ let all_software_schedule inst =
 let region_needs (sched : Schedule.t) =
   Array.map (fun (r : Schedule.region) -> r.Schedule.res) sched.Schedule.regions
 
-let run ?(config = default_config) ?cache inst =
+let shrink_retry ?cache inst schedule =
   let cache = match cache with Some c -> c | None -> Fp_cache.create () in
   let device = inst.Instance.arch.Arch.device in
-  let ctx = Context.create inst in
   let sched_time = ref 0. and plan_time = ref 0. in
   let rec attempt k scale =
-    if k > config.max_attempts then begin
+    if k > max_attempts then begin
       Log.warn (fun m ->
           m "no floorplannable schedule after %d attempts; all-software \
              fallback"
-            config.max_attempts);
+            max_attempts);
       let t0 = Unix.gettimeofday () in
       let fallback = all_software_schedule inst in
       sched_time := !sched_time +. (Unix.gettimeofday () -. t0);
@@ -280,7 +275,7 @@ let run ?(config = default_config) ?cache inst =
     end
     else begin
       let t0 = Unix.gettimeofday () in
-      let sched = schedule_once ~config ~resource_scale:scale ~ctx inst in
+      let sched = schedule ~resource_scale:scale in
       sched_time := !sched_time +. (Unix.gettimeofday () -. t0);
       let needs = region_needs sched in
       if Array.length needs = 0 then
@@ -300,7 +295,7 @@ let run ?(config = default_config) ?cache inst =
               m "attempt %d (scale %.2f): %d regions not floorplannable; \
                  shrinking"
                 k scale (Array.length needs));
-          attempt (k + 1) (scale *. config.shrink_factor)
+          attempt (k + 1) (scale *. shrink_factor)
       end
     end
   in
@@ -311,3 +306,8 @@ let run ?(config = default_config) ?cache inst =
       scheduling_seconds = !sched_time;
       floorplanning_seconds = !plan_time;
     } )
+
+let run ?(config = default_config) ?cache inst =
+  let ctx = Context.create inst in
+  shrink_retry ?cache inst (fun ~resource_scale ->
+      schedule_once ~config ~resource_scale ~ctx inst)

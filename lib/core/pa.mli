@@ -13,14 +13,16 @@ type config = {
   module_reuse : bool;
       (** allow consecutive same-module tasks in a region to skip the
           reconfiguration (paper's future work; default false) *)
-  max_attempts : int;
-      (** floorplan retries before falling back to all-software *)
-  shrink_factor : float;
-      (** virtual [maxRes] multiplier applied per retry (Sec. V-H) *)
 }
 
 val default_config : config
-(** Efficiency ordering, no module reuse, 8 attempts, shrink 0.9. *)
+(** Efficiency ordering, no module reuse. *)
+
+val max_attempts : int
+(** Scheduling attempts before the all-software fallback: 8. *)
+
+val shrink_factor : float
+(** Virtual [maxRes] multiplier applied per retry (Sec. V-H): 0.9. *)
 
 type stats = {
   attempts : int;  (** scheduling attempts (>= 1) *)
@@ -106,12 +108,22 @@ val all_software_schedule : Resched_platform.Instance.t -> Schedule.t
 (** Every task on its fastest software implementation, mapped on the
     processors; trivially floorplan-feasible. The terminal fallback. *)
 
+val shrink_retry : ?cache:Resched_floorplan.Fp_cache.t ->
+  Resched_platform.Instance.t -> (resource_scale:float -> Schedule.t) ->
+  Schedule.t * stats
+(** Step 8's shrink-retry loop (Sec. V-H), shared by PA, IS-k and HEFT:
+    [shrink_retry inst schedule] schedules at scale 1.0 and checks the
+    region set through [cache] (default: a private cache for this
+    call); on a failed check ([Infeasible] or [Unknown]) it retries at
+    the scale times {!shrink_factor}, and after {!max_attempts}
+    attempts returns {!all_software_schedule}. The returned schedule
+    carries a floorplan ([Some [||]] without regions). The cache only
+    answers sooner: the schedule does not depend on which cache
+    answers. *)
+
 val run : ?config:config -> ?cache:Resched_floorplan.Fp_cache.t ->
   Resched_platform.Instance.t -> Schedule.t * stats
-(** The full PA algorithm: steps 1-7 on one restart arena shared by the
-    shrink attempts, then the floorplan check. The returned schedule
-    always validates ({!Validate.check}) and carries a floorplan when it
-    uses regions. The check goes through [cache] (default: a private
-    cache for this call), so shrink attempts, and other schedulers
-    sharing the cache, reuse verdicts; the schedule does not depend on
-    which cache answers. *)
+(** The full PA algorithm: {!shrink_retry} over steps 1-7 on one
+    restart arena shared by the attempts. The returned schedule always
+    validates ({!Validate.check}) and carries a floorplan when it uses
+    regions. *)

@@ -152,7 +152,7 @@ module Course = struct
          See DESIGN.md. *)
       crs_lattice =
         Array.init (max_shrink_exp + 1) (fun k ->
-            config.Pa.shrink_factor ** float_of_int k);
+            Pa.shrink_factor ** float_of_int k);
       crs_shrink_exp = 0;
       crs_iterations = 0;
       crs_trace = [];
@@ -160,12 +160,12 @@ module Course = struct
       crs_done = false;
     }
 
-  let create ?config ?cache ?start ?cancel ~seed ~min_iterations
-      ~budget_seconds inst =
+  let create ?cache ?start ?cancel ~seed ~min_iterations ~budget_seconds
+      inst =
     let start =
       match start with Some s -> s | None -> Unix.gettimeofday ()
     in
-    make ?config ?cancel ~cache:(resolve_cache cache)
+    make ?cancel ~cache:(resolve_cache cache)
       ~shared:(make_shared ()) ~rng:(Rng.create seed) ~start ~min_iterations
       ~budget_seconds inst
 
@@ -318,19 +318,7 @@ let merge_traces results =
 let run_parallel ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1)
     ?jobs ?pool ?cache ~budget_seconds inst =
   let jobs =
-    match (pool, jobs) with
-    | Some p, Some j ->
-      if j <> Domain_pool.Pool.jobs p then
-        invalid_arg
-          (Printf.sprintf
-             "Pa_random.run_parallel: jobs=%d but the pool has %d worker(s)" j
-             (Domain_pool.Pool.jobs p));
-      j
-    | Some p, None -> Domain_pool.Pool.jobs p
-    | None, Some j when j >= 1 -> j
-    | None, Some j ->
-      invalid_arg (Printf.sprintf "Pa_random.run_parallel: jobs=%d" j)
-    | None, None -> Domain_pool.available_cores ()
+    Domain_pool.fan_out_jobs ~caller:"Pa_random.run_parallel" ~jobs ~pool
   in
   if jobs = 1 then
     run ~config ~seed ~min_iterations ?cache ~budget_seconds inst

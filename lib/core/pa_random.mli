@@ -50,12 +50,12 @@ type outcome = {
 module Course : sig
   type t
 
-  val create : ?config:Pa.config -> ?cache:Resched_floorplan.Fp_cache.t ->
-    ?start:float -> ?cancel:(unit -> bool) -> seed:int ->
-    min_iterations:int -> budget_seconds:float ->
-    Resched_platform.Instance.t -> t
+  val create : ?cache:Resched_floorplan.Fp_cache.t -> ?start:float ->
+    ?cancel:(unit -> bool) -> seed:int -> min_iterations:int ->
+    budget_seconds:float -> Resched_platform.Instance.t -> t
   (** A fresh stream with its own incumbent, replaying exactly what
-      {!run} with the same arguments would do. [start] (default: now)
+      {!run} with the same arguments and {!Pa.default_config} would do.
+      [start] (default: now)
       anchors the wall-clock budget and the trace's [elapsed] stamps —
       the batch engine passes one common origin for all its courses.
       Without [cache], the course checks through a private one.

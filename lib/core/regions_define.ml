@@ -40,7 +40,7 @@ let window_neighbours state ~task (region : State.region) =
     region.State.tasks;
   (!prev, !next)
 
-let reconf_gaps_ok ?(module_reuse = false) state ~task region =
+let reconf_gaps_ok ~module_reuse state ~task region =
   let reconf = region.State.reconf in
   let reuse a b =
     module_reuse && same_module (State.impl state a) (State.impl state b)
@@ -64,10 +64,10 @@ let reconf_gaps_ok ?(module_reuse = false) state ~task region =
 let fits_region state ~task (region : State.region) =
   Resource.fits (State.impl state task).Impl.res ~within:region.State.res
 
-let region_compatible_critical ?module_reuse state ~task region =
+let region_compatible_critical ~module_reuse state ~task region =
   fits_region state ~task region
   && windows_disjoint state ~task region
-  && reconf_gaps_ok ?module_reuse state ~task region
+  && reconf_gaps_ok ~module_reuse state ~task region
 
 let region_compatible_non_critical state ~task region =
   fits_region state ~task region && windows_disjoint state ~task region
@@ -86,11 +86,11 @@ let best_compatible state ~ok =
   !best
 
 (* Assign one critical hardware task per the three-way rule of Sec. V-C. *)
-let place_critical ?module_reuse state ~task =
+let place_critical ~module_reuse state ~task =
   let need = (State.impl state task).Impl.res in
   let compatible =
     best_compatible state ~ok:(fun r ->
-        region_compatible_critical ?module_reuse state ~task r)
+        region_compatible_critical ~module_reuse state ~task r)
   in
   match compatible with
   | Some region -> State.assign_to_region state ~task region
@@ -124,7 +124,7 @@ let place_non_critical state ~task =
    [List.stable_sort] would, and the inlined Fisher-Yates over the
    non-critical segment replays [Rng.shuffle]'s exact draw sequence
    (both checked against the list-ordered reference in test code). *)
-let run ?module_reuse ~ordering state =
+let run ?(module_reuse = false) ~ordering state =
   let n = Resched_platform.Instance.size state.State.inst in
   let scratch = state.State.scratch in
   let critical = State.sc_flags scratch in
@@ -179,7 +179,7 @@ let run ?module_reuse ~ordering state =
       tasks.(nc + j) <- tmp
     done);
   for i = 0 to nc - 1 do
-    place_critical ?module_reuse state ~task:tasks.(i)
+    place_critical ~module_reuse state ~task:tasks.(i)
   done;
   for i = nc to nc + nnc - 1 do
     place_non_critical state ~task:tasks.(i)

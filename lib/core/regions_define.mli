@@ -19,7 +19,7 @@ val run : ?module_reuse:bool -> ordering:ordering -> State.t -> unit
     false) lets a task join a region holding an adjacent task with the
     same [module_id] without requiring a reconfiguration gap. *)
 
-val region_compatible_critical : ?module_reuse:bool -> State.t -> task:int ->
+val region_compatible_critical : module_reuse:bool -> State.t -> task:int ->
   State.region -> bool
 (** Exposed for testing: the Sec. V-C condition for a *critical* task —
     the region hosts the implementation's resources, no hosted window
@@ -31,7 +31,7 @@ val region_compatible_non_critical : State.t -> task:int -> State.region ->
 (** Exposed for testing: the weaker condition used for non-critical
     tasks (no reconfiguration-window requirement). *)
 
-val place_critical : ?module_reuse:bool -> State.t -> task:int -> unit
+val place_critical : module_reuse:bool -> State.t -> task:int -> unit
 (** Place one critical hardware task by the three-way rule of Sec. V-C:
     the compatible region with the smallest bitstream, else a new region
     if it fits, else software. {!run} applies it to every critical task

@@ -347,7 +347,7 @@ module Solver = struct
     chain sequence;
     finish_resolve ?release s
 
-  let resolve_array ?release s ~sequence ~len =
+  let resolve_array s ~sequence ~len =
     if len < 0 || len > Array.length sequence then
       invalid_arg "Timing.Solver.resolve_array: bad length";
     prep s;
@@ -357,7 +357,7 @@ module Solver = struct
       chain_next.(a) <- b;
       indeg.(n + b) <- indeg.(n + b) + 1
     done;
-    finish_resolve ?release s
+    finish_resolve s
 
   (* Raise node [v]'s start to at least [finish], keeping the derived
      times and the makespan in step, and queue it when it moved. The

@@ -81,12 +81,11 @@ module Solver : sig
       Results are bit-identical to a freshly {!of_plan}-compiled
       solver's. *)
 
-  val resolve_array :
-    ?release:int array -> t -> sequence:int array -> len:int -> resolved
-  (** {!resolve} with the controller sequence given as the first [len]
-      entries of an int array — the sequencing loop's scratch
-      representation — instead of a list. Same result, same aliasing
-      caveat. *)
+  val resolve_array : t -> sequence:int array -> len:int -> resolved
+  (** {!resolve} without release times, with the controller sequence
+      given as the first [len] entries of an int array — the sequencing
+      loop's scratch representation — instead of a list. Same result,
+      same aliasing caveat. *)
 
   val splice : t -> sequence:int array -> len:int -> pos:int -> resolved
   (** Re-time after inserting [sequence.(pos)] into the chain of this

@@ -141,8 +141,7 @@ let make_children parent ~key ~var ~value snap =
 (* Per-variable average objective degradation per unit of bound motion,
    one account per direction. Seeded by strong branching at the root;
    thereafter every solved child updates its parent's branching
-   variable. Workers keep private copies (seeded identically), so no
-   synchronization is needed. *)
+   variable. *)
 type pseudo = {
   dsum : float array;
   dcnt : int array;
@@ -156,14 +155,6 @@ let pseudo_create n =
     dcnt = Array.make n 0;
     usum = Array.make n 0.;
     ucnt = Array.make n 0;
-  }
-
-let pseudo_copy p =
-  {
-    dsum = Array.copy p.dsum;
-    dcnt = Array.copy p.dcnt;
-    usum = Array.copy p.usum;
-    ucnt = Array.copy p.ucnt;
   }
 
 let pseudo_update p nd child_key =
@@ -253,13 +244,11 @@ let most_fractional ~integer values =
 (* ------------------------------------------------------------------ *)
 (* Node evaluation                                                     *)
 
-(* A worker's LP solver and the basis snapshot it sits at: popping a
+(* The search's LP solver and the basis snapshot it sits at: popping a
    node whose [nsnap] is physically that basis (the common
    first-child-after-parent case) skips the O(m^3) refactorization, and
    the dual simplex starts from the parent's optimum. *)
 type lp = { solver : Revised.t; mutable at : Revised.snapshot option }
-
-let lp_of solver = { solver; at = None }
 
 let solve_node ~deadline lp nd ~lb ~ub =
   Revised.set_bounds lp.solver ~lb ~ub;
@@ -352,18 +341,16 @@ let strong_branch ~deadline ~integer ~base_lb ~base_ub ~sign ~root_key solver
   snap0
 
 (* ------------------------------------------------------------------ *)
-(* Shared setup                                                        *)
+(* Search                                                              *)
 
-type problem = {
-  model : Lp.t;
-  n : int;
-  base_lb : float array;
-  base_ub : float array;
-  integer : bool array;
-  sign : float;  (* key = sign * user objective, minimized *)
-}
-
-let problem_of_model model =
+let solve ?(node_limit = 1_000_000) ?time_limit model =
+  let deadline =
+    match time_limit with
+    | None -> infinity
+    | Some s ->
+      if s <= 0. then invalid_arg "Branch_bound.solve: time_limit";
+      Unix.gettimeofday () +. s
+  in
   let n = Lp.num_vars model in
   let base_lb = Lp.lb_array model in
   let base_ub = Lp.ub_array model in
@@ -373,30 +360,24 @@ let problem_of_model model =
       if isint && not (Float.is_finite base_ub.(i)) then
         invalid_arg "Branch_bound.solve: integer variables need finite bounds")
     integer;
+  (* key = sign * user objective, minimized *)
   let sign =
     match Lp.objective model with Lp.Minimize -> 1. | Maximize -> -1.
   in
-  { model; n; base_lb; base_ub; integer; sign }
-
-(* ------------------------------------------------------------------ *)
-(* Sequential search (jobs = 1)                                        *)
-
-let solve_seq ~node_limit ~deadline p =
-  let { model; n = _; base_lb; base_ub; integer; sign } = p in
   let incumbent = ref None in
   let incumbent_key = ref infinity in
   let nodes = ref 0 in
   let exhausted = ref false in
   let heap = Heap.create () in
-  let pseudo = pseudo_create p.n in
+  let pseudo = pseudo_create n in
   let solver = Revised.of_model model in
-  let lp = lp_of solver in
+  let lp = { solver; at = None } in
   let choose values = choose_branch_pc ~integer pseudo values in
   let lbbuf = Array.copy base_lb and ubbuf = Array.copy base_ub in
   let evaluate nd =
     incr nodes;
-    Array.blit base_lb 0 lbbuf 0 p.n;
-    Array.blit base_ub 0 ubbuf 0 p.n;
+    Array.blit base_lb 0 lbbuf 0 n;
+    Array.blit base_ub 0 ubbuf 0 n;
     materialize nd lbbuf ubbuf;
     match solve_node ~deadline lp nd ~lb:lbbuf ~ub:ubbuf with
     | Revised.Infeasible -> `Pruned
@@ -471,173 +452,3 @@ let solve_seq ~node_limit ~deadline p =
       if !exhausted then Feasible sol else Optimal sol
     | None -> if !exhausted then Node_limit else Infeasible
   end
-
-(* ------------------------------------------------------------------ *)
-(* Parallel search (jobs > 1)                                          *)
-
-(* Per-worker best-first heaps behind mutexes, work stealing from the
-   next worker over, a CAS-updated shared incumbent and an atomic
-   outstanding-node counter for termination. The root (plus strong
-   branching) is solved sequentially, so `Unbounded` can only arise
-   there. Node counts are nondeterministic under work stealing, but the
-   incumbent objective matches the sequential solve whenever the search
-   runs to completion. *)
-let solve_par ~node_limit ~deadline ~jobs p =
-  let { model; n; base_lb; base_ub; integer; sign } = p in
-  let root_solver = Revised.of_model model in
-  let pseudo0 = pseudo_create n in
-  match Revised.solve_fresh ~deadline root_solver with
-  | Revised.Unbounded -> Unbounded
-  | Revised.Infeasible -> Infeasible
-  | Revised.Limit -> Node_limit
-  | Revised.Optimal { objective; values } -> (
-    let root_key = sign *. objective in
-    match most_fractional ~integer values with
-    | -1 ->
-      Optimal
-        { objective; values; proved_optimal = true; nodes = 1 }
-    | mf_var ->
-      let root_snap =
-        Some
-          (strong_branch ~deadline ~integer ~base_lb ~base_ub ~sign ~root_key
-             root_solver pseudo0 values)
-      in
-      let var =
-        match choose_branch_pc ~integer pseudo0 values with
-        | -1 -> mf_var
-        | v -> v
-      in
-      let incumbent = Atomic.make None in
-      let incumbent_key () =
-        match Atomic.get incumbent with
-        | None -> infinity
-        | Some (k, _, _) -> k
-      in
-      let rec offer key objective values =
-        let cur = Atomic.get incumbent in
-        let cur_key =
-          match cur with None -> infinity | Some (k, _, _) -> k
-        in
-        if key < cur_key -. 1e-9 then
-          if not (Atomic.compare_and_set incumbent cur
-                    (Some (key, objective, values)))
-          then offer key objective values
-      in
-      let nodes = Atomic.make 1 (* root *) in
-      let outstanding = Atomic.make 0 in
-      let stop = Atomic.make false in
-      let exhausted = Atomic.make false in
-      let heaps = Array.init jobs (fun _ -> Heap.create ()) in
-      let locks = Array.init jobs (fun _ -> Mutex.create ()) in
-      let push wid key nd =
-        Atomic.incr outstanding;
-        Mutex.lock locks.(wid);
-        Heap.push heaps.(wid) key nd;
-        Mutex.unlock locks.(wid)
-      in
-      let try_pop wid =
-        Mutex.lock locks.(wid);
-        let r = Heap.pop heaps.(wid) in
-        Mutex.unlock locks.(wid);
-        r
-      in
-      let pop_any wid =
-        match try_pop wid with
-        | Some _ as r -> r
-        | None ->
-          let r = ref None in
-          let k = ref 1 in
-          while !r = None && !k < jobs do
-            r := try_pop ((wid + !k) mod jobs);
-            incr k
-          done;
-          !r
-      in
-      let d, u =
-        make_children root_node ~key:root_key ~var ~value:values.(var)
-          root_snap
-      in
-      push 0 root_key d;
-      push (1 mod jobs) root_key u;
-      let worker wid =
-        let pseudo = pseudo_copy pseudo0 in
-        let lp = lp_of (Revised.clone root_solver) in
-        let lbbuf = Array.copy base_lb and ubbuf = Array.copy base_ub in
-        let process nd key =
-          if key >= incumbent_key () -. 1e-9 then ()
-          else begin
-            let c = Atomic.fetch_and_add nodes 1 in
-            if c >= node_limit then begin
-              Atomic.set exhausted true;
-              Atomic.set stop true
-            end
-            else begin
-              Array.blit base_lb 0 lbbuf 0 n;
-              Array.blit base_ub 0 ubbuf 0 n;
-              materialize nd lbbuf ubbuf;
-              match solve_node ~deadline lp nd ~lb:lbbuf ~ub:ubbuf with
-              | Revised.Infeasible | Revised.Unbounded -> ()
-              | Revised.Limit -> Atomic.set exhausted true
-              | Revised.Optimal { objective; values } -> (
-                let child_key = sign *. objective in
-                pseudo_update pseudo nd child_key;
-                if child_key >= incumbent_key () -. 1e-9 then ()
-                else
-                  match choose_branch_pc ~integer pseudo values with
-                  | -1 -> offer child_key objective values
-                  | bvar ->
-                    let snap = node_snapshot lp in
-                    let d, u =
-                      make_children nd ~key:child_key ~var:bvar
-                        ~value:values.(bvar) snap
-                    in
-                    push wid child_key d;
-                    push wid child_key u)
-            end
-          end
-        in
-        let running = ref true in
-        while !running do
-          if Atomic.get stop then running := false
-          else if Unix.gettimeofday () > deadline then begin
-            Atomic.set exhausted true;
-            Atomic.set stop true
-          end
-          else begin
-            match pop_any wid with
-            | Some (key, nd) ->
-              process nd key;
-              Atomic.decr outstanding
-            | None ->
-              if Atomic.get outstanding = 0 then running := false
-              else Domain.cpu_relax ()
-          end
-        done
-      in
-      ignore (Resched_util.Domain_pool.run ~jobs worker);
-      if Unix.gettimeofday () > deadline then Atomic.set exhausted true;
-      let exhausted = Atomic.get exhausted in
-      let node_count = Atomic.get nodes in
-      (match Atomic.get incumbent with
-      | Some (_, objective, values) ->
-        let sol =
-          { objective; values; proved_optimal = not exhausted;
-            nodes = node_count }
-        in
-        if exhausted then Feasible sol else Optimal sol
-      | None -> if exhausted then Node_limit else Infeasible))
-
-(* ------------------------------------------------------------------ *)
-
-let solve ?(node_limit = 1_000_000) ?time_limit ?(jobs = 1) model =
-  let deadline =
-    match time_limit with
-    | None -> infinity
-    | Some s ->
-      if s <= 0. then invalid_arg "Branch_bound.solve: time_limit";
-      Unix.gettimeofday () +. s
-  in
-  let p = problem_of_model model in
-  let jobs = Stdlib.max 1 jobs in
-  if jobs = 1 then solve_seq ~node_limit ~deadline p
-  else solve_par ~node_limit ~deadline ~jobs p

@@ -7,14 +7,8 @@
     strong branching at the root. The original search, a dense
     two-phase tableau with most-fractional branching, is the test
     oracle [Milp_oracle.Tableau]; it runs on the heap and node helpers
-    exposed below.
-
-    With [jobs > 1] the search runs on a domain pool: per-worker
-    best-first heaps with work stealing and a CAS-updated shared
-    incumbent. Node counts are then nondeterministic, but the returned
-    objective agrees with the sequential solve whenever the search
-    completes. [jobs = 1] never spawns a domain and is deterministic
-    run-to-run.
+    exposed below. The search runs on the calling domain and is
+    deterministic run-to-run.
 
     Exact when it terminates within the node budget; otherwise returns
     the incumbent with [proved_optimal = false] (the behaviour the IS-k
@@ -37,13 +31,11 @@ type result =
   | Unbounded
   | Node_limit  (** node budget hit before any integer solution *)
 
-val solve : ?node_limit:int -> ?time_limit:float -> ?jobs:int -> Lp.t ->
-  result
+val solve : ?node_limit:int -> ?time_limit:float -> Lp.t -> result
 (** [node_limit] defaults to 1_000_000; [time_limit] (wall-clock seconds,
-    default unlimited) turns the solver into an anytime procedure;
-    [jobs] (default 1) to the number of worker domains. A relaxation
-    value within 1e-6 of an integer counts as integral. Integer
-    variables must have finite bounds. *)
+    default unlimited) turns the solver into an anytime procedure. A
+    relaxation value within 1e-6 of an integer counts as integral.
+    Integer variables must have finite bounds. *)
 
 (** {2 Search helpers}
 

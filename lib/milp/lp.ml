@@ -44,7 +44,7 @@ let combine_terms terms =
   Hashtbl.fold (fun v c acc -> if c = 0. then acc else (v, c) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let add_constraint t ?name:_ terms sense rhs =
+let add_constraint t terms sense rhs =
   List.iter
     (fun ((v : var), _) ->
       if v < 0 || v >= t.nvars then

@@ -29,8 +29,7 @@ val add_var : t -> ?lb:float -> ?ub:float -> ?integer:bool -> obj:float ->
 val add_binary : t -> obj:float -> unit -> var
 (** Integer variable in [\[0, 1\]]. *)
 
-val add_constraint : t -> ?name:string -> (var * float) list -> sense ->
-  float -> unit
+val add_constraint : t -> (var * float) list -> sense -> float -> unit
 (** [add_constraint m terms sense rhs] adds [Σ coeff * var  sense  rhs].
     Repeated variables in [terms] are summed. *)
 

@@ -152,25 +152,6 @@ let of_model model =
   make ~goal:(Lp.objective model) ~obj:(Lp.obj_coeffs model)
     ~lb:(Lp.lb_array model) ~ub:(Lp.ub_array model) ~rows:(Lp.rows model) ()
 
-(* Workers get their own mutable state; the sparse columns, costs and
-   rhs are immutable after [make] and safely shared across domains. *)
-let clone t =
-  {
-    t with
-    lb = Array.copy t.lb;
-    ub = Array.copy t.ub;
-    status = Array.copy t.status;
-    basis = Array.copy t.basis;
-    x = Array.copy t.x;
-    fac = Basis.create t.m;
-    y = Array.make t.m 0.;
-    w = Array.make t.m 0.;
-    rho = Array.make t.m 0.;
-    pcost = Array.make t.ncols 0.;
-    infeas = 0.;
-    factored = false;
-  }
-
 let set_bounds t ~lb ~ub =
   if Array.length lb <> t.n || Array.length ub <> t.n then
     invalid_arg "Revised.set_bounds: length mismatch";

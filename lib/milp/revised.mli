@@ -23,9 +23,8 @@ type result =
           "node budget exhausted", never as an infeasibility proof. *)
 
 type t
-(** Mutable solver state: model data (shared, immutable) plus bounds,
-    basis, factorization and iterate. One [t] per worker domain; use
-    {!clone} to hand copies to other domains. *)
+(** Mutable solver state: model data (immutable) plus bounds, basis,
+    factorization and iterate. *)
 
 type snapshot
 (** An immutable basis snapshot ([status] + [basis] arrays) taken by
@@ -46,11 +45,6 @@ val make :
 
 val of_model : Lp.t -> t
 (** [make] from a model's own goal, objective, bounds and rows. *)
-
-val clone : t -> t
-(** Copy with fresh mutable state (bounds, basis, iterate, scratch);
-    the sparse column data is shared. The clone starts unfactored, so
-    its first solve must be {!solve_fresh} or go through {!load_basis}. *)
 
 val set_bounds : t -> lb:float array -> ub:float array -> unit
 (** Overwrite the structural variables' bounds (one entry per model

@@ -109,7 +109,7 @@ let group ?params ?arch ~seed ~tasks ~count () =
   let rng = Rng.create (seed + (tasks * 7919)) in
   List.init count (fun _ -> instance ?params ?arch rng ~tasks)
 
-let full ?params ?arch ?(graphs_per_group = 10) ~seed () =
+let full ?(graphs_per_group = 10) ~seed () =
   List.init 10 (fun i ->
       let tasks = (i + 1) * 10 in
-      (tasks, group ?params ?arch ~seed ~tasks ~count:graphs_per_group ()))
+      (tasks, group ~seed ~tasks ~count:graphs_per_group ()))

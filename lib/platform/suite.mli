@@ -42,7 +42,8 @@ val group : ?params:params -> ?arch:Arch.t -> seed:int -> tasks:int ->
   count:int -> unit -> Instance.t list
 (** [count] instances of [tasks] tasks each, derived from [seed]. *)
 
-val full : ?params:params -> ?arch:Arch.t -> ?graphs_per_group:int ->
-  seed:int -> unit -> (int * Instance.t list) list
-(** The whole suite: groups of [graphs_per_group] (default 10) instances
-    for task counts 10, 20, ..., 100, as [(tasks, instances)] pairs. *)
+val full : ?graphs_per_group:int -> seed:int -> unit ->
+  (int * Instance.t list) list
+(** The whole suite: groups of [graphs_per_group] (default 10) default
+    XC7Z020 instances for task counts 10, 20, ..., 100, as
+    [(tasks, instances)] pairs. *)

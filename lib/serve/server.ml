@@ -25,14 +25,13 @@ type config = {
   default_budget_s : float;
   default_deadline_s : float option;
   allow_fault_injection : bool;
-  drr_quantum : int;
 }
 
 let config ?(capacity = 64) ?tenant_quota ?degrade_low ?degrade_high
     ?(degrade_factor = 8) ?(slice = 16) ?(max_retries = 2)
     ?(backoff_s = 0.05) ?(default_seed = 1) ?(default_min_iterations = 200)
     ?(default_budget_s = 0.) ?default_deadline_s
-    ?(allow_fault_injection = false) ?(drr_quantum = 1) () =
+    ?(allow_fault_injection = false) () =
   if capacity < 1 then
     invalid_arg (Printf.sprintf "Server.config: capacity=%d" capacity);
   if slice < 1 then
@@ -40,8 +39,6 @@ let config ?(capacity = 64) ?tenant_quota ?degrade_low ?degrade_high
   if degrade_factor < 1 then
     invalid_arg
       (Printf.sprintf "Server.config: degrade_factor=%d" degrade_factor);
-  if drr_quantum < 1 then
-    invalid_arg (Printf.sprintf "Server.config: drr_quantum=%d" drr_quantum);
   let tenant_quota =
     match tenant_quota with Some q -> Stdlib.max 1 q | None -> capacity
   in
@@ -69,7 +66,6 @@ let config ?(capacity = 64) ?tenant_quota ?degrade_low ?degrade_high
     default_budget_s = Float.max 0. default_budget_s;
     default_deadline_s;
     allow_fault_injection;
-    drr_quantum;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -97,14 +93,12 @@ type entry = {
 
 (* One dispatch source (a connection, or a tenant when the caller does
    not distinguish connections). Admitted entries queue per-source;
-   the deficit-round-robin scan in [take_locked] serves the sources in
-   rotation so no single flooding source can head-of-line-block the
-   rest. [s_in_rotation] means the source is in [rotation] or is the
-   current deficit holder. *)
+   [take_locked] serves the sources round robin so no single flooding
+   source can head-of-line-block the rest. [s_in_rotation] means the
+   source is in [rotation]. *)
 type src = {
   s_key : string;
   s_q : entry Queue.t;
-  mutable s_deficit : int;
   mutable s_in_rotation : bool;
   mutable s_enqueued : int;  (* admitted, cumulative *)
   mutable s_dispatched : int;  (* handed to a worker, cumulative *)
@@ -118,8 +112,7 @@ type t = {
   lock : Mutex.t;
   work : Condition.t;
   sources : (string, src) Hashtbl.t;
-  rotation : src Queue.t;  (* active sources, DRR order *)
-  mutable drr_current : src option;  (* source whose deficit is draining *)
+  rotation : src Queue.t;  (* active sources, round-robin order *)
   mutable pending_total : int;  (* admitted entries across sources *)
   mutable retrying : entry list;  (* backed-off retries, outside the bound *)
   tenants : (string, int) Hashtbl.t;  (* in-flight count per tenant *)
@@ -146,19 +139,17 @@ type t = {
   resp_lock : Mutex.t;
 }
 
-let create ?clock ?cache ~respond cfg =
+let create ?clock ~respond cfg =
   let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
-  let cache = match cache with Some c -> c | None -> Fp_cache.create () in
   {
     cfg;
     clock;
-    cache;
+    cache = Fp_cache.create ();
     respond;
     lock = Mutex.create ();
     work = Condition.create ();
     sources = Hashtbl.create 16;
     rotation = Queue.create ();
-    drr_current = None;
     pending_total = 0;
     retrying = [];
     tenants = Hashtbl.create 16;
@@ -236,7 +227,6 @@ let source_of_locked t key =
       {
         s_key = key;
         s_q = Queue.create ();
-        s_deficit = 0;
         s_in_rotation = false;
         s_enqueued = 0;
         s_dispatched = 0;
@@ -269,48 +259,27 @@ let enqueue_locked t src e =
 
 let deactivate_locked t src =
   src.s_in_rotation <- false;
-  src.s_deficit <- 0;
   maybe_prune_locked t src
 
-(* Deficit round robin over the active sources; every request costs
-   one unit, each visit grants [drr_quantum] units. With the default
-   quantum of 1 this is exact per-source round robin. Only called when
-   [pending_total > 0], which guarantees the rotation holds a
-   non-empty source. *)
+(* Round robin over the active sources: serve one request of the next
+   source, and re-queue the source if it still has work. A source the
+   expiry sweeper emptied is dropped from the rotation when its turn
+   comes. Only called when [pending_total > 0], which guarantees the
+   rotation holds a non-empty source. *)
 let rec take_locked t =
-  match t.drr_current with
-  | Some src when (not (Queue.is_empty src.s_q)) && src.s_deficit >= 1 ->
+  let src = Queue.pop t.rotation in
+  if Queue.is_empty src.s_q then begin
+    deactivate_locked t src;
+    take_locked t
+  end
+  else begin
     let e = Queue.pop src.s_q in
-    src.s_deficit <- src.s_deficit - 1;
     src.s_dispatched <- src.s_dispatched + 1;
     t.pending_total <- t.pending_total - 1;
-    if Queue.is_empty src.s_q then begin
-      t.drr_current <- None;
-      deactivate_locked t src
-    end
-    else if src.s_deficit < 1 then begin
-      t.drr_current <- None;
-      Queue.push src t.rotation
-    end;
+    if Queue.is_empty src.s_q then deactivate_locked t src
+    else Queue.push src t.rotation;
     e
-  | current ->
-    (match current with
-    | Some src ->
-      (* Deficit spent (or the sweeper emptied the queue): rotate. *)
-      t.drr_current <- None;
-      if Queue.is_empty src.s_q then deactivate_locked t src
-      else Queue.push src t.rotation
-    | None -> ());
-    let src = Queue.pop t.rotation in
-    if Queue.is_empty src.s_q then begin
-      deactivate_locked t src;
-      take_locked t
-    end
-    else begin
-      src.s_deficit <- src.s_deficit + t.cfg.drr_quantum;
-      t.drr_current <- Some src;
-      take_locked t
-    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -337,7 +306,6 @@ let dispatch_json_locked t =
   in
   Json.Obj
     [
-      ("quantum", Json.Int t.cfg.drr_quantum);
       ( "active_sources",
         Json.Int (List.length (List.filter (fun s -> s.s_in_rotation) srcs)) );
       ("known_sources", Json.Int (List.length srcs));
@@ -351,7 +319,6 @@ let dispatch_json_locked t =
                  [
                    ("source", Json.String s.s_key);
                    ("queued", Json.Int (Queue.length s.s_q));
-                   ("deficit", Json.Int s.s_deficit);
                    ("enqueued", Json.Int s.s_enqueued);
                    ("dispatched", Json.Int s.s_dispatched);
                  ])
@@ -362,7 +329,7 @@ let metrics t =
   with_lock t (fun () ->
       Json.Obj
         ([
-           ("schema", Json.String "resched-serve-metrics/3");
+           ("schema", Json.String "resched-serve-metrics/4");
            ( "queue",
              Json.Obj
                [
@@ -429,8 +396,9 @@ let load_instance source =
 let reject t ~via ~id ~reason ~depth =
   deliver t ~via (Protocol.Rejected { id; reason; queue_depth = depth })
 
-let submit ?respond ?source t (req : Protocol.request) =
-  let via = match respond with Some r -> r | None -> t.respond in
+(* [submit] with the responder [via] for every response the request
+   produces. *)
+let admit ~via ?source t (req : Protocol.request) =
   match req.Protocol.op with
   | Protocol.Metrics ->
     deliver t ~via
@@ -522,10 +490,12 @@ let submit ?respond ?source t (req : Protocol.request) =
       | `Reject (reason, depth) ->
         reject t ~via ~id:req.Protocol.id ~reason ~depth))
 
+let submit t req = admit ~via:t.respond t req
+
 let submit_line ?respond ?source t line =
   let via = match respond with Some r -> r | None -> t.respond in
   match Protocol.parse_request line with
-  | Ok req -> submit ~respond:via ?source t req
+  | Ok req -> admit ~via ?source t req
   | Error _ ->
     let depth =
       with_lock t (fun () ->

@@ -30,8 +30,8 @@
       dispatched — and reported in the response.
     - Dispatch is fair across sources: admitted requests queue per
       [source] (per connection under the multiplexing transport,
-      per tenant otherwise) and workers drain the sources
-      deficit-round-robin, so a source flooding the admission queue
+      per tenant otherwise) and workers serve the sources round robin,
+      one request per turn, so a source flooding the admission queue
       delays its own requests, not everyone else's.
 
     {b Determinism.} The engine shares one
@@ -58,9 +58,6 @@ type config = {
       (** deadline for requests that do not carry one; [None] = none *)
   allow_fault_injection : bool;
       (** honor the protocol's [fail_attempts] test hook *)
-  drr_quantum : int;
-      (** deficit-round-robin units granted per source visit (requests
-          are unit cost, so 1 = exact per-source round robin) *)
 }
 
 val config :
@@ -77,56 +74,49 @@ val config :
   ?default_budget_s:float ->
   ?default_deadline_s:float ->
   ?allow_fault_injection:bool ->
-  ?drr_quantum:int ->
   unit ->
   config
 (** Defaults: capacity 64, quota = capacity (no per-tenant limit),
     rungs at capacity/4 and 3*capacity/4, factor 8, slice 16, 2
     retries from 50 ms backoff, seed 1, 200 restarts, no wall-clock
-    budget, no default deadline, fault injection off, DRR quantum 1.
-    Out-of-range values are clamped ([degrade_high >= degrade_low >=
-    1]); [capacity < 1], [slice < 1], [degrade_factor < 1] and
-    [drr_quantum < 1] raise [Invalid_argument]. *)
+    budget, no default deadline, fault injection off. Out-of-range
+    values are clamped ([degrade_high >= degrade_low >= 1]);
+    [capacity < 1], [slice < 1] and [degrade_factor < 1] raise
+    [Invalid_argument]. *)
 
 type t
 
 val create :
   ?clock:(unit -> float) ->
-  ?cache:Resched_floorplan.Fp_cache.t ->
   respond:(Protocol.response -> unit) ->
   config ->
   t
 (** [clock] (default [Unix.gettimeofday]) is the only time source the
     engine consults — deadlines, backoffs and latency stamps all read
-    it, so tests drive a virtual clock. [cache] defaults to a fresh
+    it, so tests drive a virtual clock. The engine owns a fresh
     {!Resched_floorplan.Fp_cache}. [respond] is invoked exactly once
     per request, serialized under an internal lock, from whichever
     domain finished the request; it must not call back into this
     module, and exceptions it raises are swallowed. *)
 
-val submit :
-  ?respond:(Protocol.response -> unit) ->
-  ?source:string ->
-  t ->
-  Protocol.request ->
-  unit
+val submit : t -> Protocol.request -> unit
 (** Admit (or shed) one request. [Metrics] and [Shutdown] are answered
     inline on the calling thread; [Schedule] requests are parsed,
     admission-checked and either enqueued or answered with a
-    structured rejection immediately. Thread-safe.
-
-    [respond] overrides the server-wide responder for every response
-    this request produces — a multiplexing transport passes the
-    submitting connection's writer. [source] names the
-    deficit-round-robin dispatch queue the request joins (default
-    ["tenant:<tenant>"]); a transport passes a per-connection key so
-    one flooding connection cannot head-of-line-block the others. *)
+    structured rejection immediately. Thread-safe. Every response goes
+    through the server-wide responder, and the request joins its
+    tenant's round-robin dispatch queue (["tenant:<tenant>"]). *)
 
 val submit_line :
   ?respond:(Protocol.response -> unit) -> ?source:string -> t -> string -> unit
 (** {!Protocol.parse_request} + {!submit}; malformed lines get a
     structured [Rejected] response with reason [parse_error] and an
-    empty id (the connection stays usable). *)
+    empty id (the connection stays usable). [respond] overrides the
+    server-wide responder for every response this line produces — a
+    multiplexing transport passes the submitting connection's writer.
+    [source] names the dispatch queue the request joins (default
+    ["tenant:<tenant>"]); a transport passes a per-connection key so
+    one flooding connection cannot head-of-line-block the others. *)
 
 val reject_oversized : ?respond:(Protocol.response -> unit) -> t -> unit
 (** Transport hook: count and answer (reason [line_too_long], empty
@@ -179,9 +169,9 @@ val metrics : t -> Resched_util.Json.t
 (** The [metrics] response body: queue gauges, request/shed/degrade
     counters, retry and deadline counts, the completed-request latency
     histogram ({!Histogram.to_json}), the floorplan cache's hit, miss
-    and insert counts, the DRR dispatch table (per-source queued/enqueued/
-    dispatched fairness counters and their max/min), per-tenant
-    in-flight occupancy, and — when a transport registered
+    and insert counts, the round-robin dispatch table (per-source
+    queued/enqueued/dispatched fairness counters and their max/min),
+    per-tenant in-flight occupancy, and — when a transport registered
     {!set_connection_stats} — per-connection transport counters. *)
 
 val queue_depth : t -> int

@@ -16,7 +16,7 @@ type conn = {
   c_id : int;
   c_in : Unix.file_descr;
   c_out : Unix.file_descr;
-  c_source : string;  (* DRR dispatch key: "conn:<id>" *)
+  c_source : string;  (* dispatch source key: "conn:<id>" *)
   c_reader : Lineio.Reader.t;
   c_writer : Lineio.Writer.t;
   c_wlock : Mutex.t;
@@ -37,7 +37,6 @@ type t = {
   srv : Server.t;
   max_clients : int;
   max_line : int;
-  max_buffered : int;
   drive : bool;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -62,6 +61,10 @@ let wake t =
 (* A full pipe (EAGAIN) still wakes the loop; EBADF after the loop is
    gone is a straggler monitoring write, equally ignorable. *)
 
+(* The slow-consumer guard: the bytes of responses one connection may
+   leave unread before it is disconnected. *)
+let max_buffered_response_bytes = 8 lsl 20
+
 (* Worker-side response delivery: append to the submitting
    connection's write buffer, disconnect a peer that stopped reading
    (the buffer cap), count what could not be delivered. *)
@@ -70,7 +73,8 @@ let conn_respond t c resp =
   Mutex.lock c.c_wlock;
   if c.c_inflight > 0 then c.c_inflight <- c.c_inflight - 1;
   let accepted =
-    c.c_open && Lineio.Writer.add_line ~max:t.max_buffered c.c_writer line
+    c.c_open
+    && Lineio.Writer.add_line ~max:max_buffered_response_bytes c.c_writer line
   in
   if (not accepted) && c.c_open then begin
     c.c_open <- false;
@@ -346,7 +350,7 @@ let stats_json t =
     ]
 
 let create ?(max_clients = 32) ?(max_line_bytes = 1 lsl 20)
-    ?(max_buffered_response_bytes = 8 lsl 20) ?(drive_server = false) srv =
+    ?(drive_server = false) srv =
   (* A peer that disconnects mid-write must surface as EPIPE in
      [flush_conn] (which reaps the connection), not as a SIGPIPE that
      kills the whole daemon. *)
@@ -359,7 +363,6 @@ let create ?(max_clients = 32) ?(max_line_bytes = 1 lsl 20)
       srv;
       max_clients = Stdlib.max 1 max_clients;
       max_line = Stdlib.max 1 max_line_bytes;
-      max_buffered = Stdlib.max 1 max_buffered_response_bytes;
       drive = drive_server;
       wake_r;
       wake_w;

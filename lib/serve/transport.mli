@@ -5,7 +5,7 @@
     Each connection owns a reusable {!Resched_util.Lineio} read ring
     and write buffer (allocated once at accept time — the steady state
     allocates no per-request transport buffers), a per-connection
-    dispatch source key (so {!Server}'s deficit-round-robin keeps a
+    dispatch source key (so {!Server}'s round-robin dispatch keeps a
     flooding client from head-of-line-blocking the rest), and a small
     state machine: bytes read when [select] reports them, complete
     lines submitted to the server, responses appended to the
@@ -18,8 +18,8 @@
     Framing guards: a line longer than [max_line_bytes] is answered
     with a structured [rejected]/[line_too_long] response and
     discarded, without dropping the connection; a peer that stops
-    reading until [max_buffered_response_bytes] of responses pile up
-    is disconnected (slow-consumer guard); at [max_clients] the listen
+    reading until 8 MiB of responses pile up is disconnected
+    (slow-consumer guard); at [max_clients] the listen
     socket stops being polled, leaving further connections in the
     kernel backlog.
 
@@ -33,16 +33,14 @@ type t
 val create :
   ?max_clients:int ->
   ?max_line_bytes:int ->
-  ?max_buffered_response_bytes:int ->
   ?drive_server:bool ->
   Server.t ->
   t
-(** Defaults: 32 clients, 1 MiB lines, 8 MiB buffered responses per
-    connection, [drive_server] false. Registers the transport's
-    connection counters with {!Server.set_connection_stats}, and (on
-    Unix) sets SIGPIPE to ignore so a peer disconnecting mid-write
-    surfaces as EPIPE — reaping that one connection — instead of
-    killing the process. *)
+(** Defaults: 32 clients, 1 MiB lines, [drive_server] false. Registers
+    the transport's connection counters with
+    {!Server.set_connection_stats}, and (on Unix) sets SIGPIPE to ignore
+    so a peer disconnecting mid-write surfaces as EPIPE — reaping that
+    one connection — instead of killing the process. *)
 
 val listen : t -> Unix.file_descr -> unit
 (** Adopt a bound, listening socket; the loop accepts (up to

@@ -1,6 +1,6 @@
-let to_string ?(name = "taskgraph") ?(label = string_of_int) g =
+let render ~label g =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
+  Buffer.add_string buf "digraph taskgraph {\n";
   Buffer.add_string buf "  rankdir=TB;\n  node [shape=box];\n";
   for u = 0 to Graph.size g - 1 do
     Buffer.add_string buf (Printf.sprintf "  n%d [label=\"%s\"];\n" u (label u))
@@ -11,4 +11,7 @@ let to_string ?(name = "taskgraph") ?(label = string_of_int) g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let to_channel oc ?name ?label g = output_string oc (to_string ?name ?label g)
+let to_string g = render ~label:string_of_int g
+
+let to_channel oc ?(label = string_of_int) g =
+  output_string oc (render ~label g)

@@ -4,23 +4,6 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let run ~jobs f =
-  if jobs < 1 then invalid_arg "Domain_pool.run: jobs must be >= 1";
-  if jobs = 1 then [| f 0 |]
-  else begin
-    let others =
-      Array.init (jobs - 1) (fun k -> Domain.spawn (fun () -> f (k + 1)))
-    in
-    (* Run job 0 here, but join every spawned domain before re-raising so
-       a failing job cannot leak running domains. *)
-    let first = try Ok (f 0) with e -> Error e in
-    let rest =
-      Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) others
-    in
-    let all = Array.append [| first |] rest in
-    Array.map (function Ok v -> v | Error e -> raise e) all
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Honest parallelism planning                                         *)
 
@@ -191,3 +174,24 @@ module Pool = struct
     in
     if joinable then Array.iter Domain.join t.domains
 end
+
+(* ------------------------------------------------------------------ *)
+(* One-shot fan-outs                                                   *)
+
+let run ~jobs f =
+  if jobs < 1 then invalid_arg "Domain_pool.run: jobs must be >= 1";
+  let pool = Pool.create ~jobs () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () -> Pool.map pool f)
+
+let fan_out_jobs ~caller ~jobs ~pool =
+  match (pool, jobs) with
+  | Some p, Some j when j <> Pool.jobs p ->
+    invalid_arg
+      (Printf.sprintf "%s: jobs=%d but the pool has %d worker(s)" caller j
+         (Pool.jobs p))
+  | Some p, _ -> Pool.jobs p
+  | None, Some j when j >= 1 -> j
+  | None, Some j -> invalid_arg (Printf.sprintf "%s: jobs=%d" caller j)
+  | None, None -> available_cores ()

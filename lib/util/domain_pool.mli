@@ -1,12 +1,11 @@
 (** Fan-out over OCaml 5 domains: one-shot spawns and a persistent pool.
 
-    {!run} is the original tiny abstraction: spawn a fixed number of
-    workers, run an indexed job on each, join them all, propagate
-    failures. {!Pool} keeps the worker domains resident so a *batch* of
-    fan-outs (the bench's per-group PA-R runs, a server's request
-    stream) pays the domain-spawn and first-touch cost once instead of
-    per call — and so domain-local state (PA restart arenas) stays warm
-    between calls.
+    {!Pool} keeps the worker domains resident so a *batch* of fan-outs
+    (the bench's per-group PA-R runs, a server's request stream) pays
+    the domain-spawn and first-touch cost once instead of per call —
+    and so domain-local state (PA restart arenas) stays warm between
+    calls. {!run} is a one-shot pool: spawn the workers, run an indexed
+    job on each, join them all, propagate failures.
 
     {!plan_jobs} is the honest-parallelism helper: it reconciles a
     requested fan-out with the machine's core count and says loudly
@@ -16,13 +15,6 @@
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()] — the number of workers beyond
     which extra domains only timeshare. *)
-
-val run : jobs:int -> (int -> 'a) -> 'a array
-(** [run ~jobs f] evaluates [f i] for every [i] in [0 .. jobs-1], each on
-    its own domain except [f 0], which runs on the calling domain, and
-    returns the results in index order. All domains are joined before the
-    call returns, even when a job raises; the first exception (by index)
-    is then re-raised. [jobs] must be >= 1. *)
 
 val with_lock : Mutex.t -> (unit -> 'a) -> 'a
 (** [with_lock m f] runs [f] with [m] held, releasing it on any exit. *)
@@ -79,3 +71,20 @@ module Pool : sig
   (** Join the resident domains. Idempotent; the pool is unusable
       afterwards ([map] raises). *)
 end
+
+(* ------------------------------------------------------------------ *)
+
+val run : jobs:int -> (int -> 'a) -> 'a array
+(** [run ~jobs f] is {!Pool.map} on a pool of [jobs] workers made for
+    the call and shut down after it: [f i] for every [i] in
+    [0 .. jobs-1], each on its own domain except [f 0], which runs on the
+    calling domain, results in index order. All domains are joined
+    before the call returns, even when a job raises; the first exception
+    (by index) is then re-raised. [jobs] must be >= 1. *)
+
+val fan_out_jobs : caller:string -> jobs:int option -> pool:Pool.t option ->
+  int
+(** The width of a fan-out whose caller takes an optional [jobs] and an
+    optional [pool]: the pool's width when a pool is given, else [jobs],
+    else {!available_cores}. [Invalid_argument] (naming [caller]) when
+    [jobs < 1] or when both are given and differ. *)

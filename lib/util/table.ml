@@ -1,22 +1,9 @@
-type align = Left | Right | Center
-
 type t = {
   headers : string array;
-  aligns : align array;
   mutable rows : string array list; (* reversed *)
 }
 
-let create ?aligns headers =
-  let headers = Array.of_list headers in
-  let aligns =
-    match aligns with
-    | None -> Array.make (Array.length headers) Right
-    | Some l ->
-      if List.length l <> Array.length headers then
-        invalid_arg "Table.create: aligns length mismatch";
-      Array.of_list l
-  in
-  { headers; aligns; rows = [] }
+let create headers = { headers = Array.of_list headers; rows = [] }
 
 let add_row t row =
   let row = Array.of_list row in
@@ -25,18 +12,14 @@ let add_row t row =
   t.rows <- row :: t.rows
 
 
-let pad align width s =
-  let n = String.length s in
-  if n >= width then s
-  else begin
-    let missing = width - n in
-    match align with
-    | Left -> s ^ String.make missing ' '
-    | Right -> String.make missing ' ' ^ s
-    | Center ->
-      let left = missing / 2 in
-      String.make left ' ' ^ s ^ String.make (missing - left) ' '
-  end
+(* Headers are centred, cells right-aligned. *)
+let pad ~center width s =
+  let missing = width - String.length s in
+  if missing <= 0 then s
+  else if center then
+    let left = missing / 2 in
+    String.make left ' ' ^ s ^ String.make (missing - left) ' '
+  else String.make missing ' ' ^ s
 
 let render t =
   let rows = List.rev t.rows in
@@ -56,19 +39,19 @@ let render t =
       widths;
     Buffer.add_char buf '\n'
   in
-  let line align_of row =
+  let line ~center row =
     Buffer.add_char buf '|';
     for i = 0 to ncols - 1 do
       Buffer.add_char buf ' ';
-      Buffer.add_string buf (pad (align_of i) widths.(i) row.(i));
+      Buffer.add_string buf (pad ~center widths.(i) row.(i));
       Buffer.add_string buf " |"
     done;
     Buffer.add_char buf '\n'
   in
   rule ();
-  line (fun _ -> Center) t.headers;
+  line ~center:true t.headers;
   rule ();
-  List.iter (fun row -> line (fun i -> t.aligns.(i)) row) rows;
+  List.iter (line ~center:false) rows;
   rule ();
   Buffer.contents buf
 

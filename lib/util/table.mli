@@ -3,15 +3,12 @@
     Produces aligned, boxed ASCII tables similar to the ones in the paper
     (e.g. Table I). *)
 
-type align = Left | Right | Center
-
 type t
 (** A table under construction. *)
 
-val create : ?aligns:align list -> string list -> t
-(** [create headers] starts a table with the given column headers.
-    [aligns] defaults to [Right] for every column. Its length, when given,
-    must equal the number of headers. *)
+val create : string list -> t
+(** [create headers] starts a table with the given column headers:
+    headers are centred, cells right-aligned. *)
 
 val add_row : t -> string list -> unit
 (** Append a row; the row length must match the header length. *)

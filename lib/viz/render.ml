@@ -71,7 +71,8 @@ let floorplan device ?needs placements =
        ncols rows);
   Svg.to_string doc
 
-let gantt ?(width = 900.) (sched : Schedule.t) =
+let gantt (sched : Schedule.t) =
+  let width = 900. (* drawing width, pixels *) in
   let inst = sched.Schedule.instance in
   let makespan = float_of_int (Stdlib.max 1 sched.Schedule.makespan) in
   let lane_h = 26. and lane_gap = 6. in

@@ -11,11 +11,10 @@ val floorplan : Resched_fabric.Device.t ->
     overlaid and labelled [R0, R1, ...]. When [needs] is given, each
     region's tooltip shows requirement vs provided resources. *)
 
-val gantt : ?width:float -> Resched_core.Schedule.t -> string
-(** Draw the schedule: one lane per processor, per reconfigurable region
-    and one for the reconfiguration controller; tasks as labelled boxes,
-    reconfigurations hatched. [width] (default 900) is the drawing width
-    in pixels. *)
+val gantt : Resched_core.Schedule.t -> string
+(** Draw the schedule, 900 pixels wide: one lane per processor, per
+    reconfigurable region and one for the reconfiguration controller;
+    tasks as labelled boxes, reconfigurations hatched. *)
 
 val save : string -> string -> unit
 (** [save path svg] writes the document to a file. *)

@@ -19,13 +19,23 @@
      CLB demands, so the shrink lattice engages), 40 restarts each.
 
    Batch outcomes equal each request's [Pa_random.run] at a zero budget
-   whatever the interleaving, so a replay must reproduce every line. *)
+   whatever the interleaving, so a replay must reproduce every line.
+
+   The baseline digests ([baseline_digests.txt]) use the same line
+   format, with <name> = <algorithm>/<instance>: PA, IS-1, IS-5 (at
+   50_000 nodes per chunk) and HEFT, each through its floorplan
+   shrink-retry loop with a private cache, over the 10 saturated graphs
+   and the first seed-1 paper graph of each group. Most of these runs
+   retry at least once, so the lines pin the loop's scales too. *)
 
 module Rng = Resched_util.Rng
 module Arch = Resched_platform.Arch
 module Instance = Resched_platform.Instance
 module Suite = Resched_platform.Suite
 module Batch = Resched_core.Batch
+module Pa = Resched_core.Pa
+module Isk = Resched_baseline.Isk
+module List_sched = Resched_baseline.List_sched
 module Pa_random = Resched_core.Pa_random
 module Schedule = Resched_core.Schedule
 module Schedule_io = Resched_core.Schedule_io
@@ -54,15 +64,17 @@ let saturated () =
 
 type entry = { name : string; makespan : int; md5 : string }
 
+let digest name (s : Schedule.t) =
+  {
+    name;
+    makespan = s.Schedule.makespan;
+    md5 = Digest.to_hex (Digest.string (Schedule_io.to_string s));
+  }
+
 let entry name (o : Pa_random.outcome) =
   match o.Pa_random.schedule with
   | None -> { name; makespan = -1; md5 = "none" }
-  | Some s ->
-    {
-      name;
-      makespan = s.Schedule.makespan;
-      md5 = Digest.to_hex (Digest.string (Schedule_io.to_string s));
-    }
+  | Some s -> digest name s
 
 (* Every instance through one batch at jobs 2, in input order. *)
 let run () =
@@ -76,6 +88,36 @@ let run () =
   let outcomes, _ = Batch.run ~jobs:2 requests in
   Array.to_list
     (Array.mapi (fun k (name, _, _) -> entry name outcomes.(k)) inputs)
+
+(* Each baseline over every instance, in algorithm then input order. *)
+let baselines () =
+  let inputs =
+    List.map
+      (fun (tasks, insts) -> (Printf.sprintf "paper-%d-0" tasks, List.hd insts))
+      (Suite.full ~graphs_per_group:1 ~seed ())
+    @ List.map (fun (name, _, inst) -> (name, inst)) (saturated ())
+  in
+  let isk k inst =
+    fst
+      (Isk.run
+         ~config:{ (Isk.config ~k) with Isk.chunk_node_limit = 50_000 }
+         inst)
+  in
+  let algorithms =
+    [
+      ("pa", fun inst -> fst (Pa.run inst));
+      ("is1", isk 1);
+      ("is5", isk 5);
+      ("heft", fun inst -> List_sched.run inst);
+    ]
+  in
+  List.concat_map
+    (fun (algo, schedule) ->
+      List.map
+        (fun (name, inst) ->
+          digest (algo ^ "/" ^ name) (schedule inst))
+        inputs)
+    algorithms
 
 let to_line e = Printf.sprintf "%s %d %s" e.name e.makespan e.md5
 

@@ -1,7 +1,8 @@
 (* Dead exports: the values a lib/ interface declares that no other
-   compilation unit uses.
+   compilation unit uses, and the optional parameters of those values
+   that no other unit outside test/ passes.
 
-     dead_exports.exe ROOT
+     dead_exports.exe ROOT ALLOWLIST
 
    reads the typed trees of the build context ROOT (after
    `dune build @check`). The .cmti files under ROOT/lib give the
@@ -11,7 +12,15 @@
    resolves to its declaration; a use by a test counts. A unit's own
    identifiers are skipped: they resolve to its implementation, whose
    declaration ids restart from 0 and so collide with its interface's.
-   Prints each dead export and exits 1 if there is one. *)
+
+   An optional parameter is passed when an application of the export
+   in another unit outside test/ gives it an argument: the typed tree
+   holds an argument the caller omitted as a ghost-located [None], and
+   one the caller wrote (with [~x:v] or [?x:o]) at its source location.
+   ALLOWLIST exempts parameters, one per line as
+   [Module.value ?label reason]; an entry that names no unpassed
+   parameter is stale. Prints each dead export, unpassed parameter and
+   stale entry, and exits 1 if there is one. *)
 
 module Uid = Shape.Uid
 
@@ -27,12 +36,22 @@ let rec files ext dir =
            else if Filename.check_suffix name ext then [ path ]
            else [])
 
-(* Every value a signature declares, as (dotted name, declaration). *)
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Tarrow (Optional label, _, rest, _) -> label :: optional_labels rest
+  | Tarrow (_, _, rest, _) -> optional_labels rest
+  | _ -> []
+
+(* Every value a signature declares, as (dotted name, declaration,
+   optional parameters). *)
 let rec exports prefix (items : Typedtree.signature_item list) =
   List.concat_map
     (fun (item : Typedtree.signature_item) ->
       match item.sig_desc with
-      | Tsig_value vd -> [ (prefix ^ vd.val_name.txt, vd.val_val.val_uid) ]
+      | Tsig_value vd ->
+        [ ( prefix ^ vd.val_name.txt,
+            vd.val_val.val_uid,
+            optional_labels vd.val_val.val_type ) ]
       | Tsig_module
           { md_name = { txt = Some name; _ };
             md_type = { mty_desc = Tmty_signature sg; _ };
@@ -41,10 +60,29 @@ let rec exports prefix (items : Typedtree.signature_item list) =
       | _ -> [])
     items
 
+let omitted (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_construct (_, { cstr_name = "None"; _ }, []) -> e.exp_loc.loc_ghost
+  | _ -> false
+
+(* [Module.value ?label] -> reason, from the allowlist file. *)
+let allowlist path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' (String.trim line) with
+         | [ "" ] -> None
+         | first :: _ when first.[0] = '#' -> None
+         | name :: label :: (_ :: _ as reason) ->
+           Some (name ^ " " ^ label, String.concat " " reason)
+         | _ -> failwith ("dead_exports: bad allowlist line: " ^ line))
+
 let () =
-  let root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
+  let root = Sys.argv.(1) in
+  let allowed = allowlist Sys.argv.(2) in
   let used = Uid.Tbl.create 4096 in
-  let iterator unit =
+  let passed = Hashtbl.create 256 in
+  let iterator ~counts_passes unit =
     { Tast_iterator.default_iterator with
       expr =
         (fun self (e : Typedtree.expression) ->
@@ -52,6 +90,20 @@ let () =
           | Texp_ident (_, _, { val_uid = Item { comp_unit; _ } as uid; _ })
             when comp_unit <> unit ->
             Uid.Tbl.replace used uid ()
+          | Texp_apply
+              ( { exp_desc =
+                    Texp_ident
+                      (_, _, { val_uid = Item { comp_unit; _ } as uid; _ });
+                  _ },
+                args )
+            when counts_passes && comp_unit <> unit ->
+            List.iter
+              (fun (label, arg) ->
+                match (label, arg) with
+                | Asttypes.Optional label, Some arg when not (omitted arg) ->
+                  Hashtbl.replace passed (uid, label) ()
+                | _ -> ())
+              args
           | _ -> ());
           Tast_iterator.default_iterator.expr self e) }
   in
@@ -62,13 +114,16 @@ let () =
           let cmt = Cmt_format.read_cmt path in
           match cmt.cmt_annots with
           | Implementation str ->
-            let it = iterator cmt.cmt_modname in
+            let it =
+              iterator ~counts_passes:(dir <> "test") cmt.cmt_modname
+            in
             it.structure it str
           | _ -> ())
         (files ".cmt" (Filename.concat root dir)))
     users;
-  let declared = ref 0 in
-  let dead =
+  let declared = ref 0 and optionals = ref 0 in
+  let exempt = Hashtbl.create 16 in
+  let faults =
     files ".cmti" (Filename.concat root "lib")
     |> List.concat_map (fun path ->
            let cmt = Cmt_format.read_cmt path in
@@ -80,17 +135,47 @@ let () =
              in
              let values = exports (modname ^ ".") sg.sig_items in
              declared := !declared + List.length values;
-             List.filter_map
-               (fun (name, uid) ->
-                 if Uid.Tbl.mem used uid then None
-                 else Some (Printf.sprintf "%s: %s" source name))
+             List.concat_map
+               (fun (name, uid, labels) ->
+                 optionals := !optionals + List.length labels;
+                 if not (Uid.Tbl.mem used uid) then
+                   [ Printf.sprintf "%s: %s has no user" source name ]
+                 else
+                   List.filter_map
+                     (fun label ->
+                       let key = Printf.sprintf "%s ?%s" name label in
+                       if Hashtbl.mem passed (uid, label) then None
+                       else if List.mem_assoc key allowed then begin
+                         Hashtbl.replace exempt key ();
+                         None
+                       end
+                       else
+                         Some
+                           (Printf.sprintf
+                              "%s: %s is passed by no unit outside test/"
+                              source key))
+                     labels)
                values
            | _ -> [])
   in
-  match dead with
-  | [] -> Printf.printf "dead_exports: all %d lib/ exports used\n" !declared
-  | _ ->
-    List.iter print_endline dead;
-    Printf.printf "dead_exports: %d of %d lib/ exports have no user\n"
-      (List.length dead) !declared;
+  let stale =
+    List.filter_map
+      (fun (key, _) ->
+        if Hashtbl.mem exempt key then None
+        else
+          Some
+            (Printf.sprintf "allowlist: %s is not an unpassed parameter" key))
+      allowed
+  in
+  match faults @ stale with
+  | [] ->
+    Printf.printf
+      "dead_exports: all %d lib/ exports used; %d of their %d optional \
+       parameters passed outside test/, %d allowlisted\n"
+      !declared
+      (!optionals - Hashtbl.length exempt)
+      !optionals (Hashtbl.length exempt)
+  | faults ->
+    List.iter print_endline faults;
+    Printf.printf "dead_exports: %d faults\n" (List.length faults);
     exit 1

@@ -52,7 +52,7 @@ let sort_tasks state ordering tasks =
   | Topological -> List.stable_sort (by_t_min state) tasks
   | Random rng -> Rng.shuffle rng tasks
 
-let regions_define ?module_reuse ~ordering state =
+let regions_define ~module_reuse ~ordering state =
   refresh state;
   let hw = tasks_where state (State.is_hw state) in
   let criticals, others = List.partition (State.critical state) hw in
@@ -61,7 +61,7 @@ let regions_define ?module_reuse ~ordering state =
   let others = sort_tasks state ordering others in
   List.iter
     (fun task ->
-      Regions_define.place_critical ?module_reuse state ~task;
+      Regions_define.place_critical ~module_reuse state ~task;
       refresh state)
     criticals;
   List.iter
@@ -315,12 +315,12 @@ let floorplan ~check (sched : Schedule.t) =
    shrinking the virtual resources after every floorplan failure. *)
 let run ?(config = Pa.default_config) ?(check = production_check) inst =
   let rec attempt k scale =
-    if k > config.Pa.max_attempts then (all_software_schedule inst, k - 1)
+    if k > Pa.max_attempts then (all_software_schedule inst, k - 1)
     else
       let sched = schedule_once ~config ~resource_scale:scale inst in
       match floorplan ~check sched with
       | Some p -> ({ sched with Schedule.floorplan = Some p }, k)
-      | None -> attempt (k + 1) (scale *. config.Pa.shrink_factor)
+      | None -> attempt (k + 1) (scale *. Pa.shrink_factor)
   in
   attempt 1 1.0
 
@@ -337,7 +337,7 @@ let restart_loop ?(config = Pa.default_config) ?(check = production_check)
     let config =
       { config with Pa.ordering = Regions_define.Random (Rng.split rng) }
     in
-    let resource_scale = config.Pa.shrink_factor ** float_of_int !shrink_exp in
+    let resource_scale = Pa.shrink_factor ** float_of_int !shrink_exp in
     let sched = schedule_once ~config ~resource_scale inst in
     let makespan = sched.Schedule.makespan in
     let best_makespan =

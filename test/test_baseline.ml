@@ -158,8 +158,14 @@ let test_list_sched_valid () =
 
 module Fp_cache = Resched_floorplan.Fp_cache
 
+(* The result of [f ()] and the activity it caused in [cache]. *)
+let cache_activity cache f =
+  let before = Fp_cache.stats cache in
+  let r = f () in
+  (r, Fp_cache.diff (Fp_cache.stats cache) before)
+
 (* A shared floorplan cache must not change either scheduler's output,
-   and both must report the cache activity of their own run. Besides the
+   and both must check their region sets through it. Besides the
    first instance, each case runs the 12-task seed-37 instance on which
    PA's result once depended on the cache, and one on which this
    scheduler's did (the packer's budgeted search answers one of its
@@ -184,20 +190,15 @@ let test_isk_cache_threading () =
   let cache = Fp_cache.create () in
   let sched_plain, _ = Isk.run ~config:(Isk.config ~k:1) inst in
   let config = { (Isk.config ~k:1) with Isk.floorplan_cache = Some cache } in
-  let sched_cached, stats = Isk.run ~config inst in
+  let (sched_cached, _), st =
+    cache_activity cache (fun () -> Isk.run ~config inst)
+  in
   Alcotest.(check int) "same makespan" sched_plain.Schedule.makespan
     sched_cached.Schedule.makespan;
-  (match stats.Isk.cache_stats with
-  | None -> Alcotest.fail "cached run must report cache stats"
-  | Some st ->
-    Alcotest.(check bool) "cache consulted" true
-      (Fp_cache.lookups st > 0));
+  Alcotest.(check bool) "cache consulted" true (Fp_cache.lookups st > 0);
   (* A second identical run resolves its checks from the shared cache. *)
-  let _, stats2 = Isk.run ~config inst in
-  match stats2.Isk.cache_stats with
-  | None -> Alcotest.fail "cached run must report cache stats"
-  | Some st ->
-    Alcotest.(check int) "replay is all hits" 0 st.Fp_cache.misses
+  let _, st = cache_activity cache (fun () -> Isk.run ~config inst) in
+  Alcotest.(check int) "replay is all hits" 0 st.Fp_cache.misses
 
 let test_list_sched_cache_threading () =
   List.iter
@@ -211,18 +212,15 @@ let test_list_sched_cache_threading () =
   let inst = small_instance ~tasks:18 5 in
   let cache = Fp_cache.create () in
   let plain = List_sched.run inst in
-  let cached, stats = List_sched.run_with_stats ~cache inst in
+  let cached, st =
+    cache_activity cache (fun () -> List_sched.run ~cache inst)
+  in
   validate_or_fail cached;
   Alcotest.(check int) "same makespan" plain.Schedule.makespan
     cached.Schedule.makespan;
-  (match stats with
-  | None -> Alcotest.fail "cached run must report cache stats"
-  | Some st ->
-    Alcotest.(check bool) "cache consulted" true
-      (Fp_cache.lookups st > 0));
-  match List_sched.run_with_stats ~cache inst with
-  | _, Some st -> Alcotest.(check int) "replay is all hits" 0 st.Fp_cache.misses
-  | _, None -> Alcotest.fail "cached run must report cache stats"
+  Alcotest.(check bool) "cache consulted" true (Fp_cache.lookups st > 0);
+  let _, st = cache_activity cache (fun () -> List_sched.run ~cache inst) in
+  Alcotest.(check int) "replay is all hits" 0 st.Fp_cache.misses
 
 let test_upward_ranks_monotone () =
   let inst = small_instance 9 in

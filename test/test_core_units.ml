@@ -705,8 +705,7 @@ let test_comm_inflates_times () =
   in
   let inst = Instance.make ~arch:Arch.mini ~graph ~impls () in
   let inflated =
-    Comm.inflate ~hw_factor:1.0 ~sw_factor:0.5
-      ~cost:(Comm.uniform_cost 10) inst
+    Comm.inflate ~cost:(Comm.uniform_cost 10) inst
   in
   (* Task 2 receives 2 edges x 10 ticks: HW +20, SW +10 (factor 0.5). *)
   Alcotest.(check int) "hw inflated" 60

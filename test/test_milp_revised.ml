@@ -282,7 +282,7 @@ let test_snapshot_roundtrip () =
   | _ -> Alcotest.fail "restored solve failed"
 
 (* ------------------------------------------------------------------ *)
-(* Branch-and-bound determinism and parallel agreement                 *)
+(* Branch-and-bound determinism                                       *)
 
 let hard_knapsack seed =
   let rng = Rng.create seed in
@@ -309,10 +309,10 @@ let solution_exn = function
   | Branch_bound.Optimal s -> s
   | _ -> Alcotest.fail "expected Optimal"
 
-(* The production search at [jobs = 1] and the tableau oracle, each
-   with an optional time limit. *)
+(* The production search and the tableau oracle, each with an optional
+   time limit. *)
 let searches =
-  [ (fun time_limit m -> Branch_bound.solve ?time_limit ~jobs:1 m);
+  [ (fun time_limit m -> Branch_bound.solve ?time_limit m);
     (fun time_limit m -> Tableau.solve ?time_limit m) ]
 
 let test_jobs1_determinism () =
@@ -331,17 +331,6 @@ let test_jobs1_determinism () =
         (fun i v -> check_float "same values" v b.Branch_bound.values.(i))
         a.Branch_bound.values)
     searches
-
-let test_parallel_same_incumbent () =
-  (* jobs > 1 explores in nondeterministic order but must reach the same
-     optimal objective as the sequential search. *)
-  for seed = 1 to 6 do
-    let m = hard_knapsack (900 + seed) in
-    let seq = solution_exn (Branch_bound.solve ~jobs:1 m) in
-    let par = solution_exn (Branch_bound.solve ~jobs:4 m) in
-    check_float "parallel objective" seq.Branch_bound.objective
-      par.Branch_bound.objective
-  done
 
 let test_limit_not_infeasible () =
   (* A deadline in the past forces every LP to report Limit; the search
@@ -387,8 +376,6 @@ let () =
         [
           Alcotest.test_case "jobs=1 deterministic" `Quick
             test_jobs1_determinism;
-          Alcotest.test_case "parallel same incumbent" `Quick
-            test_parallel_same_incumbent;
           Alcotest.test_case "Limit is not Infeasible" `Quick
             test_limit_not_infeasible;
         ] );

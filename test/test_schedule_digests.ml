@@ -1,13 +1,14 @@
 (* Replays the golden schedule digests (test/corpus/schedule_digests.txt):
    PA-R at fixed work over the seed-1 paper suite and saturated XC7Z010
-   graphs, through the batch engine. Every instance must reach the same
-   makespan and serialize to the same bytes (same MD5). *)
+   graphs, through the batch engine; and the baseline digests
+   (test/corpus/baseline_digests.txt): PA, IS-1, IS-5 and HEFT through
+   their shrink-retry loop. Every instance must reach the same makespan
+   and serialize to the same bytes (same MD5). *)
 
 module Corpus = Schedule_corpus
 
-let test_replay_identical () =
-  let want = Corpus.load "corpus/schedule_digests.txt" in
-  let got = Corpus.run () in
+let replay path got =
+  let want = Corpus.load path in
   Alcotest.(check int) "instances" (List.length want) (List.length got);
   List.iter2
     (fun (w : Corpus.entry) (g : Corpus.entry) ->
@@ -15,10 +16,20 @@ let test_replay_identical () =
         (Corpus.to_line g))
     want got
 
+let test_replay_identical () =
+  replay "corpus/schedule_digests.txt" (Corpus.run ())
+
+let test_baselines_identical () =
+  replay "corpus/baseline_digests.txt" (Corpus.baselines ())
+
 let () =
   Alcotest.run "schedule-digests"
     [
       ( "digests",
-        [ Alcotest.test_case "replay identical" `Quick test_replay_identical ]
+        [
+          Alcotest.test_case "replay identical" `Quick test_replay_identical;
+          Alcotest.test_case "baselines replay identical" `Quick
+            test_baselines_identical;
+        ]
       );
     ]

@@ -207,7 +207,8 @@ let test_region_compatibility_predicates () =
   (* Windows of independent equal tasks overlap: no critical (or
      non-critical) sharing possible. *)
   Alcotest.(check bool) "critical: overlapping windows rejected" false
-    (Regions_define.region_compatible_critical state ~task:1 region);
+    (Regions_define.region_compatible_critical ~module_reuse:false state
+       ~task:1 region);
   Alcotest.(check bool) "non-critical: overlapping windows rejected" false
     (Regions_define.region_compatible_non_critical state ~task:1 region)
 
@@ -235,12 +236,14 @@ let test_region_compatibility_with_gap () =
   (* Middle software task of 100 ticks: gap 100 >= 73 -> compatible. *)
   let state, region = mk 100 in
   Alcotest.(check bool) "wide gap accepted" true
-    (Regions_define.region_compatible_critical state ~task:2 region);
+    (Regions_define.region_compatible_critical ~module_reuse:false state
+       ~task:2 region);
   (* Middle software task of 20 ticks: gap 20 < 73 -> rejected for a
      critical task, but fine for the non-critical rule (no reconf check). *)
   let state, region = mk 20 in
   Alcotest.(check bool) "narrow gap rejected (critical)" false
-    (Regions_define.region_compatible_critical state ~task:2 region);
+    (Regions_define.region_compatible_critical ~module_reuse:false state
+       ~task:2 region);
   Alcotest.(check bool) "narrow gap accepted (non-critical)" true
     (Regions_define.region_compatible_non_critical state ~task:2 region)
 
@@ -498,15 +501,14 @@ let nth_config ~seed ~module_reuse i =
     | 2 -> Regions_define.Topological
     | _ -> Regions_define.Random (Rng.create (seed + i))
   in
-  { Pa.default_config with Pa.ordering; module_reuse }
+  { Pa.ordering; module_reuse }
 
 (* [Pa.run]'s shrink chain: the scales of its eight attempts. *)
 let shrink_chain =
-  let { Pa.max_attempts; shrink_factor; _ } = Pa.default_config in
   let rec chain k scale =
-    if k = 0 then [] else scale :: chain (k - 1) (scale *. shrink_factor)
+    if k = 0 then [] else scale :: chain (k - 1) (scale *. Pa.shrink_factor)
   in
-  chain max_attempts 1.0
+  chain Pa.max_attempts 1.0
 
 (* Property: a floorplan cache changes how fast a schedule is found,
    never which one. Every scheduler checks its region sets through a
@@ -582,7 +584,7 @@ let prop_pa_run_equals_reference =
         | 1 -> Regions_define.By_cost
         | _ -> Regions_define.Topological
       in
-      let config = { Pa.default_config with Pa.ordering; module_reuse } in
+      let config = { Pa.ordering; module_reuse } in
       let sched, stats = Pa.run ~config inst in
       let ref_sched, ref_attempts = Pa_oracle.run ~config inst in
       schedule_fingerprint sched = schedule_fingerprint ref_sched

@@ -35,11 +35,11 @@ type sim = {
 }
 
 (* A server over a manual clock: time moves only when the test says so. *)
-let make_sim ?cache cfg =
+let make_sim cfg =
   let clock = ref 0. in
   let responses = ref [] in
   let srv =
-    Server.create ?cache
+    Server.create
       ~clock:(fun () -> !clock)
       ~respond:(fun r -> responses := r :: !responses)
       cfg
@@ -617,14 +617,26 @@ let test_metrics_and_parse_errors () =
   Server.submit sim.srv { Protocol.id = "m"; op = Protocol.Metrics };
   (match find_response sim "m" with
   | Protocol.Metrics_reply { body; _ } ->
+    let keys = function
+      | Some (Json.Obj kvs) -> Some (List.map fst kvs)
+      | Some _ | None -> None
+    in
     Alcotest.(check (option string)) "metrics schema"
-      (Some "resched-serve-metrics/3")
+      (Some "resched-serve-metrics/4")
       (Option.bind (Json.member "schema" body) Json.get_string);
     Alcotest.(check (option (list string))) "fp_cache keys"
       (Some [ "hits"; "misses"; "inserts"; "hit_rate" ])
-      (match Json.member "fp_cache" body with
-      | Some (Json.Obj kvs) -> Some (List.map fst kvs)
-      | Some _ | None -> None);
+      (keys (Json.member "fp_cache" body));
+    Alcotest.(check (option (list string))) "dispatch keys"
+      (Some
+         [ "active_sources"; "known_sources"; "dispatched_max";
+           "dispatched_min"; "sources" ])
+      (keys (Json.member "dispatch" body));
+    Alcotest.(check (option (list string))) "source keys"
+      (Some [ "source"; "queued"; "enqueued"; "dispatched" ])
+      (keys
+         (Option.bind (Json.path [ "dispatch"; "sources" ] body) (fun l ->
+              Option.bind (Json.to_list l) (fun l -> List.nth_opt l 0))));
     Alcotest.(check (option int)) "parse error counted" (Some 1)
       (Option.bind (Json.path [ "requests"; "parse_errors" ] body)
          Json.get_int)
@@ -820,7 +832,7 @@ let test_transport_concurrent_clients () =
   send b (sched_line ~id:"b0" ~seed:200 ~iters:4 inst_b);
   poll_until sim ~what:"burst 1 admitted" (fun () ->
       Server.queue_depth sim.tsrv = 5);
-  (* DRR: the first two dispatches must serve both sources — B's lone
+  (* Round robin: the first two dispatches must serve both sources — B's lone
      request completes after at most two steps despite A's backlog. *)
   step_n sim 2;
   let b_lines = recv b in
@@ -966,48 +978,32 @@ let test_transport_framing_guards () =
     | _ -> None);
   Alcotest.(check int) "no stray responses" 0 (List.length !(sim.strays))
 
-(* The DRR quantum is honored: with quantum 2 the rotation serves two
-   per source before moving on; with the default 1 it alternates. *)
-let test_drr_quantum () =
+(* Dispatch is round robin: two sources (here two tenants) with four
+   queued requests each are served alternately, one request per turn. *)
+let test_round_robin () =
   let inst = instance 34 ~tasks:6 in
-  let order_of ~quantum =
-    let sim =
-      make_sim
-        (Server.config ~capacity:16 ~degrade_low:50 ~degrade_high:60
-           ~drr_quantum:quantum ())
-    in
-    List.iter
-      (fun (src, id, seed) ->
-        Server.submit ~source:src sim.srv
-          {
-            Protocol.id;
-            op =
-              Protocol.Schedule
-                ( Protocol.Inline (Io.to_string inst),
-                  params ~seed ~min_iterations:2 ~emit:false () );
-          })
-      [
-        ("A", "a0", 1); ("A", "a1", 2); ("A", "a2", 3); ("A", "a3", 4);
-        ("B", "b0", 5); ("B", "b1", 6); ("B", "b2", 7); ("B", "b3", 8);
-      ];
-    for _ = 1 to 8 do
-      match Server.step sim.srv with
-      | Server.Did_work -> ()
-      | _ -> Alcotest.fail "expected work"
-    done;
-    List.rev
-      (List.filter_map
-         (function
-           | Protocol.Completed c -> Some c.Protocol.c_id
-           | _ -> None)
-         !(sim.responses))
+  let sim =
+    make_sim (Server.config ~capacity:16 ~degrade_low:50 ~degrade_high:60 ())
   in
-  Alcotest.(check (list string)) "quantum 1 alternates"
+  List.iter
+    (fun (tenant, id, seed) ->
+      submit_inst sim ~id inst
+        (params ~tenant ~seed ~min_iterations:2 ~emit:false ()))
+    [
+      ("A", "a0", 1); ("A", "a1", 2); ("A", "a2", 3); ("A", "a3", 4);
+      ("B", "b0", 5); ("B", "b1", 6); ("B", "b2", 7); ("B", "b3", 8);
+    ];
+  for _ = 1 to 8 do
+    match Server.step sim.srv with
+    | Server.Did_work -> ()
+    | _ -> Alcotest.fail "expected work"
+  done;
+  Alcotest.(check (list string)) "sources alternate"
     [ "a0"; "b0"; "a1"; "b1"; "a2"; "b2"; "a3"; "b3" ]
-    (order_of ~quantum:1);
-  Alcotest.(check (list string)) "quantum 2 serves pairs"
-    [ "a0"; "a1"; "b0"; "b1"; "a2"; "a3"; "b2"; "b3" ]
-    (order_of ~quantum:2)
+    (List.rev
+       (List.filter_map
+          (function Protocol.Completed c -> Some c.Protocol.c_id | _ -> None)
+          !(sim.responses)))
 
 let () =
   Alcotest.run "serve"
@@ -1058,6 +1054,6 @@ let () =
             `Quick test_transport_concurrent_clients;
           Alcotest.test_case "framing guards keep the connection" `Quick
             test_transport_framing_guards;
-          Alcotest.test_case "DRR quantum" `Quick test_drr_quantum;
+          Alcotest.test_case "round robin" `Quick test_round_robin;
         ] );
     ]

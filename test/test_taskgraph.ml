@@ -213,8 +213,9 @@ let contains_substring s sub =
 
 let test_dot_output () =
   let g = diamond () in
-  let s = Dot.to_string ~name:"d" g in
-  Alcotest.(check bool) "header" true (contains_substring s "digraph d");
+  let s = Dot.to_string g in
+  Alcotest.(check bool) "header" true
+    (contains_substring s "digraph taskgraph");
   Alcotest.(check bool) "edge" true (contains_substring s "n0 -> n1");
   Alcotest.(check bool) "node" true (contains_substring s "n3 [label=\"3\"]")
 

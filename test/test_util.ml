@@ -91,7 +91,7 @@ let test_stats_improvement () =
   check_float "zero baseline" 0. (Stats.improvement_pct ~baseline:0. ~value:3.)
 
 let test_table_renders () =
-  let t = Table.create ~aligns:[ Table.Left; Table.Right ] [ "name"; "n" ] in
+  let t = Table.create [ "name"; "n" ] in
   Table.add_row t [ "alpha"; "1" ];
   Table.add_row t [ "b"; "22" ];
   let s = Table.render t in
@@ -275,6 +275,27 @@ let test_pool_run_chunked () =
       ignore (Atomic.fetch_and_add sum i));
   Alcotest.(check int) "default chunking covers every item" 4950
     (Atomic.get sum);
+  Domain_pool.Pool.shutdown p
+
+(* A caller taking [?jobs] and [?pool] fans out at the pool's width, at
+   [jobs], or at the core count, and refuses a [jobs] that disagrees
+   with its pool or is not positive. *)
+let test_fan_out_jobs () =
+  let width ?jobs ?pool () =
+    Domain_pool.fan_out_jobs ~caller:"f" ~jobs ~pool
+  in
+  let p = Domain_pool.Pool.create ~jobs:2 () in
+  Alcotest.(check int) "pool width" 2 (width ~pool:p ());
+  Alcotest.(check int) "jobs agreeing with the pool" 2
+    (width ~jobs:2 ~pool:p ());
+  Alcotest.(check int) "jobs alone" 3 (width ~jobs:3 ());
+  Alcotest.(check int) "neither: the core count"
+    (Domain_pool.available_cores ()) (width ());
+  Alcotest.check_raises "jobs disagreeing with the pool"
+    (Invalid_argument "f: jobs=3 but the pool has 2 worker(s)") (fun () ->
+      ignore (width ~jobs:3 ~pool:p ()));
+  Alcotest.check_raises "jobs must be positive" (Invalid_argument "f: jobs=0")
+    (fun () -> ignore (width ~jobs:0 ()));
   Domain_pool.Pool.shutdown p
 
 let test_json_roundtrip () =
@@ -624,6 +645,7 @@ let () =
             test_pool_crash_containment;
           Alcotest.test_case "run_chunked covers all items" `Quick
             test_pool_run_chunked;
+          Alcotest.test_case "fan-out width" `Quick test_fan_out_jobs;
         ] );
       ( "json",
         [
