@@ -320,8 +320,8 @@ let par_prewarm_iters = 32
    pre-warm runs. The pool
    (resident domains, one per worker beyond the caller) is created once
    and reused for every group, so domain spawn/join and first-touch
-   costs are paid once per width, and per-domain restart arenas stay
-   warm across the batch. *)
+   costs are paid once per width. Each run builds its workers' restart
+   arenas afresh. *)
 let par_measure_width (p : Profile.t) ~requested ~effective insts =
   let cache = Fp_cache.create () in
   let pool =

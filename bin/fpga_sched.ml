@@ -653,6 +653,9 @@ let parse_manifest path ~seed ~min_iterations ~budget_ms =
           end
           else (line, seed, min_iterations, budget_ms)
         in
+        if min_iterations < 1 then
+          die exit_io "%s: min_iterations %d runs no restart (need at least 1)"
+            where min_iterations;
         (* Relative instance paths resolve against the manifest's
            directory, so a manifest travels with its instances. *)
         let inst_path =
@@ -671,15 +674,14 @@ let parse_manifest path ~seed ~min_iterations ~budget_ms =
     lines;
   Array.of_list (List.rev !entries)
 
-let batch manifest seed min_iterations budget_ms jobs slice out_dir
-    stats_out =
+let batch manifest seed min_iterations budget_ms jobs out_dir stats_out =
   let module Batch = Resched_core.Batch in
   let module Json = Resched_util.Json in
   let entries = parse_manifest manifest ~seed ~min_iterations ~budget_ms in
   if Array.length entries = 0 then die exit_io "%s: empty manifest" manifest;
   let requests = Array.map snd entries in
   let cache = Resched_floorplan.Fp_cache.create () in
-  let outcomes, stats = Batch.run ~cache ~jobs ?slice requests in
+  let outcomes, stats = Batch.run ~cache ~jobs requests in
   (match out_dir with
   | Some dir ->
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
@@ -740,10 +742,10 @@ let batch manifest seed min_iterations budget_ms jobs slice out_dir
   in
   Printf.printf
     "batch: %d instance(s), %d iterations in %.3fs on %d worker(s) (%d \
-     slices of %d); %.1f instances/s; %.0f minor words/iter\n"
+     cancel polls); %.1f instances/s; %.0f minor words/iter\n"
     (Array.length requests) stats.Batch.total_iterations
     stats.Batch.wall_seconds stats.Batch.jobs stats.Batch.total_slices
-    stats.Batch.slice per_second
+    per_second
     (if stats.Batch.total_iterations = 0 then 0.
      else
        stats.Batch.total_minor_words
@@ -753,9 +755,8 @@ let batch manifest seed min_iterations budget_ms jobs slice out_dir
     Json.write_file out
       (Json.Obj
          [
-           ("schema", Json.String "resched-batch/1");
+           ("schema", Json.String "resched-batch/2");
            ("jobs", Json.Int stats.Batch.jobs);
-           ("slice", Json.Int stats.Batch.slice);
            ("wall_seconds", Json.float stats.Batch.wall_seconds);
            ("total_iterations", Json.Int stats.Batch.total_iterations);
            ("total_slices", Json.Int stats.Batch.total_slices);
@@ -776,22 +777,17 @@ let batch_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"MANIFEST" ~doc)
   in
   let min_iterations =
-    let doc = "Default restart iterations per instance." in
+    let doc = "Default restart iterations per instance (at least 1)." in
     Arg.(value & opt int 200 & info [ "min-iterations" ] ~docv:"N" ~doc)
   in
   let budget =
     let doc =
       "Default wall-clock budget per instance in milliseconds, counted \
-       from batch launch (0 = exactly min-iterations restarts)."
+       from batch launch (0 = exactly min-iterations restarts); an \
+       instance that starts after its deadline runs exactly its \
+       min-iterations restarts."
     in
     Arg.(value & opt int 0 & info [ "budget-ms" ] ~docv:"MS" ~doc)
-  in
-  let slice =
-    let doc =
-      "Restarts a worker runs on one instance before moving to the next \
-       (default: derived from the batch size; results never depend on it)."
-    in
-    Arg.(value & opt (some int) None & info [ "slice" ] ~docv:"N" ~doc)
   in
   let out_dir =
     let doc = "Write each instance's best schedule under DIR." in
@@ -809,7 +805,7 @@ let batch_cmd =
     Term.(
       const (fun () -> batch)
       $ verbose_arg $ manifest $ seed_arg $ min_iterations $ budget
-      $ jobs_arg $ slice $ out_dir $ stats_out)
+      $ jobs_arg $ out_dir $ stats_out)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -819,11 +815,11 @@ module Serve_protocol = Resched_serve.Protocol
 module Serve_transport = Resched_serve.Transport
 
 let serve () socket jobs capacity tenant_quota degrade_low degrade_high
-    degrade_factor slice retries backoff_ms deadline_ms min_iterations
+    degrade_factor retries backoff_ms deadline_ms min_iterations
     budget_ms seed allow_faults max_clients max_line_bytes =
   let cfg =
     Server.config ~capacity ?tenant_quota ?degrade_low ?degrade_high
-      ~degrade_factor ~slice ~max_retries:retries
+      ~degrade_factor ~max_retries:retries
       ~backoff_s:(float_of_int backoff_ms /. 1000.)
       ~default_seed:seed ~default_min_iterations:min_iterations
       ~default_budget_s:(float_of_int budget_ms /. 1000.)
@@ -919,13 +915,6 @@ let serve_cmd =
     let doc = "Restart-budget divisor at degradation rung 1." in
     Arg.(value & opt int 8 & info [ "degrade-factor" ] ~docv:"K" ~doc)
   in
-  let slice =
-    let doc =
-      "Course iterations between cancellation checks (an expired request \
-       stops within one slice)."
-    in
-    Arg.(value & opt int 16 & info [ "slice" ] ~docv:"N" ~doc)
-  in
   let retries =
     let doc = "Retries after a failed execution attempt." in
     Arg.(value & opt int 2 & info [ "retries" ] ~docv:"N" ~doc)
@@ -985,7 +974,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const serve $ verbose_arg $ socket $ jobs_arg $ capacity $ tenant_quota
-      $ degrade_low $ degrade_high $ degrade_factor $ slice $ retries
+      $ degrade_low $ degrade_high $ degrade_factor $ retries
       $ backoff $ deadline $ min_iterations $ budget $ seed_arg
       $ allow_faults $ max_clients $ max_line_bytes)
 

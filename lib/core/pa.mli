@@ -35,8 +35,9 @@ type stats = {
     cost weights, the initial implementation selection and the base CPM
     windows — and recycles one arena {!State.t} per scale through
     {!State.reset} so an iteration allocates no fresh working state.
-    A context belongs to one instance and is not thread-safe: the
-    parallel randomized search holds one per worker domain. *)
+    A context belongs to one instance and is not thread-safe: each
+    {!Pa_random.Course} builds its own when its stream starts and drops
+    it when the stream ends. *)
 module Context : sig
   type t
 

@@ -59,43 +59,6 @@ let check_feasible ~cache device needs =
    call, shared by every stream of that call. *)
 let resolve_cache = function Some c -> c | None -> Fp_cache.create ()
 
-type worker_result = {
-  w_iterations : int;
-  w_trace : trace_point list;  (** newest first *)
-  w_minor_words : float;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain restart arenas, reused across calls                      *)
-
-(* A resident pool worker serves a whole batch of PA-R runs; rebuilding
-   the restart arena on every call rediscovers the same per-scale memo
-   entries from scratch. Each domain keeps its few most recent arenas,
-   keyed by physical instance identity (an [Instance.t] is immutable and
-   interned by the caller, so [==] is the right notion of "same
-   instance"). Arena reuse is bit-identical by construction: the memo
-   returns exactly what recomputation would, and [State.reset] clears
-   iteration state (property-tested in test_scheduler). The cap bounds
-   how much a long-lived domain roots against the GC — it is sized for
-   the batch engine, whose slices interleave several instances per
-   domain. *)
-let context_cache_cap = 16
-
-let context_cache : (Instance.t * Pa.Context.t) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let get_context inst =
-  let cache = Domain.DLS.get context_cache in
-  match List.find_opt (fun (i, _) -> i == inst) !cache with
-  | Some (_, ctx) ->
-    cache := (inst, ctx) :: List.filter (fun (i, _) -> i != inst) !cache;
-    ctx
-  | None ->
-    let ctx = Pa.Context.create inst in
-    let kept = List.filteri (fun k _ -> k < context_cache_cap - 1) !cache in
-    cache := (inst, ctx) :: kept;
-    ctx
-
 (* The adaptive virtual scale is quantized onto the [shrink_factor^k]
    lattice (k in [0 .. max_shrink_exp]); only the integer exponent moves.
    The previous continuous policy ([scale /. sqrt shrink] on success)
@@ -105,14 +68,14 @@ let get_context inst =
 let max_shrink_exp = 6
 
 (* ------------------------------------------------------------------ *)
-(* A course: one resumable restart stream                              *)
+(* A course: one restart stream                                        *)
 
-(* The loop body of the old inline worker, reified so the same stream
-   can run to completion on one domain (run/run_parallel) or in
-   interleaved slices across domains (Batch.run) with bit-identical
-   results: everything the stream depends on — its RNG, its adaptive
-   shrink exponent, its iteration count — lives here, while the restart
-   arena stays domain-local and is re-fetched per slice. *)
+(* Algorithm 1's loop, reified so that [run], each [run_parallel] worker,
+   each [Batch.run] worker and each served request drive the same stream
+   the same way. A course owns everything its stream touches: its RNG,
+   its adaptive shrink exponent, its iteration count, its incumbent and,
+   while it runs, its restart arena — built on the first slice and
+   dropped when the stream finishes, so no arena outlives its stream. *)
 module Course = struct
   type t = {
     crs_inst : Instance.t;
@@ -125,12 +88,15 @@ module Course = struct
     crs_min_iterations : int;
     crs_cancel : (unit -> bool) option;
     crs_lattice : float array;
+    mutable crs_ctx : Pa.Context.t option;
     mutable crs_shrink_exp : int;
     mutable crs_iterations : int;
     mutable crs_trace : trace_point list;  (* newest first *)
     mutable crs_minor_words : float;
     mutable crs_done : bool;
   }
+
+  let poll_every = 16
 
   let make ?(config = Pa.default_config) ?cancel ~cache ~shared ~rng ~start
       ~min_iterations ~budget_seconds inst =
@@ -153,6 +119,7 @@ module Course = struct
       crs_lattice =
         Array.init (max_shrink_exp + 1) (fun k ->
             Pa.shrink_factor ** float_of_int k);
+      crs_ctx = None;
       crs_shrink_exp = 0;
       crs_iterations = 0;
       crs_trace = [];
@@ -210,41 +177,38 @@ module Course = struct
               :: c.crs_trace
           end
 
+  let finish c =
+    c.crs_done <- true;
+    c.crs_ctx <- None
+
   let run_slice c ~max_iterations =
     (* Cooperative cancellation: polled once per slice, never inside the
        iteration loop, so a cancelled stream stops at the next slice
-       boundary (the serve layer's "deadline + one slice" contract) while
-       the hot path stays clock-read-only. A course that never gets
-       cancelled executes the exact iteration stream of one without a
-       cancel hook. *)
+       boundary while the hot path stays clock-read-only. A course that
+       never gets cancelled executes the exact iteration stream of one
+       without a cancel hook. *)
     if
       (not c.crs_done)
       && (match c.crs_cancel with Some f -> f () | None -> false)
-    then c.crs_done <- true;
+    then finish c;
     if c.crs_done || max_iterations <= 0 then 0
     else begin
-      (* One restart arena per worker domain: contexts are not
-         thread-safe, and a domain-private arena also keeps the
-         iteration's working set out of the minor heap (OCaml 5 minor
-         collections are stop-the-world rendezvous across domains, so
-         per-domain allocation churn taxes every other worker). Fetched
-         per slice through the domain-local cache, so the stream can
-         migrate between domains while each domain reuses warm
-         arenas. *)
-      let ctx = get_context c.crs_inst in
+      let ctx =
+        match c.crs_ctx with
+        | Some ctx -> ctx
+        | None ->
+          let ctx = Pa.Context.create c.crs_inst in
+          c.crs_ctx <- Some ctx;
+          ctx
+      in
       let words0 = Gc.minor_words () in
       let executed = ref 0 in
-      let running = ref true in
-      while !running && !executed < max_iterations do
+      while (not c.crs_done) && !executed < max_iterations do
         (* One clock read per iteration: it decides the deadline and
            stamps any trace point the iteration produces. *)
         let now = Unix.gettimeofday () in
-        if
-          c.crs_iterations >= c.crs_min_iterations && now >= c.crs_deadline
-        then begin
-          c.crs_done <- true;
-          running := false
-        end
+        if c.crs_iterations >= c.crs_min_iterations && now >= c.crs_deadline
+        then finish c
         else begin
           incr executed;
           c.crs_iterations <- c.crs_iterations + 1;
@@ -256,8 +220,15 @@ module Course = struct
       !executed
     end
 
+  let run_to_end c =
+    let polls = ref 0 in
+    while not c.crs_done do
+      ignore (run_slice c ~max_iterations:poll_every : int);
+      incr polls
+    done;
+    !polls
+
   let finished c = c.crs_done
-  let iterations c = c.crs_iterations
 
   let outcome c =
     {
@@ -268,42 +239,27 @@ module Course = struct
     }
 end
 
-(* Run one course to completion on the calling domain. *)
-let exhaust (c : Course.t) =
-  while not c.Course.crs_done do
-    ignore (Course.run_slice c ~max_iterations:max_int : int)
-  done;
-  {
-    w_iterations = c.Course.crs_iterations;
-    w_trace = c.Course.crs_trace;
-    w_minor_words = c.Course.crs_minor_words;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
 let run ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1) ?cache
     ~budget_seconds inst =
-  let start = Unix.gettimeofday () in
-  let shared = make_shared () in
   let course =
-    Course.make ~config ~cache:(resolve_cache cache) ~shared
-      ~rng:(Rng.create seed) ~start ~min_iterations ~budget_seconds inst
+    Course.make ~config ~cache:(resolve_cache cache) ~shared:(make_shared ())
+      ~rng:(Rng.create seed) ~start:(Unix.gettimeofday ()) ~min_iterations
+      ~budget_seconds inst
   in
-  let r = exhaust course in
-  {
-    schedule = shared.best;
-    iterations = r.w_iterations;
-    trace = List.rev r.w_trace;
-    minor_words = r.w_minor_words;
-  }
+  ignore (Course.run_to_end course : int);
+  Course.outcome course
 
 (* Per-worker trace points already carry globally-improving makespans
    (each passed [claim]); ordering the union by elapsed time and keeping
    the running minimum yields one globally-ordered improving trace even
    when stamps and claims interleave across workers. *)
-let merge_traces results =
-  let all = List.concat_map (fun r -> r.w_trace) (Array.to_list results) in
+let merge_traces courses =
+  let all =
+    List.concat_map (fun c -> c.Course.crs_trace) (Array.to_list courses)
+  in
   let by_time =
     List.sort (fun a b -> Float.compare a.elapsed b.elapsed) all
   in
@@ -329,28 +285,27 @@ let run_parallel ?(config = Pa.default_config) ?(seed = 1) ?(min_iterations = 1)
        workers draw independent SplitMix64 streams from a decorrelated
        root so no worker shares worker 0's per-iteration split sequence. *)
     let root = Rng.create (seed lxor 0x2545F491) in
-    let rngs =
-      Array.init jobs (fun i ->
-          if i = 0 then Rng.create seed else Rng.split root)
-    in
     let min_per_worker = (min_iterations + jobs - 1) / jobs in
     let cache = resolve_cache cache in
-    let job i =
-      exhaust
-        (Course.make ~config ~cache ~shared ~rng:rngs.(i) ~start
-           ~min_iterations:min_per_worker ~budget_seconds inst)
+    let courses =
+      Array.init jobs (fun i ->
+          let rng = if i = 0 then Rng.create seed else Rng.split root in
+          Course.make ~config ~cache ~shared ~rng ~start
+            ~min_iterations:min_per_worker ~budget_seconds inst)
     in
-    let results =
-      match pool with
-      | Some p -> Domain_pool.Pool.map p job
-      | None -> Domain_pool.run ~jobs job
-    in
-    let iterations =
-      Array.fold_left (fun acc r -> acc + r.w_iterations) 0 results
-    in
-    let minor_words =
-      Array.fold_left (fun acc r -> acc +. r.w_minor_words) 0. results
-    in
-    { schedule = shared.best; iterations; trace = merge_traces results;
-      minor_words }
+    let job i = ignore (Course.run_to_end courses.(i) : int) in
+    ignore
+      (match pool with
+       | Some p -> Domain_pool.Pool.map p job
+       | None -> Domain_pool.run ~jobs job
+        : unit array);
+    {
+      schedule = shared.best;
+      iterations =
+        Array.fold_left (fun acc c -> acc + c.Course.crs_iterations) 0 courses;
+      trace = merge_traces courses;
+      minor_words =
+        Array.fold_left (fun acc c -> acc +. c.Course.crs_minor_words) 0.
+          courses;
+    }
   end

@@ -12,8 +12,9 @@
     region-need multisets skip the floorplanner entirely, and
     {!run_parallel} fans the restart loop out over OCaml 5 domains with a
     shared atomic incumbent makespan. The restart stream itself is
-    reified as a resumable {!Course}, which the batch engine
-    ({!Batch.run}) interleaves across instances in slices. *)
+    reified as a {!Course}, which {!run}, each {!run_parallel} worker,
+    each {!Batch.run} worker and each served request run to its end on
+    one domain. *)
 
 type trace_point = {
   elapsed : float;
@@ -38,15 +39,12 @@ type outcome = {
           divide by [iterations] for the words/iteration telemetry *)
 }
 
-(** A resumable restart stream: the loop body of {!run}, reified so the
-    same stream can run to completion on one domain or be advanced in
-    bounded slices — possibly from different domains over its lifetime —
-    with bit-identical results. The stream owns its RNG, its adaptive
-    shrink exponent and its incumbent; the restart arena stays
-    domain-local and is re-fetched from the per-domain cache on every
-    slice, so migrating a course between domains never shares mutable
-    state. Not thread-safe: advance a given course from one domain at a
-    time. *)
+(** One restart stream, run to its end on one domain. The course owns
+    everything the stream touches: its RNG, its adaptive shrink
+    exponent, its incumbent and, while it runs, its {!Pa.Context}
+    restart arena, which it builds on its first slice and drops when it
+    finishes (cancelled or not), so no arena outlives its stream. Not
+    thread-safe: advance a given course from one domain at a time. *)
 module Course : sig
   type t
 
@@ -64,11 +62,20 @@ module Course : sig
       once at the start of every {!run_slice} (never inside the
       iteration loop), and the first [true] finishes the stream
       immediately — {!outcome} keeps whatever incumbent the stream had.
-      A cancelled course therefore stops within one slice of the
-      cancellation signal, which is how the serve layer enforces
-      per-request deadline budgets without hanging a worker. A hook
-      that never fires leaves the iteration stream bit-identical to a
-      course created without one. *)
+      Under {!run_to_end} a cancelled course therefore stops within
+      {!poll_every} restarts of the cancellation signal, which is how
+      the serve layer enforces per-request deadline budgets without
+      hanging a worker. A hook that never fires leaves the iteration
+      stream bit-identical to a course created without one. *)
+
+  val poll_every : int
+  (** Restarts between two polls of the [cancel] hook under
+      {!run_to_end}: 16. *)
+
+  val run_to_end : t -> int
+  (** Run the course to its end on the calling domain, in slices of
+      {!poll_every} restarts, and return how many slices (cancel polls)
+      that took. *)
 
   val run_slice : t -> max_iterations:int -> int
   (** Advance by at most [max_iterations] restarts on the calling
@@ -80,7 +87,6 @@ module Course : sig
       uninterrupted run (property-tested). *)
 
   val finished : t -> bool
-  val iterations : t -> int
 
   val outcome : t -> outcome
   (** Snapshot of the stream's result; normally read once [finished]. *)
@@ -104,7 +110,7 @@ val run : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
     [shrink_factor^k] lattice (k in [0..6]) so the per-scale restart
     memo and the floorplan cache see repeated keys.
 
-    Each iteration runs steps 3-7 over the domain's {!Pa.Context}
+    Each iteration runs steps 3-7 over the course's {!Pa.Context}
     restart arena ({!Pa.schedule_candidate}) and materializes a
     {!Schedule.t} only for claimed improvements. The incumbent makespan
     is the kernel's [bound]: a restart that cannot beat it stops after
@@ -127,14 +133,12 @@ val run_parallel : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
     discard.
 
     With [pool], the fan-out reuses that persistent pool's resident
-    domains instead of spawning fresh ones per call — across a batch of
-    runs this amortizes domain spawn/join and keeps per-domain state
-    warm: each worker's {!Pa.Context} restart arena (cached in
-    domain-local storage, keyed by instance identity) survives between
-    calls. [jobs] then defaults to the
-    pool's width, and giving both with different values is an error.
-    Pool reuse never changes results: worker 0 still runs on the calling
-    domain, and arena reuse is bit-identical by construction.
+    domains instead of spawning fresh ones per call, which amortizes
+    domain spawn/join across a batch of runs. Each worker builds its own
+    {!Pa.Context} restart arena and drops it when its stream ends.
+    [jobs] then defaults to the pool's width, and giving both with
+    different values is an error. Pool reuse never changes results:
+    worker 0 still runs on the calling domain.
 
     Reproducibility: worker 0 replays exactly the stream [run] would use
     for [seed]; workers 1..jobs-1 use independent streams split from

@@ -421,10 +421,7 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
       Error
         (Printf.sprintf "repair produced an invalid schedule: %s"
            (String.concat "; "
-              (List.map
-                 (fun (v : Validate.violation) ->
-                   Printf.sprintf "[%s] %s" v.Validate.code v.Validate.message)
-                 vs)))
+              (List.map (Format.asprintf "%a" Validate.pp_violation) vs)))
   with
   | Bail msg -> Error msg
   | Graph.Cycle _ -> Error "repair created a dependency cycle"

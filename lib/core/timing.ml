@@ -277,7 +277,7 @@ module Solver = struct
     let head = ref 0 and tail = ref 0 in
     (* Node ids in [adj] were validated when the base adjacency was
        built, so unchecked accesses are safe (cf. the packed rows of
-       [Graph.closure]). Defined outside the drain loop, so popping a
+       [Graph.closure_with]). Defined outside the drain loop, so popping a
        node allocates no closure. *)
     let relax v finish =
       if Array.unsafe_get t_min v < finish then

@@ -17,9 +17,7 @@ let () =
       Some
         (Printf.sprintf "invalid schedule:\n  %s"
            (String.concat "\n  "
-              (List.map
-                 (fun v -> Printf.sprintf "[%s] %s" v.code v.message)
-                 vs)))
+              (List.map (Format.asprintf "%a" pp_violation) vs)))
     | _ -> None)
 
 let overlap a_start a_end b_start b_end = a_start < b_end && b_start < a_end

@@ -4,13 +4,6 @@ let kinds = [| Clb; Bram; Dsp |]
 
 let kind_name = function Clb -> "CLB" | Bram -> "BRAM" | Dsp -> "DSP"
 
-let kind_of_name s =
-  match String.uppercase_ascii s with
-  | "CLB" -> Some Clb
-  | "BRAM" -> Some Bram
-  | "DSP" -> Some Dsp
-  | _ -> None
-
 type t = { clb : int; bram : int; dsp : int }
 
 let zero = { clb = 0; bram = 0; dsp = 0 }

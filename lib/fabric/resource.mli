@@ -11,7 +11,6 @@ val kinds : kind array
 (** All resource kinds, in a fixed order (CLB, BRAM, DSP). *)
 
 val kind_name : kind -> string
-val kind_of_name : string -> kind option
 
 type t = { clb : int; bram : int; dsp : int }
 (** A resource vector; components are unit counts and must be >= 0 in all

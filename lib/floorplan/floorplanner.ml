@@ -58,8 +58,3 @@ let validate device ~needs placements =
     done;
     match !problem with None -> Ok () | Some msg -> Error msg
   end
-
-let quick_capacity_check device needs =
-  let total = Array.fold_left Resource.add Resource.zero needs in
-  Resource.fits total ~within:device.Device.total
-  && Packer.capacity_bounds_ok device needs

@@ -34,11 +34,3 @@ val validate : Resched_fabric.Device.t ->
 (** Independent verification that a claimed floorplan is correct: right
     count, in-bounds rectangles, pairwise disjoint, and each rectangle's
     resources cover its region's requirement. *)
-
-val quick_capacity_check : Resched_fabric.Device.t ->
-  Resched_fabric.Resource.t array -> bool
-(** Necessary conditions only: total requirements fit the device totals,
-    per-kind column x clock-region tile budgets are respected, and the
-    regions' minimal rectangular footprints fit the device area
-    (see {!Packer.capacity_bounds_ok}). The scheduler uses this as a
-    cheap pre-filter; [false] proves infeasibility. *)

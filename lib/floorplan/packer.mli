@@ -12,8 +12,7 @@ val capacity_bounds_ok :
 (** Cheap necessary conditions for a packing to exist: per-kind
     column x row tile budgets and a total-area bound over each region's
     minimal rectangular footprint. [false] is a proof of infeasibility;
-    [true] promises nothing. Used by {!pack} as an early exit and by
-    {!Floorplanner.quick_capacity_check}. *)
+    [true] promises nothing. Used by {!pack} as an early exit. *)
 
 val node_limit : int
 (** Search nodes one {!pack} query may spend: 200_000. *)

@@ -9,9 +9,6 @@ let height r = r.r1 - r.r0 + 1
 let overlap a b =
   a.c0 <= b.c1 && b.c0 <= a.c1 && a.r0 <= b.r1 && b.r0 <= a.r1
 
-let contains ~outer r =
-  outer.c0 <= r.c0 && r.c1 <= outer.c1 && outer.r0 <= r.r0 && r.r1 <= outer.r1
-
 let resources device r =
   Device.rect_resources device ~c0:r.c0 ~c1:r.c1 ~r0:r.r0 ~r1:r.r1
 

@@ -14,7 +14,6 @@ type rect = { c0 : int; c1 : int; r0 : int; r1 : int }
 val width : rect -> int
 val height : rect -> int
 val overlap : rect -> rect -> bool
-val contains : outer:rect -> rect -> bool
 val resources : Resched_fabric.Device.t -> rect -> Resched_fabric.Resource.t
 
 val candidates : Resched_fabric.Device.t -> Resched_fabric.Resource.t ->

@@ -95,13 +95,6 @@ type response =
   | Metrics_reply of { id : string; body : Json.t }
   | Shutdown_ack of { id : string }
 
-let response_id = function
-  | Completed c -> c.c_id
-  | Rejected r -> r.id
-  | Failed f -> f.id
-  | Metrics_reply m -> m.id
-  | Shutdown_ack s -> s.id
-
 let response_json = function
   | Completed c ->
     Json.Obj

@@ -36,8 +36,8 @@ type schedule_params = {
   budget_ms : int option;
   deadline_ms : int option;
       (** response deadline relative to submission; past it the request
-          is shed ([rejected]/[expired]) or its course cancelled at the
-          next slice boundary *)
+          is shed ([rejected]/[expired]) or its course cancelled at its
+          next poll *)
   fail_attempts : int;
       (** test hook: fail the first N execution attempts (honored only
           when the server enables fault injection) *)
@@ -85,7 +85,7 @@ type completion = {
   c_attempts : int;
   c_latency_s : float;
   c_deadline_hit : bool;
-      (** the course was cancelled at a slice boundary by the deadline *)
+      (** the course was cancelled at a poll by the deadline *)
   c_schedule : string option;
 }
 
@@ -99,8 +99,6 @@ type response =
   | Failed of { id : string; message : string; attempts : int }
   | Metrics_reply of { id : string; body : Resched_util.Json.t }
   | Shutdown_ack of { id : string }
-
-val response_id : response -> string
 
 val response_to_line : response -> string
 (** Compact single-line JSON, no trailing newline. *)

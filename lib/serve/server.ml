@@ -17,7 +17,6 @@ type config = {
   degrade_low : int;
   degrade_high : int;
   degrade_factor : int;
-  slice : int;
   max_retries : int;
   backoff_s : float;
   default_seed : int;
@@ -28,14 +27,12 @@ type config = {
 }
 
 let config ?(capacity = 64) ?tenant_quota ?degrade_low ?degrade_high
-    ?(degrade_factor = 8) ?(slice = 16) ?(max_retries = 2)
+    ?(degrade_factor = 8) ?(max_retries = 2)
     ?(backoff_s = 0.05) ?(default_seed = 1) ?(default_min_iterations = 200)
     ?(default_budget_s = 0.) ?default_deadline_s
     ?(allow_fault_injection = false) () =
   if capacity < 1 then
     invalid_arg (Printf.sprintf "Server.config: capacity=%d" capacity);
-  if slice < 1 then
-    invalid_arg (Printf.sprintf "Server.config: slice=%d" slice);
   if degrade_factor < 1 then
     invalid_arg
       (Printf.sprintf "Server.config: degrade_factor=%d" degrade_factor);
@@ -58,7 +55,6 @@ let config ?(capacity = 64) ?tenant_quota ?degrade_low ?degrade_high
     degrade_low;
     degrade_high;
     degrade_factor;
-    slice;
     max_retries;
     backoff_s = Float.max 0. backoff_s;
     default_seed;
@@ -610,10 +606,7 @@ let run_attempt t e ~level ~eff_iters ~eff_budget =
         Pa_random.Course.create ~cache:t.cache ?cancel ~seed:e.e_seed
           ~min_iterations:eff_iters ~budget_seconds:eff_budget e.e_inst
       in
-      while not (Pa_random.Course.finished course) do
-        ignore
-          (Pa_random.Course.run_slice course ~max_iterations:t.cfg.slice : int)
-      done;
+      ignore (Pa_random.Course.run_to_end course : int);
       let o = Pa_random.Course.outcome course in
       (o.Pa_random.schedule, o.Pa_random.iterations)
     end

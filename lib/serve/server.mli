@@ -18,8 +18,10 @@
     - The admission queue never holds more than [capacity] entries;
       beyond it (or a tenant's quota) requests are shed at submission.
     - A request past its deadline is shed if still queued, and an
-      in-flight one is cancelled at the next {!Pa_random.Course} slice
-      boundary — a worker is never hung by an expired request.
+      in-flight one is cancelled at its course's next poll, at most
+      {!Resched_core.Pa_random.Course.poll_every} restarts later: no
+      response comes later than the deadline plus one poll, and a
+      worker is never hung by an expired request.
     - Worker failures are contained per request: the attempt is retried
       with exponential backoff (up to [max_retries], through a side
       queue that cannot evict fresh admissions) and then reported as a
@@ -48,7 +50,6 @@ type config = {
   degrade_low : int;  (** queue depth where rung 1 starts *)
   degrade_high : int;  (** queue depth where rung 2 starts *)
   degrade_factor : int;  (** restart-budget divisor at rung 1 *)
-  slice : int;  (** course iterations between cancellation checks *)
   max_retries : int;  (** retries after the first failed attempt *)
   backoff_s : float;  (** base retry backoff, doubling per attempt *)
   default_seed : int;
@@ -66,7 +67,6 @@ val config :
   ?degrade_low:int ->
   ?degrade_high:int ->
   ?degrade_factor:int ->
-  ?slice:int ->
   ?max_retries:int ->
   ?backoff_s:float ->
   ?default_seed:int ->
@@ -77,12 +77,11 @@ val config :
   unit ->
   config
 (** Defaults: capacity 64, quota = capacity (no per-tenant limit),
-    rungs at capacity/4 and 3*capacity/4, factor 8, slice 16, 2
-    retries from 50 ms backoff, seed 1, 200 restarts, no wall-clock
-    budget, no default deadline, fault injection off. Out-of-range
-    values are clamped ([degrade_high >= degrade_low >= 1]);
-    [capacity < 1], [slice < 1] and [degrade_factor < 1] raise
-    [Invalid_argument]. *)
+    rungs at capacity/4 and 3*capacity/4, factor 8, 2 retries from
+    50 ms backoff, seed 1, 200 restarts, no wall-clock budget, no
+    default deadline, fault injection off. Out-of-range values are
+    clamped ([degrade_high >= degrade_low >= 1]); [capacity < 1] and
+    [degrade_factor < 1] raise [Invalid_argument]. *)
 
 type t
 

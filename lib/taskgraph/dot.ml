@@ -11,7 +11,5 @@ let render ~label g =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let to_string g = render ~label:string_of_int g
-
 let to_channel oc ?(label = string_of_int) g =
   output_string oc (render ~label g)

@@ -98,25 +98,3 @@ let series_parallel rng ~tasks =
   in
   let _ = build tasks in
   g
-
-let random_orders_respecting rng g =
-  let n = Graph.size g in
-  let indeg = Array.make n 0 in
-  List.iter (fun (_, v) -> indeg.(v) <- indeg.(v) + 1) (Graph.edges g);
-  let ready = ref [] in
-  for u = n - 1 downto 0 do
-    if indeg.(u) = 0 then ready := u :: !ready
-  done;
-  let order = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let a = Array.of_list !ready in
-    let u = Rng.choose rng a in
-    order.(i) <- u;
-    ready := List.filter (fun v -> v <> u) !ready;
-    List.iter
-      (fun v ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then ready := v :: !ready)
-      (Graph.succs g u)
-  done;
-  order

@@ -30,7 +30,3 @@ val fork_join : branches:int -> depth:int -> Graph.t
 val series_parallel : Resched_util.Rng.t -> tasks:int -> Graph.t
 (** A random series-parallel DAG of exactly [tasks] nodes built by
     recursive series/parallel composition. *)
-
-val random_orders_respecting : Resched_util.Rng.t -> Graph.t -> int array
-(** A uniformly-chosen random linear extension (topological order) of the
-    graph; used by tests. *)

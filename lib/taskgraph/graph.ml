@@ -64,20 +64,6 @@ let edges g =
   done;
   !acc
 
-let sources g =
-  let acc = ref [] in
-  for u = g.n - 1 downto 0 do
-    if g.pred.(u) = [] then acc := u :: !acc
-  done;
-  !acc
-
-let sinks g =
-  let acc = ref [] in
-  for u = g.n - 1 downto 0 do
-    if g.succ.(u) = [] then acc := u :: !acc
-  done;
-  !acc
-
 (* Kahn's algorithm; on failure, extract a cycle by walking unprocessed
    predecessors. *)
 let topological_order g =
@@ -165,35 +151,6 @@ let mark_coreachable g u mark =
   go u
 
 type closure = { cn : int; stride : int; bits : Bytes.t }
-
-let closure g =
-  let n = g.n in
-  let stride = (n + 7) / 8 in
-  let bits = Bytes.make (n * stride) '\000' in
-  let set_bit u v =
-    let off = (u * stride) + (v lsr 3) in
-    Bytes.unsafe_set bits off
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get bits off) lor (1 lsl (v land 7))))
-  in
-  let or_row ~into ~from =
-    let a = into * stride and b = from * stride in
-    for i = 0 to stride - 1 do
-      Bytes.unsafe_set bits (a + i)
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get bits (a + i))
-           lor Char.code (Bytes.unsafe_get bits (b + i))))
-    done
-  in
-  let order = topological_order g in
-  (* Reverse topological order: a node's successors' rows are complete
-     before its own row is assembled. *)
-  for i = n - 1 downto 0 do
-    let u = order.(i) in
-    set_bit u u;
-    List.iter (fun v -> or_row ~into:u ~from:v) g.succ.(u)
-  done;
-  { cn = n; stride; bits }
 
 type closure_buf = {
   mutable cb_bits : Bytes.t;

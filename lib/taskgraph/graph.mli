@@ -42,12 +42,6 @@ val edge_count : t -> int
 val edges : t -> (int * int) list
 (** All edges, ordered by source node. *)
 
-val sources : t -> int list
-(** Nodes without predecessors. *)
-
-val sinks : t -> int list
-(** Nodes without successors. *)
-
 val topological_order : t -> int array
 (** A topological order of all nodes. Raises {!Cycle} if the graph has a
     directed cycle. *)
@@ -72,10 +66,6 @@ type closure
 (** Transitive closure of a DAG, packed as a bitset; answers
     reachability pairs in O(1) after one O(V*E/w) construction. *)
 
-val closure : t -> closure
-(** Snapshot of the graph's reachability relation. Raises {!Cycle} on
-    cyclic graphs. The snapshot does not follow later edge insertions. *)
-
 type closure_buf
 (** Reusable backing store for {!closure_with} — the bitset plus the
     Kahn scratch arrays, grown on demand and recycled across calls so a
@@ -85,10 +75,10 @@ type closure_buf
 val make_closure_buf : unit -> closure_buf
 
 val closure_with : closure_buf -> t -> closure
-(** Like {!closure}, but (re)using [buf]'s storage. The returned
-    closure {e aliases} the buffer: it is only valid until the next
-    [closure_with] call on the same buffer. Answers are identical to
-    {!closure}'s. *)
+(** Snapshot of the graph's reachability relation, (re)using [buf]'s
+    storage. Raises {!Cycle} on cyclic graphs. The snapshot does not
+    follow later edge insertions, and it {e aliases} the buffer: it is
+    only valid until the next [closure_with] call on the same buffer. *)
 
 val in_closure : closure -> int -> int -> bool
 (** [in_closure c u v] iff [v] was reachable from [u] (including

@@ -119,9 +119,8 @@ module Pool = struct
           t.pending <- t.p_jobs - 1;
           t.generation <- t.generation + 1;
           Condition.broadcast t.start);
-    (* The caller is always worker 0 (like [run]): sequential replays and
-       domain-local caches behave identically whether or not a pool is
-       in use. *)
+    (* The caller is always worker 0 (like [run]): sequential replays
+       behave identically whether or not a pool is in use. *)
     task 0;
     if t.p_jobs > 1 then
       with_lock t.lock (fun () ->

@@ -2,10 +2,9 @@
 
     {!Pool} keeps the worker domains resident so a *batch* of fan-outs
     (the bench's per-group PA-R runs, a server's request stream) pays
-    the domain-spawn and first-touch cost once instead of per call —
-    and so domain-local state (PA restart arenas) stays warm between
-    calls. {!run} is a one-shot pool: spawn the workers, run an indexed
-    job on each, join them all, propagate failures.
+    the domain-spawn and first-touch cost once instead of per call.
+    {!run} is a one-shot pool: spawn the workers, run an indexed job on
+    each, join them all, propagate failures.
 
     {!plan_jobs} is the honest-parallelism helper: it reconciles a
     requested fan-out with the machine's core count and says loudly
@@ -51,8 +50,6 @@ module Pool : sig
 
   val create : jobs:int -> unit -> t
   (** [jobs >= 1] resident workers. *)
-
-  val jobs : t -> int
 
   val map : t -> (int -> 'a) -> 'a array
   (** Run [f i] for [i] in [0 .. jobs-1] on the resident workers (index 0

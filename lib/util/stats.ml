@@ -12,10 +12,6 @@ let stddev a =
     sqrt (!acc /. float_of_int n)
   end
 
-let min a =
-  if Array.length a = 0 then invalid_arg "Stats.min: empty";
-  Array.fold_left Stdlib.min a.(0) a
-
 let max a =
   if Array.length a = 0 then invalid_arg "Stats.max: empty";
   Array.fold_left Stdlib.max a.(0) a
@@ -38,8 +34,6 @@ let percentile a p =
     let frac = rank -. float_of_int lo in
     (b.(lo) *. (1. -. frac)) +. (b.(hi) *. frac)
   end
-
-let median a = percentile a 50.
 
 let improvement_pct ~baseline ~value =
   if baseline = 0. then 0. else (baseline -. value) /. baseline *. 100.

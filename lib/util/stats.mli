@@ -8,14 +8,8 @@ val mean : float array -> float
 val stddev : float array -> float
 (** Population standard deviation; 0. on arrays of size < 2. *)
 
-val min : float array -> float
-(** Minimum; raises [Invalid_argument] on the empty array. *)
-
 val max : float array -> float
 (** Maximum; raises [Invalid_argument] on the empty array. *)
-
-val median : float array -> float
-(** Median (average of middle pair for even sizes); raises on empty. *)
 
 val percentile : float array -> float -> float
 (** [percentile a p] with [p] in [\[0,100\]], linear interpolation;

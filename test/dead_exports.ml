@@ -1,26 +1,31 @@
 (* Dead exports: the values a lib/ interface declares that no other
-   compilation unit uses, and the optional parameters of those values
-   that no other unit outside test/ passes.
+   compilation unit uses, or that only tests use, and the optional
+   parameters of used values that no other unit outside test/ passes.
 
-     dead_exports.exe ROOT ALLOWLIST
+     dead_exports.exe ROOT PARAMS_ALLOWLIST TEST_ONLY_ALLOWLIST
 
    reads the typed trees of the build context ROOT (after
    `dune build @check`). The .cmti files under ROOT/lib give the
    exports, nested module signatures included; the value identifiers of
    every .cmt under lib, bin, bench, perfbench, examples and test give
    the uses. An export is used when an identifier of another unit
-   resolves to its declaration; a use by a test counts. A unit's own
-   identifiers are skipped: they resolve to its implementation, whose
-   declaration ids restart from 0 and so collide with its interface's.
+   resolves to its declaration. A unit's own identifiers are skipped:
+   they resolve to its implementation, whose declaration ids restart
+   from 0 and so collide with its interface's.
+
+   An export whose every use outside its own unit is under test/ is
+   test-only. TEST_ONLY_ALLOWLIST exempts such exports, one per line as
+   [Module.value reason]; an entry that names no test-only export is
+   stale.
 
    An optional parameter is passed when an application of the export
    in another unit outside test/ gives it an argument: the typed tree
    holds an argument the caller omitted as a ghost-located [None], and
    one the caller wrote (with [~x:v] or [?x:o]) at its source location.
-   ALLOWLIST exempts parameters, one per line as
+   PARAMS_ALLOWLIST exempts parameters, one per line as
    [Module.value ?label reason]; an entry that names no unpassed
-   parameter is stale. Prints each dead export, unpassed parameter and
-   stale entry, and exits 1 if there is one. *)
+   parameter is stale. Prints each dead or test-only export, unpassed
+   parameter and stale entry, and exits 1 if there is one. *)
 
 module Uid = Shape.Uid
 
@@ -65,38 +70,41 @@ let omitted (e : Typedtree.expression) =
   | Texp_construct (_, { cstr_name = "None"; _ }, []) -> e.exp_loc.loc_ghost
   | _ -> false
 
-(* [Module.value ?label] -> reason, from the allowlist file. *)
-let allowlist path =
+(* The keys of an allowlist file: the first [key_words] words of each
+   line that is not blank or a comment, followed by a reason. *)
+let allowlist ~key_words path =
   In_channel.with_open_text path In_channel.input_all
   |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          match String.split_on_char ' ' (String.trim line) with
          | [ "" ] -> None
          | first :: _ when first.[0] = '#' -> None
-         | name :: label :: (_ :: _ as reason) ->
-           Some (name ^ " " ^ label, String.concat " " reason)
+         | words when List.length words > key_words ->
+           Some (String.concat " " (List.filteri (fun i _ -> i < key_words) words))
          | _ -> failwith ("dead_exports: bad allowlist line: " ^ line))
 
 let () =
   let root = Sys.argv.(1) in
-  let allowed = allowlist Sys.argv.(2) in
-  let used = Uid.Tbl.create 4096 in
+  let allowed = allowlist ~key_words:2 Sys.argv.(2) in
+  let test_only_allowed = allowlist ~key_words:1 Sys.argv.(3) in
+  let used = Uid.Tbl.create 4096 and used_outside_test = Uid.Tbl.create 4096 in
   let passed = Hashtbl.create 256 in
-  let iterator ~counts_passes unit =
+  let iterator ~outside_test unit =
     { Tast_iterator.default_iterator with
       expr =
         (fun self (e : Typedtree.expression) ->
           (match e.exp_desc with
           | Texp_ident (_, _, { val_uid = Item { comp_unit; _ } as uid; _ })
             when comp_unit <> unit ->
-            Uid.Tbl.replace used uid ()
+            Uid.Tbl.replace used uid ();
+            if outside_test then Uid.Tbl.replace used_outside_test uid ()
           | Texp_apply
               ( { exp_desc =
                     Texp_ident
                       (_, _, { val_uid = Item { comp_unit; _ } as uid; _ });
                   _ },
                 args )
-            when counts_passes && comp_unit <> unit ->
+            when outside_test && comp_unit <> unit ->
             List.iter
               (fun (label, arg) ->
                 match (label, arg) with
@@ -115,14 +123,14 @@ let () =
           match cmt.cmt_annots with
           | Implementation str ->
             let it =
-              iterator ~counts_passes:(dir <> "test") cmt.cmt_modname
+              iterator ~outside_test:(dir <> "test") cmt.cmt_modname
             in
             it.structure it str
           | _ -> ())
         (files ".cmt" (Filename.concat root dir)))
     users;
   let declared = ref 0 and optionals = ref 0 in
-  let exempt = Hashtbl.create 16 in
+  let exempt = Hashtbl.create 16 and test_only = Hashtbl.create 64 in
   let faults =
     files ".cmti" (Filename.concat root "lib")
     |> List.concat_map (fun path ->
@@ -137,15 +145,22 @@ let () =
              declared := !declared + List.length values;
              List.concat_map
                (fun (name, uid, labels) ->
-                 optionals := !optionals + List.length labels;
                  if not (Uid.Tbl.mem used uid) then
                    [ Printf.sprintf "%s: %s has no user" source name ]
-                 else
+                 else if not (Uid.Tbl.mem used_outside_test uid) then begin
+                   Hashtbl.replace test_only name ();
+                   if List.mem name test_only_allowed then []
+                   else
+                     [ Printf.sprintf "%s: %s is used only by tests" source
+                         name ]
+                 end
+                 else begin
+                   optionals := !optionals + List.length labels;
                    List.filter_map
                      (fun label ->
                        let key = Printf.sprintf "%s ?%s" name label in
                        if Hashtbl.mem passed (uid, label) then None
-                       else if List.mem_assoc key allowed then begin
+                       else if List.mem key allowed then begin
                          Hashtbl.replace exempt key ();
                          None
                        end
@@ -154,25 +169,29 @@ let () =
                            (Printf.sprintf
                               "%s: %s is passed by no unit outside test/"
                               source key))
-                     labels)
+                     labels
+                 end)
                values
            | _ -> [])
   in
-  let stale =
+  let stale what table keys =
     List.filter_map
-      (fun (key, _) ->
-        if Hashtbl.mem exempt key then None
-        else
-          Some
-            (Printf.sprintf "allowlist: %s is not an unpassed parameter" key))
-      allowed
+      (fun key ->
+        if Hashtbl.mem table key then None
+        else Some (Printf.sprintf "allowlist: %s is not %s" key what))
+      keys
+  in
+  let stale =
+    stale "an unpassed parameter" exempt allowed
+    @ stale "a test-only export" test_only test_only_allowed
   in
   match faults @ stale with
   | [] ->
     Printf.printf
-      "dead_exports: all %d lib/ exports used; %d of their %d optional \
-       parameters passed outside test/, %d allowlisted\n"
-      !declared
+      "dead_exports: all %d lib/ exports used, %d of them only by tests \
+       (allowlisted); %d of the %d optional parameters of the others \
+       passed outside test/, %d allowlisted\n"
+      !declared (Hashtbl.length test_only)
       (!optionals - Hashtbl.length exempt)
       !optionals (Hashtbl.length exempt)
   | faults ->

@@ -1,6 +1,6 @@
-(* Tests for the batch engine ([Batch.run]), the resumable course
-   abstraction it interleaves, and the allocation contract of the SoA
-   restart kernel against the from-scratch reference loop. *)
+(* Tests for the batch engine ([Batch.run]), the course abstraction it
+   runs, and the allocation contract of the SoA restart kernel against
+   the from-scratch reference loop. *)
 
 module Rng = Resched_util.Rng
 module Fp_cache = Resched_floorplan.Fp_cache
@@ -31,27 +31,28 @@ let outcome_fingerprint (o : Pa_random.outcome) =
       o.Pa_random.trace )
 
 (* Property: a batch over N instances is bit-identical, per instance, to
-   N sequential [Pa_random.run] calls — whatever the worker count and
-   slice granularity, and with a shared floorplan cache in the mix. *)
+   N sequential [Pa_random.run] calls — whatever the worker count, with
+   more workers than requests at times, and with a shared floorplan
+   cache in the mix. Each request is larger than the one before it, so
+   largest-first dispatch runs them in reverse request order. *)
 let prop_batch_equals_sequential =
   QCheck.Test.make ~count:12
     ~name:"Batch.run = N sequential Pa_random.run (bit-identical)"
-    QCheck.(triple int (int_range 2 5) (int_range 1 3))
+    QCheck.(triple int (int_range 2 5) (int_range 1 4))
     (fun (seed, n, jobs) ->
       (* Re-clamp: QCheck's int_range shrinker can step outside the
          range while minimizing a counterexample. *)
-      let n = 2 + (abs n mod 4) and jobs = 1 + (abs jobs mod 3) in
+      let n = 2 + (abs n mod 4) and jobs = 1 + (abs jobs mod 4) in
       let rng = Rng.create (seed lxor 0xba7c4) in
       let requests =
         Array.init n (fun i ->
-            let tasks = 6 + Rng.int rng 14 in
+            let tasks = 6 + (4 * i) + Rng.int rng 4 in
             let inst = Suite.instance rng ~tasks in
             Batch.request ~seed:(seed + (31 * i)) ~min_iterations:(4 + i)
               inst)
       in
-      let slice = if seed land 1 = 0 then Some 1 else Some 3 in
       let outcomes, stats =
-        Batch.run ~cache:(Fp_cache.create ()) ~jobs ?slice requests
+        Batch.run ~cache:(Fp_cache.create ()) ~jobs requests
       in
       let sequential =
         (* A cache answers as a pure function of the query, so a fresh
@@ -105,9 +106,8 @@ let prop_soa_kernel_equals_boxed_oracle =
       | Some s -> Validate.check s = Ok ()
       | None -> true)
 
-(* Slicing invariance: advancing a course in tiny slices (as the batch
-   queue does under contention) executes the same stream as one
-   uninterrupted run. *)
+(* Slicing invariance: advancing a course in tiny slices executes the
+   same stream as one uninterrupted run. *)
 let test_course_slice_invariance () =
   let rng = Rng.create 21 in
   let inst = Suite.instance rng ~tasks:18 in
@@ -133,7 +133,7 @@ let test_course_slice_invariance () =
 (* Cooperative cancellation: a hook that never fires leaves the stream
    bit-identical to an unhooked run; one that fires stops the course at
    the next slice boundary, keeping the incumbent found so far. This is
-   the serve layer's "deadline + one slice" contract at its source. *)
+   the serve layer's "deadline + one poll" contract at its source. *)
 let test_course_cancellation () =
   let rng = Rng.create 77 in
   let inst = Suite.instance rng ~tasks:16 in
@@ -164,7 +164,8 @@ let test_course_cancellation () =
     total := !total + Pa_random.Course.run_slice c ~max_iterations:4
   done;
   Alcotest.(check int) "cancelled after exactly two full slices" 8 !total;
-  Alcotest.(check int) "iterations agree" 8 (Pa_random.Course.iterations c);
+  Alcotest.(check int) "iterations agree" 8
+    (Pa_random.Course.outcome c).Pa_random.iterations;
   Alcotest.(check int) "no work after cancellation" 0
     (Pa_random.Course.run_slice c ~max_iterations:4);
   (* The cancelled outcome is exactly an offline run truncated at the
@@ -190,11 +191,7 @@ let test_batch_cancelled_request () =
       Batch.request ~seed:5 ~min_iterations:10 insts.(2);
     |]
   in
-  let outcomes, _ =
-    Batch.run
-      ~cache:(Fp_cache.create ())
-      ~jobs:2 ~slice:2 requests
-  in
+  let outcomes, _ = Batch.run ~cache:(Fp_cache.create ()) ~jobs:2 requests in
   Alcotest.(check int) "cancelled request ran no iterations" 0
     outcomes.(1).Pa_random.iterations;
   List.iter
@@ -209,6 +206,47 @@ let test_batch_cancelled_request () =
         true
         (outcome_fingerprint outcomes.(i) = outcome_fingerprint offline))
     [ (0, 3); (2, 5) ]
+
+(* No restart arena outlives its stream: once a run returns and its
+   outcome is dropped, nothing the run built keeps its instance
+   reachable — not on the calling domain, not on a worker domain. *)
+let instance_unreachable_after run =
+  let weak = Weak.create 1 in
+  let[@inline never] go () =
+    let inst = Suite.instance (Rng.create 61) ~tasks:14 in
+    Weak.set weak 0 (Some inst);
+    run inst
+  in
+  go ();
+  Gc.full_major ();
+  not (Weak.check weak 0)
+
+let test_no_arena_outlives_its_stream () =
+  List.iter
+    (fun (name, run) ->
+      Alcotest.(check bool)
+        (name ^ " leaves its instance unreachable")
+        true
+        (instance_unreachable_after run))
+    [
+      ( "Pa_random.run",
+        fun inst ->
+          ignore
+            (Pa_random.run ~seed:3 ~min_iterations:8 ~budget_seconds:0. inst
+              : Pa_random.outcome) );
+      ( "Pa_random.run_parallel ~jobs:2",
+        fun inst ->
+          ignore
+            (Pa_random.run_parallel ~jobs:2 ~seed:3 ~min_iterations:8
+               ~budget_seconds:0. inst
+              : Pa_random.outcome) );
+      ( "Batch.run ~jobs:2",
+        fun inst ->
+          let request seed = Batch.request ~seed ~min_iterations:8 inst in
+          ignore
+            (Batch.run ~jobs:2 [| request 3; request 4 |]
+              : Pa_random.outcome array * Batch.stats) );
+    ]
 
 (* Allocation regression guard: the SoA kernel must allocate far less
    than the from-scratch reference loop per restart, and stay under an
@@ -294,6 +332,8 @@ let () =
           Alcotest.test_case "cancellation" `Quick test_course_cancellation;
           Alcotest.test_case "cancelled batch request" `Quick
             test_batch_cancelled_request;
+          Alcotest.test_case "no arena outlives its stream" `Quick
+            test_no_arena_outlives_its_stream;
         ] );
       ( "allocation",
         [

@@ -483,7 +483,9 @@ let prop_splice_equals_full_resolve =
       ignore (Sw_map.run state ~bound:max_int : bool);
       let specs = Timing.reconf_specs state in
       let nr = Array.length specs in
-      let closure = Graph.closure state.State.dep in
+      let closure =
+        Graph.closure_with (Graph.make_closure_buf ()) state.State.dep
+      in
       let spliced = Timing.Solver.scratch () in
       let full = Timing.Solver.scratch () in
       Timing.Solver.reload spliced state ~reconfigs:specs;

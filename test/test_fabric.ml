@@ -36,8 +36,7 @@ let test_resource_get_set () =
       let a' = Resource.set a kind 9 in
       Alcotest.(check int) "set/get" 9 (Resource.get a' kind))
     Resource.kinds;
-  Alcotest.(check (option string)) "kind name round-trip" (Some "CLB")
-    (Option.map Resource.kind_name (Resource.kind_of_name "clb"))
+  Alcotest.(check string) "kind name" "CLB" (Resource.kind_name Resource.Clb)
 
 let test_bits_per_unit () =
   (* CLB: 36 frames * 3232 bits / 50 slices = 2327.04 bits per slice. *)

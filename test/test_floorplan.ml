@@ -12,6 +12,12 @@ module Fp_cache = Resched_floorplan.Fp_cache
 
 let v ~clb ~bram ~dsp = Resource.make ~clb ~bram ~dsp
 
+let contains ~outer r =
+  outer.Placement.c0 <= r.Placement.c0
+  && r.Placement.c1 <= outer.Placement.c1
+  && outer.Placement.r0 <= r.Placement.r0
+  && r.Placement.r1 <= outer.Placement.r1
+
 let test_rect_geometry () =
   let a = { Placement.c0 = 0; c1 = 3; r0 = 0; r1 = 1 } in
   let b = { Placement.c0 = 4; c1 = 6; r0 = 0; r1 = 1 } in
@@ -22,7 +28,7 @@ let test_rect_geometry () =
   Alcotest.(check bool) "overlapping" true (Placement.overlap a c);
   Alcotest.(check bool) "overlap symmetric" true (Placement.overlap c a);
   Alcotest.(check bool) "contains" true
-    (Placement.contains ~outer:{ Placement.c0 = 0; c1 = 9; r0 = 0; r1 = 2 } a)
+    (contains ~outer:{ Placement.c0 = 0; c1 = 9; r0 = 0; r1 = 2 } a)
 
 let test_candidates_cover_requirement () =
   let d = Device.xc7z020 in
@@ -147,21 +153,26 @@ let test_validate_rejects_bad_plans () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "under-provisioned accepted"
 
+(* The capacity bounds at the packer's root decide these without a
+   search: total requirements against the device totals, and one BRAM
+   column-row slot per BRAM region. *)
 let test_quick_capacity_check () =
   let d = Device.minifab in
-  Alcotest.(check bool) "fits" true
-    (Floorplanner.quick_capacity_check d [| v ~clb:500 ~bram:10 ~dsp:10 |]);
-  Alcotest.(check bool) "too big" false
-    (Floorplanner.quick_capacity_check d [| v ~clb:700 ~bram:0 ~dsp:0 |]);
+  let feasible needs =
+    match (Floorplanner.check d needs).Floorplanner.verdict with
+    | Floorplanner.Feasible _ -> true
+    | Floorplanner.Infeasible -> false
+    | Floorplanner.Unknown -> Alcotest.fail "undecided capacity query"
+  in
+  Alcotest.(check bool) "fits" true (feasible [| v ~clb:500 ~bram:10 ~dsp:10 |]);
+  Alcotest.(check bool) "too big" false (feasible [| v ~clb:700 ~bram:0 ~dsp:0 |]);
   (* Per-column-type row-slot condition: four bram:5 regions pass the
      device-total check (20 <= 20) but each needs its own BRAM
      column-row slot and minifab has only 1 column x 2 rows. *)
   Alcotest.(check bool) "row slots exhausted" false
-    (Floorplanner.quick_capacity_check d
-       (Array.make 4 (v ~clb:0 ~bram:5 ~dsp:0)));
+    (feasible (Array.make 4 (v ~clb:0 ~bram:5 ~dsp:0)));
   Alcotest.(check bool) "row slots sufficient" true
-    (Floorplanner.quick_capacity_check d
-       (Array.make 2 (v ~clb:0 ~bram:5 ~dsp:0)))
+    (feasible (Array.make 2 (v ~clb:0 ~bram:5 ~dsp:0)))
 
 (* v2-specific dominance / symmetry edge cases. *)
 
@@ -380,7 +391,7 @@ let quadratic_prune rects =
   List.rev
     (List.fold_left
        (fun kept r ->
-         if List.exists (fun a -> Placement.contains ~outer:r a) kept then kept
+         if List.exists (fun a -> contains ~outer:r a) kept then kept
          else r :: kept)
        [] rects)
 

@@ -47,7 +47,7 @@ let make_sim cfg =
   { srv; clock; responses }
 
 (* A server over a self-advancing clock: every read ticks [dt] forward,
-   so an in-flight course observes time passing between its slices and
+   so an in-flight course observes time passing between its polls and
    mid-run deadline cancellation becomes reproducible. *)
 let make_ticking_sim ~dt cfg =
   let clock = ref 0. in
@@ -97,9 +97,17 @@ let drain_sim sim =
   in
   go 10_000
 
+let response_id = function
+  | Protocol.Completed c -> c.Protocol.c_id
+  | Protocol.Rejected { id; _ }
+  | Protocol.Failed { id; _ }
+  | Protocol.Metrics_reply { id; _ }
+  | Protocol.Shutdown_ack { id } ->
+    id
+
 let find_response sim id =
   match
-    List.find_opt (fun r -> Protocol.response_id r = id) !(sim.responses)
+    List.find_opt (fun r -> response_id r = id) !(sim.responses)
   with
   | Some r -> r
   | None -> Alcotest.failf "no response for %s" id
@@ -211,11 +219,12 @@ let test_protocol_parse () =
     (is_error {|{"op":"schedule","id":"x"}|})
 
 let test_protocol_responses () =
-  let status r =
+  let field name r =
     match Json.parse (Protocol.response_to_line r) with
-    | Ok j -> Option.bind (Json.member "status" j) Json.get_string
+    | Ok j -> Option.bind (Json.member name j) Json.get_string
     | Error e -> Alcotest.fail e
   in
+  let status = field "status" in
   let completed =
     Protocol.Completed
       {
@@ -244,8 +253,8 @@ let test_protocol_responses () =
     (status (Protocol.Metrics_reply { id = "d"; body = Json.Obj [] }));
   Alcotest.(check (option string)) "shutdown" (Some "shutdown")
     (status (Protocol.Shutdown_ack { id = "e" }));
-  Alcotest.(check string) "response_id" "b"
-    (Protocol.response_id
+  Alcotest.(check (option string)) "id" (Some "b")
+    (field "id"
        (Protocol.Rejected
           { id = "b"; reason = Protocol.Expired; queue_depth = 0 }))
 
@@ -331,14 +340,14 @@ let test_tenant_quota () =
     (Protocol.reject_reason_name reason);
   Alcotest.(check bool) "tenant B unaffected by A's quota" true
     (List.for_all
-       (fun r -> Protocol.response_id r <> "b1")
+       (fun r -> response_id r <> "b1")
        !(sim.responses));
   (* Completing A's work frees its quota. *)
   Alcotest.(check bool) "step works" true (Server.step sim.srv = Server.Did_work);
   submit_inst sim ~id:"a4" inst (params ~tenant:"A" ~seed:5 ());
   Alcotest.(check bool) "quota slot freed by completion" true
     (List.for_all
-       (fun r -> Protocol.response_id r <> "a4")
+       (fun r -> response_id r <> "a4")
        !(sim.responses));
   drain_sim sim;
   List.iter
@@ -405,7 +414,7 @@ let test_deadline_sheds_queued () =
   submit_inst sim ~id:"d2" inst (params ~seed:2 ());
   sim.clock := 2.0;
   (* The sweep (run by every step / poll tick) sheds d1 before any
-     worker wastes a slice on it. *)
+     worker wastes a restart on it. *)
   Alcotest.(check int) "one expiration swept" 1
     (Server.sweep_expired sim.srv);
   let reason, _ = rejection sim "d1" in
@@ -420,13 +429,13 @@ let test_deadline_sheds_queued () =
 
 let test_deadline_cancels_midrun () =
   let inst = instance 16 ~tasks:10 in
-  let slice = 8 in
+  let poll = Pa_random.Course.poll_every and dt = 0.01 in
   (* Self-advancing clock: each read ticks 10 ms, so the course's
-     per-slice cancellation poll crosses the 1 s deadline after ~100
-     slices — long before the absurd restart budget is met. *)
+     cancellation poll crosses the 1 s deadline after ~100 polls — long
+     before the absurd restart budget is met. *)
   let sim =
-    make_ticking_sim ~dt:0.01
-      (Server.config ~capacity:4 ~slice ~degrade_low:50 ~degrade_high:60 ())
+    make_ticking_sim ~dt
+      (Server.config ~capacity:4 ~degrade_low:50 ~degrade_high:60 ())
   in
   submit_inst sim ~id:"dl" inst
     (params ~seed:3 ~min_iterations:100_000 ~deadline_ms:1000 ());
@@ -438,12 +447,20 @@ let test_deadline_cancels_midrun () =
        c.Protocol.c_iterations)
     true
     (c.Protocol.c_iterations > 0 && c.Protocol.c_iterations < 100_000);
-  Alcotest.(check int) "stopped exactly at a slice boundary" 0
-    (c.Protocol.c_iterations mod slice);
-  (* "No response after deadline plus one slice": the only clock reads
-     after the deadline poll that fired are the completion stamps. *)
+  Alcotest.(check int) "stopped exactly at a poll boundary" 0
+    (c.Protocol.c_iterations mod poll);
+  (* "No response after deadline plus one poll": each poll reads the
+     clock once, so at most 1 s / dt polls pass before the deadline, and
+     the course runs no more than one poll of restarts past them; the
+     only clock reads after the poll that fired are the completion
+     stamps. *)
   Alcotest.(check bool)
-    (Printf.sprintf "latency %.3fs within deadline + one slice"
+    (Printf.sprintf "%d restarts within deadline + one poll"
+       c.Protocol.c_iterations)
+    true
+    (c.Protocol.c_iterations <= (int_of_float (1.0 /. dt) + 1) * poll);
+  Alcotest.(check bool)
+    (Printf.sprintf "latency %.3fs within deadline + one poll"
        c.Protocol.c_latency_s)
     true
     (c.Protocol.c_latency_s < 1.0 +. 0.1)
@@ -579,7 +596,7 @@ let test_overload_script () =
     (List.length !(sim.responses));
   let ids =
     List.sort_uniq compare
-      (List.map Protocol.response_id !(sim.responses))
+      (List.map response_id !(sim.responses))
   in
   Alcotest.(check int) "all ids answered" 9 (List.length ids);
   (* Every accepted request: Validate-passing schedule, bit-identical
