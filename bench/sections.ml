@@ -1625,10 +1625,10 @@ let bechamel_suite (p : Profile.t) =
     st
   in
   let specs, sequence = Pa_oracle.reconf_sched timing_state in
-  let solver =
-    Timing.Solver.of_plan ~graph:timing_state.State.dep
-      ~durations:(State.durations timing_state) ~reconfigs:specs
-  in
+  let solver = Timing.Solver.scratch () in
+  Timing.Solver.reload solver ~graph:timing_state.State.dep
+    ~duration:(State.duration timing_state) ~reconfigs:specs;
+  let seq = Array.of_list sequence in
   let ctx100 = Pa.Context.create inst100 in
   let tests =
     [
@@ -1658,7 +1658,9 @@ let bechamel_suite (p : Profile.t) =
                (Pa_oracle.resolve timing_state ~reconfigs:specs ~sequence)));
       Test.make ~name:"iteration/timing_solver_resolve_100"
         (Staged.stage (fun () ->
-             ignore (Timing.Solver.resolve solver ~sequence)));
+             ignore
+               (Timing.Solver.resolve_array solver ~sequence:seq
+                  ~len:(Array.length seq))));
       Test.make ~name:"iteration/schedule_once_scratch_100"
         (Staged.stage (fun () ->
              ignore (Pa_oracle.schedule_once inst100)));

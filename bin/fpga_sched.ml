@@ -75,20 +75,22 @@ let seed_arg =
   let doc = "Seed for pseudo-random generation." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* An int option below 1 is a usage error (exit 124), not an exception
+   from deep inside the library. *)
+let positive =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "expected a positive integer, got %d" n))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let jobs_arg =
   let doc =
     "Worker domains (1 = sequential; defaults to the available cores): \
      PA-R restarts in schedule, compare and optimize, the batch engine, \
      serve's solver workers, and replay --faults campaigns."
-  in
-  let positive =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n >= 1 -> Ok n
-      | Ok n -> Error (`Msg (Printf.sprintf "expected a positive integer, got %d" n))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
   in
   Arg.(
     value
@@ -97,7 +99,7 @@ let jobs_arg =
 
 let tasks_arg =
   let doc = "Number of application tasks." in
-  Arg.(value & opt int 20 & info [ "tasks"; "n" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 20 & info [ "tasks"; "n" ] ~docv:"N" ~doc)
 
 let load_instance path =
   match Io.load path with
@@ -459,6 +461,13 @@ let replay_faults sched trials seed jobs policy =
   end
 
 let replay path trials jitter_pct delays_only seed faults policy jobs =
+  (* Symmetric jitter must leave every duration positive; delays only
+     have no upper bound. *)
+  let uniform_too_wide = (not delays_only) && jitter_pct >= 100 in
+  if (not faults) && (jitter_pct < 0 || uniform_too_wide) then
+    die exit_io "--jitter-pct %d out of range (%s)" jitter_pct
+      (if delays_only then "PCT >= 0 with --delays-only"
+       else "0 <= PCT < 100, or any PCT >= 0 with --delays-only");
   match Resched_core.Schedule_io.load path with
   | Error msg -> die exit_io "cannot load %s: %s" path msg
   | Ok sched ->
@@ -478,7 +487,11 @@ let replay_cmd =
     Arg.(value & opt int 100 & info [ "trials" ] ~docv:"N" ~doc)
   in
   let jitter =
-    let doc = "Task duration jitter in percent (0 = deterministic)." in
+    let doc =
+      "Task duration jitter in percent (0 = deterministic): durations \
+       scale by a factor drawn from [1-PCT/100, 1+PCT/100], so PCT must \
+       be below 100; with $(b,--delays-only), from [1, 1+PCT/100]."
+    in
     Arg.(value & opt int 20 & info [ "jitter-pct" ] ~docv:"PCT" ~doc)
   in
   let delays_only =
@@ -605,7 +618,7 @@ let suite_cmd =
   in
   let count =
     let doc = "Instances per task-count group (paper: 10)." in
-    Arg.(value & opt int 10 & info [ "per-group" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive 10 & info [ "per-group" ] ~docv:"N" ~doc)
   in
   let doc = "materialize the paper's benchmark suite" in
   Cmd.v (Cmd.info "suite" ~doc) Term.(const suite $ seed_arg $ dir $ count)
@@ -886,7 +899,7 @@ let serve_cmd =
   in
   let capacity =
     let doc = "Admission queue bound; beyond it requests are shed." in
-    Arg.(value & opt int 64 & info [ "capacity" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive 64 & info [ "capacity" ] ~docv:"N" ~doc)
   in
   let tenant_quota =
     let doc =
@@ -913,7 +926,7 @@ let serve_cmd =
   in
   let degrade_factor =
     let doc = "Restart-budget divisor at degradation rung 1." in
-    Arg.(value & opt int 8 & info [ "degrade-factor" ] ~docv:"K" ~doc)
+    Arg.(value & opt positive 8 & info [ "degrade-factor" ] ~docv:"K" ~doc)
   in
   let retries =
     let doc = "Retries after a failed execution attempt." in

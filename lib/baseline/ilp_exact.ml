@@ -4,11 +4,11 @@ module Resource = Resched_fabric.Resource
 module Bitstream = Resched_fabric.Bitstream
 module Device = Resched_fabric.Device
 module Graph = Resched_taskgraph.Graph
-module Cpm = Resched_taskgraph.Cpm
 module Instance = Resched_platform.Instance
 module Arch = Resched_platform.Arch
 module Impl = Resched_platform.Impl
 module Schedule = Resched_core.Schedule
+module Timing = Resched_core.Timing
 
 type result = {
   schedule : Schedule.t;
@@ -367,94 +367,71 @@ let extract inst (model : model) values =
         List.sort (fun a b -> compare (start_of a) (start_of b)) tasks)
       region_tasks
   in
-  (* Reconfiguration specs: every non-first region task. *)
-  let reconf_specs = ref [] in
+  (* Reconfigurations: every non-first region task, in the LP's
+     controller order. *)
+  let reconfigs = ref [] in
   Array.iteri
     (fun r tasks ->
       let rec pairs = function
         | a :: b :: tl ->
-          reconf_specs := (r, a, b) :: !reconf_specs;
+          reconfigs :=
+            {
+              Timing.region_id = r;
+              t_in = a;
+              t_out = b;
+              dur = region_reconf.(r);
+              critical = false;
+            }
+            :: !reconfigs;
           pairs (b :: tl)
         | [ _ ] | [] -> ()
       in
       pairs tasks)
     region_order;
-  let reconf_specs =
-    List.sort
-      (fun (_, _, b1) (_, _, b2) -> compare (rstart_of b1) (rstart_of b2))
-      !reconf_specs
+  let reconfigs =
+    Array.of_list
+      (List.sort
+         (fun (x : Timing.reconf_spec) y ->
+           compare (rstart_of x.Timing.t_out) (rstart_of y.Timing.t_out))
+         !reconfigs)
   in
-  let nr = List.length reconf_specs in
-  (* Integer re-timing over the expanded DAG. *)
-  let g = Graph.create (n + nr) in
-  List.iter (fun (u, v) -> Graph.add_edge g u v) (Graph.edges inst.Instance.graph);
-  List.iteri
-    (fun k (_, a, b) ->
-      Graph.add_edge g a (n + k);
-      Graph.add_edge g (n + k) b)
-    reconf_specs;
-  (* Controller chain. *)
-  List.iteri
-    (fun k _ -> if k > 0 then Graph.add_edge g (n + k - 1) (n + k))
-    reconf_specs;
-  (* Processor chains. *)
-  for p = 0 to arch.Arch.processors - 1 do
-    let mine = ref [] in
-    Array.iteri
-      (fun t o ->
-        match o with
-        | O_sw { proc; _ } when proc = p -> mine := t :: !mine
-        | O_sw _ | O_hw _ -> ())
-      chosen;
-    let ordered = List.sort (fun a b -> compare (start_of a) (start_of b)) !mine in
-    let rec chain = function
-      | a :: b :: tl ->
-        if not (Graph.has_edge g a b) then Graph.add_edge g a b;
-        chain (b :: tl)
-      | [ _ ] | [] -> ()
-    in
-    chain ordered
-  done;
+  let nr = Array.length reconfigs in
+  let processor_chains =
+    Array.init arch.Arch.processors (fun p ->
+        let mine = ref [] in
+        Array.iteri
+          (fun t o ->
+            match o with
+            | O_sw { proc; _ } when proc = p -> mine := t :: !mine
+            | O_sw _ | O_hw _ -> ())
+          chosen;
+        List.sort (fun a b -> compare (start_of a) (start_of b)) !mine)
+  in
   let dur t =
     match chosen.(t) with O_sw { dur; _ } | O_hw { dur; _ } -> dur
   in
-  let durations =
-    Array.init (n + nr) (fun i ->
-        if i < n then dur i
-        else begin
-          let r, _, _ = List.nth reconf_specs (i - n) in
-          region_reconf.(r)
-        end)
+  (* Integer re-timing of the extracted plan. *)
+  let time controller =
+    Timing.time_plan ~durations:(Array.init n dur) ~region_chains:region_order
+      ~processor_chains ~reconfigs ~controller inst.Instance.graph
   in
   (* LP rounding can produce tied reconfiguration starts whose sort order
      contradicts a dependency chain. In that (rare) case, drop the
-     LP-derived controller chain and re-chain the reconfiguration nodes
-     in a topological order of the rest of the expanded graph, which is
-     always consistent. *)
-  let cpm =
-    match Cpm.compute g ~durations with
-    | cpm -> cpm
+     LP-derived controller chain and re-chain the reconfigurations in a
+     topological order of the rest of the plan: by their earliest starts
+     without a controller, ties by index. Every duration is positive, so
+     every edge of that plan strictly raises the earliest start, and no
+     dependency runs against this order. *)
+  let times =
+    match time (Array.init nr Fun.id) with
+    | times -> times
     | exception Graph.Cycle _ ->
-      let g2 = Graph.create (n + nr) in
-      List.iter
-        (fun (u, v) ->
-          (* Keep everything but controller edges (reconf -> reconf). *)
-          if not (u >= n && v >= n) then Graph.add_edge g2 u v)
-        (Graph.edges g);
-      let topo = Graph.topological_order g2 in
-      let rec_nodes =
-        Array.to_list topo |> List.filter (fun node -> node >= n)
-      in
-      let rec chain = function
-        | a :: b :: tl ->
-          Graph.add_edge g2 a b;
-          chain (b :: tl)
-        | [ _ ] | [] -> ()
-      in
-      chain rec_nodes;
-      Cpm.compute g2 ~durations
+      let free = (time [||]).Timing.rec_start in
+      let order = Array.init nr Fun.id in
+      Array.stable_sort (fun j k -> compare free.(j) free.(k)) order;
+      time order
   in
-  let task_start = Array.sub cpm.Cpm.t_min 0 n in
+  let task_start = times.Timing.task_start in
   let slots_arr =
     Array.init n (fun t ->
         let placement, impl_idx =
@@ -482,11 +459,11 @@ let extract inst (model : model) values =
   in
   let reconfigurations =
     List.mapi
-      (fun k (r, a, b) ->
-        let s = cpm.Cpm.t_min.(n + k) in
-        { Schedule.region = r; t_in = a; t_out = b; r_start = s;
-          r_end = s + region_reconf.(r) })
-      reconf_specs
+      (fun k (spec : Timing.reconf_spec) ->
+        { Schedule.region = spec.Timing.region_id; t_in = spec.Timing.t_in;
+          t_out = spec.Timing.t_out; r_start = times.Timing.rec_start.(k);
+          r_end = times.Timing.rec_end.(k) })
+      (Array.to_list reconfigs)
   in
   let makespan =
     Array.fold_left

@@ -22,8 +22,8 @@
     second. Longest paths in a DAG with non-negative durations are
     unique, so the resulting times are bit-identical to re-timing the
     whole plan from scratch; the test-only [Delta_oracle] does exactly
-    that on {!to_schedule}'s result through {!Timing.Solver.of_plan}
-    and re-checks the floorplan verdict.
+    that on {!to_schedule}'s result through {!Timing.time_plan} and
+    re-checks the floorplan verdict.
 
     {b Timing model.} The plan's precedence graph has one node per task
     and one per live reconfiguration. Edges are the instance's data

@@ -50,7 +50,8 @@ let run_hot ?module_reuse arena state =
   end;
   let closure = Graph.closure_with arena.a_closure state.State.dep in
   let solver = arena.a_solver in
-  Timing.Solver.reload solver state ~reconfigs:specs;
+  Timing.Solver.reload solver ~graph:state.State.dep
+    ~duration:(State.duration state) ~reconfigs:specs;
   let seq = arena.a_seq and rem = arena.a_rem in
   let len = ref 0 in
   (* One full resolve of the empty chain; each insertion then splices. *)

@@ -77,11 +77,11 @@ let bail fmt = Printf.ksprintf (fun m -> raise (Bail m)) fmt
       software fallback, which reconfiguration gets retried (and how much
       controller time the failed attempts burned), which task carries an
       overrun.
-   2. Rebuild the precedence plan of the surviving decisions — data
-      edges, region chains (with one node per kept reconfiguration),
-      the committed controller order — exactly like the validator and
-      the executor do, from the public schedule alone.
-   3. Re-time with {!Timing.Solver} under per-activity release times:
+   2. Rebuild the plan of the surviving decisions from the public
+      schedule alone: durations, region chains (with one node per kept
+      reconfiguration; module-reuse pairs chain directly), the committed
+      controller order.
+   3. Re-time with {!Timing.time_plan} under per-activity release times:
       finished and in-flight activities are pinned to their committed
       starts (history cannot move), the faulted activity is pushed to
       its post-fault earliest start, and the pending tail either keeps
@@ -252,16 +252,14 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
     in
     List.iter (fun (u, _, _, time) -> durations.(u) <- time) assignments;
     (* Kept reconfigurations, as (original controller position, spec,
-       release). Module-reuse pairs chain directly instead. *)
+       release). Module-reuse pairs have none: the plan chains them
+       directly. *)
     let specs = ref [] in
-    let direct_edges = ref [] in
     Array.iteri
       (fun ridx (r : Schedule.region) ->
         let rec pairs = function
           | a :: b :: tl ->
-            if sched.Schedule.module_reuse && same_module a b then
-              direct_edges := (a, b) :: !direct_edges
-            else begin
+            if not (sched.Schedule.module_reuse && same_module a b) then begin
               match find_rc ridx a b with
               | None ->
                 bail
@@ -299,7 +297,6 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
     in
     let spec_arr = Array.of_list (List.map (fun (_, s, _) -> s) specs) in
     let nr = Array.length spec_arr in
-    let sequence = List.init nr Fun.id in
     let release = Array.make (n + nr) 0 in
     List.iteri (fun i (_, _, r) -> release.(n + i) <- r) specs;
     for u = 0 to n - 1 do
@@ -314,13 +311,10 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
              else if policy = Resched_tail then at
              else s.Schedule.start_)
     done;
-    let base_graph () =
-      let g = Graph.create n in
-      List.iter
-        (fun (u, v) -> Graph.add_edge g u v)
-        (Graph.edges inst.Instance.graph);
-      List.iter (fun (a, b) -> Graph.add_edge g a b) !direct_edges;
-      g
+    let time_plan processor_chains =
+      Timing.time_plan ~release ~durations ~region_chains:kept_region_tasks
+        ~processor_chains ~reconfigs:spec_arr
+        ~controller:(Array.init nr Fun.id) inst.Instance.graph
     in
     (* -------------------------------------------------------------- *)
     (* 3. Two-pass re-timing: earliest starts without processor chains
@@ -337,36 +331,20 @@ let repair ?(max_attempts = 3) ?(backoff = 0) ~policy ~at ~fault
         | Schedule.On_processor p -> Some p
         | Schedule.On_region _ -> None
     in
-    let est =
-      let solver =
-        Timing.Solver.of_plan ~graph:(base_graph ()) ~durations
-          ~reconfigs:spec_arr
-      in
-      Array.copy (Timing.Solver.resolve ~release solver ~sequence).task_start
+    let est = (time_plan [||]).Timing.task_start in
+    let processor_chains =
+      Array.init procs (fun p ->
+          let mine = ref [] in
+          for u = n - 1 downto 0 do
+            if processor_of u = Some p then mine := u :: !mine
+          done;
+          List.sort
+            (fun a b ->
+              let c = compare est.(a) est.(b) in
+              if c <> 0 then c else compare a b)
+            !mine)
     in
-    let g = base_graph () in
-    for p = 0 to procs - 1 do
-      let mine = ref [] in
-      for u = n - 1 downto 0 do
-        if processor_of u = Some p then mine := u :: !mine
-      done;
-      let ordered =
-        List.sort
-          (fun a b ->
-            let c = compare est.(a) est.(b) in
-            if c <> 0 then c else compare a b)
-          !mine
-      in
-      let rec chain = function
-        | a :: b :: tl ->
-          Graph.add_edge g a b;
-          chain (b :: tl)
-        | [ _ ] | [] -> ()
-      in
-      chain ordered
-    done;
-    let solver = Timing.Solver.of_plan ~graph:g ~durations ~reconfigs:spec_arr in
-    let resolved = Timing.Solver.resolve ~release solver ~sequence in
+    let resolved = time_plan processor_chains in
     (* -------------------------------------------------------------- *)
     (* 4. Rebuild and check.                                           *)
     let slots =

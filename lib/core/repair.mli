@@ -6,8 +6,8 @@
     {!Schedule.t}, a fault observed at instant [at], and a recovery
     policy, and produces a *repaired* schedule: the committed history
     (everything finished or in flight at [at]) is pinned in place, the
-    faulted activity is retried, migrated or shifted, and the suffix is
-    re-timed through the incremental {!Timing.Solver}. Because every
+    faulted activity is retried, migrated or shifted, and the plan is
+    re-timed under release times through {!Timing.time_plan}. Because every
     task in the model carries both HW and SW implementations, graceful
     degradation to software is always a candidate recovery path.
 

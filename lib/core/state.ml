@@ -81,7 +81,6 @@ type t = {
 
 let impl t u = Instance.impl t.inst ~task:u ~idx:t.impl_of.(u)
 let duration t u = t.win.w_dur.(u)
-let durations t = Array.copy t.win.w_dur
 let is_hw t u = Impl.is_hw (impl t u)
 
 let hw_impls t u = t.scratch.sc_hw_impls.(u)

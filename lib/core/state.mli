@@ -116,7 +116,6 @@ val impl : t -> int -> Resched_platform.Impl.t
 (** The currently selected implementation of a task. *)
 
 val duration : t -> int -> int
-val durations : t -> int array
 
 val is_hw : t -> int -> bool
 (** Is the currently selected implementation a hardware one? *)

@@ -90,66 +90,6 @@ module Solver = struct
     mutable makespan : int;  (** of the last resolve or splice *)
   }
 
-  let of_plan ~graph ~durations:task_durations ~reconfigs =
-    let n = Graph.size graph in
-    if Array.length task_durations <> n then
-      invalid_arg "Timing.Solver.of_plan: durations length mismatch";
-    let nr = Array.length reconfigs in
-    let total = n + nr in
-    let succ = Array.make total [] in
-    let base_indeg = Array.make total 0 in
-    let add u v =
-      succ.(u) <- v :: succ.(u);
-      base_indeg.(v) <- base_indeg.(v) + 1
-    in
-    for u = 0 to n - 1 do
-      List.iter (fun v -> add u v) (Graph.succs graph u)
-    done;
-    Array.iteri
-      (fun k spec ->
-        add spec.t_in (n + k);
-        add (n + k) spec.t_out)
-      reconfigs;
-    (* Flatten to CSR: the base adjacency never changes after [of_plan],
-       and [resolve] runs many times over it — contiguous int arrays
-       beat chasing cons cells on every pass. *)
-    let edges = Array.fold_left (fun acc bi -> acc + bi) 0 base_indeg in
-    let adj = Array.make (Stdlib.max 1 edges) 0 in
-    let off = Array.make (total + 1) 0 in
-    let c = ref 0 in
-    for u = 0 to total - 1 do
-      off.(u) <- !c;
-      List.iter
-        (fun v ->
-          adj.(!c) <- v;
-          incr c)
-        succ.(u)
-    done;
-    off.(total) <- !c;
-    let durations =
-      Array.init total (fun i ->
-          if i < n then task_durations.(i) else reconfigs.(i - n).dur)
-    in
-    {
-      n;
-      nr;
-      reconfigs;
-      adj;
-      off;
-      base_indeg;
-      durations;
-      chain_next = Array.make (Stdlib.max 1 nr) (-1);
-      indeg = Array.make total 0;
-      queue = Array.make total 0;
-      t_min = Array.make total 0;
-      task_start = Array.make n 0;
-      task_end = Array.make n 0;
-      rec_start = Array.make (Stdlib.max 1 nr) 0;
-      rec_end = Array.make (Stdlib.max 1 nr) 0;
-      pending = Min_heap.create total;
-      makespan = 0;
-    }
-
   let scratch () =
     {
       n = 0;
@@ -171,9 +111,8 @@ module Solver = struct
       makespan = 0;
     }
 
-  let reload s state ~reconfigs =
-    let graph = state.State.dep in
-    let n = Resched_taskgraph.Graph.size graph in
+  let reload s ~graph ~duration ~reconfigs =
+    let n = Graph.size graph in
     let nr = Array.length reconfigs in
     let total = n + nr in
     s.n <- n;
@@ -203,9 +142,8 @@ module Solver = struct
     Array.fill base_indeg 0 total 0;
     (* Pass 1: out-degree per node into [off.(u+1)], in-degrees as we
        go. Successors are taken in [succs_rev] order (no reversed-list
-       allocation): the longest-path relaxation of [resolve] is
-       edge-order independent, so the times stay bit-identical to
-       {!of_plan}'s ordering. *)
+       allocation): the longest-path relaxation of [resolve_array] is
+       edge-order independent, so the order cannot change a time. *)
     for u = 0 to n - 1 do
       let c = ref 0 in
       List.iter
@@ -217,6 +155,8 @@ module Solver = struct
     done;
     for k = 0 to nr - 1 do
       let spec = reconfigs.(k) in
+      if spec.t_in < 0 || spec.t_in >= n || spec.t_out < 0 || spec.t_out >= n
+      then invalid_arg "Timing.Solver.reload: task outside the graph";
       off.(spec.t_in + 1) <- off.(spec.t_in + 1) + 1;
       off.(n + k + 1) <- 1;
       base_indeg.(n + k) <- base_indeg.(n + k) + 1;
@@ -248,7 +188,7 @@ module Solver = struct
     done;
     let durations = s.durations in
     for i = 0 to n - 1 do
-      durations.(i) <- State.duration state i
+      durations.(i) <- duration i
     done;
     for k = 0 to nr - 1 do
       durations.(n + k) <- reconfigs.(k).dur
@@ -263,16 +203,23 @@ module Solver = struct
       makespan = s.makespan;
     }
 
-  (* Shared Kahn pass: chain edges must already be installed in
-     [chain_next]/[indeg] (on top of a fresh [base_indeg] blit). *)
-  let finish_resolve ?release s =
+  let resolve ?release s ~sequence ~len =
+    if len < 0 || len > Array.length sequence then
+      invalid_arg "Timing.Solver.resolve_array: bad length";
     let { n; nr; indeg; queue; t_min; chain_next; durations; _ } = s in
     let total = n + nr in
+    Array.fill chain_next 0 nr (-1);
+    Array.blit s.base_indeg 0 indeg 0 total;
+    for i = 0 to len - 2 do
+      let a = sequence.(i) and b = sequence.(i + 1) in
+      chain_next.(a) <- b;
+      indeg.(n + b) <- indeg.(n + b) + 1
+    done;
     (match release with
     | None -> Array.fill t_min 0 total 0
     | Some r ->
       if Array.length r <> total then
-        invalid_arg "Timing.Solver.resolve: release length mismatch";
+        invalid_arg "Timing.time_plan: release length mismatch";
       Array.blit r 0 t_min 0 total);
     let head = ref 0 and tail = ref 0 in
     (* Node ids in [adj] were validated when the base adjacency was
@@ -330,34 +277,7 @@ module Solver = struct
     s.makespan <- !makespan;
     result s
 
-  let prep s =
-    Array.fill s.chain_next 0 s.nr (-1);
-    Array.blit s.base_indeg 0 s.indeg 0 (s.n + s.nr)
-
-  let resolve ?release s ~sequence =
-    prep s;
-    let n = s.n and chain_next = s.chain_next and indeg = s.indeg in
-    let rec chain = function
-      | a :: b :: tl ->
-        chain_next.(a) <- b;
-        indeg.(n + b) <- indeg.(n + b) + 1;
-        chain (b :: tl)
-      | [ _ ] | [] -> ()
-    in
-    chain sequence;
-    finish_resolve ?release s
-
-  let resolve_array s ~sequence ~len =
-    if len < 0 || len > Array.length sequence then
-      invalid_arg "Timing.Solver.resolve_array: bad length";
-    prep s;
-    let n = s.n and chain_next = s.chain_next and indeg = s.indeg in
-    for i = 0 to len - 2 do
-      let a = sequence.(i) and b = sequence.(i + 1) in
-      chain_next.(a) <- b;
-      indeg.(n + b) <- indeg.(n + b) + 1
-    done;
-    finish_resolve s
+  let resolve_array s ~sequence ~len = resolve s ~sequence ~len
 
   (* Raise node [v]'s start to at least [finish], keeping the derived
      times and the makespan in step, and queue it when it moved. The
@@ -420,3 +340,32 @@ module Solver = struct
       resolve_array s ~sequence ~len
     end
 end
+
+let time_plan ?release ~durations ~region_chains ~processor_chains ~reconfigs
+    ~controller graph =
+  let n = Graph.size graph in
+  if Array.length durations <> n then
+    invalid_arg "Timing.time_plan: durations length mismatch";
+  let plan = Graph.copy graph in
+  let rec chain ~direct = function
+    | a :: (b :: _ as tl) ->
+      if direct a b then Graph.add_edge plan a b;
+      chain ~direct tl
+    | [ _ ] | [] -> ()
+  in
+  (* [loaded_by.(b)]: the reconfiguration that loads [b]'s bitstream. The
+     solver wires each one between its ingoing and outgoing task, so a
+     region pair needs an edge of its own only when no reconfiguration
+     separates it. *)
+  let loaded_by = Array.make n (-1) in
+  Array.iteri (fun k spec -> loaded_by.(spec.t_out) <- k) reconfigs;
+  Array.iteri
+    (fun r tasks ->
+      chain tasks ~direct:(fun a b ->
+          let k = loaded_by.(b) in
+          k < 0 || reconfigs.(k).t_in <> a || reconfigs.(k).region_id <> r))
+    region_chains;
+  Array.iter (chain ~direct:(fun _ _ -> true)) processor_chains;
+  let s = Solver.scratch () in
+  Solver.reload s ~graph:plan ~duration:(Array.get durations) ~reconfigs;
+  Solver.resolve ?release s ~sequence:controller ~len:(Array.length controller)

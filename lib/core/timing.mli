@@ -38,35 +38,17 @@ val must_precede_closure :
     state's augmented dependency graph (valid while no further edges
     are inserted). *)
 
-(** Timing solver for the sequencing loop of step 7: the augmented graph
-    and durations are compiled once, one {!Solver.resolve_array} times
-    the empty controller chain, and each reconfiguration the loop
-    sequences is then {!Solver.splice}d in, re-timing only what the new
-    chain edges push later. Its times are bit-identical to a from-scratch
-    CPM of the whole augmented graph. *)
+(** The timing solver: one compile ({!Solver.reload}) of an augmented
+    graph and its durations, one full resolve ({!Solver.resolve_array})
+    of a controller chain over it, and {!Solver.splice} for step 7's
+    sequencing loop: the graph is compiled once per restart, one
+    resolve times the empty controller chain, and each reconfiguration
+    the loop sequences is then spliced in, re-timing only what the new
+    chain edges push later. Its times are bit-identical to a
+    from-scratch CPM of the whole augmented graph. A finished plan is
+    timed through the same compile and resolve by {!time_plan}. *)
 module Solver : sig
   type t
-
-  val of_plan : graph:Resched_taskgraph.Graph.t -> durations:int array ->
-    reconfigs:reconf_spec array -> t
-  (** Compile an explicit precedence graph over the task nodes (one
-      [durations] entry per node) plus the reconfiguration nodes
-      described by [reconfigs]. Used by the schedule-repair engine,
-      whose precedence structure comes from a finished {!Schedule.t}
-      rather than a live state. *)
-
-  val resolve : ?release:int array -> t -> sequence:int list -> resolved
-  (** Earliest-start times subject to: the compiled precedence edges,
-      each reconfiguration after its ingoing and before its outgoing
-      task, and the total [sequence] (indices into [reconfigs]) on the
-      reconfiguration controller. Reconfigurations not in [sequence] are
-      only constrained by their region. Raises [Graph.Cycle] if the
-      sequence contradicts the dependencies. [release] (length task
-      nodes + reconfiguration nodes, default all zero) gives a per-node
-      earliest start: no activity begins before its release time, on
-      top of every precedence constraint. The arrays of the result are
-      owned by the solver and overwritten by the next [resolve]; callers
-      must copy whatever they retain. *)
 
   val scratch : unit -> t
   (** An empty reusable solver: {!reload} it before resolving. One
@@ -74,18 +56,27 @@ module Solver : sig
       compilation into an allocation-free refill once its buffers have
       grown to the instance's high-water mark. *)
 
-  val reload : t -> State.t -> reconfigs:reconf_spec array -> unit
-  (** Recompile the solver in place for the state's current augmented
-      graph and durations. The solver's arrays may be longer than the
+  val reload : t -> graph:Resched_taskgraph.Graph.t -> duration:(int -> int)
+    -> reconfigs:reconf_spec array -> unit
+  (** Compile the solver in place for [graph]'s precedence edges over its
+      task nodes, [duration u] per task node [u], and one node per entry
+      of [reconfigs], wired after its ingoing and before its outgoing
+      task. Step 7 passes a state's augmented graph ({!State.t}'s [dep])
+      and {!State.duration}. The solver's arrays may be longer than the
       compiled problem; all resolves are bounded by the compiled sizes.
-      Results are bit-identical to a freshly {!of_plan}-compiled
-      solver's. *)
+      Raises [Invalid_argument] when a reconfiguration names a task
+      outside [graph]. *)
 
   val resolve_array : t -> sequence:int array -> len:int -> resolved
-  (** {!resolve} without release times, with the controller sequence
-      given as the first [len] entries of an int array — the sequencing
-      loop's scratch representation — instead of a list. Same result,
-      same aliasing caveat. *)
+  (** Earliest-start times subject to: the compiled precedence edges,
+      each reconfiguration after its ingoing and before its outgoing
+      task, and the total controller order given by the first [len]
+      entries of [sequence] (indices into [reconfigs]). Reconfigurations
+      not in the sequence are only constrained by their region. Raises
+      [Graph.Cycle] if the sequence contradicts the dependencies. The
+      arrays of the result are owned by the solver and overwritten by
+      the next resolve or splice; callers must copy whatever they
+      retain. *)
 
   val splice : t -> sequence:int array -> len:int -> pos:int -> resolved
   (** Re-time after inserting [sequence.(pos)] into the chain of this
@@ -98,3 +89,29 @@ module Solver : sig
       falls back to, and which raises [Graph.Cycle], should the chain
       contradict the dependencies), same aliasing caveat. *)
 end
+
+val time_plan : ?release:int array -> durations:int array ->
+  region_chains:int list array -> processor_chains:int list array ->
+  reconfigs:reconf_spec array -> controller:int array ->
+  Resched_taskgraph.Graph.t -> resolved
+(** [time_plan ... graph] times a finished plan over the task graph
+    [graph]: the longest path over its data edges, the per-region
+    execution orders [region_chains] (indexed by region id), the
+    per-processor orders [processor_chains], and the reconfigurations
+    [reconfigs] in [controller] order (indices into [reconfigs]) on the
+    single controller, with [durations] per task (its length is
+    [graph]'s size) and each reconfiguration's [dur]. A consecutive
+    region pair listed in [reconfigs] (same region, ingoing and outgoing
+    task) runs through that reconfiguration's node; any other pair
+    (module reuse) gets a direct edge. [release] (length
+    [size graph + Array.length reconfigs], reconfiguration [k] at node
+    [size graph + k], default all zero) gives a per-node earliest start:
+    no activity begins before its release time, on top of every
+    precedence constraint. Compiles a fresh solver through
+    {!Solver.reload} and resolves it the way {!Solver.resolve_array}
+    does, so the result's arrays belong to the caller. Raises
+    [Graph.Cycle] if the orders contradict each other, and
+    [Invalid_argument] on a duration array of the wrong length or a
+    task outside [graph]. The jitter executor, schedule repair, the
+    exact ILP's extraction and the move kernel's reference all time
+    their plans here. *)

@@ -24,10 +24,15 @@
     Every request gets exactly one response; load shedding is always a
     structured ["rejected"] line, never a silent drop. [degrade] is the
     graceful-degradation rung the request was served at (0 full PA-R
-    budget, 1 reduced restarts, 2 [List_sched] heuristic only), and
-    [effective_min_iterations] plus the request's [seed] is the exact
-    recipe to reproduce the returned schedule offline with
-    [fpga_sched schedule --algo pa-r]. *)
+    budget, 1 reduced restarts, 2 [List_sched] heuristic only).
+    [effective_min_iterations] [E] plus the request's [seed] [S] is the
+    exact recipe to reproduce a rung-0 or rung-1 schedule of a request
+    without [budget_ms] offline: [fpga_sched batch --out-dir DIR] on the
+    one-line manifest
+    [{"path": ..., "seed": S, "min_iterations": E, "budget_ms": 0}]
+    writes the bytes of the response's ["schedule"] text. ([fpga_sched
+    schedule] cannot: it has no restart count and runs to a wall-clock
+    budget.) *)
 
 type schedule_params = {
   tenant : string;  (** admission-quota bucket; default ["default"] *)

@@ -1,10 +1,9 @@
 module Rng = Resched_util.Rng
 module Stats = Resched_util.Stats
-module Graph = Resched_taskgraph.Graph
-module Cpm = Resched_taskgraph.Cpm
 module Instance = Resched_platform.Instance
 module Arch = Resched_platform.Arch
 module Schedule = Resched_core.Schedule
+module Timing = Resched_core.Timing
 
 type jitter =
   | Deterministic
@@ -18,81 +17,6 @@ type trial = {
 }
 
 exception Replay_error of string
-
-(* Node layout of the replay DAG: tasks 0..n-1, then one node per
-   reconfiguration in the schedule's controller order. *)
-let replay_graph (sched : Schedule.t) =
-  let inst = sched.Schedule.instance in
-  let n = Instance.size inst in
-  let rcs = Array.of_list sched.Schedule.reconfigurations in
-  let nr = Array.length rcs in
-  let g = Graph.create (n + nr) in
-  (* Data dependencies. *)
-  List.iter (fun (u, v) -> Graph.add_edge g u v) (Graph.edges inst.Instance.graph);
-  (* Per-region order with the reconfiguration between each pair (when
-     one exists; with module reuse the pair is chained directly). The
-     key (region, t_in, t_out) must be unique: a duplicate would
-     silently collapse under [Hashtbl.replace], replaying one fewer
-     controller occupation than the schedule declares. *)
-  let rc_index = Hashtbl.create 16 in
-  Array.iteri
-    (fun k (rc : Schedule.reconfiguration) ->
-      let key = (rc.Schedule.region, rc.Schedule.t_in, rc.Schedule.t_out) in
-      if Hashtbl.mem rc_index key then
-        raise
-          (Replay_error
-             (Printf.sprintf
-                "duplicate reconfiguration (region %d, %d->%d) in the \
-                 controller sequence"
-                rc.Schedule.region rc.Schedule.t_in rc.Schedule.t_out));
-      Hashtbl.replace rc_index key k)
-    rcs;
-  Array.iteri
-    (fun ridx (_ : Schedule.region) ->
-      let ordered = Schedule.region_tasks_in_order sched ridx in
-      let rec chain = function
-        | a :: b :: tl ->
-          (match Hashtbl.find_opt rc_index (ridx, a, b) with
-          | Some k ->
-            Graph.add_edge g a (n + k);
-            Graph.add_edge g (n + k) b
-          | None -> Graph.add_edge g a b);
-          chain (b :: tl)
-        | [ _ ] | [] -> ()
-      in
-      chain ordered)
-    sched.Schedule.regions;
-  (* Per-processor order (by static start time). *)
-  let procs = inst.Instance.arch.Arch.processors in
-  for p = 0 to procs - 1 do
-    let mine = ref [] in
-    Array.iteri
-      (fun u (s : Schedule.task_slot) ->
-        match s.Schedule.placement with
-        | Schedule.On_processor q when q = p -> mine := u :: !mine
-        | _ -> ())
-      sched.Schedule.slots;
-    let ordered =
-      List.sort
-        (fun a b ->
-          compare sched.Schedule.slots.(a).Schedule.start_
-            sched.Schedule.slots.(b).Schedule.start_)
-        !mine
-    in
-    let rec chain = function
-      | a :: b :: tl ->
-        Graph.add_edge g a b;
-        chain (b :: tl)
-      | [ _ ] | [] -> ()
-    in
-    chain ordered
-  done;
-  (* Controller order: the reconfiguration list is already in execution
-     order. *)
-  for k = 0 to nr - 2 do
-    Graph.add_edge g (n + k) (n + k + 1)
-  done;
-  (g, rcs)
 
 let sample_factor rng = function
   | Deterministic -> 1.0
@@ -112,32 +36,77 @@ let execute ?rng ~jitter (sched : Schedule.t) =
       invalid_arg "Executor.execute: stochastic jitter needs ~rng"
   in
   let inst = sched.Schedule.instance in
-  let n = Instance.size inst in
-  let g, rcs = replay_graph sched in
-  let nr = Array.length rcs in
-  let durations =
-    Array.init (n + nr) (fun i ->
-        let nominal =
-          if i < n then begin
-            let s = sched.Schedule.slots.(i) in
-            s.Schedule.end_ - s.Schedule.start_
-          end
-          else begin
-            let rc = rcs.(i - n) in
-            rc.Schedule.r_end - rc.Schedule.r_start
-          end
-        in
-        if i < n then
-          (* Only task durations jitter; reconfiguration time is fixed by
-             the bitstream size and the controller throughput. *)
-          Stdlib.max 1 (int_of_float (Float.round (float_of_int nominal *. sample_factor rng jitter)))
-        else nominal)
+  (* The key (region, t_in, t_out) must be unique: a duplicate would
+     replay a controller occupation the plan cannot tell apart from its
+     twin. *)
+  let seen = Hashtbl.create 16 in
+  let reconfigs =
+    Array.of_list
+      (List.map
+         (fun (rc : Schedule.reconfiguration) ->
+           let key =
+             (rc.Schedule.region, rc.Schedule.t_in, rc.Schedule.t_out)
+           in
+           if Hashtbl.mem seen key then
+             raise
+               (Replay_error
+                  (Printf.sprintf
+                     "duplicate reconfiguration (region %d, %d->%d) in the \
+                      controller sequence"
+                     rc.Schedule.region rc.Schedule.t_in rc.Schedule.t_out));
+           Hashtbl.replace seen key ();
+           {
+             Timing.region_id = rc.Schedule.region;
+             t_in = rc.Schedule.t_in;
+             t_out = rc.Schedule.t_out;
+             (* Reconfiguration time is fixed by the bitstream size and
+                the controller throughput: it never jitters. *)
+             dur = rc.Schedule.r_end - rc.Schedule.r_start;
+             critical = false;
+           })
+         sched.Schedule.reconfigurations)
   in
-  let cpm = Cpm.compute g ~durations in
-  let task_start = Array.sub cpm.Cpm.t_min 0 n in
-  let task_end = Array.init n (fun u -> task_start.(u) + durations.(u)) in
-  let makespan = Array.fold_left Stdlib.max 0 task_end in
-  { makespan; task_start; task_end }
+  let durations =
+    Array.map
+      (fun (s : Schedule.task_slot) ->
+        let nominal = s.Schedule.end_ - s.Schedule.start_ in
+        Stdlib.max 1
+          (int_of_float
+             (Float.round (float_of_int nominal *. sample_factor rng jitter))))
+      sched.Schedule.slots
+  in
+  (* Per-processor order, by static start time. *)
+  let processor_chains =
+    Array.init inst.Instance.arch.Arch.processors (fun p ->
+        let mine = ref [] in
+        Array.iteri
+          (fun u (s : Schedule.task_slot) ->
+            match s.Schedule.placement with
+            | Schedule.On_processor q when q = p -> mine := u :: !mine
+            | _ -> ())
+          sched.Schedule.slots;
+        List.sort
+          (fun a b ->
+            compare sched.Schedule.slots.(a).Schedule.start_
+              sched.Schedule.slots.(b).Schedule.start_)
+          !mine)
+  in
+  (* The reconfiguration list is already in controller order. *)
+  let r =
+    Timing.time_plan ~durations
+      ~region_chains:
+        (Array.init
+           (Array.length sched.Schedule.regions)
+           (Schedule.region_tasks_in_order sched))
+      ~processor_chains ~reconfigs
+      ~controller:(Array.init (Array.length reconfigs) Fun.id)
+      inst.Instance.graph
+  in
+  {
+    makespan = r.Timing.makespan;
+    task_start = r.Timing.task_start;
+    task_end = r.Timing.task_end;
+  }
 
 type robustness = {
   trials : int;

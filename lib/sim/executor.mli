@@ -11,12 +11,16 @@
     resource and reconfiguration-controller predecessors complete, and
     the realized makespan falls out.
 
-    The executor rebuilds the precedence structure purely from the public
-    schedule — independently from the scheduler internals, like the
-    validator — so it doubles as a semantic cross-check: under
-    [Deterministic] jitter the realized times must reproduce the static
-    schedule's times exactly when the schedule is "compact" (every start
-    explained by some predecessor), and may only be earlier otherwise. *)
+    The executor builds the plan purely from the public schedule — data
+    edges, region orders with their reconfigurations, processor orders
+    by static start, the controller order of the reconfiguration list —
+    independently from the scheduler's internal state, and times it
+    through {!Resched_core.Timing.time_plan}, the longest-path entry
+    schedule repair and the exact ILP share. It doubles as a semantic
+    cross-check: under [Deterministic] jitter the realized times must
+    reproduce the static schedule's times exactly when the schedule is
+    "compact" (every start explained by some predecessor), and may only
+    be earlier otherwise. *)
 
 type jitter =
   | Deterministic  (** nominal durations: replay the plan *)
@@ -34,8 +38,8 @@ type trial = {
 
 exception Replay_error of string
 (** The schedule cannot be replayed faithfully — currently: two
-    reconfigurations share a (region, ingoing, outgoing) identity, which
-    would silently collapse to a single controller occupation. *)
+    reconfigurations share a (region, ingoing, outgoing) identity, so
+    the plan cannot tell which of them a region pair waits for. *)
 
 val execute : ?rng:Resched_util.Rng.t -> jitter:jitter ->
   Resched_core.Schedule.t -> trial

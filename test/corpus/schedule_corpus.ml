@@ -76,18 +76,22 @@ let entry name (o : Pa_random.outcome) =
   | None -> { name; makespan = -1; md5 = "none" }
   | Some s -> digest name s
 
-(* Every instance through one batch at jobs 2, in input order. *)
-let run () =
-  let inputs = Array.of_list (paper () @ saturated ()) in
+(* Every input through one batch at jobs 2, in input order. *)
+let outcomes inputs =
   let requests =
     Array.mapi
       (fun k (_, restarts, inst) ->
         Batch.request ~seed:(inst_seed k) ~min_iterations:restarts inst)
-      inputs
+      (Array.of_list inputs)
   in
-  let outcomes, _ = Batch.run ~jobs:2 requests in
-  Array.to_list
-    (Array.mapi (fun k (name, _, _) -> entry name outcomes.(k)) inputs)
+  fst (Batch.run ~jobs:2 requests)
+
+let run () =
+  let inputs = paper () @ saturated () in
+  List.map2
+    (fun (name, _, _) o -> entry name o)
+    inputs
+    (Array.to_list (outcomes inputs))
 
 (* Each baseline over every instance, in algorithm then input order. *)
 let baselines () =

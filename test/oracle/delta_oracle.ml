@@ -4,10 +4,10 @@
    re-queries the floorplan only when the region demand multiset
    changed. This module evaluates the same plan the plain way, through
    [Delta]'s public interface alone: it materializes the state with
-   [Delta.to_schedule], compiles the plan that schedule describes (data
+   [Delta.to_schedule], times the plan that schedule describes (data
    edges, region chains with their reconfigurations, processor chains,
-   the controller order) into a fresh [Timing.Solver.of_plan], resolves
-   every start from scratch, and asks the floorplan check again.
+   the controller order) from scratch through [Timing.time_plan], and
+   asks the floorplan check again.
    Longest paths in a DAG with non-negative durations are unique, so a
    correct kernel agrees on every start, the makespan and the floorplan
    verdict. The delta tests and the legacy bench's moves section compare
@@ -31,11 +31,6 @@ open Resched_core
    [Graph.Cycle] on a cyclic plan. *)
 let retime ~processor_tasks (sched : Schedule.t) =
   let inst = sched.Schedule.instance in
-  let n = Instance.size inst in
-  let g = Graph.create n in
-  List.iter
-    (fun (u, v) -> Graph.add_edge g u v)
-    (Graph.edges inst.Instance.graph);
   let reconfigs =
     Array.of_list
       (List.map
@@ -51,32 +46,21 @@ let retime ~processor_tasks (sched : Schedule.t) =
            })
          sched.Schedule.reconfigurations)
   in
-  let reconfigured a b =
-    Array.exists
-      (fun (s : Timing.reconf_spec) -> s.Timing.t_in = a && s.t_out = b)
-      reconfigs
-  in
-  let rec chain ~direct = function
-    | a :: (b :: _ as tl) ->
-      if direct a b then Graph.add_edge g a b;
-      chain ~direct tl
-    | [ _ ] | [] -> ()
-  in
-  Array.iter
-    (fun (r : Schedule.region) ->
-      chain ~direct:(fun a b -> not (reconfigured a b)) r.Schedule.tasks)
-    sched.Schedule.regions;
-  for p = 0 to inst.Instance.arch.Arch.processors - 1 do
-    chain ~direct:(fun _ _ -> true) (processor_tasks p)
-  done;
   let durations =
-    Array.init n (fun u ->
-        let idx = sched.Schedule.slots.(u).Schedule.impl_idx in
-        (Instance.impl inst ~task:u ~idx).Impl.time)
+    Array.mapi
+      (fun u (s : Schedule.task_slot) ->
+        (Instance.impl inst ~task:u ~idx:s.Schedule.impl_idx).Impl.time)
+      sched.Schedule.slots
   in
-  let solver = Timing.Solver.of_plan ~graph:g ~durations ~reconfigs in
-  Timing.Solver.resolve solver
-    ~sequence:(List.init (Array.length reconfigs) Fun.id)
+  Timing.time_plan ~durations
+    ~region_chains:
+      (Array.map (fun (r : Schedule.region) -> r.Schedule.tasks)
+         sched.Schedule.regions)
+    ~processor_chains:
+      (Array.init inst.Instance.arch.Arch.processors processor_tasks)
+    ~reconfigs
+    ~controller:(Array.init (Array.length reconfigs) Fun.id)
+    inst.Instance.graph
 
 (* The floorplan verdict of the schedule's region demands, established
    afresh. A schedule that carries a floorplan is feasible iff that

@@ -200,8 +200,15 @@ let two_region_state () =
 
 (* The step-7 timing solver over the state's current augmented graph. *)
 let solver state specs =
-  Timing.Solver.of_plan ~graph:state.State.dep
-    ~durations:(State.durations state) ~reconfigs:specs
+  let s = Timing.Solver.scratch () in
+  Timing.Solver.reload s ~graph:state.State.dep
+    ~duration:(State.duration state) ~reconfigs:specs;
+  s
+
+(* A resolve of the controller chain [sequence]. *)
+let resolve solver sequence =
+  let sequence = Array.of_list sequence in
+  Timing.Solver.resolve_array solver ~sequence ~len:(Array.length sequence)
 
 let test_timing_resolve_respects_sequence () =
   let state = two_region_state () in
@@ -217,7 +224,7 @@ let test_timing_resolve_respects_sequence () =
   (* In both orders the controller is exclusive. *)
   List.iter
     (fun sequence ->
-      let r = Timing.Solver.resolve solver ~sequence in
+      let r = resolve solver sequence in
       let s0, e0 = (r.Timing.rec_start.(0), r.Timing.rec_end.(0)) in
       let s1, e1 = (r.Timing.rec_start.(1), r.Timing.rec_end.(1)) in
       Alcotest.(check bool) "no controller overlap" true (e0 <= s1 || e1 <= s0))
@@ -258,7 +265,7 @@ let test_solver_matches_from_scratch_resolve () =
       in
       check_resolved name
         (Pa_oracle.resolve state ~reconfigs:specs ~sequence)
-        (Timing.Solver.resolve solver ~sequence))
+        (resolve solver sequence))
     [ [ 0; 1 ]; [ 1; 0 ]; [ 0; 1 ] ]
 
 let test_solver_matches_resolve_on_pipeline_state () =
@@ -278,7 +285,7 @@ let test_solver_matches_resolve_on_pipeline_state () =
   let sequence = Array.to_list (Array.sub plan.p_seq 0 plan.p_len) in
   let reference = Pa_oracle.resolve state ~reconfigs:specs ~sequence in
   check_resolved "pipeline sequence" reference
-    (Timing.Solver.resolve (solver state specs) ~sequence);
+    (resolve (solver state specs) sequence);
   check_resolved "step-7 final times" reference plan.p_times
 
 let test_timing_reuse_skips_pairs () =
@@ -298,6 +305,46 @@ let test_timing_reuse_skips_pairs () =
     (Array.length (Timing.reconf_specs state));
   Alcotest.(check int) "no reconfiguration with reuse" 0
     (Array.length (Timing.reconf_specs ~module_reuse:true state))
+
+(* A finished plan over four independent tasks: region 0 runs 0 then 1
+   behind a 5-tick reconfiguration, region 1 runs 2 then 3 with none
+   (module reuse), so only a direct edge orders them. *)
+let time_plan ?release ?(edges = []) ~reconfigs ~controller () =
+  let graph = Graph.create 4 in
+  List.iter (fun (u, v) -> Graph.add_edge graph u v) edges;
+  Timing.time_plan ?release ~durations:[| 10; 20; 30; 40 |]
+    ~region_chains:[| [ 0; 1 ]; [ 2; 3 ] |] ~processor_chains:[||]
+    ~reconfigs ~controller graph
+
+let reconf region t_in t_out =
+  { Timing.region_id = region; t_in; t_out; dur = 5; critical = false }
+
+let test_time_plan_chains () =
+  let r = time_plan ~reconfigs:[| reconf 0 0 1 |] ~controller:[| 0 |] () in
+  Alcotest.(check (array int)) "starts" [| 0; 15; 0; 30 |] r.Timing.task_start;
+  Alcotest.(check int) "reconfiguration after its ingoing task" 10
+    r.Timing.rec_start.(0);
+  Alcotest.(check int) "makespan" 70 r.Timing.makespan;
+  (* A release time holds its activity back and pushes its successors. *)
+  let release = [| 0; 0; 7; 0; 12 |] in
+  let r =
+    time_plan ~release ~reconfigs:[| reconf 0 0 1 |] ~controller:[| 0 |] ()
+  in
+  Alcotest.(check (array int)) "released starts" [| 0; 17; 7; 37 |]
+    r.Timing.task_start;
+  Alcotest.(check int) "released reconfiguration" 12 r.Timing.rec_start.(0)
+
+let test_time_plan_cycle () =
+  (* With a data edge 1 -> 2, the load into 1 must precede the load into
+     3 (behind 2): the reverse controller order closes a cycle. *)
+  let reconfigs = [| reconf 0 0 1; reconf 1 2 3 |] in
+  let r =
+    time_plan ~edges:[ (1, 2) ] ~reconfigs ~controller:[| 0; 1 |] ()
+  in
+  Alcotest.(check int) "consistent order" 110 r.Timing.makespan;
+  match time_plan ~edges:[ (1, 2) ] ~reconfigs ~controller:[| 1; 0 |] () with
+  | _ -> Alcotest.fail "a controller order against the data edges timed"
+  | exception Graph.Cycle _ -> ()
 
 (* ---- state ---- *)
 
@@ -486,10 +533,8 @@ let prop_splice_equals_full_resolve =
       let closure =
         Graph.closure_with (Graph.make_closure_buf ()) state.State.dep
       in
-      let spliced = Timing.Solver.scratch () in
-      let full = Timing.Solver.scratch () in
-      Timing.Solver.reload spliced state ~reconfigs:specs;
-      Timing.Solver.reload full state ~reconfigs:specs;
+      let spliced = solver state specs in
+      let full = solver state specs in
       let seq = Array.make (Stdlib.max 1 nr) 0 in
       ignore (Timing.Solver.resolve_array spliced ~sequence:seq ~len:0);
       let n = Instance.size inst in
@@ -689,53 +734,6 @@ let test_schedule_io_rejects_garbage () =
   | Ok _ -> Alcotest.fail "schedule without slots accepted"
   | Error _ -> ()
 
-(* ---- communication overhead extension ---- *)
-
-module Comm = Resched_core.Comm
-
-let test_comm_inflates_times () =
-  let graph = Graph.create 3 in
-  Graph.add_edge graph 0 2;
-  Graph.add_edge graph 1 2;
-  let res = Resource.make ~clb:50 ~bram:0 ~dsp:0 in
-  let impls =
-    [|
-      [| Impl.sw ~time:100 |];
-      [| Impl.sw ~time:100 |];
-      [| Impl.sw ~time:100; Impl.hw ~time:40 ~res () |];
-    |]
-  in
-  let inst = Instance.make ~arch:Arch.mini ~graph ~impls () in
-  let inflated =
-    Comm.inflate ~cost:(Comm.uniform_cost 10) inst
-  in
-  (* Task 2 receives 2 edges x 10 ticks: HW +20, SW +10 (factor 0.5). *)
-  Alcotest.(check int) "hw inflated" 60
-    (Instance.impl inflated ~task:2 ~idx:1).Impl.time;
-  Alcotest.(check int) "sw inflated" 110
-    (Instance.impl inflated ~task:2 ~idx:0).Impl.time;
-  (* Sources have no incoming communication. *)
-  Alcotest.(check int) "source untouched" 100
-    (Instance.impl inflated ~task:0 ~idx:0).Impl.time
-
-let test_comm_schedules_validate () =
-  let rng = Rng.create 6 in
-  let inst = Suite.instance rng ~tasks:20 in
-  let inflated = Comm.inflate ~cost:(Comm.uniform_cost 50) inst in
-  let sched, _ = Pa.run inflated in
-  Validate.check_exn sched;
-  let base, _ = Pa.run inst in
-  (* Communication can only lengthen the critical path lower bound. *)
-  let lb s = (Metrics.compute s).Metrics.critical_path_lower_bound in
-  Alcotest.(check bool) "lower bound grows" true (lb sched >= lb base)
-
-let test_comm_rejects_negative () =
-  let rng = Rng.create 6 in
-  let inst = Suite.instance rng ~tasks:5 in
-  Alcotest.check_raises "negative cost"
-    (Invalid_argument "Comm.inflate: negative cost") (fun () ->
-      ignore (Comm.inflate ~cost:(fun ~src:_ ~dst:_ -> -1) inst))
-
 (* Property: the validator rejects every systematic corruption of a valid
    schedule — slot stretching, makespan tampering and (when present)
    dropped reconfigurations. *)
@@ -797,6 +795,10 @@ let () =
             test_solver_matches_resolve_on_pipeline_state;
           Alcotest.test_case "module reuse skips pairs" `Quick
             test_timing_reuse_skips_pairs;
+          Alcotest.test_case "finished plan chains" `Quick
+            test_time_plan_chains;
+          Alcotest.test_case "finished plan cycle" `Quick
+            test_time_plan_cycle;
         ] );
       ( "state",
         [
@@ -822,14 +824,6 @@ let () =
           Alcotest.test_case "save/load" `Quick test_schedule_io_save_load;
           Alcotest.test_case "rejects garbage" `Quick
             test_schedule_io_rejects_garbage;
-        ] );
-      ( "comm",
-        [
-          Alcotest.test_case "inflates times" `Quick test_comm_inflates_times;
-          Alcotest.test_case "schedules validate" `Quick
-            test_comm_schedules_validate;
-          Alcotest.test_case "rejects negative cost" `Quick
-            test_comm_rejects_negative;
         ] );
       ( "output",
         [
