@@ -142,12 +142,18 @@ val run_parallel : ?config:Pa.config -> ?seed:int -> ?min_iterations:int ->
 
     Reproducibility: worker 0 replays exactly the stream [run] would use
     for [seed]; workers 1..jobs-1 use independent streams split from
-    [seed], so the set of candidate streams is a function of
-    [(seed, jobs)] alone. [jobs = 1] is literally [run]. Under a non-zero
-    wall-clock budget the {e number} of iterations each stream completes
-    still depends on machine load, so only [budget_seconds = 0.] with
-    [min_iterations] set gives bit-identical outcomes across runs; see
-    DESIGN.md for the full determinism discussion.
+    [seed], so the random orders the workers draw are a function of
+    [(seed, jobs)] alone. [jobs = 1] is literally [run], and with
+    [budget_seconds = 0.] and [min_iterations] set it gives bit-identical
+    outcomes across runs, as does each course of {!Batch.run}. At
+    [jobs > 1] it does not, even at a zero budget: each restart's bound
+    and its floorplan-check test read the best makespan all workers
+    share, so which restarts a stream checks, and with them its adaptive
+    scale and its later restarts, depend on when the other workers
+    lowered that best, and of two streams reaching equal makespans the
+    first to claim wins: eight such runs of one 30-task graph gave two
+    makespans. ROADMAP item 6 covers the fix; see DESIGN.md for the full
+    determinism discussion.
 
     [min_iterations] is a total: each worker performs at least
     [ceil (min_iterations / jobs)] iterations. The merged trace is

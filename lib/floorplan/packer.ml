@@ -221,9 +221,53 @@ let covers f (need : Resource.t) ~h c0 c1 =
   && h * (f.f_bram.(c1 + 1) - f.f_bram.(c0)) >= need.Resource.bram
   && h * (f.f_dsp.(c1 + 1) - f.f_dsp.(c0)) >= need.Resource.dsp
 
+(* Ascending sort of distinct ints in place: a merge sort whose
+   comparisons are int [<], not calls of a comparison closure. The codes
+   of one table are distinct (each holds its rect's four fields), so
+   this is the order [Array.stable_sort Int.compare] gives. *)
+let sort_ints a =
+  let n = Array.length a in
+  let tmp = Array.make n 0 in
+  (* Sort [a.(lo..hi-1)] into [dst] at [lo] from [src], where [src] and
+     [dst] hold the same elements there. *)
+  let rec sort src dst lo hi =
+    if hi - lo <= 12 then begin
+      for i = lo + 1 to hi - 1 do
+        let x = dst.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && (dst.(!j) : int) > x do
+          dst.(!j + 1) <- dst.(!j);
+          decr j
+        done;
+        dst.(!j + 1) <- x
+      done
+    end
+    else begin
+      let mid = (lo + hi) / 2 in
+      sort dst src lo mid;
+      sort dst src mid hi;
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if !j >= hi || (!i < mid && (src.(!i) : int) < src.(!j)) then begin
+          dst.(k) <- src.(!i);
+          incr i
+        end
+        else begin
+          dst.(k) <- src.(!j);
+          incr j
+        end
+      done
+    end
+  in
+  Array.blit a 0 tmp 0 n;
+  sort tmp a 0 n
+
 (* v1's enumeration (see [Placement.candidates]): per row span, a sliding
    window yields every minimal-width column span; the snuggest
-   [Placement.candidate_count_cap] survive.
+   [Placement.candidate_count_cap] survive. Rows are uniform, so a row
+   span's windows depend only on its height: the window slides once per
+   height, and each window it yields is emitted at every row span of
+   that height.
 
    Dominance: a rect containing another candidate is redundant (whenever
    it is free, so is the smaller one covering the same need). v1's rects
@@ -245,34 +289,34 @@ let build_table f (need : Resource.t) =
   let ncols = f.f_ncols and rows = f.f_rows and b = f.f_bits in
   let buf = Array.make (rows * (rows + 1) / 2 * ncols) 0 in
   let len = ref 0 in
-  for r0 = 0 to rows - 1 do
-    for r1 = r0 to rows - 1 do
-      let h = r1 - r0 + 1 in
-      let c0 = ref 0 and c1 = ref (-1) in
-      let have_fits () = !c1 >= 0 && !c0 <= !c1 && covers f need ~h !c0 !c1 in
-      let continue_ = ref true in
-      while !continue_ do
-        while (not (have_fits ())) && !c1 < ncols - 1 do
-          incr c1
+  for h = 1 to rows do
+    let c0 = ref 0 and c1 = ref (-1) in
+    let have_fits () = !c1 >= 0 && !c0 <= !c1 && covers f need ~h !c0 !c1 in
+    let continue_ = ref true in
+    while !continue_ do
+      while (not (have_fits ())) && !c1 < ncols - 1 do
+        incr c1
+      done;
+      if not (have_fits ()) then continue_ := false
+      else begin
+        while !c0 + 1 <= !c1 && covers f need ~h (!c0 + 1) !c1 do
+          incr c0
         done;
-        if not (have_fits ()) then continue_ := false
-        else begin
-          while !c0 + 1 <= !c1 && covers f need ~h (!c0 + 1) !c1 do
-            incr c0
-          done;
-          let area = h * (f.f_tot.(!c1 + 1) - f.f_tot.(!c0)) in
+        let area = h * (f.f_tot.(!c1 + 1) - f.f_tot.(!c0)) in
+        for r0 = 0 to rows - h do
           buf.(!len) <-
-            (((((((area lsl b) lor r0) lsl b) lor !c0) lsl b) lor r1) lsl b)
+            (((((((area lsl b) lor r0) lsl b) lor !c0) lsl b) lor (r0 + h - 1))
+             lsl b)
             lor !c1;
-          incr len;
-          incr c0;
-          if !c0 > !c1 && !c1 = ncols - 1 then continue_ := false
-        end
-      done
+          incr len
+        done;
+        incr c0;
+        if !c0 > !c1 && !c1 = ncols - 1 then continue_ := false
+      end
     done
   done;
   let all = Array.sub buf 0 !len in
-  Array.stable_sort Int.compare all;
+  sort_ints all;
   let raw =
     if !len <= Placement.candidate_count_cap then all
     else Array.sub all 0 Placement.candidate_count_cap
@@ -346,7 +390,10 @@ let table_for f need =
 (* Bitset occupancy: one [bits_per_word]-column word per (row, word of
    the row); a rect is free iff no word of its rows meets its column
    mask. Two rects overlap iff they share a tile, so this is exactly
-   v1's [Placement.overlap] scan against every placed rect. *)
+   v1's [Placement.overlap] scan against every placed rect. The greedy
+   passes test candidates against it; the exact search keeps it only as
+   part of its failed-state keys and tests candidates through the
+   interval bitsets below. *)
 
 (* The columns of span [c0..c1] that fall in word [w] of a row, as a
    mask, for a word the span meets. *)
@@ -366,52 +413,77 @@ let free f occ k =
   done;
   !ok
 
-(* Row-span masks. The exact search tests each candidate far more often
-   than it places one, and nearly every test clashes, so each DFS node
-   first ORs the occupancy over every row span [r0..r1] into
-   [f_words] words: rows * (rows + 1) / 2 spans, in [span_index] order
-   (12 words on XC7Z020). A candidate is free iff its columns miss its
-   own span's mask, which for a rect over at most two words of a row
-   is two [land]s and no loop over rows. *)
-let span_index f r0 r1 = (r0 * f.f_rows) - (r0 * (r0 - 1) / 2) + (r1 - r0)
+(* Interval bitsets. The exact search would test each candidate far
+   more often than it places one, and nearly every test would clash
+   (99.6% on the golden corpus's [serve] shape), so it tests none one by
+   one. Per query and distinct table, four families of candidate-index
+   bitsets (bit [i mod 63] of word [i / 63] stands for candidate [i])
+   hold the candidates with r0 <= x and r1 >= x for each row x, and with
+   c0 <= x and c1 >= x for each column x. A placed rect R overlaps
+   exactly the candidates in
+   [r0le.(R.r1) & r1ge.(R.r0) & c0le.(R.c1) & c1ge.(R.c0)], so a node's
+   blocked set is the OR of that over its placed rects, and its next
+   free candidate is the lowest clear bit at or after an index. The
+   sets are built per query and dropped with it: kept in the table memo,
+   they would cost every memoized table its [2 * (rows + ncols)] sets. *)
+type bitsets = {
+  b_words : int;  (* words per candidate set *)
+  b_sets : int array;
+      (* [2 * rows + 2 * ncols] sets of [b_words] words, from the offsets
+         below *)
+}
 
-let span_words f = f.f_rows * (f.f_rows + 1) / 2 * f.f_words
+let[@inline] r0le (_ : fabric) x = x
+let[@inline] r1ge f x = f.f_rows + x
+let[@inline] c0le f x = (2 * f.f_rows) + x
+let[@inline] c1ge f x = (2 * f.f_rows) + f.f_ncols + x
 
-let fill_spans f occ spans base =
-  let words = f.f_words and j = ref base in
-  for r0 = 0 to f.f_rows - 1 do
-    for w = 0 to words - 1 do
-      spans.(!j + w) <- occ.((r0 * words) + w)
-    done;
-    j := !j + words;
-    for r1 = r0 + 1 to f.f_rows - 1 do
-      for w = 0 to words - 1 do
-        spans.(!j + w) <- spans.(!j - words + w) lor occ.((r1 * words) + w)
-      done;
-      j := !j + words
+let bitsets f codes =
+  let m = Array.length codes in
+  let w = (m + bits_per_word - 1) / bits_per_word in
+  let sets = Array.make (c1ge f f.f_ncols * w) 0 in
+  let add set i =
+    let p = (set * w) + (i / bits_per_word) in
+    sets.(p) <- sets.(p) lor (1 lsl (i mod bits_per_word))
+  in
+  for i = 0 to m - 1 do
+    let k = codes.(i) in
+    add (r0le f (r0_of f k)) i;
+    add (r1ge f (r1_of f k)) i;
+    add (c0le f (c0_of f k)) i;
+    add (c1ge f (c1_of f k)) i
+  done;
+  (* Each set holds the candidates equal to its x so far: OR in the set
+     of the x below (for <=) or above (for >=), in order. *)
+  let up first last =
+    for p = (first + 1) * w to ((last + 1) * w) - 1 do
+      sets.(p) <- sets.(p) lor sets.(p - w)
     done
-  done
+  and down first last =
+    for p = (last * w) - 1 downto first * w do
+      sets.(p) <- sets.(p) lor sets.(p + w)
+    done
+  in
+  up (r0le f 0) (r0le f (f.f_rows - 1));
+  down (r1ge f 0) (r1ge f (f.f_rows - 1));
+  up (c0le f 0) (c0le f (f.f_ncols - 1));
+  down (c1ge f 0) (c1ge f (f.f_ncols - 1));
+  { b_words = w; b_sets = sets }
 
-(* Each candidate's test against the span masks, laid out flat before
-   the search, three ints per candidate: the offset of its first word's
-   mask among a node's span masks, its columns' mask in that word, and
-   their mask in the next word (0 when they fall in one word). A rect
-   over more than two words of a row (only on a fabric wider than 126
-   columns) gets offset -1, which sends it to [free]. *)
-let probes f codes =
-  let p = Array.make (3 * Array.length codes) 0 in
-  Array.iteri
-    (fun i k ->
-      let c0 = c0_of f k and c1 = c1_of f k in
-      let w0 = f.f_word.(c0) and w1 = f.f_word.(c1) in
-      if w1 > w0 + 1 then p.(3 * i) <- -1
-      else begin
-        p.(3 * i) <- (span_index f (r0_of f k) (r1_of f k) * f.f_words) + w0;
-        p.((3 * i) + 1) <- word_mask f ~c0 ~c1 w0;
-        if w1 > w0 then p.((3 * i) + 2) <- word_mask f ~c0 ~c1 w1
-      end)
-    codes;
-  p
+(* The index of the lowest set bit of a non-zero word: [x land (-x)]
+   isolates it, and the top six of the 63 bits of that bit times a de
+   Bruijn sequence differ for each of its 63 positions. *)
+let debruijn = 0x03f79d71b4cb0a89
+
+let ctz_table =
+  let t = Array.make 64 0 in
+  for i = 0 to bits_per_word - 1 do
+    t.(((1 lsl i) * debruijn) lsr 57) <- i
+  done;
+  t
+
+let[@inline] ctz x =
+  Array.unsafe_get ctz_table (((x land (-x)) * debruijn) lsr 57)
 
 let toggle f occ k =
   let c0 = c0_of f k and c1 = c1_of f k in
@@ -449,8 +521,9 @@ let greedy_codes f ~occ codes region_order =
   Array.fill occ 0 (Array.length occ) 0;
   if ok then Some (Array.map (rect_of f) placed) else None
 
-(* Failed-state sets of the exact search, keyed on one int array:
-   depth, first admissible candidate index, then the occupancy words. *)
+(* Failed-state sets of the exact search, keyed on one int array: its
+   hash, then the depth, the first admissible candidate index and the
+   occupancy words. The hash is computed once, as the key is built. *)
 module States = Hashtbl.Make (struct
   type t = int array
 
@@ -461,16 +534,23 @@ module States = Hashtbl.Make (struct
     let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
     go 0
 
-  (* Occupancy words differ mostly in their high bits, so every word is
-     folded down as well as multiplied up. *)
-  let hash (a : int array) =
-    let h = ref 0 in
-    for i = 0 to Array.length a - 1 do
-      let x = (!h lxor a.(i)) * 0x2545F4914F6CDD1D in
-      h := x lxor (x lsr 29)
-    done;
-    !h land max_int
+  let hash (a : int array) = a.(0)
 end)
+
+(* Occupancy words differ mostly in their high bits, so every word is
+   folded down as well as multiplied up. *)
+let state_key ~depth ~min_idx occ =
+  let words = Array.length occ in
+  let key = Array.make (words + 3) depth in
+  key.(2) <- min_idx;
+  Array.blit occ 0 key 3 words;
+  let h = ref 0 in
+  for i = 1 to words + 2 do
+    let x = (!h lxor key.(i)) * 0x2545F4914F6CDD1D in
+    h := x lxor (x lsr 29)
+  done;
+  key.(0) <- !h land max_int;
+  key
 
 (* ------------------------------------------------------------------ *)
 (* v2: column-interval packer. v1, the original first-fit greedy plus
@@ -485,7 +565,8 @@ end)
      packing of interchangeable regions can be reordered this way);
    - dominance pruning (see [build_table]);
    - tile-demand lower bounds, at the root and per node;
-   - bitset occupancy;
+   - interval bitsets: a node's free candidates come from its placed
+     rects' blocked sets, never from testing candidates one by one;
    - a memoized infeasible-suffix set: a (depth, first-admissible-index,
      occupancy) state that exhausted every candidate without completing
      is recorded and never re-explored from a different prefix;
@@ -562,11 +643,22 @@ let pack_v2 device needs =
       | None ->
         (* Search nodes spent, summed over the restarts and the fallback. *)
         let spent = ref 0 in
-        (* Per-depth row-span masks, with one word of slack: a one-word
-           rect's probe also reads the word after its own, under a zero
-           mask. *)
-        let stride = span_words f in
-        let spans = Array.make ((n * stride) + 1) 0 in
+        (* The interval bitsets of the tables searched, built once per
+           distinct table in this query: regions with equal needs share
+           a table, and so does a table's raw and pruned list when no
+           rect is pruned. *)
+        let built = ref [] in
+        let bitsets_of codes =
+          Array.map
+            (fun c ->
+              match List.assq_opt c !built with
+              | Some b -> b
+              | None ->
+                let b = bitsets f c in
+                built := (c, b) :: !built;
+                b)
+            codes
+        in
         (* The exact search: a DFS over [cands] in [region_order] that
            counts every candidate it tries, clashing ones included, and
            gives up past [budget]. With [prune] it is the restart search:
@@ -575,9 +667,13 @@ let pack_v2 device needs =
            a (depth, first admissible index, occupancy) state that was
            exhausted once is never re-explored. Without, it is v1's
            search. *)
-        let search ~prune cands probe region_order budget =
+        let search ~prune cands bits region_order budget =
           Array.fill occ 0 (Array.length occ) 0;
           let chosen = Array.make n 0 in
+          (* Per depth, the candidates of its table that the rects placed
+             above it block. *)
+          let stride = Array.fold_left (fun a b -> Int.max a b.b_words) 0 bits in
+          let blocked = Array.make (n * stride) 0 in
           let failed = States.create 64 in
           (* Suffix tile demand in search order: what the regions still to
              be placed at depth [k] must burn, at minimum. Compared against
@@ -598,6 +694,14 @@ let pack_v2 device needs =
             in
             prune && go 0
           in
+          (* Does the region at depth [k + 1] have the need of the one at
+             [k]? Then it picks a later index. *)
+          let same_next =
+            Array.init n (fun k ->
+                prune && k + 1 < n
+                && Resource.equal needs.(region_order.(k + 1))
+                     needs.(region_order.(k)))
+          in
           let nodes = ref 0 in
           let rec go k min_idx =
             if k = n then begin
@@ -610,63 +714,73 @@ let pack_v2 device needs =
             (* Remaining demand oversubscribes the free tiles: proven
                empty, no need to enumerate (or memoize) the subtree. *)
             if not (starved k) then begin
-              let key = if prune then Array.append [| k; min_idx |] occ else [||] in
+              let key =
+                if prune then state_key ~depth:k ~min_idx occ else [||]
+              in
               if not (prune && States.mem failed key) then begin
                 let region = region_order.(k) in
-                let cands = cands.(region) and probe = probe.(region) in
+                let cands = cands.(region) and bs = bits.(region) in
                 let m = Array.length cands and base = k * stride in
-                fill_spans f occ spans base;
+                let words = bs.b_words and sets = bs.b_sets in
+                let w0 = min_idx / bits_per_word in
+                Array.fill blocked (base + w0) (words - w0) 0;
+                for d = 0 to k - 1 do
+                  let r = chosen.(d) in
+                  let o1 = r0le f (r1_of f r) * words
+                  and o2 = r1ge f (r0_of f r) * words
+                  and o3 = c0le f (c1_of f r) * words
+                  and o4 = c1ge f (c0_of f r) * words in
+                  for x = w0 to words - 1 do
+                    blocked.(base + x) <-
+                      blocked.(base + x)
+                      lor (sets.(o1 + x) land sets.(o2 + x) land sets.(o3 + x)
+                         land sets.(o4 + x))
+                  done
+                done;
                 let i = ref min_idx in
                 while !i < m do
                   (* Skip the run of clashing candidates from [!i] to the
-                     next free one [!j] (or the end) in one step. The
+                     next free one [j] (or the end) in one step. The
                      per-candidate count would pass [budget] inside the
-                     run or at [!j] exactly when the run's total does, and
+                     run or at [j] exactly when the run's total does, and
                      nothing is placed in between, so counting it in bulk
                      spends the same nodes and gives up at the same
-                     point. The reads are unchecked: [probe] holds three
-                     ints per candidate, and an offset is below [stride],
-                     so [base + o + 1] is at most [n * stride]. *)
-                  let j = ref !i in
-                  while
-                    !j < m
-                    &&
-                    let p = 3 * !j in
-                    let o = Array.unsafe_get probe p in
-                    if o < 0 then not (free f occ cands.(!j))
-                    else
-                      Array.unsafe_get spans (base + o)
-                      land Array.unsafe_get probe (p + 1)
-                      <> 0
-                      || Array.unsafe_get spans (base + o + 1)
-                         land Array.unsafe_get probe (p + 2)
-                         <> 0
-                  do
-                    incr j
+                     point. Bits past [m] in the last word are clear, so
+                     they read as free and give [j = m]. *)
+                  let x = ref (!i / bits_per_word) in
+                  let clear =
+                    ref
+                      (lnot blocked.(base + !x)
+                      land (-1 lsl (!i mod bits_per_word)))
+                  in
+                  while !clear = 0 && !x + 1 < words do
+                    incr x;
+                    clear := lnot blocked.(base + !x)
                   done;
-                  let stop = Int.min (!j + 1) m in
+                  let j =
+                    if !clear = 0 then m
+                    else Int.min m ((!x * bits_per_word) + ctz !clear)
+                  in
+                  let stop = Int.min (j + 1) m in
                   nodes := !nodes + (stop - !i);
                   if !nodes > budget then raise Budget;
-                  if !j < m then begin
-                    let c = cands.(!j) in
-                    place f occ c;
-                    for s = 0 to nslots - 1 do
-                      free_tiles.(s) <- free_tiles.(s) - tiles f c s
-                    done;
+                  if j < m then begin
+                    let c = cands.(j) in
                     chosen.(k) <- c;
-                    let next_min =
-                      if
-                        prune && k + 1 < n
-                        && Resource.equal needs.(region_order.(k + 1))
-                             needs.(region)
-                      then !j + 1
-                      else 0
-                    in
-                    go (k + 1) next_min;
-                    for s = 0 to nslots - 1 do
-                      free_tiles.(s) <- free_tiles.(s) + tiles f c s
-                    done;
-                    unplace f occ c
+                    if prune then begin
+                      (* Only the pruning reads the occupancy and the
+                         free tiles. *)
+                      place f occ c;
+                      for s = 0 to nslots - 1 do
+                        free_tiles.(s) <- free_tiles.(s) - tiles f c s
+                      done;
+                      go (k + 1) (if same_next.(k) then j + 1 else 0);
+                      for s = 0 to nslots - 1 do
+                        free_tiles.(s) <- free_tiles.(s) + tiles f c s
+                      done;
+                      unplace f occ c
+                    end
+                    else go (k + 1) 0
                   end;
                   i := stop
                 done;
@@ -706,8 +820,7 @@ let pack_v2 device needs =
           with
           | Some placements -> Placed placements
           | None ->
-            search ~prune:false raw (Array.map (probes f) raw) v1_order
-              node_limit
+            search ~prune:false raw (bitsets_of raw) v1_order node_limit
         in
         (* Restart orders. All are deterministic; all keep regions with
            equal needs adjacent (they tie on every sort key and fall
@@ -744,7 +857,7 @@ let pack_v2 device needs =
           o
         in
         let ascending = Array.init n (fun i -> order.(n - 1 - i)) in
-        let pruned_probe = Array.map (probes f) pruned in
+        let pruned_bits = bitsets_of pruned in
         let slice num den = Stdlib.max 1 (node_limit * num / den) in
         let rec portfolio = function
           | [] ->
@@ -760,7 +873,7 @@ let pack_v2 device needs =
                single order can get stuck in a barren part of the space
                that another leaves almost at once. [Infeasible] needs full
                exhaustion, so only a completed restart reports it. *)
-            match search ~prune:true pruned pruned_probe region_order budget with
+            match search ~prune:true pruned pruned_bits region_order budget with
             | Unknown -> portfolio rest
             | decisive -> (Portfolio, !spent, decisive))
         in

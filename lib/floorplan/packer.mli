@@ -27,11 +27,16 @@ val pack : Resched_fabric.Device.t -> Resched_fabric.Resource.t array ->
     ints plus the need's minimum tile vector. Searched with tile-demand
     lower bounds, symmetry breaking over identical demands, bitset
     occupancy, an infeasible-suffix memo and a deterministic restart
-    portfolio over several region orders. Each search node ORs the
-    occupancy over every row span once, so a candidate's overlap test
-    is at most two [land]s against its span's mask, and a run of
-    clashing candidates is skipped and counted in one step: the same
-    node count, and the same budget exits, as testing them one by one.
+    portfolio over several region orders. The search tests no candidate
+    one by one: per query, each distinct table it reaches gets interval
+    bitsets over its candidate indices (those with [r0 <= x] and
+    [r1 >= x] per row, [c0 <= x] and [c1 >= x] per column), a node's
+    blocked set is the OR over its placed rects of the four sets they
+    select, and its next free candidate is one count of trailing zeros
+    away. A run of clashing candidates is skipped and counted in one
+    step: the same node count, and the same budget exits, as testing
+    them one by one. The bitsets are dropped with the query, not kept
+    in the table memo.
 
     When every restart runs out of budget it replays v1's search (the
     original greedy plus naive backtracking, now the test oracle

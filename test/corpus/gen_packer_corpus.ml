@@ -13,9 +13,8 @@
    - [lns]: 15 saturated XC7Z010 graphs of 40..80 tasks, PA-R at 40
      restarts, then [Lns.polish] over 1500 moves on the same cache;
    - [zc706]: 20 XC7Z045 graphs of 20..80 tasks at 30 restarts over one
-     shared cache. Only there can a candidate span three occupancy
-     words of a row, so only these queries pin the exact search's
-     generic overlap test.
+     shared cache: the one preset of seven rows, with three occupancy
+     words per row and the largest candidate tables.
 
    Queries are deduplicated on (device, needs); the first shape to issue
    one keeps it. The packer is deterministic, so a replay of the corpus

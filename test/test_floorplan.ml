@@ -395,11 +395,11 @@ let quadratic_prune rects =
          else r :: kept)
        [] rects)
 
-(* A random fabric: 1..60 columns of random kinds (CLB-heavy, as on the
-   real parts) crossed by 1..7 clock-region rows. *)
-let random_fabric rng =
+(* A random fabric: 1..[max_columns] columns of random kinds (CLB-heavy,
+   as on the real parts) crossed by 1..7 clock-region rows. *)
+let random_fabric ~max_columns rng =
   let columns =
-    Array.init (1 + Rng.int rng 60) (fun _ ->
+    Array.init (1 + Rng.int rng max_columns) (fun _ ->
         match Rng.int rng 6 with
         | 0 -> Resource.Bram
         | 1 -> Resource.Dsp
@@ -422,7 +422,7 @@ let prop_grid_candidates_identical =
     (fun (seed, dev_idx) ->
       let rng = Rng.create seed in
       let d =
-        if dev_idx = 4 then random_fabric rng
+        if dev_idx = 4 then random_fabric ~max_columns:60 rng
         else [| Device.minifab; Device.xc7z010; Device.xc7z020; Device.xc7z045 |].(dev_idx)
       in
       let wide =
@@ -512,21 +512,35 @@ let prop_packer_v2_agrees_v1_tight =
       let d = if big then Device.xc7z020 else Device.xc7z010 in
       agrees_with_v1 d (tight_needs rng d))
 
-(* The same relation on tight XC7Z045 sets. Its 172 columns take three
-   occupancy words per row, so only there can a rect span three words
-   (about an eighth of these sets' candidates do) and take the exact
-   search's generic overlap test. About half the sets reach the
-   fallback, whose outcome must also equal v1's exactly. v1 takes about
-   a quarter second per set here, hence the small count. *)
+(* The same relation on tight XC7Z045 sets: seven rows and 172 columns,
+   three occupancy words per row, so the largest preset tables and the
+   longest candidate bitsets. About half the sets reach the fallback,
+   whose outcome must also equal v1's exactly. v1 takes about a quarter
+   second per set here, hence the small count. *)
+let agrees_with_v1_exactly_on_fallback d needs =
+  let v1 = Packer_oracle.pack_v1 d needs in
+  let path, _, v2 = Packer.pack_path d needs in
+  compatible d needs ~v1 ~v2 && (path <> Packer.Fallback || v2 = v1)
+
 let prop_packer_v2_agrees_v1_xc7z045 =
   QCheck.Test.make ~count:10
     ~name:"packer v2 vs v1 oracle on tight XC7Z045 sets" QCheck.int
     (fun seed ->
       let d = Device.xc7z045 in
-      let needs = tight_needs (Rng.create seed) d in
-      let v1 = Packer_oracle.pack_v1 d needs in
-      let path, _, v2 = Packer.pack_path d needs in
-      compatible d needs ~v1 ~v2 && (path <> Packer.Fallback || v2 = v1))
+      agrees_with_v1_exactly_on_fallback d (tight_needs (Rng.create seed) d))
+
+(* The same relation on tight sets over random fabrics of 1..250
+   columns and 1..7 rows: 1 to 4 occupancy words per row, and row counts
+   (1, 4, 5, 6) that no preset has. A fallback's outcome must equal v1's
+   exactly, as on XC7Z045. *)
+let prop_packer_v2_agrees_v1_random_fabric =
+  QCheck.Test.make ~count:30
+    ~name:"packer v2 vs v1 oracle on tight sets over random fabrics"
+    QCheck.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let d = random_fabric ~max_columns:250 rng in
+      agrees_with_v1_exactly_on_fallback d (tight_needs rng d))
 
 (* The cache is a plain memo: whatever it already holds, and whatever
    order related queries (scaled and truncated variants of one need set)
@@ -634,6 +648,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_packer_v2_agrees_v1;
           QCheck_alcotest.to_alcotest prop_packer_v2_agrees_v1_tight;
           QCheck_alcotest.to_alcotest prop_packer_v2_agrees_v1_xc7z045;
+          QCheck_alcotest.to_alcotest prop_packer_v2_agrees_v1_random_fabric;
           QCheck_alcotest.to_alcotest prop_cache_is_plain_memo;
         ] );
     ]
